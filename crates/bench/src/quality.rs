@@ -13,6 +13,7 @@
 //! twice and must match bit for bit, and the run fingerprint folds only
 //! integer results (never timings), so CI can gate on it.
 
+use lcs_congest::hash::Fnv;
 use lcs_core::KoganParter;
 use lcs_graph::{
     exact_diameter, grid_diagonals, k_chordal, k_tree, power_law, random_regular, Graph,
@@ -240,49 +241,6 @@ pub fn run_cell(family: &Family, backend: &dyn ShortcutBuilder) -> Cell {
         declared: declared.map(|q| (q.congestion, q.dilation)),
         rounds: outcome.stats.rounds,
         messages: outcome.stats.messages,
-    }
-}
-
-/// FNV-1a 64-bit folder for the result fingerprint. Only integer
-/// results and stable names go in — never timings — so equal code on
-/// equal inputs reproduces the fingerprint on any host.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// Offset-basis start.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    /// Folds a string.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.bytes(s.as_bytes())
-    }
-
-    /// Folds a u64 (little-endian).
-    pub fn u64(&mut self, x: u64) -> &mut Self {
-        self.bytes(&x.to_le_bytes())
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

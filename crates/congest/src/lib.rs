@@ -53,6 +53,7 @@ pub mod accounting;
 mod arena;
 pub mod bfs;
 pub mod error;
+pub mod hash;
 pub mod message;
 pub mod multi_aggregate;
 pub mod multi_bfs;

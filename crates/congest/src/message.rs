@@ -48,21 +48,10 @@ pub trait Message: Clone + std::fmt::Debug {
     /// data types used as CONGEST payloads. Override with a cheaper
     /// field-wise hash where throughput matters.
     fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
         use std::fmt::Write;
-        struct Fnv(u64);
-        impl Write for Fnv {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for b in s.bytes() {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv(OFFSET);
+        let mut h = crate::hash::Fnv::new();
         write!(h, "{self:?}").expect("Debug formatting never fails");
-        h.0
+        h.finish()
     }
 }
 
@@ -116,7 +105,7 @@ impl<A: Message, B: Message> Message for (A, B) {
     fn corrupted(self, stream: u64) -> Self {
         // Corrupt one component, chosen by the low bit; re-derive the
         // component's stream so the flipped bits differ from the chooser.
-        let next = crate::sim::splitmix64(stream);
+        let next = crate::hash::splitmix64(stream);
         if stream & 1 == 0 {
             (self.0.corrupted(next), self.1)
         } else {

@@ -85,7 +85,7 @@ use crate::error::SimError;
 use crate::message::Message;
 use crate::node::{RoundCtx, TxState, Wake};
 use crate::protocol::Protocol;
-use crate::sim::splitmix64;
+use crate::hash::splitmix64;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
 use std::collections::VecDeque;

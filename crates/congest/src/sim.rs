@@ -140,6 +140,7 @@
 
 use crate::arena::SlabArena;
 use crate::error::SimError;
+use crate::hash::splitmix64;
 use crate::message::{Message, DEFAULT_BANDWIDTH_WORDS};
 use crate::node::{NodeAlgorithm, RoundCtx, TxState, Wake, WireFx};
 use crate::pool::{Control, Pool};
@@ -418,16 +419,6 @@ impl SimConfig {
         }
         Ok(())
     }
-}
-
-/// The splitmix64 finalizer: a high-quality pure 64-bit mix used to
-/// decide message fates without consuming any RNG stream.
-#[inline(always)]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The fate hash of one delivery: a pure function of

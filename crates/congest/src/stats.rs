@@ -94,39 +94,31 @@ impl RunStats {
     /// `sim_throughput` bench can compare sharded against sequential
     /// runs with one number.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.rounds);
-        fold(self.delivered_rounds);
-        fold(self.messages);
-        fold(self.words);
-        fold(self.per_edge_messages.len() as u64);
+        let mut h = crate::hash::Fnv::new();
+        h.u64(self.rounds)
+            .u64(self.delivered_rounds)
+            .u64(self.messages)
+            .u64(self.words)
+            .u64(self.per_edge_messages.len() as u64);
         for &x in &self.per_edge_messages {
-            fold(x);
+            h.u64(x);
         }
         // Fault counters fold only when a fault actually occurred, so
         // every fingerprint recorded before the fault layer existed —
         // and every fault-free run since — is byte-for-byte unchanged.
         if self.dropped | self.delayed | self.crashed_nodes != 0 {
-            fold(self.dropped);
-            fold(self.delayed);
-            fold(self.crashed_nodes);
+            h.u64(self.dropped)
+                .u64(self.delayed)
+                .u64(self.crashed_nodes);
         }
         // Same backwards-compatibility rule for the corruption tier,
         // under its own guard: every fingerprint recorded before
         // `corrupt_rate` existed has `corrupted == 0` and is unchanged —
         // including faulty (drop/delay/crash) ones.
         if self.corrupted != 0 {
-            fold(self.corrupted);
+            h.u64(self.corrupted);
         }
-        h
+        h.finish()
     }
 
     /// Accumulates another run's statistics (for multi-phase protocols

@@ -259,7 +259,7 @@ fn run_pipeline(
     }
     // Shared-randomness dissemination cost: O(D + log n) (Ghaffari'15).
     accounted_rounds += ecc as u64 + ceil_log2(n) as u64;
-    let shared_word = crate::sampling::splitmix64(cfg.seed ^ 0x5EED);
+    let shared_word = lcs_congest::hash::splitmix64(cfg.seed ^ 0x5EED);
 
     // ---- Phase B: the guess ladder. -----------------------------------
     let ladder: Vec<u32> = match cfg.known_diameter {

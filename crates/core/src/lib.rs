@@ -64,6 +64,6 @@ pub use distributed::{
 pub use index_build::{build_index, build_index_distributed, IndexBuildConfig};
 pub use odd::{odd_shortcuts_subdivision, shared_delay, subdivide, OddStrategy};
 pub use params::{guess_ladder, k_d, KpParams, ParamError};
-pub use sampling::{splitmix64, SampleOracle};
+pub use sampling::SampleOracle;
 pub use shortcut_tree::{ShortcutTree, ShortcutTreeError, WalkEnd, WalkMeasurement};
 pub use streaming::{streamed_quality, StreamedQuality};

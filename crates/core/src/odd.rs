@@ -16,7 +16,8 @@
 
 use crate::centralized::{classify_large, CentralizedShortcuts, LargenessRule};
 use crate::params::KpParams;
-use crate::sampling::{splitmix64, SampleOracle};
+use crate::sampling::SampleOracle;
+use lcs_congest::hash::splitmix64;
 use lcs_graph::{EdgeId, Graph, GraphBuilder, NodeId};
 use lcs_shortcut::{Partition, ShortcutSet};
 

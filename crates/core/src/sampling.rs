@@ -16,18 +16,10 @@
 //!   time instead of `Θ(N)` PRF calls. The two modes produce different
 //!   (but identically distributed) coin sets; tests cover both.
 
+use lcs_congest::hash::splitmix64;
 use lcs_graph::NodeId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// SplitMix64 finalizer: a well-mixed 64-bit permutation.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Uniform `[0, 1)` from 53 high bits.
 #[inline]

@@ -61,25 +61,3 @@ pub use customize::{CustomizeError, CustomizedIndex};
 pub use pool::{per_query_seed, IndexedSession, ServePool, ServedBatch};
 pub use query::{aggregate_value, min_cut_config, mst_config, Query, QueryResult};
 
-/// FNV-1a 64-bit folder for result fingerprints (integer results only,
-/// never timings — the same discipline as the bench gates).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u64(&mut self, x: u64) -> &mut Self {
-        for &b in &x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}

@@ -11,8 +11,7 @@
 
 use crate::customize::CustomizedIndex;
 use crate::query::{answer, Query, QueryResult};
-use crate::Fnv;
-use lcs_core::splitmix64;
+use lcs_congest::hash::{splitmix64, Fnv};
 use lcs_shortcut::ShortcutIndex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -10,10 +10,9 @@
 //! and [`lcs_apps::approximate_min_cut`].
 
 use crate::customize::CustomizedIndex;
-use crate::Fnv;
 use lcs_apps::{approximate_min_cut, mst_via_shortcuts, MinCutConfig, MstConfig};
 use lcs_congest::AggOp;
-use lcs_core::splitmix64;
+use lcs_congest::hash::{splitmix64, Fnv};
 use lcs_graph::{EdgeId, NodeId, W_UNREACHABLE};
 
 /// One request against the index.

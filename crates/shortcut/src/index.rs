@@ -28,6 +28,7 @@
 use crate::aggregation::{AggregationSetup, PartTree};
 use crate::partition::Partition;
 use crate::shortcut::{Quality, ShortcutSet};
+use lcs_congest::hash::Fnv;
 use lcs_graph::{EdgeId, Graph, NodeId};
 use std::fmt;
 use std::path::Path;
@@ -237,7 +238,7 @@ impl ShortcutIndex {
         for (_, body) in &sections {
             out.extend_from_slice(body);
         }
-        let checksum = fnv1a(&out);
+        let checksum = Fnv::new().bytes(&out).finish();
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -280,7 +281,7 @@ impl ShortcutIndex {
                 return Err(IndexError::Truncated);
             }
         }
-        let computed = fnv1a(content);
+        let computed = Fnv::new().bytes(content).finish();
         if stored != computed {
             return Err(IndexError::BadChecksum { stored, computed });
         }
@@ -723,16 +724,6 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<(Vec<PartTree>, u32, u32), 
     }
     c.done()?;
     Ok((trees, tree_congestion, tree_depth))
-}
-
-/// FNV-1a over a byte slice (same folder the bench fingerprints use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
