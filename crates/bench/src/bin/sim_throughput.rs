@@ -31,40 +31,43 @@
 
 use lcs_bench::sim_workloads::{multi_bfs_spec, Clock, Saturate};
 use lcs_congest::{
-    positions_from_tree, run, AggOp, Bfs, MultiAggregate, MultiBfs, NodeAlgorithm, Participation,
-    RoundCtx, RunStats, Session, SimConfig, TreeAggregate,
+    positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, Participation, Protocol, RoundCtx,
+    RunStats, Session, SimConfig, TreeAggregate,
 };
 use lcs_graph::{generators, Graph};
 use std::time::Instant;
 
 /// Flood protocol (same shape as the engine's own smoke test): node 0
 /// fires a token that everyone forwards once. Message-light, round-heavy
-/// — measures per-round engine overhead.
-#[derive(Debug, Default)]
-struct Flood {
-    seen: bool,
-    fired: bool,
-}
+/// — measures per-round engine overhead. A node's state is `(seen,
+/// fired)`.
+struct Flood;
 
-impl NodeAlgorithm for Flood {
+impl Protocol for Flood {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+    type State = (bool, bool);
+    type Output = ();
+    fn init(&mut self, graph: &Graph) -> Vec<(bool, bool)> {
+        vec![(false, false); graph.n()]
+    }
+    fn round(&self, (seen, fired): &mut (bool, bool), ctx: &mut RoundCtx<'_, u32>) {
         if ctx.round() == 0 && ctx.node() == 0 {
-            self.seen = true;
+            *seen = true;
         }
-        if !self.seen && !ctx.inbox().is_empty() {
-            self.seen = true;
+        if !*seen && !ctx.inbox().is_empty() {
+            *seen = true;
         }
-        if self.seen && !self.fired {
-            self.fired = true;
+        if *seen && !*fired {
+            *fired = true;
             for i in 0..ctx.degree() {
                 ctx.send(ctx.neighbors()[i], 1);
             }
         }
     }
-    fn halted(&self) -> bool {
-        self.fired || !self.seen
+    fn halted(&self, &(seen, fired): &(bool, bool)) -> bool {
+        fired || !seen
     }
+    fn finish(self, _: &Graph, _: Vec<(bool, bool)>, _: &RunStats) {}
 }
 
 #[derive(Debug, Clone)]
@@ -157,13 +160,9 @@ fn cfg_with(shards: usize, max_rounds: u64) -> SimConfig {
 
 fn bench_flood(name: &str, g: &Graph, shards: usize) -> Measurement {
     let t = Instant::now();
-    let out = run(
-        g,
-        (0..g.n()).map(|_| Flood::default()).collect(),
-        &cfg_with(shards, 1_000_000),
-    )
-    .expect("flood");
-    Measurement::from_stats(name, g, shards, &out.stats, t.elapsed().as_secs_f64())
+    let mut session = Session::new(g, cfg_with(shards, 1_000_000));
+    session.run(Flood).expect("flood");
+    Measurement::from_stats(name, g, shards, session.stats(), t.elapsed().as_secs_f64())
 }
 
 /// Single-source BFS on the large grid: the scale workload. Frontier
@@ -271,13 +270,12 @@ fn bench_session_pipeline(g: &Graph, shards: usize) -> Measurement {
 /// the barrier per round at shards > 1.)
 fn bench_idle(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let t = Instant::now();
-    let nodes = (0..g.n())
-        .map(|v| Clock::new(if v == 0 { rounds } else { 0 }))
-        .collect();
-    let out = run(g, nodes, &cfg_with(shards, rounds + 10)).expect("idle");
-    assert_eq!(out.stats.rounds, rounds);
-    assert_eq!(out.stats.messages, 0);
-    Measurement::from_stats("idle", g, shards, &out.stats, t.elapsed().as_secs_f64())
+    let mut session = Session::new(g, cfg_with(shards, rounds + 10));
+    session.run(Clock::new(rounds)).expect("idle");
+    let stats = session.stats();
+    assert_eq!(stats.rounds, rounds);
+    assert_eq!(stats.messages, 0);
+    Measurement::from_stats("idle", g, shards, stats, t.elapsed().as_secs_f64())
 }
 
 /// Sparse-frontier workload: BFS down a long path. The frontier is 1–2
@@ -381,13 +379,15 @@ fn bench_chaos(g: &Graph, side: usize, shards: usize) -> Measurement {
 
 fn bench_saturate(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let t = Instant::now();
-    let out = run(
+    let mut session = Session::new(g, cfg_with(shards, 10_000_000));
+    session.run(Saturate::new(rounds)).expect("saturate");
+    Measurement::from_stats(
+        "saturate",
         g,
-        (0..g.n()).map(|_| Saturate::new(rounds)).collect(),
-        &cfg_with(shards, 10_000_000),
+        shards,
+        session.stats(),
+        t.elapsed().as_secs_f64(),
     )
-    .expect("saturate");
-    Measurement::from_stats("saturate", g, shards, &out.stats, t.elapsed().as_secs_f64())
 }
 
 /// Parses `--shards 1,4` (comma-separated sweep) or `--shards 4`

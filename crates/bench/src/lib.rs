@@ -185,84 +185,99 @@ pub fn covered_nodes(partition: &Partition) -> Vec<NodeId> {
 /// `sim_throughput` criterion bench — one definition, so the two
 /// trend lines measure the same thing.
 pub mod sim_workloads {
-    use lcs_congest::{MultiBfsInstance, MultiBfsSpec, NodeAlgorithm, RoundCtx, Wake};
-    use lcs_graph::NodeId;
+    use lcs_congest::{MultiBfsInstance, MultiBfsSpec, Protocol, RoundCtx, RunStats, Wake};
+    use lcs_graph::{Graph, NodeId};
     use std::sync::Arc;
 
-    /// A node that stays awake (explicit [`Wake`] contract — it gets no
-    /// mail) for a fixed number of rounds, then sleeps. With one clock
-    /// node and `n - 1` immediately-quiescent peers this is the
-    /// engine's pure **idle-round** workload: under event-driven active
-    /// sets each round costs O(1) — independent of `n`, and of the
-    /// shard count too, because near-quiescent rounds run inline on the
-    /// coordinator instead of crossing the worker barrier.
+    /// Node 0 stays awake (explicit [`Wake`] contract — it gets no
+    /// mail) for a fixed number of rounds, then sleeps; every other node
+    /// sleeps after round 0. This is the engine's pure **idle-round**
+    /// workload: under event-driven active sets each round costs O(1) —
+    /// independent of `n`, and of the shard count too, because
+    /// near-quiescent rounds run inline on the coordinator instead of
+    /// crossing the worker barrier. A node's state is its ticks left.
     #[derive(Debug)]
     pub struct Clock {
         ticks: u64,
     }
 
     impl Clock {
-        /// A node that stays scheduled for `ticks` rounds (0 = sleep
-        /// after round 0).
+        /// Node 0 stays scheduled for `ticks` rounds (0 = everyone
+        /// sleeps after round 0).
         pub fn new(ticks: u64) -> Self {
             Clock { ticks }
         }
     }
 
-    impl NodeAlgorithm for Clock {
+    impl Protocol for Clock {
         type Msg = u32;
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, u32>) {
-            if self.ticks > 0 {
-                self.ticks -= 1;
+        type State = u64;
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<u64> {
+            (0..graph.n())
+                .map(|v| if v == 0 { self.ticks } else { 0 })
+                .collect()
+        }
+        fn round(&self, ticks: &mut u64, _ctx: &mut RoundCtx<'_, u32>) {
+            if *ticks > 0 {
+                *ticks -= 1;
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &u64) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.ticks > 0 {
+        fn wake(&self, &ticks: &u64) -> Wake {
+            if ticks > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
         }
+        fn finish(self, _: &Graph, _: Vec<u64>, _: &RunStats) {}
     }
 
     /// Saturates every arc every round: the raw engine message path
-    /// (send → slot → gather) with a trivial node program.
+    /// (send → slot → gather) with a trivial node program. Every node
+    /// sends for a fixed number of rounds; the output is a checksum of
+    /// everything heard (defeats dead-code elimination). A node's state
+    /// is `(rounds left to keep sending, checksum)`.
     #[derive(Debug)]
     pub struct Saturate {
-        /// Rounds left to keep sending.
-        pub rounds_left: u64,
-        /// Checksum of everything heard (defeats dead-code elimination).
-        pub sum: u64,
+        rounds: u64,
     }
 
     impl Saturate {
-        /// A node that sends for `rounds` rounds.
+        /// Every node sends on every arc for `rounds` rounds.
         pub fn new(rounds: u64) -> Self {
-            Saturate {
-                rounds_left: rounds,
-                sum: 0,
-            }
+            Saturate { rounds }
         }
     }
 
-    impl NodeAlgorithm for Saturate {
+    impl Protocol for Saturate {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = (u64, u64);
+        type Output = u64;
+        fn init(&mut self, graph: &Graph) -> Vec<(u64, u64)> {
+            vec![(self.rounds, 0); graph.n()]
+        }
+        fn round(&self, (rounds_left, sum): &mut (u64, u64), ctx: &mut RoundCtx<'_, u32>) {
             for &(_, m) in ctx.inbox() {
-                self.sum = self.sum.wrapping_add(u64::from(m));
+                *sum = sum.wrapping_add(u64::from(m));
             }
-            if self.rounds_left > 0 {
-                self.rounds_left -= 1;
+            if *rounds_left > 0 {
+                *rounds_left -= 1;
                 for i in 0..ctx.degree() {
                     ctx.send_nth(i, ctx.round() as u32);
                 }
             }
         }
-        fn halted(&self) -> bool {
-            self.rounds_left == 0
+        fn halted(&self, &(rounds_left, _): &(u64, u64)) -> bool {
+            rounds_left == 0
+        }
+        fn finish(self, _: &Graph, states: Vec<(u64, u64)>, _: &RunStats) -> u64 {
+            states
+                .iter()
+                .fold(0, |acc, &(_, sum)| acc.wrapping_add(sum))
         }
     }
 

@@ -1,4 +1,8 @@
-//! The synchronous CONGEST simulator engine.
+//! The synchronous CONGEST simulator engine. It has one entry point:
+//! a [`Session`](crate::Session) runs each [`Protocol`] phase through
+//! the crate-internal `run_phase`, on the session's persistent
+//! `EngineHost`. This module also defines the run configuration
+//! ([`SimConfig`]) and the fault model ([`FaultPlan`]).
 //!
 //! # Mailbox layout
 //!
@@ -142,14 +146,14 @@ use crate::arena::SlabArena;
 use crate::error::SimError;
 use crate::hash::splitmix64;
 use crate::message::{Message, DEFAULT_BANDWIDTH_WORDS};
-use crate::node::{NodeAlgorithm, RoundCtx, TxState, Wake, WireFx};
+use crate::node::{RoundCtx, TxState, Wake, WireFx};
 use crate::pool::{Control, Pool};
+use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{ArcId, Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One scheduled crash-stop in a [`FaultPlan`]: the node falls silent
@@ -405,7 +409,7 @@ impl SimConfig {
     }
 
     /// Eagerly checks the configuration — today that means the attached
-    /// [`FaultPlan`], if any. Called by [`run`] and by every
+    /// [`FaultPlan`], if any. Called by every
     /// [`Session`](crate::Session) phase dispatch before any round
     /// executes, so an inconsistent plan fails fast with an actionable
     /// [`SimError::FaultConfig`] instead of corrupting a run.
@@ -653,15 +657,6 @@ impl<M: Message> FaultState<M> {
     }
 }
 
-/// Outcome of a run: the final node states plus statistics.
-#[derive(Debug)]
-pub struct RunOutcome<A> {
-    /// Final per-node algorithm states, indexed by node id.
-    pub nodes: Vec<A>,
-    /// Collected statistics.
-    pub stats: RunStats,
-}
-
 /// One arc-indexed mailbox payload slot, interior-mutable so the two
 /// parity buffers can alternate read/write roles across the persistent
 /// workers without re-borrowing each round. The payload is stored flat
@@ -884,9 +879,9 @@ struct Shard<M> {
 
 /// A pool worker's state: its shard bookkeeping plus disjoint mutable
 /// views of the node-state and RNG arrays.
-struct ShardWorker<'a, D: Driver> {
-    sh: Shard<D::Msg>,
-    nodes: &'a mut [D::State],
+struct ShardWorker<'a, P: Protocol> {
+    sh: Shard<P::Msg>,
+    nodes: &'a mut [P::State],
     rngs: &'a mut [ChaCha8Rng],
 }
 
@@ -904,45 +899,6 @@ struct StepReport {
     /// reach — and wake — its receiver). Always 0 without a
     /// [`FaultPlan`].
     fault_pending: u64,
-}
-
-/// The engine's per-node dispatch abstraction: how one node executes a
-/// round and reports quiescence. Implemented for plain
-/// [`NodeAlgorithm`] vectors (state *is* behavior) and for
-/// [`Protocol`](crate::Protocol) runs (one shared protocol value drives
-/// per-node states), so both APIs share one engine.
-pub(crate) trait Driver: Sync {
-    /// The wire message type.
-    type Msg: Message + Send + Sync;
-    /// Per-node state.
-    type State: Send;
-    /// One synchronous round for `state`'s node.
-    fn node_round(&self, state: &mut Self::State, ctx: &mut RoundCtx<'_, Self::Msg>);
-    /// The node's scheduling request after a round (the quiescence
-    /// contract; see [`crate::Wake`]).
-    fn node_wake(&self, state: &Self::State) -> Wake;
-}
-
-/// Driver for a vector of [`NodeAlgorithm`] values. `PhantomData` over
-/// `fn() -> A` keeps the driver `Sync` without requiring `A: Sync` —
-/// node states are only ever touched through disjoint `&mut`.
-struct PlainDriver<A>(PhantomData<fn() -> A>);
-
-impl<A> Driver for PlainDriver<A>
-where
-    A: NodeAlgorithm + Send,
-    A::Msg: Send + Sync,
-{
-    type Msg = A::Msg;
-    type State = A;
-    #[inline]
-    fn node_round(&self, state: &mut A, ctx: &mut RoundCtx<'_, A::Msg>) {
-        state.round(ctx);
-    }
-    #[inline]
-    fn node_wake(&self, state: &A) -> Wake {
-        state.wake()
-    }
 }
 
 /// The per-[`Session`](crate::Session) persistent half of the engine:
@@ -1063,14 +1019,14 @@ fn build_rev_arcs(g: &Graph) -> Vec<u32> {
 /// skipped are first rebuilt from mailbox occupancy (module docs).
 /// Returns `(next_active_len, first_violation)`.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<D: Driver>(
+fn run_shard<P: Protocol + Sync>(
     graph: &Graph,
-    driver: &D,
-    sh: &mut Shard<D::Msg>,
-    nodes: &mut [D::State],
+    protocol: &P,
+    sh: &mut Shard<P::Msg>,
+    nodes: &mut [P::State],
     rngs: &mut [ChaCha8Rng],
-    cur: &[Slot<D::Msg>],
-    nxt: &[Slot<D::Msg>],
+    cur: &[Slot<P::Msg>],
+    nxt: &[Slot<P::Msg>],
     occ_cur: &[OccCell],
     occ_nxt: &[OccCell],
     mail_cur: &[AtomicBool],
@@ -1106,7 +1062,7 @@ fn run_shard<D: Driver>(
         debug_assert!(a < occ_nxt.len());
         unsafe {
             *occ_nxt.get_unchecked(a).0.get() = false;
-            if std::mem::needs_drop::<D::Msg>() {
+            if std::mem::needs_drop::<P::Msg>() {
                 (*nxt.get_unchecked(a).0.get()).assume_init_drop();
             }
         }
@@ -1129,7 +1085,7 @@ fn run_shard<D: Driver>(
 
     if mode == MODE_DENSE {
         return run_shard_dense(
-            graph, driver, core, messages, words, inbox, faults, nodes, rngs, cur, nxt, occ_cur,
+            graph, protocol, core, messages, words, inbox, faults, nodes, rngs, cur, nxt, occ_cur,
             occ_nxt, mail_cur, rev, shared, round, bandwidth, me, wakes,
         );
     }
@@ -1332,12 +1288,12 @@ fn run_shard<D: Driver>(
                     bandwidth,
                 },
             };
-            driver.node_round(&mut nodes[v - node_lo], &mut ctx);
+            protocol.round(&mut nodes[v - node_lo], &mut ctx);
         }
         if violation.is_some() {
             return (core.next_active.len() as u64, violation);
         }
-        if let Wake::Stay = driver.node_wake(&nodes[v - node_lo]) {
+        if let Wake::Stay = protocol.wake(&nodes[v - node_lo]) {
             activate(
                 &mut core.next_active,
                 &mut core.in_set,
@@ -1358,18 +1314,18 @@ fn run_shard<D: Driver>(
 /// sends carry no [`WireFx`]. Statistics and [`Wake::Stay`] handling
 /// are identical to the normal path, so outcomes are bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn run_shard_dense<D: Driver>(
+fn run_shard_dense<P: Protocol + Sync>(
     graph: &Graph,
-    driver: &D,
+    protocol: &P,
     core: &mut ShardCore,
     messages: &mut u64,
     words: &mut u64,
-    inbox: &mut Vec<(NodeId, D::Msg)>,
-    faults: &mut Option<FaultState<D::Msg>>,
-    nodes: &mut [D::State],
+    inbox: &mut Vec<(NodeId, P::Msg)>,
+    faults: &mut Option<FaultState<P::Msg>>,
+    nodes: &mut [P::State],
     rngs: &mut [ChaCha8Rng],
-    cur: &[Slot<D::Msg>],
-    nxt: &[Slot<D::Msg>],
+    cur: &[Slot<P::Msg>],
+    nxt: &[Slot<P::Msg>],
     occ_cur: &[OccCell],
     occ_nxt: &[OccCell],
     mail_cur: &[AtomicBool],
@@ -1473,12 +1429,12 @@ fn run_shard_dense<D: Driver>(
                     bandwidth,
                 },
             };
-            driver.node_round(&mut nodes[v - node_lo], &mut ctx);
+            protocol.round(&mut nodes[v - node_lo], &mut ctx);
         }
         if violation.is_some() {
             return (core.next_active.len() as u64, violation);
         }
-        if let Wake::Stay = driver.node_wake(&nodes[v - node_lo]) {
+        if let Wake::Stay = protocol.wake(&nodes[v - node_lo]) {
             activate(
                 &mut core.next_active,
                 &mut core.in_set,
@@ -1490,61 +1446,37 @@ fn run_shard_dense<D: Driver>(
     (core.next_active.len() as u64, violation)
 }
 
-/// Runs `nodes` (one [`NodeAlgorithm`] value per node of `graph`) to
-/// quiescence: no node awake and no messages in flight.
+/// One engine phase: runs `protocol` over `nodes` (one state per node)
+/// to quiescence — no node awake and no messages in flight — on the
+/// host's persistent pool. [`Session`](crate::Session) calls this once
+/// per phase; `cfg.shards` is ignored here, since the host's pool was
+/// sized when it was built.
 ///
-/// Rounds are fully synchronous: messages sent at round `r` are delivered
-/// at round `r + 1`. The engine enforces the CONGEST discipline — a node
-/// may send at most one message per neighbor per round, each at most
-/// `cfg.bandwidth_words` words, and only to adjacent nodes. Scheduling
-/// is event-driven (see the module docs and [`crate::Wake`]): a node's
-/// `round` hook runs at round 0, on rounds with incoming mail, and on
-/// rounds following a [`Wake::Stay`] request.
-///
-/// With `cfg.shards > 1` the rounds are executed by a persistent pool
-/// of that many worker threads over contiguous node ranges (see
-/// [`crate::pool`]); the outcome (including [`RunStats`] and per-node
-/// RNG streams) is bit-identical to the sequential engine. The
-/// `Send`/`Sync` bounds exist solely to allow this; every plain-data
-/// message/state type satisfies them.
+/// Rounds are fully synchronous: messages sent at round `r` are
+/// delivered at round `r + 1`. The engine enforces the CONGEST
+/// discipline — a node may send at most one message per neighbor per
+/// round, each at most `cfg.bandwidth_words` words, and only to adjacent
+/// nodes — and schedules event-driven (see the module docs and
+/// [`crate::Wake`]). The outcome (node states, per-node RNG streams, and
+/// [`RunStats`]) is bit-identical at every shard count.
 ///
 /// # Errors
 ///
 /// Returns a [`SimError`] on any CONGEST-model violation or when
-/// `cfg.max_rounds` is exceeded. The run is deterministic given
-/// `cfg.seed`.
+/// `cfg.max_rounds` is exceeded.
 ///
 /// # Panics
 ///
 /// Panics if `nodes.len() != graph.n()`. A panic inside a node's
 /// `round` — on any shard — propagates to the caller after the pool
 /// shuts down (it never deadlocks the barrier).
-pub fn run<A: NodeAlgorithm + Send>(
-    graph: &Graph,
-    nodes: Vec<A>,
-    cfg: &SimConfig,
-) -> Result<RunOutcome<A>, SimError>
-where
-    A::Msg: Send + Sync,
-{
-    cfg.validate()?;
-    let mut host = EngineHost::new(graph, cfg.resolved_shards(graph.n()));
-    let (nodes, stats) = run_phase(graph, &mut host, &PlainDriver::<A>(PhantomData), nodes, cfg)?;
-    Ok(RunOutcome { nodes, stats })
-}
-
-/// One engine phase: runs `states` (one per node) to quiescence on the
-/// host's persistent pool, driven by `driver`. This is the shared core
-/// of [`run`] (one-shot) and [`Session`](crate::Session) (many phases,
-/// one pool spawn). `cfg.shards` is ignored here — the host's pool was
-/// sized when it was built.
-pub(crate) fn run_phase<D: Driver>(
+pub(crate) fn run_phase<P: Protocol + Sync>(
     graph: &Graph,
     host: &mut EngineHost,
-    driver: &D,
-    mut nodes: Vec<D::State>,
+    protocol: &P,
+    mut nodes: Vec<P::State>,
     cfg: &SimConfig,
-) -> Result<(Vec<D::State>, RunStats), SimError> {
+) -> Result<(Vec<P::State>, RunStats), SimError> {
     assert_eq!(
         nodes.len(),
         graph.n(),
@@ -1574,8 +1506,8 @@ pub(crate) fn run_phase<D: Driver>(
     // adopting a recycled slab is a length bump — no per-slot
     // initialization; liveness is tracked by the host's occupancy
     // bytes, which `reset_for_phase` cleared.
-    let bufs: [Vec<Slot<D::Msg>>; 2] = [0, 1].map(|_| {
-        let mut buf: Vec<Slot<D::Msg>> = host.arena.take(num_arcs);
+    let bufs: [Vec<Slot<P::Msg>>; 2] = [0, 1].map(|_| {
+        let mut buf: Vec<Slot<P::Msg>> = host.arena.take(num_arcs);
         // SAFETY: the arena guarantees `capacity >= num_arcs`, and a
         // `Slot` wraps `MaybeUninit`, for which any contents are valid.
         unsafe { buf.set_len(num_arcs) };
@@ -1599,9 +1531,9 @@ pub(crate) fn run_phase<D: Driver>(
     // Worker states: each owns its shard bookkeeping plus disjoint
     // mutable slices of the node and RNG arrays. The cores move out of
     // the host for the duration of the phase and return at the end.
-    let mut workers: Vec<ShardWorker<'_, D>> = Vec::with_capacity(shard_count);
+    let mut workers: Vec<ShardWorker<'_, P>> = Vec::with_capacity(shard_count);
     {
-        let mut nodes_rest: &mut [D::State] = &mut nodes;
+        let mut nodes_rest: &mut [P::State] = &mut nodes;
         let mut rngs_rest: &mut [ChaCha8Rng] = &mut node_rngs;
         for core in std::mem::take(cores) {
             let span = core.node_hi - core.node_lo;
@@ -1641,11 +1573,11 @@ pub(crate) fn run_phase<D: Driver>(
     // atomics suffice.
     let mode = std::sync::atomic::AtomicU8::new(MODE_NORMAL);
     let mode_ref = &mode;
-    let step = move |w: usize, st: &mut ShardWorker<'_, D>, round: u64| -> StepReport {
+    let step = move |w: usize, st: &mut ShardWorker<'_, P>, round: u64| -> StepReport {
         let parity = (round % 2) as usize;
         let (next_active, violation) = run_shard(
             graph,
-            driver,
+            protocol,
             &mut st.sh,
             st.nodes,
             st.rngs,
@@ -1746,7 +1678,7 @@ pub(crate) fn run_phase<D: Driver>(
     // `dirty_out` (slots written in round `R`, in buffer `(R+1) % 2`).
     // A panicking phase unwinds past this and leaks payloads, which is
     // sound. POD messages skip the walk entirely.
-    if std::mem::needs_drop::<D::Msg>() && stats.rounds > 0 {
+    if std::mem::needs_drop::<P::Msg>() && stats.rounds > 0 {
         let last = stats.rounds - 1;
         let buf_in = &bufs[(last % 2) as usize];
         let buf_out = &bufs[((last + 1) % 2) as usize];
@@ -1807,57 +1739,75 @@ pub(crate) fn run_phase<D: Driver>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
+
+    /// Runs `protocol` in a fresh session: its output plus the phase's
+    /// statistics.
+    fn run<P: Protocol + Sync>(
+        graph: &Graph,
+        protocol: P,
+        cfg: &SimConfig,
+    ) -> Result<(P::Output, RunStats), SimError> {
+        let mut session = Session::new(graph, cfg.clone());
+        let out = session.run(protocol)?;
+        Ok((out, session.stats().clone()))
+    }
 
     /// Flood: node 0 starts; everyone forwards one token to each
     /// neighbor exactly once.
+    struct Flood;
+
     #[derive(Debug, Default, Clone, PartialEq, Eq)]
-    struct Flood {
+    struct FloodNode {
         seen: bool,
         fired: bool,
         heard_at: Option<u64>,
     }
 
-    impl NodeAlgorithm for Flood {
+    impl Protocol for Flood {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = FloodNode;
+        type Output = Vec<FloodNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<FloodNode> {
+            vec![FloodNode::default(); graph.n()]
+        }
+        fn round(&self, st: &mut FloodNode, ctx: &mut RoundCtx<'_, u32>) {
             if ctx.round() == 0 && ctx.node() == 0 {
-                self.seen = true;
-                self.heard_at = Some(0);
+                st.seen = true;
+                st.heard_at = Some(0);
             }
-            if !self.seen && !ctx.inbox().is_empty() {
-                self.seen = true;
-                self.heard_at = Some(ctx.round());
+            if !st.seen && !ctx.inbox().is_empty() {
+                st.seen = true;
+                st.heard_at = Some(ctx.round());
             }
-            if self.seen && !self.fired {
-                self.fired = true;
+            if st.seen && !st.fired {
+                st.fired = true;
                 for i in 0..ctx.degree() {
                     ctx.send_nth(i, 1);
                 }
             }
         }
-        fn halted(&self) -> bool {
-            self.fired || !self.seen
+        fn halted(&self, st: &FloodNode) -> bool {
+            st.fired || !st.seen
+        }
+        fn finish(self, _: &Graph, states: Vec<FloodNode>, _: &RunStats) -> Vec<FloodNode> {
+            states
         }
     }
 
     #[test]
     fn flood_reaches_everyone_in_ecc_rounds() {
         let g = lcs_graph::generators::path(6);
-        let out = run(
-            &g,
-            (0..6).map(|_| Flood::default()).collect(),
-            &SimConfig::default(),
-        )
-        .unwrap();
-        for (v, node) in out.nodes.iter().enumerate() {
+        let (nodes, stats) = run(&g, Flood, &SimConfig::default()).unwrap();
+        for (v, node) in nodes.iter().enumerate() {
             assert_eq!(node.heard_at, Some(v as u64), "node {v}");
         }
         // 2 messages per internal edge (both directions), path has 5 edges.
-        assert_eq!(out.stats.messages, 10);
-        assert_eq!(out.stats.max_edge_messages(), 2);
+        assert_eq!(stats.messages, 10);
+        assert_eq!(stats.max_edge_messages(), 2);
         // Tokens travel forward in rounds 1..=5 and the end node's own
         // flood arrives back at round 6.
-        assert_eq!(out.stats.delivered_rounds, 6);
+        assert_eq!(stats.delivered_rounds, 6);
     }
 
     /// Tier-1 determinism smoke: pooled sharded runs are bit-identical
@@ -1868,17 +1818,13 @@ mod tests {
             lcs_graph::generators::path(23),
             lcs_graph::generators::complete(17),
         ] {
-            let n = g.n();
-            let mk = || (0..n).map(|_| Flood::default()).collect::<Vec<_>>();
-            let base = run(&g, mk(), &SimConfig::default()).unwrap();
+            let base = run(&g, Flood, &SimConfig::default()).unwrap();
             for shards in [2, 4, 7, 64] {
                 let cfg = SimConfig {
                     shards,
                     ..SimConfig::default()
                 };
-                let out = run(&g, mk(), &cfg).unwrap();
-                assert_eq!(out.nodes, base.nodes, "shards={shards}");
-                assert_eq!(out.stats, base.stats, "shards={shards}");
+                assert_eq!(run(&g, Flood, &cfg).unwrap(), base, "shards={shards}");
             }
         }
     }
@@ -1896,33 +1842,32 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let out = run(&g, (0..8).map(|_| Flood::default()).collect(), &cfg).unwrap();
+            let (_, stats) = run(&g, Flood, &cfg).unwrap();
             // Flood crosses every edge exactly once in each direction.
-            assert_eq!(
-                out.stats.per_edge_messages,
-                vec![2u64; 7],
-                "shards={shards}"
-            );
-            assert_eq!(out.stats.messages, 14, "shards={shards}");
-            assert_eq!(out.stats.words, 14, "shards={shards}");
+            assert_eq!(stats.per_edge_messages, vec![2u64; 7], "shards={shards}");
+            assert_eq!(stats.messages, 14, "shards={shards}");
+            assert_eq!(stats.words, 14, "shards={shards}");
             // Forward wave rounds 1..=7, plus node 7's own flood echo at
             // round 8.
-            assert_eq!(out.stats.delivered_rounds, 8, "shards={shards}");
+            assert_eq!(stats.delivered_rounds, 8, "shards={shards}");
         }
     }
 
     /// Pure mail-driven relay with an invocation log: the event-driven
     /// scheduler must invoke a node ONLY at round 0 and on rounds with
     /// incoming mail — never in between.
-    #[derive(Debug, Default, Clone, PartialEq, Eq)]
-    struct Relay {
-        invoked_at: Vec<u64>,
-    }
+    /// The state is the log of rounds the node's hook ran.
+    struct Relay;
 
-    impl NodeAlgorithm for Relay {
+    impl Protocol for Relay {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
-            self.invoked_at.push(ctx.round());
+        type State = Vec<u64>;
+        type Output = Vec<Vec<u64>>;
+        fn init(&mut self, graph: &Graph) -> Vec<Vec<u64>> {
+            vec![Vec::new(); graph.n()]
+        }
+        fn round(&self, invoked_at: &mut Vec<u64>, ctx: &mut RoundCtx<'_, u32>) {
+            invoked_at.push(ctx.round());
             let fire = (ctx.round() == 0 && ctx.node() == 0)
                 || ctx.inbox().iter().any(|&(from, _)| from < ctx.node());
             if fire {
@@ -1931,36 +1876,34 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &Vec<u64>) -> bool {
             true // activity is purely mail-driven
+        }
+        fn finish(self, _: &Graph, states: Vec<Vec<u64>>, _: &RunStats) -> Vec<Vec<u64>> {
+            states
         }
     }
 
     #[test]
     fn rounds_cost_active_nodes_not_n() {
         let g = lcs_graph::generators::path(5);
-        let out = run(
-            &g,
-            (0..5).map(|_| Relay::default()).collect(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let (invoked_at, stats) = run(&g, Relay, &SimConfig::default()).unwrap();
         // Node 0 runs only at phase start; node k > 0 additionally runs
         // exactly when the token reaches it (round k) and when its
         // forward neighbor's... nothing else: the hook must NOT run on
         // quiescent rounds.
-        assert_eq!(out.nodes[0].invoked_at, vec![0]);
+        assert_eq!(invoked_at[0], vec![0]);
         for k in 1..5u64 {
             assert_eq!(
-                out.nodes[k as usize].invoked_at,
+                invoked_at[k as usize],
                 vec![0, k],
                 "node {k} must wake only on mail"
             );
         }
         // Token hops rounds 1..=4, then quiescence.
-        assert_eq!(out.stats.rounds, 5);
-        assert_eq!(out.stats.delivered_rounds, 4);
-        assert_eq!(out.stats.messages, 4);
+        assert_eq!(stats.rounds, 5);
+        assert_eq!(stats.delivered_rounds, 4);
+        assert_eq!(stats.messages, 4);
     }
 
     /// The relay crosses every shard boundary when each node is its own
@@ -1969,45 +1912,49 @@ mod tests {
     #[test]
     fn cross_shard_wakes_match_sequential_invocations() {
         let g = lcs_graph::generators::path(8);
-        let mk = || (0..8).map(|_| Relay::default()).collect::<Vec<_>>();
-        let base = run(&g, mk(), &SimConfig::default()).unwrap();
+        let base = run(&g, Relay, &SimConfig::default()).unwrap();
         for shards in [2usize, 4, 8] {
             let cfg = SimConfig {
                 shards,
                 ..SimConfig::default()
             };
-            let out = run(&g, mk(), &cfg).unwrap();
-            assert_eq!(out.nodes, base.nodes, "shards={shards}");
-            assert_eq!(out.stats, base.stats, "shards={shards}");
+            assert_eq!(run(&g, Relay, &cfg).unwrap(), base, "shards={shards}");
         }
     }
 
-    /// A node that overrides `wake` to stay scheduled WITHOUT mail (the
-    /// explicit quiescence contract): a ticking clock. Everyone else
-    /// sleeps after round 0, so rounds are O(1) regardless of n.
-    #[derive(Debug)]
+    /// Node 0 overrides `wake` to stay scheduled WITHOUT mail (the
+    /// explicit quiescence contract) for `ticks` rounds: a ticking
+    /// clock. Everyone else sleeps after round 0, so rounds are O(1)
+    /// regardless of n. The state is `(ticks left, invocations)`.
     struct Clock {
         ticks: u64,
-        invocations: u64,
     }
 
-    impl NodeAlgorithm for Clock {
+    impl Protocol for Clock {
         type Msg = ();
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, ()>) {
-            self.invocations += 1;
-            if self.ticks > 0 {
-                self.ticks -= 1;
-            }
+        type State = (u64, u64);
+        type Output = Vec<(u64, u64)>;
+        fn init(&mut self, graph: &Graph) -> Vec<(u64, u64)> {
+            (0..graph.n())
+                .map(|v| (if v == 0 { self.ticks } else { 0 }, 0))
+                .collect()
         }
-        fn halted(&self) -> bool {
+        fn round(&self, (ticks, invocations): &mut (u64, u64), _: &mut RoundCtx<'_, ()>) {
+            *invocations += 1;
+            *ticks = ticks.saturating_sub(1);
+        }
+        fn halted(&self, _: &(u64, u64)) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.ticks > 0 {
+        fn wake(&self, &(ticks, _): &(u64, u64)) -> Wake {
+            if ticks > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
+        }
+        fn finish(self, _: &Graph, states: Vec<(u64, u64)>, _: &RunStats) -> Vec<(u64, u64)> {
+            states
         }
     }
 
@@ -2019,66 +1966,77 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let nodes = (0..50)
-                .map(|v| Clock {
-                    ticks: if v == 0 { 10 } else { 0 },
-                    invocations: 0,
-                })
-                .collect();
-            let out = run(&g, nodes, &cfg).unwrap();
-            assert_eq!(out.stats.rounds, 10, "shards={shards}");
-            assert_eq!(out.nodes[0].invocations, 10, "shards={shards}");
-            for v in 1..50 {
+            let (nodes, stats) = run(&g, Clock { ticks: 10 }, &cfg).unwrap();
+            assert_eq!(stats.rounds, 10, "shards={shards}");
+            assert_eq!(nodes[0].1, 10, "shards={shards}");
+            for (v, &(_, invocations)) in nodes.iter().enumerate().skip(1) {
                 assert_eq!(
-                    out.nodes[v].invocations, 1,
+                    invocations, 1,
                     "sleeping node {v} must run only at phase start (shards={shards})"
                 );
             }
-            assert_eq!(out.stats.messages, 0);
-            assert_eq!(out.stats.delivered_rounds, 0);
+            assert_eq!(stats.messages, 0);
+            assert_eq!(stats.delivered_rounds, 0);
         }
     }
 
     /// Un-halt after quiescence: a node that slept for several rounds is
     /// re-activated by late mail and acts again — across a shard
-    /// boundary.
-    #[derive(Debug)]
+    /// boundary. Node 0 stays awake until it fires at `fire_at`.
     struct LateCaller {
         fire_at: u64,
+    }
+
+    #[derive(Debug)]
+    struct LateCallerNode {
         countdown: u64,
         echoed: bool,
         got_echo_at: Option<u64>,
     }
 
-    impl NodeAlgorithm for LateCaller {
+    impl Protocol for LateCaller {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = LateCallerNode;
+        type Output = Vec<LateCallerNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<LateCallerNode> {
+            (0..graph.n())
+                .map(|v| LateCallerNode {
+                    countdown: if v == 0 { self.fire_at + 1 } else { 0 },
+                    echoed: false,
+                    got_echo_at: None,
+                })
+                .collect()
+        }
+        fn round(&self, st: &mut LateCallerNode, ctx: &mut RoundCtx<'_, u32>) {
             if ctx.node() == 0 {
                 if ctx.round() == self.fire_at {
                     ctx.send(1, 7);
                 }
                 if let Some(&(_, m)) = ctx.inbox().first() {
-                    self.got_echo_at = Some(ctx.round());
+                    st.got_echo_at = Some(ctx.round());
                     assert_eq!(m, 8);
                 }
-                if self.countdown > 0 {
-                    self.countdown -= 1;
+                if st.countdown > 0 {
+                    st.countdown -= 1;
                 }
             } else if let Some(&(_, m)) = ctx.inbox().first() {
                 // Asleep since round 0; woken by the late message.
-                self.echoed = true;
+                st.echoed = true;
                 ctx.send(0, m + 1);
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &LateCallerNode) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.countdown > 0 {
+        fn wake(&self, st: &LateCallerNode) -> Wake {
+            if st.countdown > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
+        }
+        fn finish(self, _: &Graph, states: Vec<LateCallerNode>, _: &RunStats) -> Self::Output {
+            states
         }
     }
 
@@ -2090,30 +2048,28 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let mk = |v: u32| LateCaller {
-                fire_at: 5,
-                countdown: if v == 0 { 6 } else { 0 },
-                echoed: false,
-                got_echo_at: None,
-            };
-            let out = run(&g, vec![mk(0), mk(1)], &cfg).unwrap();
-            assert!(out.nodes[1].echoed, "shards={shards}");
+            let (nodes, stats) = run(&g, LateCaller { fire_at: 5 }, &cfg).unwrap();
+            assert!(nodes[1].echoed, "shards={shards}");
             // Sent at 5, echoed at 6, received at 7.
-            assert_eq!(out.nodes[0].got_echo_at, Some(7), "shards={shards}");
-            assert_eq!(out.stats.rounds, 8, "shards={shards}");
-            assert_eq!(out.stats.delivered_rounds, 2, "shards={shards}");
+            assert_eq!(nodes[0].got_echo_at, Some(7), "shards={shards}");
+            assert_eq!(stats.rounds, 8, "shards={shards}");
+            assert_eq!(stats.delivered_rounds, 2, "shards={shards}");
         }
     }
 
-    /// A deliberately misbehaving node for violation tests.
-    #[derive(Debug)]
+    /// A deliberately misbehaving protocol for violation tests.
     struct Misbehave {
         mode: u8,
     }
 
-    impl NodeAlgorithm for Misbehave {
+    impl Protocol for Misbehave {
         type Msg = u64;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
             if ctx.round() == 0 && ctx.node() == 0 {
                 match self.mode {
                     0 => ctx.send(2, 1), // non-neighbor on a path 0-1-2
@@ -2125,16 +2081,16 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     fn invalid_destination_detected() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3).map(|_| Misbehave { mode: 0 }).collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run(&g, Misbehave { mode: 0 }, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::InvalidDestination {
@@ -2148,8 +2104,7 @@ mod tests {
     #[test]
     fn channel_overflow_detected() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3).map(|_| Misbehave { mode: 1 }).collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run(&g, Misbehave { mode: 1 }, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::ChannelOverflow {
@@ -2185,31 +2140,35 @@ mod tests {
                 shards: 3,
                 ..SimConfig::default()
             };
-            let nodes = (0..3).map(|_| Misbehave { mode }).collect();
-            assert_eq!(run(&g, nodes, &cfg).unwrap_err(), expect);
+            assert_eq!(run(&g, Misbehave { mode }, &cfg).unwrap_err(), expect);
         }
     }
 
     /// Sends an oversized message.
-    #[derive(Debug)]
     struct Oversize;
 
-    impl NodeAlgorithm for Oversize {
+    impl Protocol for Oversize {
         type Msg = (u64, (u64, u64));
-        fn round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, Self::Msg>) {
             if ctx.round() == 0 && ctx.node() == 0 {
                 ctx.send(1, (1, (2, 3))); // 6 words > default 4
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     fn oversized_message_detected() {
         let g = lcs_graph::generators::path(2);
-        let err = run(&g, vec![Oversize, Oversize], &SimConfig::default()).unwrap_err();
+        let err = run(&g, Oversize, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::MessageTooLarge {
@@ -2221,15 +2180,20 @@ mod tests {
     }
 
     /// Never halts.
-    #[derive(Debug)]
     struct Spinner;
 
-    impl NodeAlgorithm for Spinner {
+    impl Protocol for Spinner {
         type Msg = ();
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, ()>) {}
-        fn halted(&self) -> bool {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), _: &mut RoundCtx<'_, ()>) {}
+        fn halted(&self, _: &()) -> bool {
             false
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
@@ -2239,78 +2203,92 @@ mod tests {
             max_rounds: 10,
             ..SimConfig::default()
         };
-        let err = run(&g, vec![Spinner, Spinner], &cfg).unwrap_err();
+        let err = run(&g, Spinner, &cfg).unwrap_err();
         assert_eq!(err, SimError::RoundLimitExceeded { limit: 10 });
     }
 
     /// Ping-pong: verifies messages are delivered exactly one round
     /// later and that per-node RNGs are deterministic.
-    #[derive(Debug, Default)]
-    struct PingPong {
+    struct PingPong;
+
+    #[derive(Debug, Default, Clone)]
+    struct PingPongNode {
         got: Vec<(u64, u32)>,
         sent: bool,
         coin: Option<u64>,
     }
 
-    impl NodeAlgorithm for PingPong {
+    impl Protocol for PingPong {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
-            if self.coin.is_none() {
-                self.coin = Some(ctx.rng().gen());
+        type State = PingPongNode;
+        type Output = Vec<PingPongNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<PingPongNode> {
+            vec![PingPongNode::default(); graph.n()]
+        }
+        fn round(&self, st: &mut PingPongNode, ctx: &mut RoundCtx<'_, u32>) {
+            if st.coin.is_none() {
+                st.coin = Some(ctx.rng().gen());
             }
             if ctx.node() == 0 && ctx.round() == 0 {
                 ctx.send(1, 7);
-                self.sent = true;
+                st.sent = true;
             }
             for &(_, m) in ctx.inbox() {
-                self.got.push((ctx.round(), m));
-                if ctx.node() == 1 && !self.sent {
+                st.got.push((ctx.round(), m));
+                if ctx.node() == 1 && !st.sent {
                     ctx.send(0, m + 1);
-                    self.sent = true;
+                    st.sent = true;
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &PingPongNode) -> bool {
             true
+        }
+        fn finish(self, _: &Graph, states: Vec<PingPongNode>, _: &RunStats) -> Self::Output {
+            states
         }
     }
 
     #[test]
     fn delivery_latency_is_one_round_and_rng_deterministic() {
         let g = lcs_graph::generators::path(2);
-        let mk = || vec![PingPong::default(), PingPong::default()];
-        let out1 = run(&g, mk(), &SimConfig::default()).unwrap();
-        let out2 = run(&g, mk(), &SimConfig::default()).unwrap();
-        assert_eq!(out1.nodes[1].got, vec![(1, 7)]);
-        assert_eq!(out1.nodes[0].got, vec![(2, 8)]);
-        assert_eq!(out1.nodes[0].coin, out2.nodes[0].coin);
-        assert_ne!(out1.nodes[0].coin, out1.nodes[1].coin);
-        assert_eq!(out1.stats.rounds, 3);
-        assert_eq!(out1.stats.delivered_rounds, 2);
+        let (nodes1, stats1) = run(&g, PingPong, &SimConfig::default()).unwrap();
+        let (nodes2, _) = run(&g, PingPong, &SimConfig::default()).unwrap();
+        assert_eq!(nodes1[1].got, vec![(1, 7)]);
+        assert_eq!(nodes1[0].got, vec![(2, 8)]);
+        assert_eq!(nodes1[0].coin, nodes2[0].coin);
+        assert_ne!(nodes1[0].coin, nodes1[1].coin);
+        assert_eq!(stats1.rounds, 3);
+        assert_eq!(stats1.delivered_rounds, 2);
     }
 
     /// `send_nth` out-of-range panics (programmer error, not a model
     /// violation — there is no node id to report).
-    #[derive(Debug)]
     struct BadIndex;
 
-    impl NodeAlgorithm for BadIndex {
+    impl Protocol for BadIndex {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u32>) {
             if ctx.node() == 0 {
                 ctx.send_nth(5, 1);
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn send_nth_out_of_range_panics() {
         let g = lcs_graph::generators::path(2);
-        let _ = run(&g, vec![BadIndex, BadIndex], &SimConfig::default());
+        let _ = run(&g, BadIndex, &SimConfig::default());
     }
 
     /// The pool path must propagate the same programmer-error panic
@@ -2323,20 +2301,24 @@ mod tests {
             shards: 4,
             ..SimConfig::default()
         };
-        let _ = run(&g, vec![BadIndex, BadIndex, BadIndex, BadIndex], &cfg);
+        let _ = run(&g, BadIndex, &cfg);
     }
 
     /// Node 0 violates the model; a node in a *higher* shard panics in
     /// the same round. The sequential engine reports the violation (it
     /// never reaches the panicking node), so the pool must too.
-    #[derive(Debug)]
     struct ViolateOrPanic {
         panic_node: NodeId,
     }
 
-    impl NodeAlgorithm for ViolateOrPanic {
+    impl Protocol for ViolateOrPanic {
         type Msg = u64;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
             if ctx.round() == 0 {
                 if ctx.node() == 0 {
                     ctx.send(2, 1); // non-neighbor on a path: violation
@@ -2346,9 +2328,10 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
@@ -2368,8 +2351,8 @@ mod tests {
             // first and stops the scan before node 3 ever runs — but
             // only within a shard; across shards both events happen in
             // the same round and the coordinator must order them.
-            let nodes = (0..4).map(|_| ViolateOrPanic { panic_node: 3 }).collect();
-            assert_eq!(run(&g, nodes, &cfg).unwrap_err(), expect, "shards={shards}");
+            let err = run(&g, ViolateOrPanic { panic_node: 3 }, &cfg).unwrap_err();
+            assert_eq!(err, expect, "shards={shards}");
         }
     }
 
@@ -2377,11 +2360,15 @@ mod tests {
     fn panic_in_lower_shard_outranks_violation_in_higher_shard() {
         // Mirror image: node 1 panics, node 2 (a higher shard at
         // shards=4) violates. Sequential order hits the panic first.
-        #[derive(Debug)]
         struct PanicThenViolate;
-        impl NodeAlgorithm for PanicThenViolate {
+        impl Protocol for PanicThenViolate {
             type Msg = u64;
-            fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+            type State = ();
+            type Output = ();
+            fn init(&mut self, graph: &Graph) -> Vec<()> {
+                vec![(); graph.n()]
+            }
+            fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
                 if ctx.round() == 0 {
                     if ctx.node() == 1 {
                         panic!("node 1 panicked");
@@ -2391,9 +2378,10 @@ mod tests {
                     }
                 }
             }
-            fn halted(&self) -> bool {
+            fn halted(&self, _: &()) -> bool {
                 true
             }
+            fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
         }
         let g = lcs_graph::generators::path(4);
         for shards in [1usize, 4] {
@@ -2401,9 +2389,8 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let nodes = (0..4).map(|_| PanicThenViolate).collect::<Vec<_>>();
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = run(&g, nodes, &cfg);
+                let _ = run(&g, PanicThenViolate, &cfg);
             }))
             .expect_err("panic must win, shards={shards}");
             let msg = payload
@@ -2524,8 +2511,7 @@ mod tests {
         let g = lcs_graph::generators::path(4);
         for (plan, needle) in cases {
             let cfg = fault_cfg(plan, 1);
-            let err = run(&g, (0..4).map(|_| Flood::default()).collect(), &cfg)
-                .expect_err("plan must be rejected");
+            let err = run(&g, Flood, &cfg).expect_err("plan must be rejected");
             match &err {
                 SimError::FaultConfig { reason } => assert!(
                     reason.contains(needle),
@@ -2547,7 +2533,6 @@ mod tests {
             lcs_graph::generators::path(23),
             lcs_graph::generators::complete(17),
         ] {
-            let n = g.n();
             let plan = FaultPlan {
                 drop_rate: 0.25,
                 delay_rate: 0.25,
@@ -2556,18 +2541,17 @@ mod tests {
                 crashes: Vec::new(),
                 fault_seed: 0xC0FFEE,
             };
-            let mk = || (0..n).map(|_| Flood::default()).collect::<Vec<_>>();
-            let base = run(&g, mk(), &fault_cfg(plan.clone(), 1)).unwrap();
+            let (base_nodes, base_stats) = run(&g, Flood, &fault_cfg(plan.clone(), 1)).unwrap();
             // On the sparse path the flood may die out before both fault
             // kinds fire; at least one must (the clique exercises both).
-            assert!(base.stats.dropped + base.stats.delayed > 0);
+            assert!(base_stats.dropped + base_stats.delayed > 0);
             for shards in [2usize, 3, 8] {
-                let out = run(&g, mk(), &fault_cfg(plan.clone(), shards)).unwrap();
-                assert_eq!(out.nodes, base.nodes, "shards={shards}");
-                assert_eq!(out.stats, base.stats, "shards={shards}");
+                let (nodes, stats) = run(&g, Flood, &fault_cfg(plan.clone(), shards)).unwrap();
+                assert_eq!(nodes, base_nodes, "shards={shards}");
+                assert_eq!(stats, base_stats, "shards={shards}");
                 assert_eq!(
-                    out.stats.fingerprint(),
-                    base.stats.fingerprint(),
+                    stats.fingerprint(),
+                    base_stats.fingerprint(),
                     "shards={shards}"
                 );
             }
@@ -2589,20 +2573,15 @@ mod tests {
             fault_seed: 11,
         };
         for shards in [1usize, 4] {
-            let out = run(
-                &g,
-                (0..6).map(|_| Flood::default()).collect(),
-                &fault_cfg(plan.clone(), shards),
-            )
-            .unwrap();
+            let (nodes, stats) = run(&g, Flood, &fault_cfg(plan.clone(), shards)).unwrap();
             // The flood still reaches everyone, strictly later than the
             // fault-free schedule (node v hears at round v unfaulted).
-            for (v, node) in out.nodes.iter().enumerate().skip(1) {
+            for (v, node) in nodes.iter().enumerate().skip(1) {
                 let heard = node.heard_at.expect("flood must still arrive");
                 assert!(heard > v as u64, "node {v} heard at {heard}");
             }
-            assert_eq!(out.stats.delayed, out.stats.messages);
-            assert_eq!(out.stats.dropped, 0);
+            assert_eq!(stats.delayed, stats.messages);
+            assert_eq!(stats.dropped, 0);
         }
     }
 
@@ -2613,35 +2592,37 @@ mod tests {
         // Persistent sender: node 0 re-sends its token every round until
         // node 1 acks; the crash window of node 1 swallows the first
         // attempts.
+        struct Nag;
         #[derive(Debug, Default, Clone, PartialEq, Eq)]
-        struct Nag {
+        struct NagNode {
             acked: bool,
             heard_at: Option<u64>,
         }
-        impl NodeAlgorithm for Nag {
+        impl Protocol for Nag {
             type Msg = u32;
-            fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+            type State = NagNode;
+            type Output = Vec<NagNode>;
+            fn init(&mut self, graph: &Graph) -> Vec<NagNode> {
+                vec![NagNode::default(); graph.n()]
+            }
+            fn round(&self, st: &mut NagNode, ctx: &mut RoundCtx<'_, u32>) {
                 if ctx.node() == 0 {
                     if !ctx.inbox().is_empty() {
-                        self.acked = true;
+                        st.acked = true;
                     }
-                    if !self.acked {
+                    if !st.acked {
                         ctx.send_nth(0, 7);
                     }
-                } else if self.heard_at.is_none() && !ctx.inbox().is_empty() {
-                    self.heard_at = Some(ctx.round());
+                } else if st.heard_at.is_none() && !ctx.inbox().is_empty() {
+                    st.heard_at = Some(ctx.round());
                     ctx.send_nth(0, 1); // ack back
                 }
             }
-            fn halted(&self) -> bool {
-                self.acked || self.heard_at.is_some()
+            fn halted(&self, st: &NagNode) -> bool {
+                st.acked || st.heard_at.is_some()
             }
-            fn wake(&self) -> Wake {
-                if self.halted() {
-                    Wake::Sleep
-                } else {
-                    Wake::Stay
-                }
+            fn finish(self, _: &Graph, states: Vec<NagNode>, _: &RunStats) -> Vec<NagNode> {
+                states
             }
         }
         let g = lcs_graph::generators::path(2);
@@ -2654,18 +2635,13 @@ mod tests {
             ..FaultPlan::default()
         };
         for shards in [1usize, 2] {
-            let out = run(
-                &g,
-                (0..2).map(|_| Nag::default()).collect(),
-                &fault_cfg(plan.clone(), shards),
-            )
-            .unwrap();
+            let (nodes, stats) = run(&g, Nag, &fault_cfg(plan.clone(), shards)).unwrap();
             // Deliveries due in rounds 1..6 land on a dead node; the
             // first send surviving the outage arrives at round 6.
-            assert_eq!(out.nodes[1].heard_at, Some(6), "shards={shards}");
-            assert!(out.nodes[0].acked);
-            assert!(out.stats.dropped >= 5, "outage must destroy mail");
-            assert_eq!(out.stats.crashed_nodes, 1);
+            assert_eq!(nodes[1].heard_at, Some(6), "shards={shards}");
+            assert!(nodes[0].acked);
+            assert!(stats.dropped >= 5, "outage must destroy mail");
+            assert_eq!(stats.crashed_nodes, 1);
         }
     }
 
@@ -2685,13 +2661,8 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let out = run(
-            &g,
-            (0..3).map(|_| Flood::default()).collect(),
-            &fault_cfg(crash_late, 1),
-        )
-        .unwrap();
-        assert!(out.stats.rounds < 50, "rounds={}", out.stats.rounds);
+        let (_, stats) = run(&g, Flood, &fault_cfg(crash_late, 1)).unwrap();
+        assert!(stats.rounds < 50, "rounds={}", stats.rounds);
         // With a recovery at round 60 the run must survive to fire it
         // (the recovered node is re-activated and may act on its state).
         let crash_recover = FaultPlan {
@@ -2702,13 +2673,8 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let out = run(
-            &g,
-            (0..3).map(|_| Flood::default()).collect(),
-            &fault_cfg(crash_recover, 1),
-        )
-        .unwrap();
-        assert!(out.stats.rounds > 60, "rounds={}", out.stats.rounds);
+        let (_, stats) = run(&g, Flood, &fault_cfg(crash_recover, 1)).unwrap();
+        assert!(stats.rounds > 60, "rounds={}", stats.rounds);
     }
 
     /// Without a plan, the fault machinery must stay entirely out of
@@ -2716,8 +2682,7 @@ mod tests {
     #[test]
     fn absent_fault_plan_changes_nothing() {
         let g = lcs_graph::generators::complete(9);
-        let mk = || (0..9).map(|_| Flood::default()).collect::<Vec<_>>();
-        let base = run(&g, mk(), &SimConfig::default()).unwrap();
+        let (base_nodes, base_stats) = run(&g, Flood, &SimConfig::default()).unwrap();
         let zeroed = FaultPlan {
             drop_rate: 0.0,
             delay_rate: 0.0,
@@ -2726,10 +2691,10 @@ mod tests {
             crashes: Vec::new(),
             fault_seed: 42,
         };
-        let out = run(&g, mk(), &fault_cfg(zeroed, 1)).unwrap();
-        assert_eq!(out.nodes, base.nodes);
-        assert_eq!(out.stats.fingerprint(), base.stats.fingerprint());
-        assert_eq!(base.stats.dropped, 0);
-        assert_eq!(base.stats.crashed_nodes, 0);
+        let (nodes, stats) = run(&g, Flood, &fault_cfg(zeroed, 1)).unwrap();
+        assert_eq!(nodes, base_nodes);
+        assert_eq!(stats.fingerprint(), base_stats.fingerprint());
+        assert_eq!(base_stats.dropped, 0);
+        assert_eq!(base_stats.crashed_nodes, 0);
     }
 }

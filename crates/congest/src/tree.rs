@@ -9,7 +9,7 @@
 //! global verification AND).
 
 use crate::message::Message;
-use crate::node::{NodeAlgorithm, RoundCtx, Wake};
+use crate::node::{RoundCtx, Wake};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -114,56 +114,6 @@ impl ConvergecastNode {
     }
 }
 
-impl NodeAlgorithm for ConvergecastNode {
-    type Msg = TreeMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        if !self.pos.in_tree {
-            return;
-        }
-        if !self.resolved {
-            self.resolved = true;
-            (self.parent_idx, self.children_idx) =
-                ctx.tree_indices(self.pos.parent, &self.pos.children);
-        }
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                TreeMsg::Up(v) => {
-                    debug_assert!(self.pos.children.contains(&from));
-                    self.acc = self.op.apply(self.acc, *v);
-                    self.pending -= 1;
-                }
-                TreeMsg::Down(v) => {
-                    self.result = Some(*v);
-                }
-            }
-        }
-        if self.pending == 0 && !self.sent_up {
-            self.sent_up = true;
-            if self.pos.is_root {
-                self.result = Some(self.acc);
-            } else if let Some(pi) = self.parent_idx {
-                ctx.send_nth(pi, TreeMsg::Up(self.acc));
-            }
-        }
-        if self.broadcast && !self.sent_down {
-            if let Some(r) = self.result {
-                self.sent_down = true;
-                for i in 0..self.children_idx.len() {
-                    ctx.send_nth(self.children_idx[i], TreeMsg::Down(r));
-                }
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        if !self.pos.in_tree {
-            return true;
-        }
-        self.sent_up && (!self.broadcast || self.sent_down)
-    }
-}
-
 /// Tree convergecast (optionally with result broadcast) as a
 /// composable [`Protocol`]: aggregates one `u64` per node up the tree
 /// described by its [`TreePosition`]s. Its output is
@@ -215,12 +165,49 @@ impl Protocol for TreeAggregate {
             .collect()
     }
 
-    fn round(&self, state: &mut ConvergecastNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut ConvergecastNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
+        if !st.pos.in_tree {
+            return;
+        }
+        if !st.resolved {
+            st.resolved = true;
+            (st.parent_idx, st.children_idx) = ctx.tree_indices(st.pos.parent, &st.pos.children);
+        }
+        for &(from, ref msg) in ctx.inbox() {
+            match msg {
+                TreeMsg::Up(v) => {
+                    debug_assert!(st.pos.children.contains(&from));
+                    st.acc = st.op.apply(st.acc, *v);
+                    st.pending -= 1;
+                }
+                TreeMsg::Down(v) => {
+                    st.result = Some(*v);
+                }
+            }
+        }
+        if st.pending == 0 && !st.sent_up {
+            st.sent_up = true;
+            if st.pos.is_root {
+                st.result = Some(st.acc);
+            } else if let Some(pi) = st.parent_idx {
+                ctx.send_nth(pi, TreeMsg::Up(st.acc));
+            }
+        }
+        if st.broadcast && !st.sent_down {
+            if let Some(r) = st.result {
+                st.sent_down = true;
+                for i in 0..st.children_idx.len() {
+                    ctx.send_nth(st.children_idx[i], TreeMsg::Down(r));
+                }
+            }
+        }
     }
 
-    fn halted(&self, state: &ConvergecastNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &ConvergecastNode) -> bool {
+        if !st.pos.in_tree {
+            return true;
+        }
+        st.sent_up && (!st.broadcast || st.sent_down)
     }
 
     fn wake(&self, _state: &ConvergecastNode) -> Wake {
@@ -298,64 +285,6 @@ impl PrefixNumberNode {
     }
 }
 
-impl NodeAlgorithm for PrefixNumberNode {
-    type Msg = TreeMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        if !self.pos.in_tree {
-            return;
-        }
-        if !self.resolved {
-            self.resolved = true;
-            (self.parent_idx, self.children_idx) =
-                ctx.tree_indices(self.pos.parent, &self.pos.children);
-        }
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                TreeMsg::Up(v) => {
-                    let idx = self
-                        .pos
-                        .children
-                        .iter()
-                        .position(|&c| c == from)
-                        .expect("Up message only from children");
-                    self.child_counts[idx] = *v;
-                    self.pending -= 1;
-                }
-                TreeMsg::Down(v) => {
-                    self.offset = Some(*v);
-                }
-            }
-        }
-        if self.pending == 0 && !self.sent_up {
-            self.sent_up = true;
-            if self.pos.is_root {
-                self.total = Some(self.subtree_count());
-                self.offset = Some(0);
-            } else if let Some(pi) = self.parent_idx {
-                ctx.send_nth(pi, TreeMsg::Up(self.subtree_count()));
-            }
-        }
-        if self.sent_up && !self.sent_down {
-            if let Some(off) = self.offset {
-                self.sent_down = true;
-                if self.marked {
-                    self.rank = Some(off);
-                }
-                let mut cursor = off + u64::from(self.marked);
-                for idx in 0..self.children_idx.len() {
-                    ctx.send_nth(self.children_idx[idx], TreeMsg::Down(cursor));
-                    cursor += self.child_counts[idx];
-                }
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        !self.pos.in_tree || self.sent_down
-    }
-}
-
 /// Prefix numbering of marked nodes as a composable [`Protocol`] (the
 /// paper's `O(D)`-round dense ranking of the large parts). Output is
 /// `(per-node ranks, total marked, phase stats)`.
@@ -399,12 +328,57 @@ impl Protocol for PrefixNumber {
             .collect()
     }
 
-    fn round(&self, state: &mut PrefixNumberNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut PrefixNumberNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
+        if !st.pos.in_tree {
+            return;
+        }
+        if !st.resolved {
+            st.resolved = true;
+            (st.parent_idx, st.children_idx) = ctx.tree_indices(st.pos.parent, &st.pos.children);
+        }
+        for &(from, ref msg) in ctx.inbox() {
+            match msg {
+                TreeMsg::Up(v) => {
+                    let idx = st
+                        .pos
+                        .children
+                        .iter()
+                        .position(|&c| c == from)
+                        .expect("Up message only from children");
+                    st.child_counts[idx] = *v;
+                    st.pending -= 1;
+                }
+                TreeMsg::Down(v) => {
+                    st.offset = Some(*v);
+                }
+            }
+        }
+        if st.pending == 0 && !st.sent_up {
+            st.sent_up = true;
+            if st.pos.is_root {
+                st.total = Some(st.subtree_count());
+                st.offset = Some(0);
+            } else if let Some(pi) = st.parent_idx {
+                ctx.send_nth(pi, TreeMsg::Up(st.subtree_count()));
+            }
+        }
+        if st.sent_up && !st.sent_down {
+            if let Some(off) = st.offset {
+                st.sent_down = true;
+                if st.marked {
+                    st.rank = Some(off);
+                }
+                let mut cursor = off + u64::from(st.marked);
+                for idx in 0..st.children_idx.len() {
+                    ctx.send_nth(st.children_idx[idx], TreeMsg::Down(cursor));
+                    cursor += st.child_counts[idx];
+                }
+            }
+        }
     }
 
-    fn halted(&self, state: &PrefixNumberNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &PrefixNumberNode) -> bool {
+        !st.pos.in_tree || st.sent_down
     }
 
     fn wake(&self, _state: &PrefixNumberNode) -> Wake {

@@ -3,8 +3,8 @@
 
 use lcs_congest::{
     positions_from_tree, AggOp, Bfs, Crash, DistBfsOutcome, FaultPlan, MultiAggregate, MultiBfs,
-    MultiBfsInstance, MultiBfsOutcome, MultiBfsSpec, Participation, PrefixNumber, Reliable,
-    Session, SimConfig, TreeAggregate,
+    MultiBfsInstance, MultiBfsOutcome, MultiBfsSpec, Participation, PrefixNumber, Protocol,
+    Reliable, RoundCtx, RunStats, Session, SimConfig, TreeAggregate,
 };
 use lcs_graph::{bfs_distances, gnp_connected, Graph, NodeId, UNREACHABLE};
 use proptest::prelude::*;
@@ -272,15 +272,19 @@ proptest! {
         // A protocol that exercises RNG draws, inbox order, and sends:
         // each node draws one coin per round and gossips the running
         // xor to all neighbors for a few rounds.
-        let mk = || (0..n).map(|_| GossipXor::default()).collect::<Vec<_>>();
-        let base = lcs_congest::run(&g, mk(), &cfg_for(1)).unwrap();
+        let gossip = |shards| {
+            let mut session = Session::new(&g, cfg_for(shards));
+            let states = session.run(GossipXor).unwrap();
+            (states, session.stats().clone())
+        };
+        let (base_states, base_stats) = gossip(1);
         for shards in [2usize, 4, 7] {
-            let out = lcs_congest::run(&g, mk(), &cfg_for(shards)).unwrap();
+            let (states, stats) = gossip(shards);
             for v in 0..n {
-                prop_assert_eq!(&out.nodes[v].coins, &base.nodes[v].coins, "rng stream, shards={}", shards);
-                prop_assert_eq!(out.nodes[v].acc, base.nodes[v].acc, "state, shards={}", shards);
+                prop_assert_eq!(&states[v].coins, &base_states[v].coins, "rng stream, shards={}", shards);
+                prop_assert_eq!(states[v].acc, base_states[v].acc, "state, shards={}", shards);
             }
-            prop_assert_eq!(&out.stats, &base.stats, "stats, shards={}", shards);
+            prop_assert_eq!(&stats, &base_stats, "stats, shards={}", shards);
         }
 
         // The real protocol stack: multi-BFS outcomes must also match.
@@ -311,27 +315,37 @@ proptest! {
 
 /// Proptest helper: draws a coin every round, xors in everything heard,
 /// and gossips for 6 rounds. Touches RNG, inbox, and sends each round.
-#[derive(Debug, Default)]
-struct GossipXor {
+struct GossipXor;
+
+#[derive(Debug, Default, Clone)]
+struct GossipNode {
     coins: Vec<u64>,
     acc: u64,
 }
 
-impl lcs_congest::NodeAlgorithm for GossipXor {
+impl Protocol for GossipXor {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut lcs_congest::RoundCtx<'_, u32>) {
+    type State = GossipNode;
+    type Output = Vec<GossipNode>;
+    fn init(&mut self, graph: &Graph) -> Vec<GossipNode> {
+        vec![GossipNode::default(); graph.n()]
+    }
+    fn round(&self, st: &mut GossipNode, ctx: &mut RoundCtx<'_, u32>) {
         let coin: u64 = rand::Rng::gen(ctx.rng());
-        self.coins.push(coin);
+        st.coins.push(coin);
         for &(from, m) in ctx.inbox() {
-            self.acc ^= u64::from(m) ^ (u64::from(from) << 32);
+            st.acc ^= u64::from(m) ^ (u64::from(from) << 32);
         }
         if ctx.round() < 6 {
             for i in 0..ctx.degree() {
-                ctx.send_nth(i, (self.acc ^ coin) as u32);
+                ctx.send_nth(i, (st.acc ^ coin) as u32);
             }
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &GossipNode) -> bool {
         true
+    }
+    fn finish(self, _: &Graph, states: Vec<GossipNode>, _: &RunStats) -> Vec<GossipNode> {
+        states
     }
 }

@@ -9,10 +9,9 @@
 //! `--features slow-tests`.
 
 use lcs_congest::{
-    positions_from_tree, run, AggOp, Bfs, Crash, DistBfsOutcome, FaultPlan, MultiAggOutcome,
-    MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsOutcome, MultiBfsSpec, NodeAlgorithm,
-    Participation, PrefixNumber, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig,
-    TreeAggregate, Wake,
+    positions_from_tree, AggOp, Bfs, Crash, DistBfsOutcome, FaultPlan, MultiAggOutcome,
+    MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsOutcome, MultiBfsSpec, Participation,
+    PrefixNumber, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig, TreeAggregate, Wake,
 };
 use lcs_graph::{gnp_connected, Graph, NodeId};
 use rand::SeedableRng;
@@ -213,28 +212,38 @@ fn multi_aggregate_outcomes_are_byte_equal_across_shard_counts() {
 /// RNG-heavy protocol: every node draws a coin per round and gossips a
 /// running xor. Catches any divergence in per-node RNG streams or inbox
 /// ordering under the pool.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct GossipXor {
+struct GossipXor;
+
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct GossipNode {
     coins: Vec<u64>,
     acc: u64,
 }
 
-impl NodeAlgorithm for GossipXor {
+impl Protocol for GossipXor {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+    type State = GossipNode;
+    type Output = Vec<GossipNode>;
+    fn init(&mut self, graph: &Graph) -> Vec<GossipNode> {
+        vec![GossipNode::default(); graph.n()]
+    }
+    fn round(&self, st: &mut GossipNode, ctx: &mut RoundCtx<'_, u32>) {
         let coin: u64 = rand::Rng::gen(ctx.rng());
-        self.coins.push(coin);
+        st.coins.push(coin);
         for &(from, m) in ctx.inbox() {
-            self.acc ^= u64::from(m) ^ (u64::from(from) << 32);
+            st.acc ^= u64::from(m) ^ (u64::from(from) << 32);
         }
         if ctx.round() < 6 {
             for i in 0..ctx.degree() {
-                ctx.send_nth(i, (self.acc ^ coin) as u32);
+                ctx.send_nth(i, (st.acc ^ coin) as u32);
             }
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &GossipNode) -> bool {
         true
+    }
+    fn finish(self, _: &Graph, states: Vec<GossipNode>, _: &RunStats) -> Vec<GossipNode> {
+        states
     }
 }
 
@@ -242,21 +251,21 @@ impl NodeAlgorithm for GossipXor {
 fn rng_streams_and_delivered_rounds_are_byte_equal_across_shard_counts() {
     for seed in SEEDS {
         for g in fixtures(seed) {
-            let n = g.n();
-            let mk = || (0..n).map(|_| GossipXor::default()).collect::<Vec<_>>();
-            let base = run(&g, mk(), &cfg(seed, 1)).unwrap();
-            assert!(base.stats.delivered_rounds > 0);
+            let run_one = |shards: usize| {
+                let mut s = session(&g, seed, shards);
+                let states = s.run(GossipXor).unwrap();
+                (states, s.stats().clone())
+            };
+            let (base_states, base_stats) = run_one(1);
+            assert!(base_stats.delivered_rounds > 0);
             for shards in SHARDS {
-                let out = run(&g, mk(), &cfg(seed, shards)).unwrap();
+                let (states, stats) = run_one(shards);
+                assert_eq!(states, base_states, "states, seed={seed}, shards={shards}");
                 assert_eq!(
-                    out.nodes, base.nodes,
-                    "states, seed={seed}, shards={shards}"
-                );
-                assert_eq!(
-                    out.stats.delivered_rounds, base.stats.delivered_rounds,
+                    stats.delivered_rounds, base_stats.delivered_rounds,
                     "delivered_rounds, seed={seed}, shards={shards}"
                 );
-                assert_eq!(out.stats, base.stats, "stats, seed={seed}, shards={shards}");
+                assert_eq!(stats, base_stats, "stats, seed={seed}, shards={shards}");
             }
         }
     }
