@@ -36,8 +36,8 @@ use std::time::Instant;
 
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
 use lcs_bench::{f3, highway_workload, Table};
-use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_congest::hash::splitmix64;
+use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_core::{distributed_shortcuts, DistributedConfig, DistributedOutcome};
 use lcs_graph::{Graph, NodeId, WeightedGraph};
 use lcs_shortcut::Partition;

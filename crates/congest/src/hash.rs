@@ -106,8 +106,9 @@ mod tests {
         let mut a = Fnv::new();
         a.str("foo").str("bar");
         assert_eq!(a.finish(), 0x8594_4171_f739_67e8);
+        let (foo, bar) = ("foo", "bar");
         let mut w = Fnv::default();
-        write!(w, "{}{}", "foo", "bar").unwrap();
+        write!(w, "{foo}{bar}").unwrap();
         assert_eq!(w, a);
         assert_eq!(
             Fnv::new().u64(0x0102_0304_0506_0708).finish(),

@@ -60,4 +60,3 @@ pub mod query;
 pub use customize::{CustomizeError, CustomizedIndex};
 pub use pool::{per_query_seed, IndexedSession, ServePool, ServedBatch};
 pub use query::{aggregate_value, min_cut_config, mst_config, Query, QueryResult};
-

@@ -11,8 +11,8 @@
 
 use crate::customize::CustomizedIndex;
 use lcs_apps::{approximate_min_cut, mst_via_shortcuts, MinCutConfig, MstConfig};
-use lcs_congest::AggOp;
 use lcs_congest::hash::{splitmix64, Fnv};
+use lcs_congest::AggOp;
 use lcs_graph::{EdgeId, NodeId, W_UNREACHABLE};
 
 /// One request against the index.
