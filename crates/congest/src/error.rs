@@ -42,10 +42,10 @@ pub enum SimError {
     },
     /// The [`FaultPlan`](crate::FaultPlan) attached to the
     /// configuration is inconsistent (rate outside `[0, 1]`, delay
-    /// bound at or past the round limit, crash scheduled beyond the
-    /// round budget, …). Detected **eagerly**, at
-    /// [`Session`](crate::Session) phase dispatch, before any round
-    /// executes.
+    /// bound at or past the round limit, crash of a node the graph does
+    /// not have or scheduled beyond the round budget, …). Detected
+    /// **eagerly**, at [`Session`](crate::Session) phase dispatch,
+    /// before any round executes.
     FaultConfig {
         /// What is wrong and how to fix it.
         reason: String,

@@ -82,10 +82,10 @@
 //! are untouched.
 
 use crate::error::SimError;
+use crate::hash::splitmix64;
 use crate::message::Message;
 use crate::node::{RoundCtx, TxState, Wake};
 use crate::protocol::Protocol;
-use crate::hash::splitmix64;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -410,8 +410,8 @@ pub struct ReliableState<P: Protocol> {
 pub struct Reliable<P: Protocol> {
     inner: P,
     label: String,
-    /// Permanently crashed nodes (perfect failure detector), by id.
-    crashed: Vec<bool>,
+    /// Permanently crashed nodes (perfect failure detector), sorted.
+    crashed: Vec<NodeId>,
     /// Optional diameter upper bound capping the quiet wave (see
     /// [`Reliable::with_quiet_bound`]).
     quiet_bound: Option<u32>,
@@ -474,16 +474,13 @@ impl<P: Protocol> Reliable<P> {
     /// otherwise retransmit until the round limit.
     pub fn with_crashed(inner: P, crashed: &[NodeId]) -> Self {
         let mut this = Self::new(inner);
-        let max = crashed.iter().copied().max().map_or(0, |m| m as usize + 1);
-        this.crashed = vec![false; max];
-        for &c in crashed {
-            this.crashed[c as usize] = true;
-        }
+        this.crashed = crashed.to_vec();
+        this.crashed.sort_unstable();
         this
     }
 
     fn is_crashed(&self, v: NodeId) -> bool {
-        self.crashed.get(v as usize).copied().unwrap_or(false)
+        self.crashed.binary_search(&v).is_ok()
     }
 }
 

@@ -255,7 +255,7 @@ impl<'g> Session<'g> {
             }
             cfg.max_rounds = cfg.max_rounds.min(remaining);
         }
-        cfg.validate()?;
+        cfg.validate(self.graph.n())?;
         let states = protocol.init(self.graph);
         let (states, stats) = match run_phase(self.graph, &mut self.host, &protocol, states, &cfg) {
             Ok(done) => done,

@@ -250,14 +250,16 @@ impl FaultPlan {
         }
     }
 
-    /// Checks the plan against a round limit; every inconsistency is a
-    /// [`SimError::FaultConfig`] with an actionable message. Called
-    /// eagerly by [`SimConfig::validate`] — before any round executes.
+    /// Checks the plan against an `n`-node graph and a round limit;
+    /// every inconsistency is a [`SimError::FaultConfig`] with an
+    /// actionable message. Called eagerly by [`SimConfig::validate`] —
+    /// before any round executes and before anything is allocated per
+    /// crashed node id.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::FaultConfig`] naming the offending field.
-    pub fn validate(&self, max_rounds: u64) -> Result<(), SimError> {
+    pub fn validate(&self, n: usize, max_rounds: u64) -> Result<(), SimError> {
         let rate_ok = |r: f64| r.is_finite() && (0.0..=1.0).contains(&r);
         if !rate_ok(self.drop_rate) {
             return Err(SimError::FaultConfig {
@@ -301,6 +303,15 @@ impl FaultPlan {
         }
         let mut seen: Vec<NodeId> = Vec::with_capacity(self.crashes.len());
         for c in &self.crashes {
+            if c.node as usize >= n {
+                return Err(SimError::FaultConfig {
+                    reason: format!(
+                        "crash names node {} but the graph has {n} nodes (ids 0..{n}); \
+                         crash an existing node",
+                        c.node
+                    ),
+                });
+            }
             if c.at_round >= max_rounds {
                 return Err(SimError::FaultConfig {
                     reason: format!(
@@ -408,8 +419,8 @@ impl SimConfig {
         }
     }
 
-    /// Eagerly checks the configuration — today that means the attached
-    /// [`FaultPlan`], if any. Called by every
+    /// Eagerly checks the configuration for an `n`-node graph — today
+    /// that means the attached [`FaultPlan`], if any. Called by every
     /// [`Session`](crate::Session) phase dispatch before any round
     /// executes, so an inconsistent plan fails fast with an actionable
     /// [`SimError::FaultConfig`] instead of corrupting a run.
@@ -417,9 +428,9 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::FaultConfig`] describing the inconsistency.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub fn validate(&self, n: usize) -> Result<(), SimError> {
         if let Some(plan) = &self.faults {
-            plan.validate(self.max_rounds)?;
+            plan.validate(n, self.max_rounds)?;
         }
         Ok(())
     }
@@ -2428,7 +2439,7 @@ mod tests {
     /// [`SimError::FaultConfig`] whose message names the offending field.
     #[test]
     fn fault_plan_validation_rejects_bad_plans() {
-        let cases: Vec<(FaultPlan, &str)> = vec![
+        let mut cases: Vec<(FaultPlan, &str)> = vec![
             (FaultPlan::drops(1.5, 0), "drop_rate"),
             (FaultPlan::drops(f64::NAN, 0), "drop_rate"),
             (
@@ -2508,6 +2519,21 @@ mod tests {
                 "twice",
             ),
         ];
+        // Crashes of nodes the 4-node path does not have: just past the
+        // end, far out, and at the id space's limit.
+        for node in [4, 1000, NodeId::MAX] {
+            cases.push((
+                FaultPlan {
+                    crashes: vec![Crash {
+                        node,
+                        at_round: 1,
+                        recover_at: None,
+                    }],
+                    ..FaultPlan::default()
+                },
+                "graph has 4 nodes",
+            ));
+        }
         let g = lcs_graph::generators::path(4);
         for (plan, needle) in cases {
             let cfg = fault_cfg(plan, 1);
@@ -2521,7 +2547,7 @@ mod tests {
             }
         }
         // A valid plan passes.
-        assert!(FaultPlan::drops(0.3, 9).validate(1 << 20).is_ok());
+        assert!(FaultPlan::drops(0.3, 9).validate(8, 1 << 20).is_ok());
     }
 
     /// Fault fates hash `(seed, round, arc)` — never shard layout: a

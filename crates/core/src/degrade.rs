@@ -86,7 +86,8 @@ pub struct Excision {
 ///
 /// # Errors
 ///
-/// [`SimError::FaultConfig`] when node 0 — the detection root — is
+/// [`SimError::FaultConfig`] when the plan is invalid for `graph` (see
+/// [`FaultPlan::validate`]) or node 0 — the detection root — is
 /// permanently crashed; any engine error from the detection phases.
 pub fn detect_and_excise(
     graph: &Graph,
@@ -95,6 +96,14 @@ pub fn detect_and_excise(
     shards: usize,
 ) -> Result<Excision, SimError> {
     let n = graph.n();
+    let det_cfg = SimConfig {
+        seed,
+        shards,
+        max_rounds: 500_000, // retransmission slack
+        faults: Some(plan.clone()),
+        ..SimConfig::default()
+    };
+    det_cfg.validate(n)?;
     let crashed: Vec<NodeId> = plan
         .crashes
         .iter()
@@ -109,13 +118,6 @@ pub fn detect_and_excise(
         });
     }
 
-    let det_cfg = SimConfig {
-        seed,
-        shards,
-        max_rounds: 500_000, // retransmission slack
-        faults: Some(plan.clone()),
-        ..SimConfig::default()
-    };
     let mut det = Session::new(graph, det_cfg);
     let bfs = det.run_labeled(
         "F.detect_bfs",
@@ -365,6 +367,22 @@ mod tests {
         let g = chord_path();
         let err = detect_and_excise(&g, &crash_plan(&[0]), 1, 1).unwrap_err();
         assert!(matches!(err, SimError::FaultConfig { .. }));
+    }
+
+    /// A crash of a node the graph does not have is a config error,
+    /// reported before anything is sized by the bogus id.
+    #[test]
+    fn out_of_range_crash_is_rejected_eagerly() {
+        let g = chord_path();
+        for node in [6, 1000, NodeId::MAX] {
+            let err = detect_and_excise(&g, &crash_plan(&[node]), 1, 1).unwrap_err();
+            match err {
+                SimError::FaultConfig { reason } => {
+                    assert!(reason.contains("graph has 6 nodes"), "{reason}")
+                }
+                other => panic!("expected FaultConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
