@@ -133,11 +133,23 @@ mod tests {
     #[test]
     fn backend_verifies_within_declared_bound() {
         let (g, p) = fixture();
-        let b = KoganParter::default();
-        assert!(b.applicable(&g, &p));
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let s = b.build(&g, &p, &mut rng);
-        verify(&g, &p, &s, b.declared_bound(&g, &p), DilationMode::Exact).unwrap();
+        for pruned in [true, false] {
+            let b = KoganParter {
+                pruned,
+                ..KoganParter::default()
+            };
+            assert!(b.applicable(&g, &p));
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let s = b.build(&g, &p, &mut rng);
+            verify(&g, &p, &s, b.declared_bound(&g, &p), DilationMode::Exact)
+                .unwrap_or_else(|e| panic!("pruned={pruned}: {e:?}"));
+        }
+    }
+
+    #[test]
+    fn diameter_is_measured_when_missing() {
+        let (g, _) = fixture();
+        assert_eq!(KoganParter::default().resolve_params(&g).unwrap().d, 4);
     }
 
     #[test]
