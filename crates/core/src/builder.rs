@@ -1,283 +1,19 @@
-//! One-stop entry point: [`ShortcutBuilder`] configures and runs any
-//! variant of the construction.
-//!
-//! ```
-//! use lcs_core::ShortcutBuilder;
-//! use lcs_graph::{HighwayGraph, HighwayParams};
-//! use lcs_shortcut::Partition;
-//!
-//! let hw = HighwayGraph::new(HighwayParams {
-//!     num_paths: 3, path_len: 20, diameter: 4,
-//! }).unwrap();
-//! let parts = Partition::new(hw.graph(), hw.path_parts()).unwrap();
-//! let built = ShortcutBuilder::new()
-//!     .seed(7)
-//!     .diameter(4)
-//!     .build(hw.graph(), &parts)
-//!     .unwrap();
-//! assert!(built.quality_report.quality.total() > 0);
-//! ```
+//! Build checks across the construction's entry points: the
+//! [`KoganParter`](crate::KoganParter) backend (raw and pruned sets) and
+//! [`distributed_shortcuts`](crate::distributed_shortcuts). Test-only.
 
-use crate::centralized::{centralized_shortcuts, prune_to_trees, LargenessRule, OracleMode};
-use crate::distributed::{distributed_shortcuts, DistributedConfig, DistributedError};
-use crate::odd::odd_shortcuts_subdivision;
-use crate::params::{KpParams, ParamError};
-use lcs_graph::{exact_diameter, Graph};
-use lcs_shortcut::{measure_quality, DilationMode, Partition, QualityReport, ShortcutSet};
-use std::fmt;
-
-/// Which execution variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// Centralized sampling, raw `H_i` sets (what §3 analyzes).
-    CentralizedRaw,
-    /// Centralized sampling pruned to depth-limited BFS trees (what a
-    /// protocol actually outputs). The default.
-    #[default]
-    CentralizedPruned,
-    /// The full CONGEST protocol on the simulator.
-    Distributed,
-    /// The §3.2 odd-diameter subdivision construction (requires odd
-    /// `D`).
-    OddSubdivision,
-}
-
-/// Builder error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BuildError {
-    /// Parameter failure.
-    Params(ParamError),
-    /// Distributed run failure.
-    Distributed(DistributedError),
-    /// The diameter could not be determined (disconnected graph) and
-    /// none was supplied.
-    UnknownDiameter,
-    /// [`Variant::OddSubdivision`] requires an odd diameter.
-    NeedOddDiameter(u32),
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::Params(e) => write!(f, "{e}"),
-            BuildError::Distributed(e) => write!(f, "{e}"),
-            BuildError::UnknownDiameter => {
-                write!(f, "diameter unknown (disconnected?) and not supplied")
-            }
-            BuildError::NeedOddDiameter(d) => {
-                write!(f, "odd-subdivision variant requires odd D, got {d}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-impl From<ParamError> for BuildError {
-    fn from(e: ParamError) -> Self {
-        BuildError::Params(e)
-    }
-}
-impl From<DistributedError> for BuildError {
-    fn from(e: DistributedError) -> Self {
-        BuildError::Distributed(e)
-    }
-}
-
-/// Configured shortcut construction. Non-consuming builder
-/// (`&mut self` setters returning `&mut Self`).
-#[derive(Debug, Clone)]
-pub struct ShortcutBuilder {
-    seed: u64,
-    diameter: Option<u32>,
-    prob_constant: f64,
-    variant: Variant,
-    largeness: LargenessRule,
-    oracle_mode: OracleMode,
-    reps_override: Option<u32>,
-    dilation_mode: DilationMode,
-}
-
-impl Default for ShortcutBuilder {
-    fn default() -> Self {
-        ShortcutBuilder {
-            seed: 0xB111D,
-            diameter: None,
-            prob_constant: 1.0,
-            variant: Variant::default(),
-            largeness: LargenessRule::Radius,
-            oracle_mode: OracleMode::PerPart,
-            reps_override: None,
-            dilation_mode: DilationMode::Exact,
-        }
-    }
-}
-
-/// Output of [`ShortcutBuilder::build`].
-#[derive(Debug)]
-pub struct BuiltShortcuts {
-    /// The shortcut set.
-    pub shortcuts: ShortcutSet,
-    /// The parameters used.
-    pub params: KpParams,
-    /// Measured quality (mode per builder configuration).
-    pub quality_report: QualityReport,
-    /// Rounds (distributed variant only).
-    pub rounds: Option<u64>,
-    /// Messages (distributed variant only).
-    pub messages: Option<u64>,
-    /// The variant that was run.
-    pub variant: Variant,
-}
-
-impl ShortcutBuilder {
-    /// Creates a builder with defaults (centralized-pruned variant,
-    /// paper constants, exact quality measurement).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Supplies the (known) diameter; otherwise it is measured.
-    pub fn diameter(&mut self, d: u32) -> &mut Self {
-        self.diameter = Some(d);
-        self
-    }
-
-    /// Scales the sampling probability (`1.0` = paper).
-    pub fn prob_constant(&mut self, c: f64) -> &mut Self {
-        self.prob_constant = c;
-        self
-    }
-
-    /// Selects the execution variant.
-    pub fn variant(&mut self, v: Variant) -> &mut Self {
-        self.variant = v;
-        self
-    }
-
-    /// Selects the largeness rule.
-    pub fn largeness(&mut self, rule: LargenessRule) -> &mut Self {
-        self.largeness = rule;
-        self
-    }
-
-    /// Selects the coin enumeration mode.
-    pub fn oracle_mode(&mut self, mode: OracleMode) -> &mut Self {
-        self.oracle_mode = mode;
-        self
-    }
-
-    /// Overrides the repetition count (default `D`).
-    pub fn reps(&mut self, reps: u32) -> &mut Self {
-        self.reps_override = Some(reps);
-        self
-    }
-
-    /// Selects exact or estimated quality measurement.
-    pub fn dilation_mode(&mut self, mode: DilationMode) -> &mut Self {
-        self.dilation_mode = mode;
-        self
-    }
-
-    /// Runs the configured construction and measures its quality.
-    ///
-    /// # Errors
-    ///
-    /// See [`BuildError`].
-    pub fn build(
-        &self,
-        graph: &Graph,
-        partition: &Partition,
-    ) -> Result<BuiltShortcuts, BuildError> {
-        let d = match self.diameter {
-            Some(d) => d,
-            None => exact_diameter(graph)
-                .ok_or(BuildError::UnknownDiameter)?
-                .max(3),
-        };
-        let mut params = KpParams::new(graph.n(), d.max(3), self.prob_constant)?;
-        if let Some(r) = self.reps_override {
-            params = params.with_reps(r);
-        }
-        let (shortcuts, rounds, messages) = match self.variant {
-            Variant::CentralizedRaw => {
-                let out = centralized_shortcuts(
-                    graph,
-                    partition,
-                    params,
-                    self.seed,
-                    self.largeness,
-                    self.oracle_mode,
-                );
-                (out.shortcuts, None, None)
-            }
-            Variant::CentralizedPruned => {
-                let raw = centralized_shortcuts(
-                    graph,
-                    partition,
-                    params,
-                    self.seed,
-                    self.largeness,
-                    self.oracle_mode,
-                );
-                let pruned = prune_to_trees(graph, partition, &raw.shortcuts, params.depth_limit());
-                (pruned.shortcuts, None, None)
-            }
-            Variant::Distributed => {
-                let out = distributed_shortcuts(
-                    graph,
-                    partition,
-                    &DistributedConfig {
-                        seed: self.seed,
-                        prob_constant: self.prob_constant,
-                        known_diameter: self.diameter,
-                        ..DistributedConfig::default()
-                    },
-                )?;
-                params = out.params;
-                (
-                    out.shortcuts,
-                    Some(out.total_rounds),
-                    Some(out.total_messages),
-                )
-            }
-            Variant::OddSubdivision => {
-                if d % 2 == 0 {
-                    return Err(BuildError::NeedOddDiameter(d));
-                }
-                let out =
-                    odd_shortcuts_subdivision(graph, partition, params, self.seed, self.largeness);
-                (out.shortcuts, None, None)
-            }
-        };
-        let quality_report = measure_quality(graph, partition, &shortcuts, self.dilation_mode);
-        Ok(BuiltShortcuts {
-            shortcuts,
-            params,
-            quality_report,
-            rounds,
-            messages,
-            variant: self.variant,
-        })
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use lcs_graph::{HighwayGraph, HighwayParams};
+    use crate::{distributed_shortcuts, DistributedConfig, DistributedError, KoganParter};
+    use lcs_graph::{Graph, HighwayGraph, HighwayParams};
+    use lcs_shortcut::{measure_quality, DilationMode, Partition, ShortcutBuilder};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
-    fn fixture(d: u32) -> (Graph, Partition) {
+    fn fixture() -> (Graph, Partition) {
         let hw = HighwayGraph::new(HighwayParams {
             num_paths: 3,
             path_len: 20,
-            diameter: d,
+            diameter: 4,
         })
         .unwrap();
         let g = hw.graph().clone();
@@ -287,74 +23,40 @@ mod tests {
 
     #[test]
     fn all_variants_build_valid_shortcuts() {
-        let (g, p) = fixture(4);
-        for variant in [
-            Variant::CentralizedRaw,
-            Variant::CentralizedPruned,
-            Variant::Distributed,
-        ] {
-            let built = ShortcutBuilder::new()
-                .seed(3)
-                .variant(variant)
-                .build(&g, &p)
-                .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
-            assert!(
-                (built.quality_report.quality.congestion as u64) <= built.params.congestion_bound(),
-                "{variant:?}"
-            );
-            assert_eq!(built.rounds.is_some(), variant == Variant::Distributed);
+        let (g, p) = fixture();
+        for pruned in [false, true] {
+            let b = KoganParter {
+                pruned,
+                ..KoganParter::default()
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let s = b.build(&g, &p, &mut rng);
+            let q = measure_quality(&g, &p, &s, DilationMode::Exact).quality;
+            let bound = b.declared_bound(&g, &p).expect("diameter is measured");
+            assert!(q.congestion <= bound.congestion, "pruned={pruned}");
         }
-    }
-
-    #[test]
-    fn odd_variant_requires_odd_d() {
-        let (g, p) = fixture(4);
-        let err = ShortcutBuilder::new()
-            .variant(Variant::OddSubdivision)
-            .diameter(4)
-            .build(&g, &p)
-            .unwrap_err();
-        assert_eq!(err, BuildError::NeedOddDiameter(4));
-        let (g5, p5) = fixture(5);
-        ShortcutBuilder::new()
-            .variant(Variant::OddSubdivision)
-            .build(&g5, &p5)
-            .unwrap();
-    }
-
-    #[test]
-    fn diameter_is_measured_when_missing() {
-        let (g, p) = fixture(4);
-        let built = ShortcutBuilder::new().build(&g, &p).unwrap();
-        assert_eq!(built.params.d, 4);
+        let out = distributed_shortcuts(
+            &g,
+            &p,
+            &DistributedConfig {
+                seed: 3,
+                ..DistributedConfig::default()
+            },
+        )
+        .unwrap();
+        let q = measure_quality(&g, &p, &out.shortcuts, DilationMode::Exact).quality;
+        assert!((q.congestion as u64) <= out.params.congestion_bound());
+        assert!(out.total_rounds > 0);
     }
 
     #[test]
     fn disconnected_without_diameter_fails() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let p = Partition::new(&g, vec![vec![0, 1]]).unwrap();
-        let err = ShortcutBuilder::new().build(&g, &p).unwrap_err();
-        assert_eq!(err, BuildError::UnknownDiameter);
-    }
-
-    #[test]
-    fn builder_knobs_apply() {
-        let (g, p) = fixture(4);
-        let a = ShortcutBuilder::new()
-            .seed(1)
-            .prob_constant(0.25)
-            .reps(1)
-            .oracle_mode(OracleMode::PerArc)
-            .largeness(LargenessRule::Size)
-            .dilation_mode(DilationMode::Estimate)
-            .variant(Variant::CentralizedRaw)
-            .build(&g, &p)
-            .unwrap();
-        let b = ShortcutBuilder::new()
-            .seed(1)
-            .variant(Variant::CentralizedRaw)
-            .build(&g, &p)
-            .unwrap();
-        assert!(a.shortcuts.total_edges() < b.shortcuts.total_edges());
+        let b = KoganParter::default();
+        assert!(!b.applicable(&g, &p));
+        assert_eq!(b.declared_bound(&g, &p), None);
+        let err = distributed_shortcuts(&g, &p, &DistributedConfig::default()).unwrap_err();
+        assert_eq!(err, DistributedError::Disconnected);
     }
 }

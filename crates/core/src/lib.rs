@@ -38,6 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+#[cfg(test)]
+mod builder;
 pub mod centralized;
 pub mod degrade;
 pub mod dilation;
