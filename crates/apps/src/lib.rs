@@ -35,8 +35,7 @@ pub mod sssp;
 pub mod two_ecss;
 
 pub use mincut::{
-    approximate_min_cut, approximation_ratio, min_respecting_cut, MinCutConfig, MinCutError,
-    MinCutOutcome,
+    approximate_min_cut, approximation_ratio, MinCutConfig, MinCutError, MinCutOutcome,
 };
 pub use mst::{
     assert_matches_kruskal, mst_via_shortcuts, MstConfig, MstError, MstOutcome, PhaseCost,

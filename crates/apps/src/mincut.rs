@@ -13,24 +13,37 @@
 //!    w.h.p. some packed tree 2-respects a `(1+ε)`-minimum cut.
 //! 3. **Respecting cuts** — for each packed tree, compute the exact
 //!    minimum 1-respecting and 2-respecting cut *of the original
-//!    weighted graph*: `cut1[v]` via subtree sums and
-//!    `cut2(u,v) = cut1[u] + cut1[v] − 2·M[u][v]`, where `M[u][v]`
-//!    accumulates, for every edge, the pairs of tree-path nodes it
-//!    co-crosses (an edge `(x,y)` crosses exactly the subtrees rooted
-//!    along the tree path `x⇝y`).
+//!    weighted graph* (`min_respecting_cut`). In the tree's DFS
+//!    preorder every subtree is a range of positions. `cut1[v]` is a
+//!    subtree sum of `+w` at both endpoints of each edge and `−2w` at
+//!    their lowest common ancestor (an edge `(x,y)` crosses exactly the
+//!    subtrees rooted along the tree path `x⇝y` below that ancestor),
+//!    and `cut2(u,v) = cut1[u] + cut1[v] − 2·M(u,v)` with `M(u,v)` the
+//!    weight crossing both subtrees. Row `u` weighs only the `v` nested
+//!    in its subtree and the later `v` that an edge leaving its subtree
+//!    reaches: any other pair has `M = 0` and weighs at least twice the
+//!    lightest 1-respecting cut.
 //! 4. The estimate `ĉ` is settled by a doubling loop (start at the
 //!    minimum degree cut; re-run once if the found cut is much smaller).
 //!
+//! Cost: one tree is evaluated in `O(m + Σ_v deg(v)·depth(v))` time
+//! plus, per row, the union of the tree paths its leaving edges enter
+//! — at most one step per pair of subtrees an edge crosses on opposite
+//! sides of its lowest common ancestor, so never more than the
+//! `|tree path|²` pairs per edge — and `O(n + m)` memory, whose buffers
+//! the trees of one run share. Packing a tree buckets the edges by load
+//! and runs one union–find pass, `O(m·α(n))`.
+//!
 //! Distributed cost accounting: each packed tree costs one
 //! MST-via-shortcuts computation plus one partwise aggregation for the
-//! subtree sums (`Õ(k_D)` each); the `O(n²)` 2-respecting scan is
-//! evaluated centrally with its round cost charged per GH16's
-//! distributed implementation — see DESIGN.md (substitutions).
+//! subtree sums (`Õ(k_D)` each); the 2-respecting scan is evaluated
+//! centrally with its round cost charged per GH16's distributed
+//! implementation — see DESIGN.md (substitutions).
 
 use crate::mst::{mst_via_shortcuts, MstConfig, MstError};
 use lcs_congest::{ceil_log2, FaultPlan, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
-use lcs_graph::{kruskal, stoer_wagner, Graph, NodeId, WeightedGraph};
+use lcs_graph::{stoer_wagner, Graph, NodeId, UnionFind, WeightedGraph};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -101,7 +114,8 @@ impl From<MstError> for MinCutError {
 pub struct MinCutOutcome {
     /// The best cut weight found.
     pub weight: u64,
-    /// One side of the best cut found.
+    /// One side of the best cut found, sorted ascending (as original
+    /// node ids when the run was degraded).
     pub side: Vec<NodeId>,
     /// Trees packed in total.
     pub trees_packed: usize,
@@ -115,178 +129,349 @@ pub struct MinCutOutcome {
     pub degraded: Option<DegradedOutcome>,
 }
 
-/// A rooted tree view with Euler intervals for subtree tests.
+/// A spanning tree laid out in DFS preorder: the root is at position 0
+/// and the subtree of position `p` is the position range
+/// `[p, end[p])`. The buffers are reused from one tree to the next.
+#[derive(Debug, Default)]
 struct RootedTree {
-    parent: Vec<Option<NodeId>>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
-    order: Vec<NodeId>, // nodes in DFS order
+    /// Node → position.
+    pos: Vec<u32>,
+    /// Position → parent position (the root is its own parent).
+    parent: Vec<u32>,
+    /// Position → one past the last position of its subtree.
+    end: Vec<u32>,
+    /// Tree adjacency over node ids, each list in `tree_edges` order.
+    adj_start: Vec<u32>,
+    adj: Vec<(NodeId, ())>,
+    /// DFS stack of `(node, next adjacency slot)`.
+    stack: Vec<(NodeId, u32)>,
 }
 
 impl RootedTree {
-    fn new(g_edges: &[(NodeId, NodeId)], n: usize, root: NodeId) -> Self {
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &(u, v) in g_edges {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        let mut parent = vec![None; n];
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
-        let mut clock = 0u32;
-        // Iterative DFS.
-        let mut stack: Vec<(NodeId, usize, bool)> = vec![(root, 0, false)];
-        let mut visited = vec![false; n];
-        visited[root as usize] = true;
-        while let Some((v, idx, _)) = stack.pop() {
-            if idx == 0 {
-                tin[v as usize] = clock;
-                clock += 1;
-                order.push(v);
+    /// Lays out `tree_edges` rooted at `root`; a node's children are
+    /// visited in the order their edges appear.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tree_edges` is a spanning tree of `0..n`.
+    fn layout(&mut self, tree_edges: &[(NodeId, NodeId)], n: usize, root: NodeId) {
+        assert!(
+            tree_edges.len() + 1 == n,
+            "min_respecting_cut needs a spanning tree: {} tree edges for {n} nodes",
+            tree_edges.len()
+        );
+        let edges = tree_edges.iter().map(|&(u, v)| (u, v, ()));
+        adjacency(n, edges, &mut self.adj_start, &mut self.adj);
+
+        // Iterative DFS: a node takes the next position when discovered,
+        // and its subtree ends where the next position stands when it
+        // is finished.
+        self.pos.clear();
+        self.pos.resize(n, u32::MAX);
+        self.end.clear();
+        self.end.resize(n, 0);
+        self.parent.clear();
+        self.pos[root as usize] = 0;
+        self.parent.push(0);
+        self.stack.clear();
+        self.stack.push((root, self.adj_start[root as usize]));
+        while let Some((v, slot)) = self.stack.last_mut() {
+            if *slot == self.adj_start[*v as usize + 1] {
+                self.end[self.pos[*v as usize] as usize] = self.parent.len() as u32;
+                self.stack.pop();
+                continue;
             }
-            if idx < adj[v as usize].len() {
-                stack.push((v, idx + 1, true));
-                let w = adj[v as usize][idx];
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    parent[w as usize] = Some(v);
-                    stack.push((w, 0, false));
-                }
-            } else {
-                tout[v as usize] = clock;
+            let (w, ()) = self.adj[*slot as usize];
+            *slot += 1;
+            if self.pos[w as usize] == u32::MAX {
+                let from = self.pos[*v as usize];
+                self.pos[w as usize] = self.parent.len() as u32;
+                self.parent.push(from);
+                self.stack.push((w, self.adj_start[w as usize]));
             }
         }
-        RootedTree {
-            parent,
-            tin,
-            tout,
-            order,
-        }
+        assert!(
+            self.parent.len() == n,
+            "min_respecting_cut needs a spanning tree: {} of {n} nodes reachable from the root",
+            self.parent.len()
+        );
     }
+}
 
-    /// Is `x` in the subtree of `v`?
-    #[inline]
-    fn in_subtree(&self, v: NodeId, x: NodeId) -> bool {
-        self.tin[v as usize] <= self.tin[x as usize] && self.tin[x as usize] < self.tout[v as usize]
+/// Undirected `edges` as CSR adjacency over `n` nodes: the arcs
+/// `(neighbour, label)` of node `v` are `arcs[start[v]..start[v + 1]]`,
+/// in edge order.
+fn adjacency<L: Copy + Default>(
+    n: usize,
+    edges: impl Iterator<Item = (u32, u32, L)> + Clone,
+    start: &mut Vec<u32>,
+    arcs: &mut Vec<(u32, L)>,
+) {
+    start.clear();
+    start.resize(n + 1, 0);
+    for (a, b, _) in edges.clone() {
+        start[a as usize] += 1;
+        start[b as usize] += 1;
     }
+    let mut total = 0;
+    for s in start.iter_mut() {
+        (*s, total) = (total, total + *s);
+    }
+    arcs.resize(total as usize, (0, L::default()));
+    // Fill each node's range; its start slides to the next node's.
+    for (a, b, label) in edges {
+        arcs[start[a as usize] as usize] = (b, label);
+        start[a as usize] += 1;
+        arcs[start[b as usize] as usize] = (a, label);
+        start[b as usize] += 1;
+    }
+    start.copy_within(0..n, 1);
+    start[0] = 0;
+}
 
-    /// Tree path from `x` up to the root as node list.
-    fn path_to_root(&self, x: NodeId) -> Vec<NodeId> {
-        let mut path = vec![x];
-        let mut cur = x;
-        while let Some(p) = self.parent[cur as usize] {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
-    /// Nodes `v` (≠ root) whose subtree the edge `(x, y)` crosses: the
-    /// nodes strictly on the tree path between `x` and `y`, excluding
-    /// their LCA.
-    fn crossing_nodes(&self, x: NodeId, y: NodeId) -> Vec<NodeId> {
-        let px = self.path_to_root(x);
-        let py = self.path_to_root(y);
-        // Find LCA: deepest common suffix element.
-        let mut ix = px.len();
-        let mut iy = py.len();
-        while ix > 0 && iy > 0 && px[ix - 1] == py[iy - 1] {
-            ix -= 1;
-            iy -= 1;
-        }
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(ix + iy);
-        nodes.extend_from_slice(&px[..ix]);
-        nodes.extend_from_slice(&py[..iy]);
-        nodes
-    }
+/// Buffers [`min_respecting_cut`] reuses across the trees of one query.
+#[derive(Debug, Default)]
+pub(crate) struct CutBuffers {
+    tree: RootedTree,
+    /// The graph's adjacency over positions: `(neighbour, weight)`.
+    arc_start: Vec<u32>,
+    arcs: Vec<(u32, u64)>,
+    /// Weight leaving each position's subtree.
+    cut1: Vec<u64>,
+    /// Per row `i`: weight from each subtree inside subtree(i) to the
+    /// outside of subtree(i).
+    inner: Vec<u64>,
+    /// Per row `i`: the later positions whose subtree an edge leaving
+    /// subtree(i) enters (a forest), how many of each one's touched
+    /// children are still `pending`, and the weight `shared` between
+    /// subtree(i) and its subtree once they are not.
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
+    pending: Vec<u32>,
+    shared: Vec<u64>,
+    /// Touched positions whose subtree sum is complete.
+    ready: Vec<u32>,
 }
 
 /// Exact minimum 1- or 2-respecting cut of `wg` with respect to the
-/// spanning tree given by `tree_edges`. Returns `(weight, side)`.
-pub fn min_respecting_cut(
+/// spanning tree `tree_edges` rooted at `root`. Returns
+/// `(weight, side)` with `side` sorted ascending.
+///
+/// Positions follow the tree's DFS preorder. A 1-respecting cut is a
+/// subtree; the first position of least weight wins. A 2-respecting
+/// cut is a symmetric difference `subtree(i) Δ subtree(j)` with `i < j`
+/// and positive weight `cut1[i] + cut1[j] − 2·M(i, j)`, `M` being the
+/// weight of the edges that cross both subtrees. It replaces the best
+/// cut only when strictly lighter, so ties go to the 1-respecting cut
+/// and then to the first pair in `(i, j)` order.
+///
+/// Each row `i` walks the edges leaving subtree(i). For the `j` nested
+/// in subtree(i), `M(i, j)` is a subtree sum of those edges' inner
+/// endpoints. For the later disjoint `j`, it is a subtree sum of their
+/// outer endpoints, taken over the union of those endpoints' tree paths
+/// up to row `i`'s ancestors. The disjoint `j` off that union are
+/// skipped: with `M = 0` they weigh `cut1[i] + cut1[j]`, at least twice
+/// the lightest subtree, which never wins. A row costs its subtree's
+/// size and degree sum plus the size of the union, at most one step
+/// per (leaving edge, later subtree it crosses), so an edge never costs
+/// more than the `|tree path|²` pairs of subtrees it crosses, and
+/// memory stays `O(n + m)` in `buffers`.
+///
+/// # Panics
+///
+/// Panics unless `tree_edges` is a spanning tree of `wg`'s nodes
+/// (`n − 1` edges that reach every node from `root`).
+pub(crate) fn min_respecting_cut(
     wg: &WeightedGraph,
     tree_edges: &[(NodeId, NodeId)],
     root: NodeId,
+    buffers: &mut CutBuffers,
 ) -> (u64, Vec<NodeId>) {
     let g = wg.graph();
     let n = g.n();
-    let t = RootedTree::new(tree_edges, n, root);
+    let CutBuffers {
+        tree,
+        arc_start,
+        arcs,
+        cut1,
+        inner,
+        touched,
+        is_touched,
+        pending,
+        shared,
+        ready,
+    } = buffers;
+    tree.layout(tree_edges, n, root);
+    let (pos, parent, end) = (&tree.pos, &tree.parent, &tree.end);
 
-    // cut1[v] (v ≠ root) and the co-crossing matrix M.
-    let mut cut1 = vec![0u64; n];
-    let mut m = vec![0u64; n * n];
-    for e in g.edge_ids() {
-        let (x, y) = g.edge_endpoints(e);
-        let w = wg.weight(e);
-        let crossing = t.crossing_nodes(x, y);
-        for &u in &crossing {
-            cut1[u as usize] += w;
+    let edges = || {
+        let weighted = g.edges().iter().zip(wg.weights());
+        weighted.map(|(&(x, y), &w)| (pos[x as usize], pos[y as usize], w))
+    };
+    adjacency(n, edges(), arc_start, arcs);
+
+    // cut1: +w at both endpoints and −2w at their lowest common
+    // ancestor, summed over subtrees (wrapping: the sums are exact).
+    cut1.clear();
+    cut1.resize(n, 0);
+    for (px, py, w) in edges() {
+        let (mut lca, below) = (px.min(py) as usize, px.max(py));
+        while below >= end[lca] {
+            lca = parent[lca] as usize;
         }
-        for &u in &crossing {
-            for &v in &crossing {
-                m[u as usize * n + v as usize] += w;
-            }
-        }
+        cut1[px as usize] = cut1[px as usize].wrapping_add(w);
+        cut1[py as usize] = cut1[py as usize].wrapping_add(w);
+        cut1[lca] = cut1[lca].wrapping_sub(2 * w);
+    }
+    for p in (1..n).rev() {
+        let q = parent[p] as usize;
+        cut1[q] = cut1[q].wrapping_add(cut1[p]);
     }
 
-    // 1-respecting.
+    // 1-respecting: the first position of least cut1.
     let mut best = u64::MAX;
-    let mut best_side: Vec<NodeId> = Vec::new();
-    let subtree_side =
-        |v: NodeId| -> Vec<NodeId> { (0..n as u32).filter(|&x| t.in_subtree(v, x)).collect() };
-    for &v in &t.order {
-        if v == root {
-            continue;
-        }
-        if cut1[v as usize] < best {
-            best = cut1[v as usize];
-            best_side = subtree_side(v);
+    let mut winner: Option<(usize, Option<usize>)> = None;
+    for (p, &c) in cut1.iter().enumerate().skip(1) {
+        if c < best {
+            best = c;
+            winner = Some((p, None));
         }
     }
-    // 2-respecting.
-    for &u in &t.order {
-        if u == root {
-            continue;
-        }
-        for &v in &t.order {
-            if v == root || t.tin[v as usize] <= t.tin[u as usize] {
-                continue; // enumerate unordered pairs once
-            }
-            let c2 = cut1[u as usize] + cut1[v as usize] - 2 * m[u as usize * n + v as usize];
-            if c2 < best && c2 > 0 {
-                // Side = S_u Δ S_v.
-                let su: std::collections::HashSet<NodeId> = subtree_side(u).into_iter().collect();
-                let sv: std::collections::HashSet<NodeId> = subtree_side(v).into_iter().collect();
-                let side: Vec<NodeId> = su.symmetric_difference(&sv).copied().collect();
-                if !side.is_empty() && side.len() < n {
-                    best = c2;
-                    best_side = side;
+
+    // 2-respecting, row by row. With best = 0 no positive pair can
+    // beat it. Otherwise a disjoint j that no edge of subtree(i)
+    // reaches weighs cut1[i] + cut1[j] > best, so rows skip those.
+    if best > 0 {
+        inner.resize(n, 0);
+        is_touched.resize(n, false);
+        pending.resize(n, 0);
+        shared.resize(n, 0);
+        for i in 1..n {
+            let e = end[i] as usize;
+            let base = cut1[i];
+            for p in i..e {
+                let mut out = 0u64;
+                for &(q, w) in &arcs[arc_start[p] as usize..arc_start[p + 1] as usize] {
+                    let q = q as usize;
+                    if q < i {
+                        out += w;
+                    } else if q >= e {
+                        out += w;
+                        shared[q] += w;
+                        // Touch q's tree path up to the first touched
+                        // position or row i's ancestors.
+                        let mut a = q;
+                        while !is_touched[a] {
+                            is_touched[a] = true;
+                            touched.push(a as u32);
+                            let up = parent[a] as usize;
+                            if up < e {
+                                break;
+                            }
+                            pending[up] += 1;
+                            a = up;
+                        }
+                    }
                 }
+                inner[p] = out;
+            }
+            let (mut row, mut row_j) = (u64::MAX, usize::MAX);
+            // Nested j in descending position: each sum is complete when
+            // reached, and `<=` keeps the least j of a tie.
+            for j in (i + 1..e).rev() {
+                let c = base + cut1[j] - 2 * inner[j];
+                if c > 0 && c <= row {
+                    (row, row_j) = (c, j);
+                }
+                inner[parent[j] as usize] += inner[j];
+            }
+            // Later touched j, children first: `shared` becomes the
+            // subtree sum of the outer endpoints' weights.
+            ready.extend(touched.drain(..).filter(|&j| pending[j as usize] == 0));
+            while let Some(j) = ready.pop() {
+                let j = j as usize;
+                let c = base + cut1[j] - 2 * shared[j];
+                if c > 0 && (c < row || (c == row && j < row_j)) {
+                    (row, row_j) = (c, j);
+                }
+                let up = parent[j] as usize;
+                if up >= e {
+                    shared[up] += shared[j];
+                    pending[up] -= 1;
+                    if pending[up] == 0 {
+                        ready.push(up as u32);
+                    }
+                }
+                is_touched[j] = false;
+                shared[j] = 0;
+            }
+            if row < best {
+                best = row;
+                winner = Some((i, Some(row_j)));
             }
         }
     }
-    (best, best_side)
+
+    // The side: subtree(i), or subtree(i) Δ subtree(j).
+    let Some((i, j)) = winner else {
+        return (best, Vec::new());
+    };
+    let mut in_side = vec![false; n];
+    let ranges = std::iter::once(i).chain(j).map(|p| p..end[p] as usize);
+    for p in ranges.flatten() {
+        in_side[p] ^= true;
+    }
+    let side = (0..n as NodeId)
+        .filter(|&v| in_side[pos[v as usize] as usize])
+        .collect();
+    (best, side)
 }
 
-/// Greedy tree packing: `count` spanning trees of `skeleton`, each a
-/// minimum spanning tree with respect to current edge loads.
+/// Greedy tree packing: `count` spanning trees of the connected
+/// `skeleton`, each the minimum spanning tree under the current edge
+/// loads (times used so far) with ties broken by edge id, as
+/// [`kruskal`](lcs_graph::kruskal) picks it. A tree lists its edges in
+/// ascending id.
 fn pack_trees(skeleton: &Graph, count: usize) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut loads: Vec<u64> = vec![0; skeleton.m()];
+    let (n, edges) = (skeleton.n(), skeleton.edges());
+    let mut loads = vec![0u32; edges.len()];
+    let mut by_load = vec![0u32; edges.len()];
+    let mut in_tree = vec![false; edges.len()];
     let mut trees = Vec::with_capacity(count);
-    for _ in 0..count {
-        let wg = WeightedGraph::new(skeleton.clone(), loads.clone())
-            .expect("load vector sized to skeleton");
-        let msf = kruskal(&wg);
-        let edges: Vec<(NodeId, NodeId)> = msf
-            .edges
-            .iter()
-            .map(|&e| skeleton.edge_endpoints(e))
-            .collect();
-        for &e in &msf.edges {
-            loads[e.index()] += 1;
+    for packed in 0..count {
+        // Bucket the edges by load (at most `packed`), in id order.
+        let mut next = vec![0usize; packed + 2];
+        for &load in &loads {
+            next[load as usize + 1] += 1;
         }
-        trees.push(edges);
+        for l in 1..next.len() {
+            next[l] += next[l - 1];
+        }
+        for (e, &load) in loads.iter().enumerate() {
+            by_load[next[load as usize]] = e as u32;
+            next[load as usize] += 1;
+        }
+        let mut uf = UnionFind::new(n);
+        let mut picked = 0;
+        in_tree.fill(false);
+        for &e in &by_load {
+            if picked + 1 >= n {
+                break;
+            }
+            let (u, v) = edges[e as usize];
+            if uf.union(u, v) {
+                in_tree[e as usize] = true;
+                picked += 1;
+            }
+        }
+        let mut tree = Vec::with_capacity(picked);
+        for (e, &pair) in edges.iter().enumerate() {
+            if in_tree[e] {
+                loads[e] += 1;
+                tree.push(pair);
+            }
+        }
+        trees.push(tree);
     }
     trees
 }
@@ -336,16 +521,21 @@ pub fn approximate_min_cut(
         + 2 * (ceil_log2(n) as u64) * (mst_probe.total_rounds / mst_probe.phases.max(1) as u64);
 
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut buffers = CutBuffers::default();
     let mut total_rounds = 0u64;
     let mut trees_packed = 0usize;
     let mut iterations = 0u32;
     let mut estimate = best.max(1);
+    let mut sample_all = false;
     loop {
         iterations += 1;
         // Skeleton: weighted sampling — edge kept with probability
         // 1 − (1−p)^w (a weight-w bundle of parallel unit edges).
-        let p =
-            (cfg.sampling_constant * ln_n / (cfg.epsilon * cfg.epsilon * estimate as f64)).min(1.0);
+        let p = if sample_all {
+            1.0
+        } else {
+            (cfg.sampling_constant * ln_n / (cfg.epsilon * cfg.epsilon * estimate as f64)).min(1.0)
+        };
         let kept: Vec<(NodeId, NodeId)> = g
             .edge_ids()
             .filter(|&e| {
@@ -357,12 +547,14 @@ pub fn approximate_min_cut(
             .collect();
         let skeleton = Graph::from_edges(n, &kept).expect("skeleton nodes in range");
         if !lcs_graph::is_connected(&skeleton) {
-            // Sampling too sparse (estimate too big): the min cut is
-            // tiny; halve the estimate and retry.
-            estimate = (estimate / 2).max(1);
             if p >= 1.0 {
-                break; // skeleton == G and still disconnected: impossible here
+                break; // only zero-weight edges were left out
             }
+            // Sampling too sparse (estimate too big): the min cut is
+            // tiny; halve the estimate and retry. An estimate already
+            // at 1 cannot shrink, so the next skeleton keeps every edge.
+            sample_all = estimate == 1;
+            estimate = (estimate / 2).max(1);
             continue;
         }
         // Pack trees and evaluate respecting cuts on the ORIGINAL graph.
@@ -370,7 +562,7 @@ pub fn approximate_min_cut(
         trees_packed += trees.len();
         total_rounds += trees.len() as u64 * per_tree_rounds;
         for tree in &trees {
-            let (w, side) = min_respecting_cut(wg, tree, 0);
+            let (w, side) = min_respecting_cut(wg, tree, 0, &mut buffers);
             if w < best && !side.is_empty() && side.len() < n {
                 best = w;
                 best_side = side;
@@ -467,6 +659,7 @@ pub fn approximation_ratio(wg: &WeightedGraph, outcome: &MinCutOutcome) -> f64 {
 mod tests {
     use super::*;
     use lcs_graph::{cut_weight, gnp_connected, HighwayGraph, HighwayParams};
+    use rand::seq::SliceRandom;
 
     fn weighted_fixture(seed: u64) -> WeightedGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -484,7 +677,7 @@ mod tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0);
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
         let exact = stoer_wagner(&wg).unwrap().weight;
         assert_eq!(w, exact);
         assert_eq!(cut_weight(&wg, &side), w);
@@ -530,6 +723,10 @@ mod tests {
             let out = approximate_min_cut(&wg, &cfg).unwrap();
             // The returned side must evaluate to the claimed weight.
             assert_eq!(cut_weight(&wg, &out.side), out.weight, "seed {seed}");
+            assert!(
+                out.side.windows(2).all(|w| w[0] < w[1]),
+                "side sorted ascending"
+            );
             let r = approximation_ratio(&wg, &out);
             assert!(r >= 1.0 - 1e-9, "cannot beat the exact cut");
             worst = worst.max(r);
@@ -657,6 +854,182 @@ mod tests {
         assert_eq!(out.total_rounds, clean.total_rounds + deg.extra_rounds);
     }
 
+    /// Brute-force reference for [`min_respecting_cut`]: weighs every
+    /// subtree, then every `subtree(u) Δ subtree(v)` with `u` before
+    /// `v` in DFS preorder, using `cut_weight`, and keeps the first
+    /// strictly lighter cut (a pair must weigh more than 0).
+    fn respecting_cut_oracle(
+        wg: &WeightedGraph,
+        tree: &[(NodeId, NodeId)],
+        root: NodeId,
+    ) -> (u64, Vec<NodeId>) {
+        fn visit(
+            v: NodeId,
+            adj: &[Vec<NodeId>],
+            parent: &mut [Option<NodeId>],
+            seen: &mut [bool],
+            order: &mut Vec<NodeId>,
+        ) {
+            seen[v as usize] = true;
+            order.push(v);
+            for &w in &adj[v as usize] {
+                if !seen[w as usize] {
+                    parent[w as usize] = Some(v);
+                    visit(w, adj, parent, seen, order);
+                }
+            }
+        }
+        let n = wg.graph().n();
+        let mut adj = vec![Vec::new(); n];
+        for &(u, v) in tree {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let (mut parent, mut seen, mut order) = (vec![None; n], vec![false; n], Vec::new());
+        visit(root, &adj, &mut parent, &mut seen, &mut order);
+        // subtree[u][x]: is u on the tree path from x up to the root?
+        let mut subtree = vec![vec![false; n]; n];
+        for x in 0..n as NodeId {
+            for u in std::iter::successors(Some(x), |&y| parent[y as usize]) {
+                subtree[u as usize][x as usize] = true;
+            }
+        }
+        let mut best = (u64::MAX, Vec::new());
+        for &u in &order[1..] {
+            let su = &subtree[u as usize];
+            let side: Vec<NodeId> = (0..n as NodeId).filter(|&x| su[x as usize]).collect();
+            let w = cut_weight(wg, &side);
+            if w < best.0 {
+                best = (w, side);
+            }
+        }
+        for (a, &u) in order.iter().enumerate().skip(1) {
+            for &v in &order[a + 1..] {
+                let (su, sv) = (&subtree[u as usize], &subtree[v as usize]);
+                let side: Vec<NodeId> = (0..n as NodeId)
+                    .filter(|&x| su[x as usize] != sv[x as usize])
+                    .collect();
+                let w = cut_weight(wg, &side);
+                if w > 0 && w < best.0 {
+                    best = (w, side);
+                }
+            }
+        }
+        best
+    }
+
+    /// Cliques of 1..=4 nodes on weight-9 edges, joined in a ring by
+    /// unit edges: any two ring edges make a minimum cut, so many
+    /// 2-respecting pairs tie.
+    fn cluster_ring(rng: &mut ChaCha8Rng) -> WeightedGraph {
+        let sizes: Vec<NodeId> = (0..rng.gen_range(3..9))
+            .map(|_| rng.gen_range(1..=4))
+            .collect();
+        let starts: Vec<NodeId> = sizes
+            .iter()
+            .scan(0, |next, &size| {
+                *next += size;
+                Some(*next - size)
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for c in 0..sizes.len() {
+            let (at, size) = (starts[c], sizes[c]);
+            for u in at..at + size {
+                edges.extend((u + 1..at + size).map(|v| (u, v, 9)));
+            }
+            let d = (c + 1) % sizes.len();
+            let (u, v) = (
+                at + rng.gen_range(0..size),
+                starts[d] + rng.gen_range(0..sizes[d]),
+            );
+            edges.push((u, v, 1));
+        }
+        WeightedGraph::from_weighted_edges(sizes.iter().sum::<NodeId>() as usize, &edges).unwrap()
+    }
+
+    #[test]
+    fn min_respecting_cut_matches_brute_force_oracle() {
+        // Connected G(n, p) with weights 1..=3 (ties), 1..=100, and
+        // 0..=2 (zero-weight edges, where a pair can weigh 0 and is
+        // skipped); then cluster rings, where 2-respecting cuts tie.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0AC1E);
+        let mut buffers = CutBuffers::default();
+        for case in 0..2700 {
+            let wg = if case < 2100 {
+                let n = rng.gen_range(3..40);
+                let p = rng.gen_range(0.05..0.3);
+                let g = gnp_connected(n, p, &mut rng);
+                let (lo, hi) = [(1, 3), (1, 100), (0, 2)][case % 3];
+                let weights = (0..g.m()).map(|_| rng.gen_range(lo..=hi)).collect();
+                WeightedGraph::new(g, weights).unwrap()
+            } else {
+                cluster_ring(&mut rng)
+            };
+            let n = wg.graph().n();
+            // A random spanning tree (Kruskal over shuffled edges),
+            // listed in shuffled order, rooted at a random node.
+            let mut edges = wg.graph().edges().to_vec();
+            edges.shuffle(&mut rng);
+            let mut uf = UnionFind::new(n);
+            let mut tree: Vec<(NodeId, NodeId)> =
+                edges.into_iter().filter(|&(u, v)| uf.union(u, v)).collect();
+            tree.shuffle(&mut rng);
+            let root = rng.gen_range(0..n as NodeId);
+            assert_eq!(
+                min_respecting_cut(&wg, &tree, root, &mut buffers),
+                respecting_cut_oracle(&wg, &tree, root),
+                "case {case}: n={n} root={root} tree={tree:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a spanning tree")]
+    fn min_respecting_cut_rejects_a_short_tree() {
+        let wg = WeightedGraph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
+        min_respecting_cut(&wg, &[(0, 1), (1, 2)], 0, &mut CutBuffers::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a spanning tree")]
+    fn min_respecting_cut_rejects_a_tree_that_misses_a_node() {
+        // n − 1 edges, but a triangle leaves node 3 unreached.
+        let wg =
+            WeightedGraph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)])
+                .unwrap();
+        min_respecting_cut(
+            &wg,
+            &[(0, 1), (1, 2), (2, 0)],
+            0,
+            &mut CutBuffers::default(),
+        );
+    }
+
+    #[test]
+    fn starved_sampling_still_returns_the_min_cut() {
+        // With no sampling budget every skeleton is disconnected until
+        // the estimate reaches 1; the next one must keep every edge.
+        let wg =
+            WeightedGraph::from_weighted_edges(4, &[(0, 1, 3), (1, 2, 2), (2, 3, 4), (3, 0, 1)])
+                .unwrap();
+        let exact = stoer_wagner(&wg).unwrap().weight;
+        for cfg in [
+            MinCutConfig {
+                sampling_constant: 0.0,
+                ..MinCutConfig::default()
+            },
+            MinCutConfig {
+                epsilon: 1e9,
+                ..MinCutConfig::default()
+            },
+        ] {
+            let out = approximate_min_cut(&wg, &cfg).unwrap();
+            assert_eq!(out.weight, exact, "{cfg:?}");
+            assert_eq!(cut_weight(&wg, &out.side), exact, "{cfg:?}");
+        }
+    }
+
     #[test]
     fn rejects_uncuttable_inputs() {
         let single = WeightedGraph::from_weighted_edges(1, &[]).unwrap();
@@ -688,11 +1061,9 @@ mod nested_tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0);
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
         assert_eq!(w, 2);
-        let mut side = side;
-        side.sort_unstable();
-        assert!(side == vec![1, 2] || side == vec![0, 3, 4]);
+        assert_eq!(side, vec![1, 2]);
         assert_eq!(cut_weight(&wg, &side), 2);
         // Exact reference agrees.
         assert_eq!(stoer_wagner(&wg).unwrap().weight, 2);
@@ -708,7 +1079,7 @@ mod nested_tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0);
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
         assert_eq!(w, 2);
         assert!(side == vec![4] || side.len() == 4);
     }

@@ -293,15 +293,11 @@ pub fn min_cut_config(cx: &CustomizedIndex, seed: u64) -> MinCutConfig {
 
 fn min_cut(cx: &CustomizedIndex, seed: u64) -> QueryResult {
     match approximate_min_cut(cx.weighted_graph(), &min_cut_config(cx, seed)) {
-        Ok(out) => {
-            let mut side = out.side;
-            side.sort_unstable();
-            QueryResult::MinCut {
-                weight: out.weight,
-                side,
-                trees_packed: out.trees_packed as u64,
-            }
-        }
+        Ok(out) => QueryResult::MinCut {
+            weight: out.weight,
+            side: out.side,
+            trees_packed: out.trees_packed as u64,
+        },
         Err(e) => QueryResult::Failed(format!("min-cut: {e}")),
     }
 }

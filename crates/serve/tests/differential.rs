@@ -176,9 +176,7 @@ fn served_min_cut_is_byte_identical_to_one_shot() {
             trees_packed,
         } => {
             assert_eq!(*weight, one_shot.weight);
-            let mut expect = one_shot.side.clone();
-            expect.sort_unstable();
-            assert_eq!(side, &expect);
+            assert_eq!(side, &one_shot.side);
             assert_eq!(*trees_packed, one_shot.trees_packed as u64);
         }
         other => panic!("expected a min-cut answer, got {other:?}"),
