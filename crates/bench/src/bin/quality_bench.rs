@@ -31,6 +31,7 @@
 //! values per family.
 
 use lcs_bench::quality::{families, fingerprint, registry, run_cell, Cell, Family};
+use lcs_bench::{json_str, value_flag};
 use lcs_core::{k_d, KpParams};
 
 const SEED: u64 = 0xC0DE;
@@ -79,39 +80,16 @@ fn cell_json(c: &Cell) -> String {
     )
 }
 
-/// Extracts `"key": "value"` from the hand-rolled JSON this bench
-/// emits (no JSON dependency in the workspace — same approach as the
-/// sim_throughput gate).
-fn extract_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let start = json.find(&needle)? + needle.len();
-    let end = json[start..].find('"')? + start;
-    Some(&json[start..end])
-}
-
-/// Parses `--flag VALUE`, rejecting a bare `--flag` (a missing value
-/// must not silently behave like "no filter").
-fn parse_value_flag(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    match args.get(pos + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("quality_bench: {flag} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let explicit_out = parse_value_flag(&args, "--out");
+    let explicit_out = value_flag(&args, "--out");
     let out_path = explicit_out
         .clone()
         .unwrap_or_else(|| "BENCH_quality.json".to_string());
-    let check_path = parse_value_flag(&args, "--check");
-    let family_filter = parse_value_flag(&args, "--family");
-    let backend_filter = parse_value_flag(&args, "--backend");
+    let check_path = value_flag(&args, "--check");
+    let family_filter = value_flag(&args, "--family");
+    let backend_filter = value_flag(&args, "--backend");
     let filtered = family_filter.is_some() || backend_filter.is_some();
     if filtered && check_path.is_some() {
         eprintln!(
@@ -189,8 +167,8 @@ fn main() {
         // overwriting them.
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("quality_bench --check: cannot read {path}: {e}"));
-        let want_mode = extract_str(&committed, "mode").unwrap_or("?");
-        let want_fp = extract_str(&committed, "fingerprint").unwrap_or("?");
+        let want_mode = json_str(&committed, "mode").unwrap_or("?");
+        let want_fp = json_str(&committed, "fingerprint").unwrap_or("?");
         if want_mode != mode {
             eprintln!(
                 "quality_bench: committed {path} is a \"{want_mode}\" run; \

@@ -4,7 +4,8 @@
 //! — the wall-clock case for preprocess-once, query-many — emitted as
 //! `BENCH_serve.json`.
 //!
-//! Usage: `serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH]`
+//! Usage: `serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH]
+//! [--check PATH]`
 //!
 //! `--quick` shrinks the workload to CI scale. `--pools` takes a
 //! comma-separated sweep of pool sizes (pool size 1 is always measured
@@ -12,6 +13,13 @@
 //! records the batch fingerprint, and **exits nonzero if any pool
 //! size's results diverge from the 1-worker run's** — CI runs `--quick`
 //! and relies on that exit code as the serve determinism gate.
+//!
+//! `--check PATH` compares the run against a committed
+//! `BENCH_serve.json` instead of writing one: the modes and the
+//! `(pool, batch)` cells must match (exit 2 if not), and every cell's
+//! fingerprint must equal the committed one (exit 1 if not). CI runs
+//! `--quick --pools 1,4 --check BENCH_serve.json`, so a change to any
+//! served answer fails the build until the file is regenerated.
 //!
 //! The amortization section times, for N ∈ {1, 4, 16, ...}:
 //!
@@ -22,6 +30,7 @@
 //! Serving N ≥ 16 mixed queries from one index must beat N one-shot
 //! runs by ≥ 5× (the construction is repaid once instead of N times).
 
+use lcs_bench::{json_str, value_flag};
 use lcs_congest::AggOp;
 use lcs_core::{build_index_distributed, DistributedConfig};
 use lcs_graph::{HighwayGraph, HighwayParams, NodeId, WeightedGraph};
@@ -97,6 +106,68 @@ impl Amortization {
     }
 }
 
+/// The `(pool, batch, fingerprint)` of every throughput cell in a
+/// `BENCH_serve.json` this bench wrote.
+fn committed_cells(json: &str) -> Vec<(usize, usize, &str)> {
+    json.split("{\"pool\":")
+        .skip(1)
+        .filter_map(|cell| {
+            let (pool, rest) = cell.split_once(",\"batch\":")?;
+            let (batch, rest) = rest.split_once(',')?;
+            let (_, rest) = rest.split_once("\"fingerprint\":\"")?;
+            let (fingerprint, _) = rest.split_once('"')?;
+            Some((pool.parse().ok()?, batch.parse().ok()?, fingerprint))
+        })
+        .collect()
+}
+
+/// `--check`: exits 2 unless `path` holds a run of the same mode with
+/// the same cells, and 1 unless every cell's fingerprint matches.
+fn check_against(path: &str, mode: &str, cells: &[Cell]) {
+    let committed = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("serve_throughput --check: cannot read {path}: {e}"));
+    let want_mode = json_str(&committed, "mode").unwrap_or("?");
+    if want_mode != mode {
+        eprintln!(
+            "serve_throughput: committed {path} is a \"{want_mode}\" run; \
+             this is a \"{mode}\" run — modes must match to compare"
+        );
+        std::process::exit(2);
+    }
+    let want = committed_cells(&committed);
+    let mut regressed = false;
+    for cell in cells {
+        let got = format!("{:#018x}", cell.fingerprint);
+        match want
+            .iter()
+            .find(|&&(pool, batch, _)| pool == cell.pool && batch == cell.batch)
+        {
+            Some(&(_, _, fp)) if fp == got => {}
+            Some(&(_, _, fp)) => {
+                regressed = true;
+                eprintln!(
+                    "SERVE REGRESSION: pool {} batch {} fingerprint {got} does not match \
+                     committed {fp} in {path}",
+                    cell.pool, cell.batch
+                );
+            }
+            None => {
+                eprintln!(
+                    "serve_throughput: {path} has no pool {} batch {} cell — \
+                     pool sweeps must match to compare",
+                    cell.pool, cell.batch
+                );
+                std::process::exit(2);
+            }
+        }
+    }
+    if regressed {
+        eprintln!("(rerun without --check, with `--out {path}`, to regenerate if intentional)");
+        std::process::exit(1);
+    }
+    eprintln!("serve fingerprint check: ok ({} cells)", cells.len());
+}
+
 fn parse_pool_sweep(args: &[String]) -> Vec<usize> {
     let flag = args.iter().position(|a| a == "--pools");
     let raw = flag.and_then(|i| args.get(i + 1));
@@ -129,12 +200,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let pool_sweep = parse_pool_sweep(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = value_flag(&args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let check_path = value_flag(&args, "--check");
+    let mode = if quick { "quick" } else { "full" };
 
     // The constant-diameter highway workload the paper's lower bound
     // lives on: Γ vertex-disjoint paths through a D=4 core.
@@ -219,10 +287,12 @@ fn main() {
     }
 
     // --- Amortization curve: N one-shot pipelines vs 1 build + N serves ---
-    // Min-cut is excluded from this mix: its per-request tree packing
-    // costs more than construction itself, so including it would
-    // measure the query, not the construction the index repays. (It
-    // stays in the throughput grid and the determinism gate above.)
+    // Min-cut is excluded from this mix: one min-cut query costs about
+    // one construction at quick scale and up to twice one at full scale
+    // (0.35–0.56 ms vs 0.40 ms at n=61, 4.0–4.6 ms vs 2.5–3.3 ms at
+    // n=361, medians on a 2-core host), so including it would measure
+    // the query, not the construction the index repays. (It stays in
+    // the throughput grid and the determinism gate above.)
     let amortized_queries = |count: usize, n: usize| -> Vec<Query> {
         (0..count)
             .map(|i| match i % 3 {
@@ -281,7 +351,7 @@ fn main() {
             "  \"throughput\": [\n    {}\n  ],\n",
             "  \"amortization\": [\n    {}\n  ]\n}}\n"
         ),
-        if quick { "quick" } else { "full" },
+        mode,
         wg.graph().n(),
         wg.graph().m(),
         partition.num_parts(),
@@ -300,8 +370,13 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n    "),
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
-    eprintln!("wrote {out_path}");
+    match &check_path {
+        Some(path) => check_against(path, mode, &cells),
+        None => {
+            std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
+            eprintln!("wrote {out_path}");
+        }
+    }
     println!("{json}");
     if diverged {
         eprintln!("serve_throughput: served results diverged across pool sizes");

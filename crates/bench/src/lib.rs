@@ -155,6 +155,29 @@ impl BenchArgs {
     }
 }
 
+/// Parses `--flag VALUE` from a bin's arguments. A bare `--flag` (no
+/// value, or another flag next) exits with status 2 rather than
+/// behaving like an absent flag.
+pub fn value_flag(args: &[String], flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    match args.get(pos + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => {
+            eprintln!("{flag} requires a value");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Extracts `"key": "value"` from the hand-rolled JSON the bench bins
+/// emit (the workspace has no JSON dependency).
+pub fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    let start = json.find(&needle)? + needle.len();
+    let end = json[start..].find('"')? + start;
+    Some(&json[start..end])
+}
+
 /// Geometric mean of ratios (for summarizing bound slack).
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
