@@ -563,7 +563,7 @@ pub fn approximate_min_cut(
         total_rounds += trees.len() as u64 * per_tree_rounds;
         for tree in &trees {
             let (w, side) = min_respecting_cut(wg, tree, 0, &mut buffers);
-            if w < best && !side.is_empty() && side.len() < n {
+            if w < best {
                 best = w;
                 best_side = side;
             }
