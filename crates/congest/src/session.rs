@@ -76,9 +76,9 @@ pub struct Session<'g> {
     phases: Vec<RunStats>,
     round_budget: Option<u64>,
     /// Rounds charged to the budget by phases that FAILED with
-    /// [`SimError::RoundLimitExceeded`] (the engine reports no stats on
-    /// failure, but those rounds really executed — a failed phase must
-    /// not leave the budget untouched).
+    /// [`SimError::RoundLimitExceeded`] (such a phase is not listed in
+    /// `phases`, but its rounds really executed — it must not leave the
+    /// budget untouched).
     charged_rounds: u64,
 }
 
@@ -141,7 +141,8 @@ impl<'g> Session<'g> {
         self.host.pool.workers()
     }
 
-    /// Cumulative statistics over all completed phases.
+    /// Cumulative statistics over every entry of [`Session::phases`]:
+    /// completed phases and phases aborted by a model violation.
     pub fn stats(&self) -> &RunStats {
         &self.cumulative
     }
@@ -149,14 +150,25 @@ impl<'g> Session<'g> {
     /// Per-phase statistics, in execution order, each labeled with the
     /// phase's [`Protocol::label`] (or the explicit
     /// [`Session::run_labeled`] label).
+    ///
+    /// A phase aborted by a model violation (say
+    /// [`SimError::QuietBoundViolated`]) is listed too. Its `rounds`
+    /// count the round the violation happened in; its messages, words
+    /// and fault counters stop at the end of the round before. How much
+    /// of the aborting round ran depends on the shard count, so leaving
+    /// it out keeps the entry identical at every shard count. A phase
+    /// that failed with [`SimError::RoundLimitExceeded`] or was refused
+    /// before it started (an invalid configuration, a spent budget) is
+    /// not listed.
     pub fn phases(&self) -> &[RunStats] {
         &self.phases
     }
 
-    /// Rounds consumed so far, cumulative across phases — including
-    /// rounds charged to phases that failed with
+    /// Rounds consumed so far, cumulative across phases: the rounds of
+    /// every entry of [`Session::phases`], aborted ones included, plus
+    /// the cap of every phase that failed with
     /// [`SimError::RoundLimitExceeded`] (those executed to their cap
-    /// even though the engine reports no statistics for them).
+    /// but are not listed).
     pub fn rounds_used(&self) -> u64 {
         self.cumulative.rounds + self.charged_rounds
     }
@@ -257,23 +269,25 @@ impl<'g> Session<'g> {
         }
         cfg.validate(self.graph.n())?;
         let states = protocol.init(self.graph);
-        let (states, stats) = match run_phase(self.graph, &mut self.host, &protocol, states, &cfg) {
-            Ok(done) => done,
-            Err(e) => {
-                if matches!(e, SimError::RoundLimitExceeded { .. }) {
-                    // The phase ran all the way to its cap; debit the
-                    // budget so a caller that catches the error and
-                    // retries cannot execute unbounded rounds under it.
-                    self.charged_rounds += cfg.max_rounds;
-                }
-                return Err(e);
+        let (outcome, stats) = run_phase(self.graph, &mut self.host, &protocol, states, &cfg);
+        match outcome {
+            Err(e @ SimError::RoundLimitExceeded { .. }) => {
+                // The phase ran all the way to its cap; debit the
+                // budget so a caller that catches the error and
+                // retries cannot execute unbounded rounds under it.
+                self.charged_rounds += cfg.max_rounds;
+                Err(e)
             }
-        };
-        let stats = stats.labeled(label);
-        self.cumulative.absorb(&stats);
-        let output = protocol.finish(self.graph, states, &stats);
-        self.phases.push(stats);
-        Ok(output)
+            outcome => {
+                // Completed, or aborted by a model violation: either
+                // way its rounds ran, and they are billed alike.
+                let stats = stats.labeled(label);
+                self.cumulative.absorb(&stats);
+                let output = outcome.map(|states| protocol.finish(self.graph, states, &stats));
+                self.phases.push(stats);
+                output
+            }
+        }
     }
 }
 
@@ -475,6 +489,62 @@ mod tests {
         assert_eq!(a, b, "same phase seed, same streams");
         assert_ne!(a, c, "overridden seed must move the streams");
         assert_eq!(session.phases()[2].label, "coin2");
+    }
+
+    /// A phase aborted by a model violation is listed and billed: its
+    /// rounds include the aborting round, its traffic stops at the end
+    /// of the round before. The aborting round's sends are left out
+    /// even though every node made them before the violation.
+    #[test]
+    fn aborted_phase_is_billed_through_its_last_completed_round() {
+        // Every node sends to each neighbor every round; at round 3 the
+        // last node of the path also addresses node 0, a non-neighbor.
+        struct Chatter;
+        impl Protocol for Chatter {
+            type Msg = u32;
+            type State = ();
+            type Output = ();
+            fn init(&mut self, graph: &Graph) -> Vec<()> {
+                vec![(); graph.n()]
+            }
+            fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u32>) {
+                for i in 0..ctx.degree() {
+                    ctx.send_nth(i, 1);
+                }
+                if ctx.round() == 3 && ctx.node() as usize == ctx.n() - 1 {
+                    ctx.send(0, 2);
+                }
+            }
+            fn halted(&self, _: &()) -> bool {
+                false
+            }
+            fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
+        }
+        let g = lcs_graph::generators::path(6); // 5 edges, 10 arcs
+        for shards in [1, 2, 3] {
+            let cfg = SimConfig {
+                shards,
+                ..SimConfig::default()
+            };
+            let mut session = Session::new(&g, cfg);
+            let err = session.run_labeled("chatter", Chatter).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::InvalidDestination {
+                    from: 5,
+                    to: 0,
+                    round: 3
+                }
+            );
+            let phase = &session.phases()[0];
+            assert_eq!(phase.label, "chatter");
+            assert_eq!(phase.rounds, 4, "shards={shards}");
+            assert_eq!(phase.messages, 3 * 10, "rounds 0-2 only, shards={shards}");
+            assert_eq!(phase.words, 3 * 10);
+            assert_eq!(phase.per_edge_messages, vec![6; 5]);
+            assert_eq!(session.stats().messages, 30);
+            assert_eq!(session.rounds_used(), 4);
+        }
     }
 
     /// A model violation inside one side of a join aborts the run with

@@ -137,7 +137,8 @@
 //! the [`Wake`] quiescence contract — bit-identical to the
 //! retired full-scan engine, which invoked every node every round.
 //! Model violations abort with exactly the error the sequential engine
-//! would have reported first (lowest shard, then lowest node). This
+//! would have reported first (lowest shard, then lowest node), and with
+//! statistics cut at the end of the last completed round. This
 //! contract is enforced by the tier-1 differential suite
 //! (`tests/shard_equivalence.rs`), tier-2 proptests, and the
 //! shard-sweep determinism check in the `sim_throughput` bench.
@@ -886,6 +887,21 @@ struct Shard<M> {
     words: u64,
     inbox: Vec<(NodeId, M)>,
     faults: Option<FaultState<M>>,
+    /// [`Shard::counters`] as they stood when the current round began:
+    /// what a phase aborted by a model violation reports, since how
+    /// much of the aborting round ran depends on the shard boundaries.
+    round_start: [u64; 5],
+}
+
+impl<M> Shard<M> {
+    /// `[messages, words, dropped, delayed, corrupted]` so far.
+    fn counters(&self) -> [u64; 5] {
+        let (dropped, delayed, corrupted) = self
+            .faults
+            .as_ref()
+            .map_or((0, 0, 0), |fs| (fs.dropped, fs.delayed, fs.corrupted));
+        [self.messages, self.words, dropped, delayed, corrupted]
+    }
 }
 
 /// A pool worker's state: its shard bookkeeping plus disjoint mutable
@@ -1051,12 +1067,14 @@ fn run_shard<P: Protocol + Sync>(
     bounds: &[u32],
     mode: u8,
 ) -> (u64, Option<SimError>) {
+    sh.round_start = sh.counters();
     let Shard {
         core,
         messages,
         words,
         inbox,
         faults,
+        ..
     } = sh;
     let node_lo = core.node_lo;
     // Deferred cleanup: the slots this shard's messages were read from
@@ -1471,10 +1489,16 @@ fn run_shard_dense<P: Protocol + Sync>(
 /// [`crate::Wake`]). The outcome (node states, per-node RNG streams, and
 /// [`RunStats`]) is bit-identical at every shard count.
 ///
+/// Returns the final node states together with the statistics of the
+/// rounds that ran.
+///
 /// # Errors
 ///
-/// Returns a [`SimError`] on any CONGEST-model violation or when
-/// `cfg.max_rounds` is exceeded.
+/// The states are replaced by a [`SimError`] on any CONGEST-model
+/// violation or when `cfg.max_rounds` is exceeded; the statistics are
+/// still returned. After a violation, `rounds` counts the aborting
+/// round and every other counter stops at the end of the round before
+/// it, so the figures are the same at every shard count.
 ///
 /// # Panics
 ///
@@ -1487,7 +1511,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     protocol: &P,
     mut nodes: Vec<P::State>,
     cfg: &SimConfig,
-) -> Result<(Vec<P::State>, RunStats), SimError> {
+) -> (Result<Vec<P::State>, SimError>, RunStats) {
     assert_eq!(
         nodes.len(),
         graph.n(),
@@ -1563,6 +1587,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
                     words: 0,
                     inbox: Vec::new(),
                     faults,
+                    round_start: [0; 5],
                 },
                 nodes: node_chunk,
                 rngs: rng_chunk,
@@ -1704,47 +1729,55 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             }
         }
     }
-    let fold_stats = matches!(outcome, Some(Ok(())));
-    for w in workers {
-        if fold_stats {
-            stats.messages += w.sh.messages;
-            stats.words += w.sh.words;
-            if let Some(fs) = &w.sh.faults {
-                stats.dropped += fs.dropped;
-                stats.delayed += fs.delayed;
-                stats.corrupted += fs.corrupted;
+    // A violation stops the run part-way through its last round, at a
+    // point that depends on where the shard boundaries fall, so an
+    // aborted run's counters stop at the end of the last completed
+    // round (its `rounds` still count the aborting one).
+    let aborted = matches!(outcome, Some(Err(_)));
+    for mut w in workers {
+        let [messages, words, dropped, delayed, corrupted] = if aborted {
+            let core = &mut w.sh.core;
+            for &a in &core.dirty_out {
+                core.per_arc[a as usize - core.arc_lo] -= 1;
             }
-            for (j, &x) in w.sh.core.per_arc.iter().enumerate() {
-                if x > 0 {
-                    let e = graph.arc_edge(ArcId((w.sh.core.arc_lo + j) as u32));
-                    stats.per_edge_messages[e.index()] += u64::from(x);
-                }
+            w.sh.round_start
+        } else {
+            w.sh.counters()
+        };
+        stats.messages += messages;
+        stats.words += words;
+        stats.dropped += dropped;
+        stats.delayed += delayed;
+        stats.corrupted += corrupted;
+        for (j, &x) in w.sh.core.per_arc.iter().enumerate() {
+            if x > 0 {
+                let e = graph.arc_edge(ArcId((w.sh.core.arc_lo + j) as u32));
+                stats.per_edge_messages[e.index()] += u64::from(x);
             }
         }
         cores.push(w.sh.core);
     }
-    if fold_stats {
-        if let Some(plan) = &cfg.faults {
-            // Crashes are per-node events decided by the plan, not the
-            // shards: count the distinct nodes whose crash round fell
-            // inside the run (validation rules out duplicate nodes).
-            stats.crashed_nodes = plan
-                .crashes
-                .iter()
-                .filter(|c| c.at_round < stats.rounds)
-                .count() as u64;
-        }
+    if let Some(plan) = &cfg.faults {
+        // Crashes are per-node events decided by the plan, not the
+        // shards: count the distinct nodes whose crash round fell
+        // inside the run (validation rules out duplicate nodes).
+        stats.crashed_nodes = plan
+            .crashes
+            .iter()
+            .filter(|c| c.at_round < stats.rounds)
+            .count() as u64;
     }
     let [b0, b1] = bufs;
     arena.put(b0);
     arena.put(b1);
-    match outcome {
-        Some(Ok(())) => Ok((nodes, stats)),
+    let outcome = match outcome {
+        Some(Ok(())) => Ok(nodes),
         Some(Err(e)) => Err(e),
         None => Err(SimError::RoundLimitExceeded {
             limit: cfg.max_rounds,
         }),
-    }
+    };
+    (outcome, stats)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 use lcs_congest::{
     positions_from_tree, AggOp, Bfs, Crash, DistBfsOutcome, FaultPlan, MultiAggOutcome,
     MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsOutcome, MultiBfsSpec, Participation,
-    PrefixNumber, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig, TreeAggregate, Wake,
+    PrefixNumber, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig, SimError,
+    TreeAggregate, Wake,
 };
 use lcs_graph::{gnp_connected, Graph, NodeId};
 use rand::SeedableRng;
@@ -584,5 +585,64 @@ fn composed_sessions_are_byte_equal_across_shard_counts() {
                 assert_eq!(shape, base_shape, "shape, seed={seed}, shards={shards}");
             }
         }
+    }
+}
+
+/// A phase aborted by `QuietBoundViolated` is billed, identically at
+/// every shard count: one session runs `Reliable<Bfs>` under a quiet
+/// bound far below the diameter on a lossy network, then the same
+/// protocol with no bound. The error, the phase list, the totals and
+/// `rounds_used` are byte-equal for shards {1, 2, 3, 8}. Counting the
+/// aborting round's partial sends would break this, since how far each
+/// shard got into that round depends on where its boundaries fall.
+#[test]
+fn aborted_phase_accounting_is_byte_equal_across_shard_counts() {
+    let g = lcs_graph::generators::grid(12, 5); // diameter 15
+    let plan = FaultPlan {
+        drop_rate: 0.10,
+        delay_rate: 0.10,
+        max_delay: 2,
+        corrupt_rate: 0.05,
+        crashes: Vec::new(),
+        fault_seed: 0xAB0_4ED,
+    };
+    let run_one = |shards: usize| {
+        let mut s = Session::new(
+            &g,
+            SimConfig {
+                seed: 0xAB07,
+                shards,
+                max_rounds: 50_000,
+                faults: Some(plan.clone()),
+                ..SimConfig::default()
+            },
+        );
+        let err = s
+            .run_labeled("guess", Reliable::new(Bfs::new(0)).with_quiet_bound(1))
+            .unwrap_err();
+        let exact = s.run_labeled("exact", Reliable::new(Bfs::new(0))).unwrap();
+        (
+            err,
+            exact.dist,
+            s.phases().to_vec(),
+            s.stats().clone(),
+            s.rounds_used(),
+        )
+    };
+    let base = run_one(1);
+    let (err, _, phases, total, used) = &base;
+    assert!(
+        matches!(err, SimError::QuietBoundViolated { .. }),
+        "wrong error: {err}"
+    );
+    assert_eq!(phases.len(), 2, "the aborted attempt is listed");
+    assert_eq!(phases[0].label, "guess");
+    assert!(phases[0].rounds > 0 && phases[0].messages > 0);
+    assert!(phases[0].dropped + phases[0].delayed + phases[0].corrupted > 0);
+    assert_eq!(total.rounds, phases[0].rounds + phases[1].rounds);
+    assert_eq!(total.messages, phases[0].messages + phases[1].messages);
+    assert_eq!(*used, total.rounds);
+    for shards in SHARDS {
+        assert_eq!(run_one(shards), base, "shards={shards}");
     }
 }
