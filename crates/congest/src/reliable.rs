@@ -32,7 +32,10 @@
 //! was inactive at virtual round `t − d`, and since (re)activation
 //! requires an inner payload from an active neighbor one round earlier,
 //! no inner activity can ever reach a node whose quiet cone covers the
-//! whole graph. A stopped node still acks and retransmits until its
+//! whole graph. [`Reliable::with_quiet_bound`] caps the levels at a
+//! diameter guess instead; a guess that is too small either changes
+//! nothing or aborts the run with
+//! [`SimError::QuietBoundViolated`]. A stopped node still acks and retransmits until its
 //! links drain, and *manufactures* empty frames on demand when a
 //! not-yet-stopped neighbor's sequence numbers show it needs one more —
 //! so nobody deadlocks waiting for a frame a stopped peer never
@@ -454,11 +457,20 @@ impl<P: Protocol> Reliable<P> {
     /// inner protocol goes quiet; a tight diameter bound reduces that
     /// to `Θ(D)`.
     ///
-    /// `diameter_bound` MUST be a true upper bound on the graph's
-    /// diameter — an underestimate can stop the synchronizer while
-    /// inner activity is still propagating, losing messages the inner
-    /// protocol was owed. (Values `≥ n` are clamped; the default is
-    /// always safe.)
+    /// The bound need not be true. If the inner protocol keeps the
+    /// [`Wake`] contract (a [`Wake::Sleep`] node's hook, run with an
+    /// empty inbox, would be a no-op), a run under **any** bound ends in
+    /// one of two ways: it returns exactly the fault-free output, or it
+    /// aborts with [`SimError::QuietBoundViolated`]. A stopped node is
+    /// asleep, so it can only miss work through an inner payload, and
+    /// every such payload is caught — when the node stops with it
+    /// pending, or when it arrives later. A bound at least the diameter
+    /// of the graph the inner protocol runs on (the survivors, under
+    /// [`Reliable::with_crashed`]) never aborts, and a bound of `n − 1`
+    /// or more is the default wave. An aborted run is billed in its
+    /// [`Session`](crate::Session) like any other, so a caller that
+    /// does not know the diameter can guess a small bound and double it
+    /// on the error.
     #[must_use]
     pub fn with_quiet_bound(mut self, diameter_bound: u32) -> Self {
         self.quiet_bound = Some(diameter_bound);
@@ -1101,6 +1113,66 @@ mod tests {
             .run(Reliable::new(Bfs::new(0)).with_quiet_bound(23))
             .unwrap();
         assert_eq!(ok.dist, clean.dist);
+    }
+
+    /// The quiet bound's contract: under ANY bound, true or not, a run
+    /// returns exactly the fault-free output or aborts with
+    /// `QuietBoundViolated`, and a bound of at least the diameter never
+    /// aborts. Swept over every bound `0..=n` on four fixed graphs under
+    /// a drop + delay + corrupt plan, for a flooding protocol (`Bfs`)
+    /// and one that sleeps between messages (`TreeAggregate`).
+    #[test]
+    fn any_quiet_bound_gives_exact_output_or_the_typed_error() {
+        let graphs = [
+            lcs_graph::generators::path(14),
+            lcs_graph::generators::cycle(12),
+            lcs_graph::generators::grid(4, 5),
+            gnp(24, 0.12, 0xB0B),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.n() as u32;
+            let diameter = lcs_graph::exact_diameter(g).expect("nonempty graph");
+            let clean = Session::new(g, SimConfig::default())
+                .run(Bfs::new(0))
+                .unwrap();
+            let positions = positions_from_tree(0, &clean.parent, &clean.children);
+            let values: Vec<u64> = (0..u64::from(n)).map(|v| 3 * v + 1).collect();
+            let agg = || TreeAggregate::new(positions.clone(), &values, AggOp::Sum, true);
+            let (clean_sum, _) = Session::new(g, SimConfig::default()).run(agg()).unwrap();
+            let mut aborted = 0;
+            for b in 0..=n {
+                let cfg = || lossy_cfg(1, 0x0B0B + u64::from(b));
+                let checked = |err: SimError| {
+                    assert!(
+                        matches!(err, SimError::QuietBoundViolated { .. }),
+                        "graph {gi}, bound {b}: {err}"
+                    );
+                    assert!(b < diameter, "graph {gi}: true bound {b} aborted");
+                };
+                match Session::new(g, cfg()).run(Reliable::new(Bfs::new(0)).with_quiet_bound(b)) {
+                    Ok(out) => {
+                        assert_eq!(out.dist, clean.dist, "graph {gi}, bound {b}");
+                        assert_eq!(out.parent, clean.parent, "graph {gi}, bound {b}");
+                        assert_eq!(out.children, clean.children, "graph {gi}, bound {b}");
+                    }
+                    Err(err) => {
+                        checked(err);
+                        aborted += 1;
+                    }
+                }
+                match Session::new(g, cfg()).run(Reliable::new(agg()).with_quiet_bound(b)) {
+                    Ok((sum, _)) => assert_eq!(sum, clean_sum, "graph {gi}, bound {b}"),
+                    Err(err) => {
+                        checked(err);
+                        aborted += 1;
+                    }
+                }
+            }
+            assert!(
+                aborted > 0,
+                "graph {gi}: no bound aborted, the sweep tests nothing"
+            );
+        }
     }
 
     /// Transient crash windows (state intact, in-flight mail lost) are
