@@ -30,12 +30,24 @@
 //! nonzero if any sharded run's fingerprint, phase breakdown, or
 //! excision set diverges from the 1-shard run's — graceful degradation
 //! is inside the same determinism contract as the fault-free engine.
+//!
+//! Usage: `adversary_bench [--quick] [--shards 1,K,...] [--out PATH]
+//! [--check PATH]`
+//!
+//! `--check PATH` compares the run against a committed
+//! `BENCH_adversary.json` instead of writing one: the mode and the
+//! `(scenario, shards)` set must match (exit 2 if not), and every
+//! scenario's rounds, messages, excision count, stats fingerprint and
+//! phase breakdown must equal the committed ones (exit 1 if not). CI
+//! runs `--shards 1,4 --check BENCH_adversary.json` at full scale, so a
+//! change to what any fault scenario costs or decides fails the build
+//! until the file is regenerated.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
-use lcs_bench::{f3, highway_workload, Table};
+use lcs_bench::{f3, highway_workload, json_str, value_flag, Table};
 use lcs_congest::hash::splitmix64;
 use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_core::{distributed_shortcuts, DistributedConfig, DistributedOutcome};
@@ -322,47 +334,126 @@ fn assert_same_shortcuts(name: &str, a: &DistributedOutcome, b: &DistributedOutc
     }
 }
 
-fn parse_args() -> (bool, Vec<usize>, String) {
-    let mut quick = false;
-    let mut shards = vec![1, 4];
-    let mut out_path = "BENCH_adversary.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--shards" => {
-                let Some(spec) = args.next() else {
-                    eprintln!("--shards needs a comma-separated list, e.g. --shards 1,4");
-                    std::process::exit(2);
-                };
-                shards = spec
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad shard count {s:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                if shards.is_empty() || shards[0] != 1 {
-                    // The 1-shard run is the determinism baseline.
-                    shards.retain(|&s| s != 1);
-                    shards.insert(0, 1);
-                }
+/// The raw text of `key`'s value in one scenario object of the JSON
+/// [`Measurement::json`] writes: an array up to its `]`, anything else
+/// up to the next `,` or `}`. Keys are matched with their opening
+/// quote, so `"rounds"` never matches `"extra_rounds"`, and the
+/// scenario's own fields precede its phase array.
+fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let start = obj.find(&needle)? + needle.len();
+    let rest = &obj[start..];
+    let end = if rest.starts_with('[') {
+        rest.find(']')? + 1
+    } else {
+        rest.find([',', '}'])?
+    };
+    Some(&rest[..end])
+}
+
+/// The fields `--check` compares: everything a scenario decides or
+/// costs in rounds and messages. Wall time is left out, and the
+/// overhead ratios follow from the rounds and messages.
+const GATED: [&str; 5] = [
+    "rounds",
+    "messages",
+    "excluded",
+    "stats_fingerprint",
+    "phases",
+];
+
+/// `--check`: exits 2 unless `path` holds a run of the same mode over
+/// the same `(scenario, shards)` set, and 1 unless every gated field of
+/// every scenario matches.
+fn check_against(path: &str, mode: &str, all: &[Measurement]) {
+    let committed = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("adversary_bench --check: cannot read {path}: {e}"));
+    let want_mode = json_str(&committed, "mode").unwrap_or("?");
+    if want_mode != mode {
+        eprintln!(
+            "adversary_bench: committed {path} is a \"{want_mode}\" run; \
+             this is a \"{mode}\" run — modes must match to compare"
+        );
+        std::process::exit(2);
+    }
+    let key = |obj: &str| {
+        (
+            raw_field(obj, "name")
+                .unwrap_or("?")
+                .trim_matches('"')
+                .to_string(),
+            raw_field(obj, "shards").unwrap_or("?").to_string(),
+        )
+    };
+    let want: Vec<String> = committed
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("{\"name\":"))
+        .map(|l| l.trim_end_matches(',').to_string())
+        .collect();
+    let got: Vec<String> = all.iter().map(Measurement::json).collect();
+    let mut want_keys: Vec<_> = want.iter().map(|o| key(o)).collect();
+    let mut got_keys: Vec<_> = got.iter().map(|o| key(o)).collect();
+    want_keys.sort();
+    got_keys.sort();
+    if want_keys != got_keys {
+        eprintln!(
+            "adversary_bench: {path} holds scenarios {want_keys:?}, this run has \
+             {got_keys:?} — the scenario and shard sets must match to compare"
+        );
+        std::process::exit(2);
+    }
+    let mut regressed = false;
+    for obj in &got {
+        let k = key(obj);
+        let committed_obj = want.iter().find(|o| key(o) == k).expect("same key sets");
+        for field in GATED {
+            let (now, then) = (raw_field(obj, field), raw_field(committed_obj, field));
+            if now != then {
+                regressed = true;
+                eprintln!(
+                    "ADVERSARY REGRESSION: {} @ {} shards: {field} is {} but {path} has {}",
+                    k.0,
+                    k.1,
+                    now.unwrap_or("(missing)"),
+                    then.unwrap_or("(missing)"),
+                );
             }
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
-            }
-            _ => {}
         }
     }
-    (quick, shards, out_path)
+    if regressed {
+        eprintln!("(rerun without --check, with `--out {path}`, to regenerate if intentional)");
+        std::process::exit(1);
+    }
+    eprintln!("adversary check: ok ({} scenarios)", got.len());
+}
+
+fn parse_args() -> (bool, Vec<usize>, String, Option<String>) {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let mut shards = vec![1, 4];
+    if let Some(spec) = value_flag(&args, "--shards") {
+        shards = spec
+            .split(',')
+            .map(|s| {
+                s.trim().parse().unwrap_or_else(|_| {
+                    eprintln!("bad shard count {s:?}");
+                    std::process::exit(2);
+                })
+            })
+            .collect();
+        if shards.is_empty() || shards[0] != 1 {
+            // The 1-shard run is the determinism baseline.
+            shards.retain(|&s| s != 1);
+            shards.insert(0, 1);
+        }
+    }
+    let out_path = value_flag(&args, "--out").unwrap_or_else(|| "BENCH_adversary.json".to_string());
+    (quick, shards, out_path, value_flag(&args, "--check"))
 }
 
 fn main() {
-    let (quick, shard_sweep, out_path) = parse_args();
+    let (quick, shard_sweep, out_path, check_path) = parse_args();
     let (n_target, k_crashes) = if quick { (300, 2) } else { (1500, 3) };
 
     let (hw, partition) = highway_workload(n_target, 4);
@@ -530,18 +621,19 @@ fn main() {
         .map(Measurement::json)
         .collect::<Vec<_>>()
         .join(",\n    ");
+    let mode = if quick { "quick" } else { "full" };
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"adversary_bench\",\n  \"mode\": \"{}\",\n",
             "  \"shard_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
             "  \"scenarios\": [\n    {}\n  ]\n}}\n"
         ),
-        if quick { "quick" } else { "full" },
-        shard_sweep,
-        determinism,
-        body,
+        mode, shard_sweep, determinism, body,
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_adversary.json");
+    match &check_path {
+        Some(path) => check_against(path, mode, &all),
+        None => std::fs::write(&out_path, &json).expect("write BENCH_adversary.json"),
+    }
     println!("{json}");
     if !diverged.is_empty() {
         eprintln!("DETERMINISM FAILURE: {determinism}");
