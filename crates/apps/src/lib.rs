@@ -35,13 +35,15 @@ pub mod sssp;
 pub mod two_ecss;
 
 pub use mincut::{
-    approximate_min_cut, approximation_ratio, MinCutConfig, MinCutError, MinCutOutcome,
+    approximate_min_cut, approximation_ratio, min_cut_search, CutSearch, MinCutConfig, MinCutError,
+    MinCutOutcome,
 };
 pub use mst::{
     assert_matches_kruskal, mst_via_shortcuts, MstConfig, MstError, MstOutcome, PhaseCost,
     ShortcutStrategy,
 };
 pub use sssp::{
-    bellman_ford_rounds, shortcut_sssp, shortcut_sssp_simulated, SimulatedSsspOutcome, SsspOutcome,
+    bellman_ford_rounds, part_tree_depths, relax_partwise, shortcut_sssp, shortcut_sssp_simulated,
+    SimulatedSsspOutcome, SsspOutcome,
 };
 pub use two_ecss::{two_ecss, verify_two_ecss, TwoEcssError, TwoEcssOutcome};

@@ -40,7 +40,7 @@
 //! centrally with its round cost charged per GH16's distributed
 //! implementation — see DESIGN.md (substitutions).
 
-use crate::mst::{mst_via_shortcuts, MstConfig, MstError};
+use crate::mst::{check_encodable, mst_via_shortcuts, MstConfig, MstError};
 use lcs_congest::{ceil_log2, FaultPlan, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
 use lcs_graph::{stoer_wagner, Graph, NodeId, UnionFind, WeightedGraph};
@@ -476,31 +476,44 @@ fn pack_trees(skeleton: &Graph, count: usize) -> Vec<Vec<(NodeId, NodeId)>> {
     trees
 }
 
-/// Runs the (1+ε)-approximate min cut.
-///
-/// With a [`FaultPlan`](MstConfig::faults) attached to `cfg.mst`,
-/// crash-stopped nodes are detected and excised first (see
-/// [`lcs_core::degrade`]) and the cut is computed on the surviving
-/// subgraph — the returned side carries **original** node ids and the
-/// outcome a [`DegradedOutcome`].
+/// What the cut search found, before its rounds are priced.
+#[derive(Debug, Clone)]
+pub struct CutSearch {
+    /// The best cut weight found.
+    pub weight: u64,
+    /// One side of the best cut found, sorted ascending.
+    pub side: Vec<NodeId>,
+    /// Trees packed in total.
+    pub trees_packed: usize,
+    /// Estimate-loop iterations.
+    pub estimate_iterations: u32,
+}
+
+fn check_cuttable(g: &Graph) -> Result<(), MinCutError> {
+    if g.n() < 2 || !lcs_graph::is_connected(g) {
+        return Err(MinCutError::NotCuttable);
+    }
+    Ok(())
+}
+
+/// The cut search of [`approximate_min_cut`] without its round
+/// pricing: skeleton sampling, greedy tree packing and the
+/// respecting-cut scan, on the whole graph (`cfg.mst` is not run, and
+/// its fault plan is not consulted). The index-served min-cut calls
+/// this alone, since its answer carries no round count.
 ///
 /// # Errors
 ///
-/// [`MinCutError::NotCuttable`] for `n < 2` or disconnected inputs (or
-/// fewer than two survivors after excision);
-/// [`MinCutError::Sim`] when the detection phase fails.
-pub fn approximate_min_cut(
-    wg: &WeightedGraph,
-    cfg: &MinCutConfig,
-) -> Result<MinCutOutcome, MinCutError> {
+/// [`MinCutError::NotCuttable`] for `n < 2` or disconnected inputs;
+/// [`MinCutError::Mst`]`(`[`MstError::EncodingOverflow`]`)` when an
+/// edge's weight or id exceeds what the MST subroutine's MWOE encoding
+/// carries (weights of 2^37 or more), checked before any weight is
+/// summed.
+pub fn min_cut_search(wg: &WeightedGraph, cfg: &MinCutConfig) -> Result<CutSearch, MinCutError> {
     let g = wg.graph();
     let n = g.n();
-    if n < 2 || !lcs_graph::is_connected(g) {
-        return Err(MinCutError::NotCuttable);
-    }
-    if let Some(plan) = &cfg.mst.faults {
-        return degraded_min_cut(wg, cfg, &plan.clone());
-    }
+    check_cuttable(g)?;
+    check_encodable(wg)?;
     let ln_n = (n as f64).ln().max(1.0);
     let trees_per_round = cfg.trees.unwrap_or((3.0 * ln_n).ceil() as usize).max(1);
 
@@ -515,14 +528,8 @@ pub fn approximate_min_cut(
         }
     }
 
-    // Round cost of one MST-via-shortcuts (used per packed tree).
-    let mst_probe = mst_via_shortcuts(wg, &cfg.mst)?;
-    let per_tree_rounds = mst_probe.total_rounds
-        + 2 * (ceil_log2(n) as u64) * (mst_probe.total_rounds / mst_probe.phases.max(1) as u64);
-
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut buffers = CutBuffers::default();
-    let mut total_rounds = 0u64;
     let mut trees_packed = 0usize;
     let mut iterations = 0u32;
     let mut estimate = best.max(1);
@@ -560,7 +567,6 @@ pub fn approximate_min_cut(
         // Pack trees and evaluate respecting cuts on the ORIGINAL graph.
         let trees = pack_trees(&skeleton, trees_per_round);
         trees_packed += trees.len();
-        total_rounds += trees.len() as u64 * per_tree_rounds;
         for tree in &trees {
             let (w, side) = min_respecting_cut(wg, tree, 0, &mut buffers);
             if w < best {
@@ -580,12 +586,48 @@ pub fn approximate_min_cut(
         }
     }
 
-    Ok(MinCutOutcome {
+    Ok(CutSearch {
         weight: best,
         side: best_side,
         trees_packed,
-        total_rounds,
         estimate_iterations: iterations,
+    })
+}
+
+/// Runs the (1+ε)-approximate min cut: [`min_cut_search`], priced at
+/// one MST-via-shortcuts run under `cfg.mst` (plus its subtree-sum
+/// aggregations) per packed tree.
+///
+/// With a [`FaultPlan`](MstConfig::faults) attached to `cfg.mst`,
+/// crash-stopped nodes are detected and excised first (see
+/// [`lcs_core::degrade`]) and the cut is computed on the surviving
+/// subgraph — the returned side carries **original** node ids and the
+/// outcome a [`DegradedOutcome`].
+///
+/// # Errors
+///
+/// [`MinCutError::NotCuttable`] for `n < 2` or disconnected inputs (or
+/// fewer than two survivors after excision);
+/// [`MinCutError::Mst`] when the MST subroutine fails;
+/// [`MinCutError::Sim`] when the detection phase fails.
+pub fn approximate_min_cut(
+    wg: &WeightedGraph,
+    cfg: &MinCutConfig,
+) -> Result<MinCutOutcome, MinCutError> {
+    if let Some(plan) = &cfg.mst.faults {
+        check_cuttable(wg.graph())?;
+        return degraded_min_cut(wg, cfg, &plan.clone());
+    }
+    let found = min_cut_search(wg, cfg)?;
+    let mst = mst_via_shortcuts(wg, &cfg.mst)?;
+    let per_tree_rounds = mst.total_rounds
+        + 2 * (ceil_log2(wg.graph().n()) as u64) * (mst.total_rounds / mst.phases.max(1) as u64);
+    Ok(MinCutOutcome {
+        weight: found.weight,
+        side: found.side,
+        trees_packed: found.trees_packed,
+        total_rounds: found.trees_packed as u64 * per_tree_rounds,
+        estimate_iterations: found.estimate_iterations,
         degraded: None,
     })
 }

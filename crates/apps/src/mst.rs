@@ -107,7 +107,7 @@ pub enum MstError {
     Params(ParamError),
     /// Simulator failure.
     Sim(SimError),
-    /// The MWOE encoding needs `weight < 2^38` and `edge id < 2^26`.
+    /// The MWOE encoding needs `weight < 2^37` and `edge id < 2^26`.
     EncodingOverflow,
 }
 
@@ -187,6 +187,21 @@ fn encode(weight: u64, e: EdgeId) -> Option<u64> {
         return None;
     }
     Some((weight << EID_BITS) | e.0 as u64)
+}
+
+/// [`MstError::EncodingOverflow`] unless the MWOE encoding carries
+/// every edge of `wg` — the check Boruvka's first phase makes, since on
+/// two or more nodes every edge is outgoing there.
+pub(crate) fn check_encodable(wg: &WeightedGraph) -> Result<(), MstError> {
+    if wg
+        .graph()
+        .edge_ids()
+        .all(|e| encode(wg.weight(e), e).is_some())
+    {
+        Ok(())
+    } else {
+        Err(MstError::EncodingOverflow)
+    }
 }
 
 fn decode(word: u64) -> EdgeId {

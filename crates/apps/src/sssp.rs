@@ -18,11 +18,11 @@
 //! reports both the round reduction and the realized stretch against
 //! Dijkstra.
 
-use lcs_congest::{ceil_log2, AggOp, FaultPlan, ScheduleCost, Session, SimConfig, SimError};
+use lcs_congest::{AggOp, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
 use lcs_graph::{dijkstra, NodeId, WeightedGraph, W_UNREACHABLE};
 use lcs_shortcut::{AggregationSetup, Partition, ShortcutSet};
-use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Result of the SSSP computation.
 #[derive(Debug, Clone)]
@@ -72,35 +72,197 @@ pub fn bellman_ford_rounds(wg: &WeightedGraph, source: NodeId) -> (Vec<u64>, u64
     (dist, rounds)
 }
 
-/// Weighted depths of every tree node from the tree root, per part tree.
-fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<NodeId, u64>> {
+/// Weighted depth of every node in its own part's aggregation tree:
+/// `depth[v]` is the tree-path weight from the root of part `i`'s tree
+/// down to `v ∈ S_i`, and [`W_UNREACHABLE`] where no part tree spans
+/// `v` (a node in no part, or a member its part's tree misses). The
+/// tree relaxation reads a tree only at its own part's members, and a
+/// node is in at most one part, so this one `n`-entry table serves
+/// every tree, however many of them a shortcut node sits in.
+///
+/// Depths add up saturating: one too heavy for `u64` reads as
+/// [`W_UNREACHABLE`], which no relaxation ever writes. A member whose
+/// path to the root is broken — a parent edge missing from the graph,
+/// or a parent cycle, which only a malformed index can hold — reads
+/// as [`W_UNREACHABLE`] too.
+pub fn part_tree_depths(
+    wg: &WeightedGraph,
+    partition: &Partition,
+    setup: &AggregationSetup,
+) -> Vec<u64> {
+    const NONE: NodeId = NodeId::MAX;
     let g = wg.graph();
-    setup
-        .trees
-        .iter()
-        .map(|tree| {
-            // Members carry parent pointers in arbitrary order: build
-            // children lists and BFS down from the root.
-            let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-            for &(v, parent) in &tree.members {
-                if let Some(p) = parent {
-                    children.entry(p).or_default().push(v);
+    let n = g.n();
+    let mut depth = vec![W_UNREACHABLE; n];
+    // Scratch reset after each tree: every member's parent, and the
+    // depths settled so far. Only the part's members and their
+    // ancestors are settled; the rest of a tree (a shortcut's reach
+    // into other parts) is never walked.
+    let mut parent = vec![NONE; n];
+    let mut settled: Vec<Option<u64>> = vec![None; n];
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mut path: Vec<NodeId> = Vec::new();
+    for tree in &setup.trees {
+        for &(v, p) in &tree.members {
+            parent[v as usize] = p.unwrap_or(NONE);
+        }
+        settled[tree.root as usize] = Some(0);
+        touched.push(tree.root);
+        for &v in partition.part(tree.part) {
+            // Climb to a settled ancestor (or to a node the tree
+            // misses, or as many steps as the tree has members), then
+            // settle the path back down.
+            let mut u = v;
+            while settled[u as usize].is_none()
+                && parent[u as usize] != NONE
+                && path.len() < tree.members.len()
+            {
+                path.push(u);
+                u = parent[u as usize];
+            }
+            let mut d = settled[u as usize].unwrap_or(W_UNREACHABLE);
+            while let Some(x) = path.pop() {
+                d = g
+                    .edge_between(parent[x as usize], x)
+                    .map_or(W_UNREACHABLE, |e| d.saturating_add(wg.weight(e)));
+                settled[x as usize] = Some(d);
+                touched.push(x);
+            }
+            depth[v as usize] = settled[v as usize].unwrap_or(W_UNREACHABLE);
+        }
+        for &(v, _) in &tree.members {
+            parent[v as usize] = NONE;
+        }
+        for v in touched.drain(..) {
+            settled[v as usize] = None;
+        }
+    }
+    depth
+}
+
+/// The interleaved relaxation behind every SSSP entry point. Each
+/// iteration runs one Bellman–Ford sweep (one round), then one
+/// partwise tree relaxation: `part_minima(dist, minima)` sets
+/// `minima[i] = A_i = min over v ∈ S_i of dist(v) + depth(v)` and
+/// returns the rounds it charges, and every member `u` of part `i`
+/// takes `min(dist(u), A_i + depth(u))`. All minima may be taken before
+/// any update, because part `i`'s updates touch only its own members,
+/// which no other part's minimum reads. Sums saturate, so a candidate
+/// too heavy for `u64` is [`W_UNREACHABLE`] and never written.
+///
+/// Returns `(dist, iterations, total_rounds)`.
+fn relax<E>(
+    wg: &WeightedGraph,
+    partition: &Partition,
+    depth: &[u64],
+    source: NodeId,
+    max_iterations: u32,
+    mut part_minima: impl FnMut(&[u64], &mut [u64]) -> Result<u64, E>,
+) -> Result<(Vec<u64>, u32, u64), E> {
+    let g = wg.graph();
+    let mut dist = vec![W_UNREACHABLE; g.n()];
+    dist[source as usize] = 0;
+    let mut snapshot = dist.clone();
+    let mut minima = vec![W_UNREACHABLE; partition.num_parts()];
+    let mut total_rounds = 0u64;
+    let mut iterations = 0u32;
+    loop {
+        iterations += 1;
+        let mut changed = false;
+        // (a) one Bellman-Ford sweep: 1 round.
+        total_rounds += 1;
+        snapshot.copy_from_slice(&dist);
+        for e in g.edge_ids() {
+            let (u, v) = g.edge_endpoints(e);
+            let (u, v) = (u as usize, v as usize);
+            let w = wg.weight(e);
+            let via_u = snapshot[u].saturating_add(w);
+            if via_u < dist[v] {
+                dist[v] = via_u;
+                changed = true;
+            }
+            let via_v = snapshot[v].saturating_add(w);
+            if via_v < dist[u] {
+                dist[u] = via_v;
+                changed = true;
+            }
+        }
+        // (b) partwise tree relaxation: one aggregation per iteration.
+        total_rounds += part_minima(&dist, &mut minima)?;
+        for (i, &a) in minima.iter().enumerate() {
+            for &v in partition.part(i) {
+                let cand = a.saturating_add(depth[v as usize]);
+                if cand < dist[v as usize] {
+                    dist[v as usize] = cand;
+                    changed = true;
                 }
             }
-            let mut depth: HashMap<NodeId, u64> = HashMap::new();
-            depth.insert(tree.root, 0);
-            let mut queue = std::collections::VecDeque::from([tree.root]);
-            while let Some(p) = queue.pop_front() {
-                let dp = depth[&p];
-                for &v in children.get(&p).map(|c| c.as_slice()).unwrap_or(&[]) {
-                    let e = g.edge_between(p, v).expect("tree edge");
-                    depth.insert(v, dp + wg.weight(e));
-                    queue.push_back(v);
-                }
-            }
-            depth
-        })
-        .collect()
+        }
+        if !changed || iterations >= max_iterations {
+            break;
+        }
+    }
+    Ok((dist, iterations, total_rounds))
+}
+
+/// [`shortcut_sssp`]'s relaxation on prebuilt tables: the part trees
+/// `setup` and the per-node `depth` table [`part_tree_depths`] derives
+/// from them under `wg`'s weights. Each part's minimum is folded
+/// centrally and charged as one scheduled convergecast + broadcast
+/// over the trees. Returns `(dist, iterations, total_rounds)`.
+///
+/// The index-served SSSP calls this on a customization's tables, so
+/// it answers byte-identically to [`shortcut_sssp`].
+///
+/// # Panics
+///
+/// Panics if `source` is not a node of `wg`.
+pub fn relax_partwise(
+    wg: &WeightedGraph,
+    partition: &Partition,
+    setup: &AggregationSetup,
+    depth: &[u64],
+    source: NodeId,
+    max_iterations: u32,
+) -> (Vec<u64>, u32, u64) {
+    let agg_rounds = setup
+        .schedule_cost()
+        .rounds_no_precompute(wg.graph().n().max(2))
+        * 2; // convergecast + broadcast
+    let minima = |dist: &[u64], minima: &mut [u64]| {
+        for (i, a) in minima.iter_mut().enumerate() {
+            *a = partition
+                .part(i)
+                .iter()
+                .map(|&v| dist[v as usize].saturating_add(depth[v as usize]))
+                .min()
+                .unwrap_or(W_UNREACHABLE);
+        }
+        Ok::<_, Infallible>(agg_rounds)
+    };
+    let Ok(relaxed) = relax(wg, partition, depth, source, max_iterations, minima);
+    relaxed
+}
+
+/// Max and mean multiplicative stretch of `dist` against Dijkstra from
+/// `source`, over the nodes at a positive finite distance.
+fn stretch(wg: &WeightedGraph, source: NodeId, dist: &[u64]) -> (f64, f64) {
+    let exact = dijkstra(wg, source);
+    let mut max_stretch = 1.0f64;
+    let mut sum = 0.0f64;
+    let mut count = 0usize;
+    for (&d, &x) in dist.iter().zip(&exact) {
+        if x == W_UNREACHABLE || x == 0 {
+            continue;
+        }
+        debug_assert!(d >= x, "estimates are upper bounds");
+        let s = d as f64 / x as f64;
+        max_stretch = max_stretch.max(s);
+        sum += s;
+        count += 1;
+    }
+    let mean = if count == 0 { 1.0 } else { sum / count as f64 };
+    (max_stretch, mean)
 }
 
 /// Runs the interleaved relaxation. `max_iterations` caps the outer
@@ -113,92 +275,17 @@ pub fn shortcut_sssp(
     source: NodeId,
     max_iterations: u32,
 ) -> SsspOutcome {
-    let g = wg.graph();
-    let n = g.n();
-    let setup = AggregationSetup::build(g, partition, shortcuts);
-    let depths = weighted_depths(wg, &setup);
-    let agg_rounds = ScheduleCost {
-        congestion: setup.tree_congestion as u64,
-        dilation: setup.tree_depth as u64 + 1,
-    }
-    .rounds_no_precompute(n.max(2))
-        * 2; // convergecast + broadcast
-    let _ = ceil_log2(n.max(2));
-
-    let mut dist = vec![W_UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut total_rounds = 0u64;
-    let mut iterations = 0u32;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round.
-        total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation: one scheduled aggregation.
-        total_rounds += agg_rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let mut a = W_UNREACHABLE;
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32)
-                    && dist[v as usize] != W_UNREACHABLE
-                {
-                    a = a.min(dist[v as usize] + depth[&v]);
-                }
-            }
-            if a == W_UNREACHABLE {
-                continue;
-            }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed || iterations >= max_iterations {
-            break;
-        }
-    }
-
-    // Stretch against Dijkstra.
-    let exact = dijkstra(wg, source);
-    let mut max_stretch = 1.0f64;
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for v in 0..n {
-        if exact[v] == W_UNREACHABLE || exact[v] == 0 {
-            continue;
-        }
-        debug_assert!(dist[v] >= exact[v], "estimates are upper bounds");
-        let s = dist[v] as f64 / exact[v] as f64;
-        max_stretch = max_stretch.max(s);
-        sum += s;
-        count += 1;
-    }
+    let setup = AggregationSetup::build(wg.graph(), partition, shortcuts);
+    let depth = part_tree_depths(wg, partition, &setup);
+    let (dist, iterations, total_rounds) =
+        relax_partwise(wg, partition, &setup, &depth, source, max_iterations);
+    let (max_stretch, mean_stretch) = stretch(wg, source, &dist);
     SsspOutcome {
         dist,
         iterations,
         total_rounds,
         max_stretch,
-        mean_stretch: if count == 0 { 1.0 } else { sum / count as f64 },
+        mean_stretch,
     }
 }
 
@@ -262,94 +349,35 @@ pub fn shortcut_sssp_simulated(
         );
     }
     let g = wg.graph();
-    let n = g.n();
     let setup = AggregationSetup::build(g, partition, shortcuts);
-    let depths = weighted_depths(wg, &setup);
+    let depth = part_tree_depths(wg, partition, &setup);
     let mut session = Session::new(g, cfg.clone());
-
-    let mut dist = vec![W_UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut total_rounds = 0u64;
-    let mut iterations = 0u32;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round (edge exchange).
-        total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation, simulated: every part computes
-        // A_i = min over its members of dist(v) + wdepth_i(v) by one
-        // convergecast + broadcast over all trees at once.
+    // Every part's minimum by one convergecast + broadcast over all
+    // trees at once, through the engine.
+    let minima = |dist: &[u64], minima: &mut [u64]| {
         let value = |v: NodeId, part: usize| -> u64 {
-            match depths[part].get(&v) {
-                Some(&d)
-                    if partition.part_of(v) == Some(part as u32)
-                        && dist[v as usize] != W_UNREACHABLE =>
-                {
-                    dist[v as usize].saturating_add(d)
-                }
-                _ => AggOp::Min.identity(),
+            if partition.part_of(v) == Some(part as u32) {
+                dist[v as usize].saturating_add(depth[v as usize])
+            } else {
+                AggOp::Min.identity()
             }
         };
-        let (_, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
-        total_rounds += agg.stats.rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let Some(a) = agg.result_at(tree.root, tree.part as u32) else {
-                continue;
-            };
-            if a == AggOp::Min.identity() {
-                continue;
-            }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
-                }
-            }
+        let (roots, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
+        for (a, root) in minima.iter_mut().zip(roots) {
+            *a = root.unwrap_or(W_UNREACHABLE);
         }
-        if !changed || iterations >= max_iterations {
-            break;
-        }
-    }
-
-    let exact = dijkstra(wg, source);
-    let mut max_stretch = 1.0f64;
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for v in 0..n {
-        if exact[v] == W_UNREACHABLE || exact[v] == 0 {
-            continue;
-        }
-        debug_assert!(dist[v] >= exact[v], "estimates are upper bounds");
-        let s = dist[v] as f64 / exact[v] as f64;
-        max_stretch = max_stretch.max(s);
-        sum += s;
-        count += 1;
-    }
+        Ok::<_, SimError>(agg.stats.rounds)
+    };
+    let (dist, iterations, total_rounds) =
+        relax(wg, partition, &depth, source, max_iterations, minima)?;
+    let (max_stretch, mean_stretch) = stretch(wg, source, &dist);
     Ok(SimulatedSsspOutcome {
         outcome: SsspOutcome {
             dist,
             iterations,
             total_rounds,
             max_stretch,
-            mean_stretch: if count == 0 { 1.0 } else { sum / count as f64 },
+            mean_stretch,
         },
         messages: session.stats().messages,
         phase_rounds: session.phases().iter().map(|p| p.rounds).collect(),
@@ -579,6 +607,34 @@ mod tests {
         assert_eq!(sharded.outcome.dist, out.outcome.dist);
         assert_eq!(sharded.messages, out.messages);
         assert_eq!(sharded.phase_rounds, out.phase_rounds);
+    }
+
+    #[test]
+    fn depth_table_marks_broken_tree_paths_unreachable() {
+        // Path 0-1-2-3-4, one part; a malformed tree in which 1 and 2
+        // are each other's parent and 3 hangs off the non-edge {0, 3}.
+        let g = lcs_graph::path(5);
+        let wg = WeightedGraph::new(g.clone(), vec![1; g.m()]).unwrap();
+        let p = Partition::new(&g, vec![vec![0, 1, 2, 3, 4]]).unwrap();
+        let setup = AggregationSetup {
+            trees: vec![lcs_shortcut::PartTree {
+                part: 0,
+                root: 0,
+                members: vec![
+                    (0, None),
+                    (1, Some(2)),
+                    (2, Some(1)),
+                    (3, Some(0)),
+                    (4, Some(3)),
+                ],
+                depth: 2,
+                spans_part: true,
+            }],
+            tree_congestion: 1,
+            tree_depth: 2,
+        };
+        let u = W_UNREACHABLE;
+        assert_eq!(part_tree_depths(&wg, &p, &setup), vec![0, u, u, u, u]);
     }
 
     #[test]

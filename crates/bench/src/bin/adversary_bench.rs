@@ -47,7 +47,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
-use lcs_bench::{f3, highway_workload, json_str, value_flag, Table};
+use lcs_bench::{check_records, f3, highway_workload, value_flag, Table};
 use lcs_congest::hash::splitmix64;
 use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_core::{distributed_shortcuts, DistributedConfig, DistributedOutcome};
@@ -334,23 +334,6 @@ fn assert_same_shortcuts(name: &str, a: &DistributedOutcome, b: &DistributedOutc
     }
 }
 
-/// The raw text of `key`'s value in one scenario object of the JSON
-/// [`Measurement::json`] writes: an array up to its `]`, anything else
-/// up to the next `,` or `}`. Keys are matched with their opening
-/// quote, so `"rounds"` never matches `"extra_rounds"`, and the
-/// scenario's own fields precede its phase array.
-fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = obj.find(&needle)? + needle.len();
-    let rest = &obj[start..];
-    let end = if rest.starts_with('[') {
-        rest.find(']')? + 1
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
 /// The fields `--check` compares: everything a scenario decides or
 /// costs in rounds and messages. Wall time is left out, and the
 /// overhead ratios follow from the rounds and messages.
@@ -361,72 +344,6 @@ const GATED: [&str; 5] = [
     "stats_fingerprint",
     "phases",
 ];
-
-/// `--check`: exits 2 unless `path` holds a run of the same mode over
-/// the same `(scenario, shards)` set, and 1 unless every gated field of
-/// every scenario matches.
-fn check_against(path: &str, mode: &str, all: &[Measurement]) {
-    let committed = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("adversary_bench --check: cannot read {path}: {e}"));
-    let want_mode = json_str(&committed, "mode").unwrap_or("?");
-    if want_mode != mode {
-        eprintln!(
-            "adversary_bench: committed {path} is a \"{want_mode}\" run; \
-             this is a \"{mode}\" run — modes must match to compare"
-        );
-        std::process::exit(2);
-    }
-    let key = |obj: &str| {
-        (
-            raw_field(obj, "name")
-                .unwrap_or("?")
-                .trim_matches('"')
-                .to_string(),
-            raw_field(obj, "shards").unwrap_or("?").to_string(),
-        )
-    };
-    let want: Vec<String> = committed
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with("{\"name\":"))
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect();
-    let got: Vec<String> = all.iter().map(Measurement::json).collect();
-    let mut want_keys: Vec<_> = want.iter().map(|o| key(o)).collect();
-    let mut got_keys: Vec<_> = got.iter().map(|o| key(o)).collect();
-    want_keys.sort();
-    got_keys.sort();
-    if want_keys != got_keys {
-        eprintln!(
-            "adversary_bench: {path} holds scenarios {want_keys:?}, this run has \
-             {got_keys:?} — the scenario and shard sets must match to compare"
-        );
-        std::process::exit(2);
-    }
-    let mut regressed = false;
-    for obj in &got {
-        let k = key(obj);
-        let committed_obj = want.iter().find(|o| key(o) == k).expect("same key sets");
-        for field in GATED {
-            let (now, then) = (raw_field(obj, field), raw_field(committed_obj, field));
-            if now != then {
-                regressed = true;
-                eprintln!(
-                    "ADVERSARY REGRESSION: {} @ {} shards: {field} is {} but {path} has {}",
-                    k.0,
-                    k.1,
-                    now.unwrap_or("(missing)"),
-                    then.unwrap_or("(missing)"),
-                );
-            }
-        }
-    }
-    if regressed {
-        eprintln!("(rerun without --check, with `--out {path}`, to regenerate if intentional)");
-        std::process::exit(1);
-    }
-    eprintln!("adversary check: ok ({} scenarios)", got.len());
-}
 
 fn parse_args() -> (bool, Vec<usize>, String, Option<String>) {
     let args: Vec<String> = std::env::args().collect();
@@ -631,7 +548,10 @@ fn main() {
         mode, shard_sweep, determinism, body,
     );
     match &check_path {
-        Some(path) => check_against(path, mode, &all),
+        Some(path) => {
+            let records: Vec<String> = all.iter().map(Measurement::json).collect();
+            check_records("adversary_bench", path, mode, &records, &GATED);
+        }
         None => std::fs::write(&out_path, &json).expect("write BENCH_adversary.json"),
     }
     println!("{json}");

@@ -21,6 +21,13 @@
 //! `--quick --pools 1,4 --check BENCH_serve.json`, so a change to any
 //! served answer fails the build until the file is regenerated.
 //!
+//! The latency section times single-query `serve` calls on a fresh
+//! 1-worker pool, [`LATENCY_CALLS`] per query kind (SSSP, aggregate,
+//! MST, min-cut), and records each kind's p50 and p99 wall time. It is
+//! wall time, so `--check` does not compare it. The first MST call
+//! computes the customization's answer and the rest reuse it, so the
+//! MST p99 is the computation and its p50 the reuse.
+//!
 //! The amortization section times, for N ∈ {1, 4, 16, ...}:
 //!
 //! * `one_shot_s` — N × (full distributed construction + one answer),
@@ -78,6 +85,69 @@ impl Cell {
             self.fingerprint,
         )
     }
+}
+
+/// Single-query calls timed per query kind.
+const LATENCY_CALLS: usize = 30;
+
+/// One query kind's latency over [`LATENCY_CALLS`] single-query calls.
+#[derive(Debug, Clone)]
+struct Latency {
+    kind: &'static str,
+    p50_s: f64,
+    p99_s: f64,
+}
+
+impl Latency {
+    /// Nearest-rank percentiles of the per-call wall times.
+    fn of(kind: &'static str, mut secs: Vec<f64>) -> Self {
+        secs.sort_by(f64::total_cmp);
+        let rank = |q: f64| secs[((q * secs.len() as f64).ceil() as usize).max(1) - 1];
+        Latency {
+            kind,
+            p50_s: rank(0.50),
+            p99_s: rank(0.99),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"kind\":\"{}\",\"calls\":{},\"p50_s\":{:.9},\"p99_s\":{:.9}}}",
+            self.kind, LATENCY_CALLS, self.p50_s, self.p99_s
+        )
+    }
+}
+
+/// Times [`LATENCY_CALLS`] single-query `serve` calls per query kind
+/// on a fresh 1-worker pool over `index`.
+fn per_kind_latency(index: &Arc<ShortcutIndex>, n: usize, batch_seed: u64) -> Vec<Latency> {
+    const AGG_OPS: [AggOp; 3] = [AggOp::Sum, AggOp::Max, AggOp::Min];
+    let query = |kind: &str, i: usize| match kind {
+        "sssp" => Query::sssp(((i * 13) % n) as NodeId),
+        "aggregate" => Query::Aggregate { op: AGG_OPS[i % 3] },
+        "mst" => Query::Mst,
+        _ => Query::MinCut,
+    };
+    let pool = ServePool::new(Arc::clone(index), 1);
+    ["sssp", "aggregate", "mst", "mincut"]
+        .into_iter()
+        .map(|kind| {
+            let secs = (0..LATENCY_CALLS)
+                .map(|i| {
+                    let q = query(kind, i);
+                    let t = Instant::now();
+                    pool.serve(&[q], per_query_seed(batch_seed, i));
+                    t.elapsed().as_secs_f64()
+                })
+                .collect();
+            let l = Latency::of(kind, secs);
+            eprintln!(
+                "latency {:>9}: p50 {:.9}s  p99 {:.9}s  ({LATENCY_CALLS} calls)",
+                l.kind, l.p50_s, l.p99_s
+            );
+            l
+        })
+        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -286,6 +356,9 @@ fn main() {
         }
     }
 
+    // --- Per-kind latency: single-query calls on a fresh pool ---
+    let latency = per_kind_latency(&index, wg.graph().n(), batch_seed);
+
     // --- Amortization curve: N one-shot pipelines vs 1 build + N serves ---
     // Min-cut is excluded from this mix: one min-cut query costs about
     // one construction at quick scale and up to twice one at full scale
@@ -349,6 +422,7 @@ fn main() {
             "  \"build_s\": {:.6},\n  \"index_bytes\": {},\n",
             "  \"pool_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
             "  \"throughput\": [\n    {}\n  ],\n",
+            "  \"latency\": [\n    {}\n  ],\n",
             "  \"amortization\": [\n    {}\n  ]\n}}\n"
         ),
         mode,
@@ -362,6 +436,11 @@ fn main() {
         cells
             .iter()
             .map(Cell::json)
+            .collect::<Vec<_>>()
+            .join(",\n    "),
+        latency
+            .iter()
+            .map(Latency::json)
             .collect::<Vec<_>>()
             .join(",\n    "),
         amortization

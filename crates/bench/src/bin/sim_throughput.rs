@@ -5,7 +5,7 @@
 //! `BENCH_sim.json` so the engine's perf trajectory is tracked per-PR.
 //!
 //! Usage: `sim_throughput [--quick] [--shards K[,K2,...]] [--reps N]
-//! [--out PATH]`
+//! [--out PATH] [--check PATH]`
 //!
 //! `--quick` shrinks the workloads to CI scale. `--shards` takes a
 //! comma-separated sweep of shard counts (e.g. `--shards 1,2,4,8`);
@@ -28,8 +28,17 @@
 //! the CI determinism gate exercises the same code path at CI cost) —
 //! covering the memory-lean u32/CSR representations at the graph sizes
 //! the shortcut-quality experiments need.
+//!
+//! `--check PATH` compares the run against a committed
+//! `BENCH_sim.json` instead of writing one: the mode and the
+//! `(workload, shards)` set must match (exit 2 if not), and every
+//! workload's rounds, messages and stats fingerprint must equal the
+//! committed ones (exit 1 if not). CI runs `--quick --shards 1,4
+//! --check BENCH_sim.json`, so a change to what any engine workload
+//! decides fails the build until the file is regenerated.
 
 use lcs_bench::sim_workloads::{multi_bfs_spec, Clock, Saturate};
+use lcs_bench::{check_records, value_flag};
 use lcs_congest::{
     positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, Participation, Protocol, RoundCtx,
     RunStats, Session, SimConfig, TreeAggregate,
@@ -442,26 +451,16 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let shard_sweep = parse_shard_sweep(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let reps = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|i| args.get(i + 1))
+    let out_path = value_flag(&args, "--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let check_path = value_flag(&args, "--check");
+    let reps = value_flag(&args, "--reps")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1usize);
 
     let side = if quick { 40 } else { 100 };
     // 10⁶ nodes at full scale; still well past any cache under --quick.
     let big_side = if quick { 200 } else { 1000 };
-    let instances = args
-        .iter()
-        .position(|a| a == "--instances")
-        .and_then(|i| args.get(i + 1))
+    let instances = value_flag(&args, "--instances")
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 8 } else { 32 });
     let g = generators::grid(side, side);
@@ -542,24 +541,32 @@ fn main() {
         }
     }
 
-    let body = all
-        .iter()
-        .map(Measurement::json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
+    let records: Vec<String> = all.iter().map(Measurement::json).collect();
+    let mode = if quick { "quick" } else { "full" };
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"sim_throughput\",\n  \"mode\": \"{}\",\n",
             "  \"shard_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
             "  \"workloads\": [\n    {}\n  ]\n}}\n"
         ),
-        if quick { "quick" } else { "full" },
+        mode,
         shard_sweep,
         if diverged { "DIVERGED" } else { "ok" },
-        body
+        records.join(",\n    ")
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
-    eprintln!("wrote {out_path}");
+    match &check_path {
+        Some(path) => check_records(
+            "sim_throughput",
+            path,
+            mode,
+            &records,
+            &["rounds", "messages", "stats_fingerprint"],
+        ),
+        None => {
+            std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
+            eprintln!("wrote {out_path}");
+        }
+    }
     // A machine-readable copy for CI logs.
     println!("{json}");
     if diverged {

@@ -178,6 +178,91 @@ pub fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     Some(&json[start..end])
 }
 
+/// The raw text of `key`'s value in one record object of the JSON the
+/// bench bins write: an array up to its `]`, anything else up to the
+/// next `,` or `}`. Keys are matched with their opening quote, so
+/// `"rounds"` never matches `"extra_rounds"`, and a record's own fields
+/// precede its phase array.
+fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let start = obj.find(&needle)? + needle.len();
+    let rest = &obj[start..];
+    let end = if rest.starts_with('[') {
+        rest.find(']')? + 1
+    } else {
+        rest.find([',', '}'])?
+    };
+    Some(&rest[..end])
+}
+
+/// `--check` for the bins that write one `{"name":…,"shards":…}`
+/// record per line (`adversary_bench`, `sim_throughput`): compares this
+/// run's `records` against the committed file at `path`, and never
+/// writes. Exits 2 unless `path` holds a run of the same `mode` over
+/// the same `(name, shards)` set, and 1 unless every `gated` field of
+/// every record equals the committed one.
+pub fn check_records(bin: &str, path: &str, mode: &str, records: &[String], gated: &[&str]) {
+    let committed = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{bin} --check: cannot read {path}: {e}"));
+    let want_mode = json_str(&committed, "mode").unwrap_or("?");
+    if want_mode != mode {
+        eprintln!(
+            "{bin}: committed {path} is a \"{want_mode}\" run; \
+             this is a \"{mode}\" run — modes must match to compare"
+        );
+        std::process::exit(2);
+    }
+    let key = |obj: &str| {
+        (
+            raw_field(obj, "name")
+                .unwrap_or("?")
+                .trim_matches('"')
+                .to_string(),
+            raw_field(obj, "shards").unwrap_or("?").to_string(),
+        )
+    };
+    let want: Vec<&str> = committed
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("{\"name\":"))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    let mut want_keys: Vec<_> = want.iter().map(|o| key(o)).collect();
+    let mut got_keys: Vec<_> = records.iter().map(|o| key(o)).collect();
+    want_keys.sort();
+    got_keys.sort();
+    if want_keys != got_keys {
+        eprintln!(
+            "{bin}: {path} holds records {want_keys:?}, this run has {got_keys:?} — \
+             the (name, shards) sets must match to compare"
+        );
+        std::process::exit(2);
+    }
+    let mut regressed = false;
+    for obj in records {
+        let k = key(obj);
+        let committed_obj = want.iter().find(|o| key(o) == k).expect("same key sets");
+        for field in gated {
+            let (now, then) = (raw_field(obj, field), raw_field(committed_obj, field));
+            if now != then {
+                regressed = true;
+                eprintln!(
+                    "{bin} REGRESSION: {} @ {} shards: {field} is {} but {path} has {}",
+                    k.0,
+                    k.1,
+                    now.unwrap_or("(missing)"),
+                    then.unwrap_or("(missing)"),
+                );
+            }
+        }
+    }
+    if regressed {
+        eprintln!("(rerun without --check, with `--out {path}`, to regenerate if intentional)");
+        std::process::exit(1);
+    }
+    eprintln!("{bin} check: ok ({} records)", records.len());
+}
+
 /// Geometric mean of ratios (for summarizing bound slack).
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

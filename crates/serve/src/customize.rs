@@ -1,21 +1,30 @@
 //! Customization: re-weight the edges of a frozen index **without
 //! re-partitioning** — the CCH-style middle phase. The expensive,
 //! weight-independent structure (partition, shortcut sets, aggregation
-//! trees) is reused as-is from the [`ShortcutIndex`]; only the
-//! weight-dependent tables (the per-tree weighted depths SSSP's tree
-//! relaxation needs) are recomputed, which is a single pass over the
-//! tree edges.
+//! trees) stays in the [`ShortcutIndex`], which every customization
+//! borrows and none copies. Only the weight-dependent table is
+//! recomputed: each node's weighted depth in its own part's tree, the
+//! one flat table SSSP's tree relaxation reads, found by walking every
+//! part member up its tree once.
+//!
+//! A customization also holds its MST answer, filled by the first
+//! [`Query::Mst`](crate::Query::Mst) it serves. Boruvka merges on the
+//! exact minimum `(weight, edge id)`, so the answer depends only on the
+//! weights, never on the query seed or the shortcuts; a customization
+//! that serves no MST never computes one.
 
-use lcs_graph::{NodeId, WeightedGraph};
+use crate::query::QueryResult;
+use lcs_apps::part_tree_depths;
+use lcs_graph::WeightedGraph;
 use lcs_shortcut::{AggregationSetup, ShortcutIndex};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Customization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CustomizeError {
-    /// `weights.len() != graph.m()` or a weight is invalid.
+    /// `weights.len() != graph.m()`; no other property of a weight
+    /// vector is checked.
     BadWeights(String),
 }
 
@@ -30,20 +39,19 @@ impl fmt::Display for CustomizeError {
 impl std::error::Error for CustomizeError {}
 
 /// A [`ShortcutIndex`] specialized to one weight assignment: the
-/// shared frozen structure plus the recomputed weight-dependent
-/// tables. Immutable after construction (`Sync`), so any number of
-/// query workers can share one `Arc<CustomizedIndex>` read-only.
+/// shared frozen structure plus the recomputed depth table. Immutable
+/// after construction apart from its once-filled MST answer (`Sync`),
+/// so any number of query workers can share one `Arc<CustomizedIndex>`.
 #[derive(Debug)]
 pub struct CustomizedIndex {
     index: Arc<ShortcutIndex>,
     wg: WeightedGraph,
-    setup: AggregationSetup,
-    /// Weighted depth of every tree node from its tree root, one map
-    /// per part tree — the table [`shortcut_sssp`]'s tree relaxation
-    /// keys on, recomputed here at customization time.
-    ///
-    /// [`shortcut_sssp`]: lcs_apps::shortcut_sssp
-    depths: Vec<HashMap<NodeId, u64>>,
+    /// Weighted depth of every node in its own part's tree, from
+    /// [`part_tree_depths`].
+    depths: Vec<u64>,
+    /// The answer to every [`Query::Mst`](crate::Query::Mst) against
+    /// these weights, filled by the first one.
+    pub(crate) mst: OnceLock<QueryResult>,
 }
 
 impl CustomizedIndex {
@@ -55,12 +63,13 @@ impl CustomizedIndex {
 
     /// Customizes with a fresh weight assignment (one weight per edge
     /// of the index graph). The partition, shortcuts, and trees are
-    /// **not** rebuilt.
+    /// **not** rebuilt, and the MST is not computed until a query asks
+    /// for it.
     ///
     /// # Errors
     ///
-    /// [`CustomizeError::BadWeights`] when the weight vector does not
-    /// match the graph.
+    /// [`CustomizeError::BadWeights`] when the weight vector's length
+    /// does not match the graph's edge count.
     pub fn with_weights(
         index: Arc<ShortcutIndex>,
         weights: Vec<u64>,
@@ -74,13 +83,12 @@ impl CustomizedIndex {
         }
         let wg = WeightedGraph::new(index.graph().clone(), weights)
             .map_err(|e| CustomizeError::BadWeights(e.to_string()))?;
-        let setup = index.aggregation_setup();
-        let depths = weighted_depths(&wg, &setup);
+        let depths = part_tree_depths(&wg, index.partition(), index.aggregation_setup());
         Ok(CustomizedIndex {
             index,
             wg,
-            setup,
             depths,
+            mst: OnceLock::new(),
         })
     }
 
@@ -94,44 +102,15 @@ impl CustomizedIndex {
         &self.wg
     }
 
-    /// The frozen aggregation trees.
+    /// The frozen aggregation trees, borrowed from the index.
     pub fn setup(&self) -> &AggregationSetup {
-        &self.setup
+        self.index.aggregation_setup()
     }
 
-    /// The recomputed per-tree weighted-depth tables.
-    pub fn depths(&self) -> &[HashMap<NodeId, u64>] {
+    /// Each node's weighted depth in its own part's tree under the
+    /// active weights ([`part_tree_depths`]); `W_UNREACHABLE` where no
+    /// part tree spans the node.
+    pub fn depths(&self) -> &[u64] {
         &self.depths
     }
-}
-
-/// Weighted depth of every tree node from the tree root, per part tree
-/// — identical to the table `lcs_apps::shortcut_sssp` derives
-/// internally (the differential suite holds the two byte-identical).
-fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<NodeId, u64>> {
-    let g = wg.graph();
-    setup
-        .trees
-        .iter()
-        .map(|tree| {
-            let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-            for &(v, parent) in &tree.members {
-                if let Some(p) = parent {
-                    children.entry(p).or_default().push(v);
-                }
-            }
-            let mut depth: HashMap<NodeId, u64> = HashMap::new();
-            depth.insert(tree.root, 0);
-            let mut queue = std::collections::VecDeque::from([tree.root]);
-            while let Some(p) = queue.pop_front() {
-                let dp = depth[&p];
-                for &v in children.get(&p).map(|c| c.as_slice()).unwrap_or(&[]) {
-                    let e = g.edge_between(p, v).expect("tree edge");
-                    depth.insert(v, dp + wg.weight(e));
-                    queue.push_back(v);
-                }
-            }
-            depth
-        })
-        .collect()
 }

@@ -16,7 +16,7 @@
 //! build      lcs_core::build_index / build_index_distributed  (seconds)
 //!   ↓ Arc<ShortcutIndex>                 frozen, serializable, shared
 //! customize  CustomizedIndex::with_weights                 (millis)
-//!   ↓ Arc<CustomizedIndex>     weight-dependent tables recomputed
+//!   ↓ Arc<CustomizedIndex>     per-node depth table recomputed
 //! query      ServePool::serve                      (micros–millis)
 //! ```
 //!

@@ -3,17 +3,28 @@
 //! Every kind is deterministic in `(customized index, query, seed)` —
 //! the seed is the *only* randomness a query may consume — so batches
 //! reproduce bit for bit regardless of which pool worker answers which
-//! query. The differential suite (`tests/differential.rs`) holds each
-//! kind byte-identical to the corresponding one-shot pipeline:
+//! query. Each kind reads only what its answer depends on:
+//!
+//! * SSSP runs [`lcs_apps::relax_partwise`], the one relaxation loop
+//!   [`lcs_apps::shortcut_sssp`] runs, over the index's frozen trees and
+//!   the customization's depth table;
+//! * aggregation folds over the frozen trees;
+//! * MST is computed once per customization by
+//!   [`lcs_apps::mst_via_shortcuts`] and cloned for every later query;
+//! * min-cut runs [`lcs_apps::min_cut_search`] alone, without the MST
+//!   run [`lcs_apps::approximate_min_cut`] makes to price its rounds.
+//!
+//! The differential suite (`tests/differential.rs`) holds each kind
+//! byte-identical to the corresponding one-shot pipeline:
 //! [`lcs_apps::shortcut_sssp`], [`lcs_apps::mst_via_shortcuts`],
 //! [`AggregationSetup`](lcs_shortcut::AggregationSetup) aggregation,
 //! and [`lcs_apps::approximate_min_cut`].
 
 use crate::customize::CustomizedIndex;
-use lcs_apps::{approximate_min_cut, mst_via_shortcuts, MinCutConfig, MstConfig};
+use lcs_apps::{min_cut_search, mst_via_shortcuts, relax_partwise, MinCutConfig, MstConfig};
 use lcs_congest::hash::{splitmix64, Fnv};
 use lcs_congest::AggOp;
-use lcs_graph::{EdgeId, NodeId, W_UNREACHABLE};
+use lcs_graph::{EdgeId, NodeId};
 
 /// One request against the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,76 +179,25 @@ pub(crate) fn answer(cx: &CustomizedIndex, query: &Query, seed: u64) -> QueryRes
     }
 }
 
-/// The interleaved Bellman–Ford + partwise tree relaxation, driven by
-/// the **customized tables** (frozen trees + recomputed weighted
-/// depths) instead of rebuilding them per call. Distances, iteration
-/// count, and round accounting are byte-identical to
-/// [`lcs_apps::shortcut_sssp`] on the same inputs — the differential
-/// suite pins this.
+/// The interleaved Bellman–Ford + partwise tree relaxation over the
+/// index's frozen trees and the customization's depth table — the
+/// loop [`lcs_apps::shortcut_sssp`] runs, so distances, iteration
+/// count, and round accounting are byte-identical to it on the same
+/// inputs (the differential suite pins this).
 fn sssp(cx: &CustomizedIndex, source: NodeId, max_iterations: u32) -> QueryResult {
     let wg = cx.weighted_graph();
-    let g = wg.graph();
-    let n = g.n();
+    let n = wg.graph().n();
     if source as usize >= n {
         return QueryResult::Failed(format!("sssp source {source} out of range (n={n})"));
     }
-    let setup = cx.setup();
-    let depths = cx.depths();
-    let partition = cx.index().partition();
-    let agg_rounds = setup.schedule_cost().rounds_no_precompute(n.max(2)) * 2;
-
-    let mut dist = vec![W_UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut total_rounds = 0u64;
-    let mut iterations = 0u32;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round.
-        total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation over the frozen trees.
-        total_rounds += agg_rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let mut a = W_UNREACHABLE;
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32)
-                    && dist[v as usize] != W_UNREACHABLE
-                {
-                    a = a.min(dist[v as usize] + depth[&v]);
-                }
-            }
-            if a == W_UNREACHABLE {
-                continue;
-            }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed || iterations >= max_iterations {
-            break;
-        }
-    }
+    let (dist, iterations, total_rounds) = relax_partwise(
+        wg,
+        cx.index().partition(),
+        cx.setup(),
+        cx.depths(),
+        source,
+        max_iterations,
+    );
     QueryResult::Sssp {
         dist,
         iterations,
@@ -245,9 +205,10 @@ fn sssp(cx: &CustomizedIndex, source: NodeId, max_iterations: u32) -> QueryResul
     }
 }
 
-/// The MST configuration an index-served [`Query::Mst`] (and the
-/// min-cut's MST subroutine) runs under — exposed so differential
-/// tests can run the identical one-shot pipeline.
+/// The MST configuration an index-served [`Query::Mst`] runs under,
+/// and the one [`min_cut_config`] carries for the one-shot min-cut's
+/// round pricing — exposed so differential tests can run the identical
+/// one-shot pipeline.
 pub fn mst_config(cx: &CustomizedIndex, seed: u64) -> MstConfig {
     MstConfig {
         seed,
@@ -256,15 +217,24 @@ pub fn mst_config(cx: &CustomizedIndex, seed: u64) -> MstConfig {
     }
 }
 
+/// The customization's MST answer: the first query computes it under
+/// its own seed, and every later one clones it. Boruvka merges on the
+/// exact minimum `(weight, edge id)`, so the edges, weight, phase count
+/// and an encoding overflow depend only on the weighted graph — never
+/// on the seed or the shortcuts — and every seed gets the same answer.
 fn mst(cx: &CustomizedIndex, seed: u64) -> QueryResult {
-    match mst_via_shortcuts(cx.weighted_graph(), &mst_config(cx, seed)) {
-        Ok(out) => QueryResult::Mst {
-            edges: out.edges,
-            weight: out.weight,
-            phases: out.phases,
-        },
-        Err(e) => QueryResult::Failed(format!("mst: {e}")),
-    }
+    cx.mst
+        .get_or_init(
+            || match mst_via_shortcuts(cx.weighted_graph(), &mst_config(cx, seed)) {
+                Ok(out) => QueryResult::Mst {
+                    edges: out.edges,
+                    weight: out.weight,
+                    phases: out.phases,
+                },
+                Err(e) => QueryResult::Failed(format!("mst: {e}")),
+            },
+        )
+        .clone()
 }
 
 fn aggregate(cx: &CustomizedIndex, op: AggOp, seed: u64) -> QueryResult {
@@ -291,8 +261,11 @@ pub fn min_cut_config(cx: &CustomizedIndex, seed: u64) -> MinCutConfig {
     }
 }
 
+/// The cut search alone: the served answer carries no round count, so
+/// the MST run [`lcs_apps::approximate_min_cut`] prices rounds with is
+/// skipped. Weight, side and trees packed equal the one-shot run's.
 fn min_cut(cx: &CustomizedIndex, seed: u64) -> QueryResult {
-    match approximate_min_cut(cx.weighted_graph(), &min_cut_config(cx, seed)) {
+    match min_cut_search(cx.weighted_graph(), &min_cut_config(cx, seed)) {
         Ok(out) => QueryResult::MinCut {
             weight: out.weight,
             side: out.side,

@@ -12,17 +12,32 @@
 //!   at shards {1, 4}), and `approximate_min_cut`.
 //! * Pool sizes {1, 4} must produce identical results and batch
 //!   fingerprints.
+//! * What a customization may cache is decided here: the SSSP depth
+//!   table is pinned against a per-tree reference on 216 random
+//!   instances, and the MST answer against every seed and shortcut
+//!   strategy.
 
-use lcs_apps::{approximate_min_cut, mst_via_shortcuts, shortcut_sssp};
-use lcs_congest::{AggOp, SimConfig};
-use lcs_core::{build_index_distributed, DistributedConfig};
-use lcs_graph::{kruskal, HighwayGraph, HighwayParams, NodeId, WeightedGraph};
-use lcs_serve::{
-    aggregate_value, min_cut_config, mst_config, per_query_seed, CustomizedIndex, Query, ServePool,
+use lcs_apps::{
+    approximate_min_cut, mst_via_shortcuts, shortcut_sssp, shortcut_sssp_simulated, MinCutError,
+    MstConfig, MstError, ShortcutStrategy,
 };
-use lcs_shortcut::{AggregationSetup, Partition, ShortcutIndex};
+use lcs_congest::{AggOp, SimConfig};
+use lcs_core::{
+    build_index, build_index_distributed, centralized_shortcuts, DistributedConfig,
+    IndexBuildConfig, KoganParter, KpParams, LargenessRule, OracleMode,
+};
+use lcs_graph::{
+    dijkstra, gnp, gnp_connected, grid, kruskal, HighwayGraph, HighwayParams, NodeId,
+    WeightedGraph, W_UNREACHABLE,
+};
+use lcs_serve::{
+    aggregate_value, min_cut_config, mst_config, per_query_seed, CustomizedIndex, Query,
+    QueryResult, ServePool,
+};
+use lcs_shortcut::{AggregationSetup, IndexMeta, Partition, ShortcutIndex, ShortcutSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn fixture() -> (WeightedGraph, Partition) {
@@ -230,5 +245,380 @@ fn customization_reweights_without_rebuilding() {
         idx.to_bytes(),
         frozen_bytes,
         "customization never mutates the index"
+    );
+}
+
+/// The doc-example index of the crate: 3 paths × 10 on a D = 4
+/// highway, built by the Kogan–Parter backend.
+fn doc_example_index() -> Arc<ShortcutIndex> {
+    let hw = HighwayGraph::new(HighwayParams {
+        num_paths: 3,
+        path_len: 10,
+        diameter: 4,
+    })
+    .unwrap();
+    let g = hw.graph().clone();
+    let p = Partition::new(&g, hw.path_parts()).unwrap();
+    let weights: Vec<u64> = (0..g.m() as u64).map(|e| e % 9 + 1).collect();
+    let wg = WeightedGraph::new(g, weights).unwrap();
+    let backend = KoganParter {
+        diameter: Some(4),
+        ..KoganParter::default()
+    };
+    Arc::new(build_index(&wg, &p, &backend, &IndexBuildConfig::default()))
+}
+
+#[test]
+fn heavy_weights_serve_exact_distances_and_a_typed_min_cut_failure() {
+    let idx = doc_example_index();
+    let m = idx.graph().m();
+    // Tree depths of 2^59..2^61 weights overflow u64 although every
+    // true distance fits: the relaxation must saturate, never wrap.
+    for shift in [59u32, 60, 61] {
+        let cx =
+            Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), vec![1 << shift; m]).unwrap());
+        let pool = ServePool::with_customization(Arc::clone(&cx), 1);
+        let sources: [NodeId; 3] = [0, 13, 29];
+        let batch = pool.serve(&sources.map(Query::sssp), 1);
+        for (source, result) in sources.iter().zip(&batch.results) {
+            let exact = dijkstra(cx.weighted_graph(), *source);
+            match result {
+                QueryResult::Sssp { dist, .. } => {
+                    assert_eq!(dist, &exact, "weights 2^{shift}, source {source}")
+                }
+                other => panic!("expected an SSSP answer, got {other:?}"),
+            }
+        }
+    }
+    // 2^62 customizes and serves without a panic.
+    let cx = Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), vec![1 << 62; m]).unwrap());
+    match &ServePool::with_customization(cx, 1)
+        .serve(&[Query::sssp(0)], 1)
+        .results[0]
+    {
+        QueryResult::Sssp { dist, .. } => {
+            assert_eq!(dist[0], 0);
+            assert!(dist[1..].iter().all(|&d| d >= 1 << 62));
+        }
+        other => panic!("expected an SSSP answer, got {other:?}"),
+    }
+    // Min-cut rejects what the MST's MWOE encoding cannot carry, before
+    // it sums a weight, with the error the one-shot pipeline reports.
+    let overflow = format!("min-cut: {}", MinCutError::Mst(MstError::EncodingOverflow));
+    for shift in [37u32, 61, 63] {
+        let cx =
+            Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), vec![1 << shift; m]).unwrap());
+        let served = ServePool::with_customization(Arc::clone(&cx), 1).serve(&[Query::MinCut], 3);
+        assert_eq!(
+            served.results[0],
+            QueryResult::Failed(overflow.clone()),
+            "2^{shift}"
+        );
+        let one_shot = approximate_min_cut(cx.weighted_graph(), &min_cut_config(&cx, 3));
+        assert_eq!(
+            one_shot.unwrap_err(),
+            MinCutError::Mst(MstError::EncodingOverflow)
+        );
+    }
+}
+
+/// Seeded G(n,p) (connected and not) and highway instances for the MST
+/// premise.
+fn mst_instances() -> Vec<WeightedGraph> {
+    let mut out = Vec::new();
+    for i in 0..24u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3E30 + i);
+        let g = match i % 3 {
+            0 => gnp_connected(16 + (i as usize % 5) * 6, 0.12, &mut rng),
+            1 => gnp(20 + (i as usize % 4) * 5, 0.15, &mut rng),
+            _ => HighwayGraph::new(HighwayParams {
+                num_paths: 2 + (i as usize % 3),
+                path_len: 6 + (i as usize % 4) * 2,
+                diameter: 4,
+            })
+            .unwrap()
+            .into_graph(),
+        };
+        // Few distinct weights, so ties fall to the edge id.
+        out.push(WeightedGraph::with_random_weights(
+            g,
+            1 + i % 7 * 9,
+            &mut rng,
+        ));
+    }
+    out
+}
+
+/// The premise of the served MST memo: Boruvka merges on the exact
+/// minimum `(weight, edge id)`, so the answer depends only on the
+/// weighted graph — never on the seed or the shortcut strategy.
+#[test]
+fn mst_answer_depends_only_on_the_weighted_graph() {
+    for (i, wg) in mst_instances().iter().enumerate() {
+        let answer = |seed: u64, strategy: ShortcutStrategy| {
+            let cfg = MstConfig {
+                seed,
+                strategy,
+                ..MstConfig::default()
+            };
+            let out = mst_via_shortcuts(wg, &cfg).unwrap();
+            (out.edges, out.weight, out.phases)
+        };
+        let first = answer(1, ShortcutStrategy::KoganParter);
+        assert_eq!(first.0, kruskal(wg).edges, "instance {i}");
+        for seed in [1, 0xB0B, 0xFEED_5EED] {
+            for strategy in [
+                ShortcutStrategy::KoganParter,
+                ShortcutStrategy::GlobalTree,
+                ShortcutStrategy::Trivial,
+            ] {
+                assert_eq!(
+                    answer(seed, strategy),
+                    first,
+                    "instance {i}, {strategy} seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn served_mst_is_seed_and_pool_invariant_and_fills_once_under_contention() {
+    let (wg, p) = fixture();
+    let idx = Arc::new(build(&wg, &p, 1));
+    let mut answers = Vec::new();
+    for batch_seed in [1u64, 0xBEEF, 0x5EED_0003] {
+        for workers in [1usize, 4] {
+            // A fresh customization per run, so every run fills the
+            // answer under its own seed.
+            let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&idx)));
+            let served = ServePool::with_customization(Arc::clone(&cx), workers)
+                .serve(&[Query::Mst], batch_seed);
+            let seed = per_query_seed(batch_seed, 0);
+            let one_shot = mst_via_shortcuts(&wg, &mst_config(&cx, seed)).unwrap();
+            assert_eq!(
+                served.results[0],
+                QueryResult::Mst {
+                    edges: one_shot.edges,
+                    weight: one_shot.weight,
+                    phases: one_shot.phases,
+                },
+                "batch seed {batch_seed:#x}, {workers} workers"
+            );
+            answers.push(served.results[0].clone());
+        }
+    }
+    assert!(answers.windows(2).all(|w| w[0] == w[1]));
+
+    // Eight concurrent first queries on a fresh 4-worker pool.
+    let served = ServePool::new(Arc::clone(&idx), 4).serve(&[Query::Mst; 8], 0x8);
+    let k = kruskal(&wg);
+    for result in &served.results {
+        match result {
+            QueryResult::Mst { edges, weight, .. } => {
+                assert_eq!(edges, &k.edges);
+                assert_eq!(*weight, k.weight);
+            }
+            other => panic!("expected an MST answer, got {other:?}"),
+        }
+    }
+    assert!(served.results.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// One relaxation instance: a weighted graph, a partition that may
+/// leave nodes in no part, and raw Kogan–Parter shortcuts, whose trees
+/// hold members from outside their part.
+fn relaxation_instance(i: u64) -> (WeightedGraph, Partition, ShortcutSet) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x55_5900 + i);
+    let (g, parts) = match i % 4 {
+        0 => {
+            let g = gnp_connected(12 + (i as usize % 7) * 4, 0.1, &mut rng);
+            let k = 2 + i as usize % 4;
+            let parts = Partition::bfs_balls(&g, k, &mut rng).parts().to_vec();
+            (g, parts)
+        }
+        1 => {
+            let g = gnp(24 + (i as usize % 5) * 4, 0.09, &mut rng);
+            let parts = Partition::bfs_balls(&g, 3 + i as usize % 3, &mut rng)
+                .parts()
+                .to_vec();
+            (g, parts)
+        }
+        2 => {
+            let g = grid(3 + i as usize % 4, 4 + i as usize % 5);
+            let parts = Partition::bfs_balls(&g, 2 + i as usize % 5, &mut rng)
+                .parts()
+                .to_vec();
+            (g, parts)
+        }
+        _ => {
+            let hw = HighwayGraph::new(HighwayParams {
+                num_paths: 2 + i as usize % 3,
+                path_len: 5 + i as usize % 8,
+                diameter: 4,
+            })
+            .unwrap();
+            let parts = hw.path_parts();
+            (hw.into_graph(), parts)
+        }
+    };
+    // Odd instances drop every third part, whose nodes are then in no
+    // part.
+    let mut parts: Vec<Vec<NodeId>> = parts
+        .into_iter()
+        .enumerate()
+        .filter(|&(j, _)| j % 3 != 2 || i.is_multiple_of(2))
+        .map(|(_, part)| part)
+        .collect();
+    parts.sort();
+    let p = Partition::new(&g, parts).unwrap();
+    let params = KpParams::new(g.n(), 4, 1.0).unwrap();
+    let raw = centralized_shortcuts(
+        &g,
+        &p,
+        params,
+        i,
+        LargenessRule::Radius,
+        OracleMode::PerPart,
+    );
+    let wg = WeightedGraph::with_random_weights(g, 1 + (i % 5) * 40, &mut rng);
+    (wg, p, raw.shortcuts)
+}
+
+/// The relaxation as written before the flat table: per-tree depth
+/// maps keyed by every tree member, and each tree's minimum applied
+/// before the next tree's is taken. Returns `(dist, iterations)`.
+fn per_tree_reference(
+    wg: &WeightedGraph,
+    p: &Partition,
+    setup: &AggregationSetup,
+    source: NodeId,
+    max_iterations: u32,
+) -> (Vec<u64>, u32) {
+    let g = wg.graph();
+    let depths: Vec<HashMap<NodeId, u64>> = setup
+        .trees
+        .iter()
+        .map(|t| {
+            let mut depth = HashMap::from([(t.root, 0u64)]);
+            while depth.len() < t.members.len() {
+                for &(v, parent) in &t.members {
+                    let Some(dp) = parent.and_then(|q| depth.get(&q).copied()) else {
+                        continue;
+                    };
+                    let w = wg.weight(g.edge_between(parent.unwrap(), v).unwrap());
+                    depth.entry(v).or_insert(dp + w);
+                }
+            }
+            depth
+        })
+        .collect();
+    let mut dist = vec![W_UNREACHABLE; g.n()];
+    dist[source as usize] = 0;
+    let mut iterations = 0;
+    loop {
+        iterations += 1;
+        let before = dist.clone();
+        for e in g.edge_ids() {
+            let (u, v) = g.edge_endpoints(e);
+            for (a, b) in [(u, v), (v, u)] {
+                if before[a as usize] != W_UNREACHABLE {
+                    let d = before[a as usize] + wg.weight(e);
+                    dist[b as usize] = dist[b as usize].min(d);
+                }
+            }
+        }
+        for (t, depth) in setup.trees.iter().zip(&depths) {
+            let in_part = |v: NodeId| p.part_of(v) == Some(t.part as u32);
+            let a = t
+                .members
+                .iter()
+                .filter(|&&(v, _)| in_part(v) && dist[v as usize] != W_UNREACHABLE)
+                .map(|&(v, _)| dist[v as usize] + depth[&v])
+                .min();
+            if let Some(a) = a {
+                for &(v, _) in t.members.iter().filter(|&&(v, _)| in_part(v)) {
+                    dist[v as usize] = dist[v as usize].min(a + depth[&v]);
+                }
+            }
+        }
+        if dist == before || iterations >= max_iterations {
+            return (dist, iterations);
+        }
+    }
+}
+
+#[test]
+fn one_relaxation_agrees_with_the_per_tree_reference_on_random_instances() {
+    let mut outside_members = 0;
+    for i in 0..216u64 {
+        let (wg, p, shortcuts) = relaxation_instance(i);
+        let g = wg.graph();
+        let idx = Arc::new(ShortcutIndex::freeze(
+            g.clone(),
+            wg.weights().to_vec(),
+            p.clone(),
+            shortcuts.clone(),
+            IndexMeta {
+                backend: "kogan_parter_raw".to_string(),
+                params: vec![],
+                seed: i,
+                certificate: None,
+                diameter: None,
+            },
+        ));
+        let setup = idx.aggregation_setup();
+        outside_members += setup
+            .trees
+            .iter()
+            .flat_map(|t| t.members.iter().map(move |&(v, _)| (t.part, v)))
+            .filter(|&(part, v)| p.part_of(v) != Some(part as u32))
+            .count();
+        let pool = ServePool::new(Arc::clone(&idx), 1);
+        let agg_rounds = setup.schedule_cost().rounds_no_precompute(g.n().max(2)) * 2;
+        let source = (i as usize * 7 % g.n()) as NodeId;
+        for max_iterations in [1u32, 2, 4096] {
+            let at = format!("instance {i}, source {source}, cap {max_iterations}");
+            let (dist, iterations) = per_tree_reference(&wg, &p, setup, source, max_iterations);
+            let total_rounds = u64::from(iterations) * (1 + agg_rounds);
+            let query = Query::Sssp {
+                source,
+                max_iterations,
+            };
+            let reference = QueryResult::Sssp {
+                dist: dist.clone(),
+                iterations,
+                total_rounds,
+            };
+            assert_eq!(
+                pool.serve(&[query], 0).results[0],
+                reference,
+                "served, {at}"
+            );
+            let one_shot = shortcut_sssp(&wg, &p, &shortcuts, source, max_iterations);
+            assert_eq!(one_shot.dist, dist, "one-shot, {at}");
+            assert_eq!(one_shot.iterations, iterations, "one-shot, {at}");
+            assert_eq!(one_shot.total_rounds, total_rounds, "one-shot, {at}");
+            let simulated = [1usize, 3].map(|shards| {
+                let cfg = SimConfig {
+                    shards,
+                    ..SimConfig::default()
+                };
+                shortcut_sssp_simulated(&wg, &p, &shortcuts, source, max_iterations, &cfg).unwrap()
+            });
+            for sim in &simulated {
+                assert_eq!(sim.outcome.dist, dist, "simulated, {at}");
+                assert_eq!(sim.outcome.iterations, iterations, "simulated, {at}");
+            }
+            assert_eq!(
+                simulated[0].outcome.total_rounds, simulated[1].outcome.total_rounds,
+                "simulated shards, {at}"
+            );
+            assert_eq!(simulated[0].messages, simulated[1].messages, "{at}");
+        }
+    }
+    assert!(
+        outside_members > 0,
+        "some trees must hold members from outside their part"
     );
 }

@@ -42,7 +42,7 @@ pub struct PartTree {
 }
 
 /// The per-part trees plus the schedule-relevant measurements.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregationSetup {
     /// One tree per part.
     pub trees: Vec<PartTree>,

@@ -129,9 +129,7 @@ pub struct ShortcutIndex {
     weights: Vec<u64>,
     partition: Partition,
     shortcuts: ShortcutSet,
-    trees: Vec<PartTree>,
-    tree_congestion: u32,
-    tree_depth: u32,
+    setup: AggregationSetup,
 }
 
 impl ShortcutIndex {
@@ -160,9 +158,7 @@ impl ShortcutIndex {
             weights,
             partition,
             shortcuts,
-            trees: setup.trees,
-            tree_congestion: setup.tree_congestion,
-            tree_depth: setup.tree_depth,
+            setup,
         }
     }
 
@@ -192,20 +188,17 @@ impl ShortcutIndex {
         &self.shortcuts
     }
 
-    /// The frozen aggregation trees, as an [`AggregationSetup`] ready
-    /// for [`AggregationSetup::aggregate_in_session`] — identical to
-    /// rebuilding from graph + partition + shortcuts.
-    pub fn aggregation_setup(&self) -> AggregationSetup {
-        AggregationSetup {
-            trees: self.trees.clone(),
-            tree_congestion: self.tree_congestion,
-            tree_depth: self.tree_depth,
-        }
+    /// The frozen aggregation trees, ready for
+    /// [`AggregationSetup::aggregate_in_session`] — identical to
+    /// rebuilding from graph + partition + shortcuts. Every
+    /// customization of the index borrows these; none copies them.
+    pub fn aggregation_setup(&self) -> &AggregationSetup {
+        &self.setup
     }
 
     /// Number of aggregation trees (= parts).
     pub fn num_trees(&self) -> usize {
-        self.trees.len()
+        self.setup.trees.len()
     }
 
     // ---- serialization ------------------------------------------------
@@ -309,15 +302,12 @@ impl ShortcutIndex {
         let graph = parse_graph(find(section::GRAPH)?)?;
         let weights = parse_weights(find(section::WEIGHTS)?, graph.m())?;
         let partition = parse_partition(find(section::PARTITION)?, &graph)?;
-        let (shortcuts, trees, tree_congestion, tree_depth) = {
-            let shortcuts = parse_shortcuts(find(section::SHORTCUTS)?, &graph, &partition)?;
-            let (trees, c, d) = parse_trees(find(section::TREES)?, &graph)?;
-            (shortcuts, trees, c, d)
-        };
-        if trees.len() != partition.num_parts() {
+        let shortcuts = parse_shortcuts(find(section::SHORTCUTS)?, &graph, &partition)?;
+        let setup = parse_trees(find(section::TREES)?, &graph)?;
+        if setup.trees.len() != partition.num_parts() {
             return Err(IndexError::Malformed(format!(
                 "{} trees for {} parts",
-                trees.len(),
+                setup.trees.len(),
                 partition.num_parts()
             )));
         }
@@ -327,9 +317,7 @@ impl ShortcutIndex {
             weights,
             partition,
             shortcuts,
-            trees,
-            tree_congestion,
-            tree_depth,
+            setup,
         })
     }
 
@@ -441,23 +429,24 @@ impl ShortcutIndex {
     }
 
     fn trees_bytes(&self) -> Vec<u8> {
+        let trees = &self.setup.trees;
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.trees.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.tree_congestion.to_le_bytes());
-        out.extend_from_slice(&self.tree_depth.to_le_bytes());
+        out.extend_from_slice(&(trees.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.setup.tree_congestion.to_le_bytes());
+        out.extend_from_slice(&self.setup.tree_depth.to_le_bytes());
         let mut off = 0u32;
         out.extend_from_slice(&off.to_le_bytes());
-        for t in &self.trees {
+        for t in trees {
             off += t.members.len() as u32;
             out.extend_from_slice(&off.to_le_bytes());
         }
-        for t in &self.trees {
+        for t in trees {
             out.extend_from_slice(&(t.part as u32).to_le_bytes());
             out.extend_from_slice(&t.root.to_le_bytes());
             out.extend_from_slice(&t.depth.to_le_bytes());
             out.extend_from_slice(&u32::from(t.spans_part).to_le_bytes());
         }
-        for t in &self.trees {
+        for t in trees {
             for &(v, p) in &t.members {
                 out.extend_from_slice(&v.to_le_bytes());
                 out.extend_from_slice(&p.unwrap_or(u32::MAX).to_le_bytes());
@@ -665,8 +654,7 @@ fn parse_shortcuts(
     ))
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_trees(body: &[u8], graph: &Graph) -> Result<(Vec<PartTree>, u32, u32), IndexError> {
+fn parse_trees(body: &[u8], graph: &Graph) -> Result<AggregationSetup, IndexError> {
     let mut c = Cursor::new(body);
     let count = c.u32()? as usize;
     if count > graph.n().max(1) {
@@ -680,10 +668,18 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<(Vec<PartTree>, u32, u32), 
     for _ in 0..=count {
         offsets.push(c.u32()? as usize);
     }
+    let n = graph.n() as u32;
     let mut headers = Vec::with_capacity(count);
-    for _ in 0..count {
+    for i in 0..count {
         let part = c.u32()? as usize;
         let root: NodeId = c.u32()?;
+        // Tree i serves part i, rooted at a node of the graph: the
+        // customized depth table and SSSP relaxation index by both.
+        if part != i || root >= n {
+            return Err(IndexError::Malformed(format!(
+                "tree {i} claims part {part} with root {root} (n={n})"
+            )));
+        }
         let depth = c.u32()?;
         let spans = match c.u32()? {
             0 => false,
@@ -692,7 +688,6 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<(Vec<PartTree>, u32, u32), 
         };
         headers.push((part, root, depth, spans));
     }
-    let n = graph.n() as u32;
     let mut trees = Vec::with_capacity(count);
     for (i, (part, root, depth, spans_part)) in headers.into_iter().enumerate() {
         if offsets[i + 1] < offsets[i] {
@@ -723,7 +718,11 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<(Vec<PartTree>, u32, u32), 
         });
     }
     c.done()?;
-    Ok((trees, tree_congestion, tree_depth))
+    Ok(AggregationSetup {
+        trees,
+        tree_congestion,
+        tree_depth,
+    })
 }
 
 #[cfg(test)]
@@ -774,15 +773,20 @@ mod tests {
     fn frozen_trees_match_fresh_build() {
         let idx = fixture();
         let fresh = AggregationSetup::build(idx.graph(), idx.partition(), idx.shortcuts());
-        let stored = idx.aggregation_setup();
-        assert_eq!(stored.tree_congestion, fresh.tree_congestion);
-        assert_eq!(stored.tree_depth, fresh.tree_depth);
-        for (a, b) in stored.trees.iter().zip(fresh.trees.iter()) {
-            assert_eq!(a.part, b.part);
-            assert_eq!(a.root, b.root);
-            assert_eq!(a.members, b.members);
-            assert_eq!(a.depth, b.depth);
-            assert_eq!(a.spans_part, b.spans_part);
+        assert_eq!(idx.aggregation_setup(), &fresh);
+    }
+
+    #[test]
+    fn misplaced_or_unrooted_trees_are_malformed() {
+        let mut swapped = fixture();
+        swapped.setup.trees.swap(0, 1);
+        let mut unrooted = fixture();
+        unrooted.setup.trees[2].root = unrooted.graph.n() as NodeId;
+        for idx in [swapped, unrooted] {
+            assert!(matches!(
+                ShortcutIndex::from_bytes(&idx.to_bytes()),
+                Err(IndexError::Malformed(_))
+            ));
         }
     }
 
