@@ -103,33 +103,47 @@ fn served_sssp_is_byte_identical_to_one_shot() {
     }
 }
 
+/// The served MST equals the one-shot run at every batch seed and pool
+/// size, each on a fresh customization that fills its answer under its
+/// own seed, and the unique MST is Kruskal's — also when eight
+/// concurrent first queries race to fill one customization.
 #[test]
 fn served_mst_is_byte_identical_to_one_shot_and_kruskal() {
     let (wg, p) = fixture();
     let idx = Arc::new(build(&wg, &p, 1));
-    let cx = CustomizedIndex::baseline(Arc::clone(&idx));
-    let pool = ServePool::new(Arc::clone(&idx), 2);
-
-    let batch_seed = 0xBEEF;
-    let batch = pool.serve(&[Query::Mst], batch_seed);
-    let seed = per_query_seed(batch_seed, 0);
-    let one_shot = mst_via_shortcuts(&wg, &mst_config(&cx, seed)).unwrap();
-    match &batch.results[0] {
-        lcs_serve::QueryResult::Mst {
-            edges,
-            weight,
-            phases,
-        } => {
-            assert_eq!(edges, &one_shot.edges);
-            assert_eq!(*weight, one_shot.weight);
-            assert_eq!(*phases, one_shot.phases);
-            // And the unique MST equals the Kruskal reference.
-            let k = kruskal(&wg);
+    let k = kruskal(&wg);
+    let kruskal_answer = |result: &QueryResult| match result {
+        QueryResult::Mst { edges, weight, .. } => {
             assert_eq!(edges, &k.edges);
             assert_eq!(*weight, k.weight);
         }
         other => panic!("expected an MST answer, got {other:?}"),
+    };
+    let mut answers = Vec::new();
+    for batch_seed in [0xBEEF, 1, 0x5EED_0003] {
+        for workers in [1usize, 4] {
+            let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&idx)));
+            let served = ServePool::with_customization(Arc::clone(&cx), workers)
+                .serve(&[Query::Mst], batch_seed);
+            let seed = per_query_seed(batch_seed, 0);
+            let one_shot = mst_via_shortcuts(&wg, &mst_config(&cx, seed)).unwrap();
+            assert_eq!(
+                served.results[0],
+                QueryResult::Mst {
+                    edges: one_shot.edges,
+                    weight: one_shot.weight,
+                    phases: one_shot.phases,
+                },
+                "batch seed {batch_seed:#x}, {workers} workers"
+            );
+            kruskal_answer(&served.results[0]);
+            answers.push(served.results[0].clone());
+        }
     }
+    assert!(answers.windows(2).all(|w| w[0] == w[1]));
+    let served = ServePool::new(Arc::clone(&idx), 4).serve(&[Query::Mst; 8], 0x8);
+    served.results.iter().for_each(kruskal_answer);
+    assert!(served.results.windows(2).all(|w| w[0] == w[1]));
 }
 
 #[test]
@@ -380,49 +394,6 @@ fn mst_answer_depends_only_on_the_weighted_graph() {
             }
         }
     }
-}
-
-#[test]
-fn served_mst_is_seed_and_pool_invariant_and_fills_once_under_contention() {
-    let (wg, p) = fixture();
-    let idx = Arc::new(build(&wg, &p, 1));
-    let mut answers = Vec::new();
-    for batch_seed in [1u64, 0xBEEF, 0x5EED_0003] {
-        for workers in [1usize, 4] {
-            // A fresh customization per run, so every run fills the
-            // answer under its own seed.
-            let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&idx)));
-            let served = ServePool::with_customization(Arc::clone(&cx), workers)
-                .serve(&[Query::Mst], batch_seed);
-            let seed = per_query_seed(batch_seed, 0);
-            let one_shot = mst_via_shortcuts(&wg, &mst_config(&cx, seed)).unwrap();
-            assert_eq!(
-                served.results[0],
-                QueryResult::Mst {
-                    edges: one_shot.edges,
-                    weight: one_shot.weight,
-                    phases: one_shot.phases,
-                },
-                "batch seed {batch_seed:#x}, {workers} workers"
-            );
-            answers.push(served.results[0].clone());
-        }
-    }
-    assert!(answers.windows(2).all(|w| w[0] == w[1]));
-
-    // Eight concurrent first queries on a fresh 4-worker pool.
-    let served = ServePool::new(Arc::clone(&idx), 4).serve(&[Query::Mst; 8], 0x8);
-    let k = kruskal(&wg);
-    for result in &served.results {
-        match result {
-            QueryResult::Mst { edges, weight, .. } => {
-                assert_eq!(edges, &k.edges);
-                assert_eq!(*weight, k.weight);
-            }
-            other => panic!("expected an MST answer, got {other:?}"),
-        }
-    }
-    assert!(served.results.windows(2).all(|w| w[0] == w[1]));
 }
 
 /// One relaxation instance: a weighted graph, a partition that may
