@@ -700,6 +700,7 @@ pub fn approximation_ratio(wg: &WeightedGraph, outcome: &MinCutOutcome) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_congest::hash::Fnv;
     use lcs_graph::{cut_weight, gnp_connected, HighwayGraph, HighwayParams};
     use rand::seq::SliceRandom;
 
@@ -1024,6 +1025,53 @@ mod tests {
                 "case {case}: n={n} root={root} tree={tree:?}"
             );
         }
+    }
+
+    #[test]
+    fn min_cut_search_answers_are_pinned() {
+        // 240 seeded instances, each ε of {0.1, 0.2, 0.5} meeting each
+        // family: G(n, p) under five weight ranges, cluster rings and
+        // small highway graphs. Weights are at least 1, so no answer is
+        // a zero-weight cut.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x91C07);
+        let mut fnv = Fnv::new();
+        for case in 0..240u64 {
+            let wg = match case % 8 {
+                family @ 0..=4 => {
+                    let n = rng.gen_range(4..60);
+                    let g = gnp_connected(n, rng.gen_range(0.05..0.4), &mut rng);
+                    let (lo, hi) =
+                        [(1, 1), (1, 3), (1, 100), (50, 5000), (1, 1 << 36)][family as usize];
+                    let weights = (0..g.m()).map(|_| rng.gen_range(lo..=hi)).collect();
+                    WeightedGraph::new(g, weights).unwrap()
+                }
+                5 => cluster_ring(&mut rng),
+                _ => {
+                    let hw = HighwayGraph::new(HighwayParams {
+                        num_paths: rng.gen_range(2..5),
+                        path_len: rng.gen_range(6..16),
+                        diameter: rng.gen_range(3..5),
+                    })
+                    .unwrap();
+                    let g = hw.graph().clone();
+                    WeightedGraph::with_random_weights(g, 20, &mut rng)
+                }
+            };
+            let cfg = MinCutConfig {
+                epsilon: [0.1, 0.2, 0.5][(case % 3) as usize],
+                seed: case,
+                ..MinCutConfig::default()
+            };
+            let out = min_cut_search(&wg, &cfg).unwrap();
+            assert_eq!(cut_weight(&wg, &out.side), out.weight, "case {case}");
+            fnv.u64(out.weight).u64(out.side.len() as u64);
+            for &v in &out.side {
+                fnv.u64(v.into());
+            }
+            fnv.u64(out.trees_packed as u64)
+                .u64(out.estimate_iterations.into());
+        }
+        assert_eq!(fnv.finish(), 0x4723_4356_0599_f99f);
     }
 
     #[test]
