@@ -253,9 +253,13 @@ pub(crate) struct CutBuffers {
     ready: Vec<u32>,
 }
 
-/// Exact minimum 1- or 2-respecting cut of `wg` with respect to the
-/// spanning tree `tree_edges` rooted at `root`. Returns
-/// `(weight, side)` with `side` sorted ascending.
+/// Minimum 1- or 2-respecting cut of `wg` with respect to the spanning
+/// tree `tree_edges` rooted at `root`, exact whenever it weighs less
+/// than `bound`. Returns `(weight, side)` with `side` sorted ascending:
+/// below `bound`, the exact minimum with its ties broken as below;
+/// otherwise some respecting cut, of weight at least `bound`, that a
+/// caller looking for a cut lighter than `bound` discards. With
+/// `bound = u64::MAX` the answer is always the exact minimum.
 ///
 /// Positions follow the tree's DFS preorder. A 1-respecting cut is a
 /// subtree; the first position of least weight wins. A 2-respecting
@@ -277,6 +281,13 @@ pub(crate) struct CutBuffers {
 /// more than the `|tree path|²` pairs of subtrees it crosses, and
 /// memory stays `O(n + m)` in `buffers`.
 ///
+/// Most rows are skipped outright. Every side row `i` weighs holds
+/// position `i` and no earlier position, so each edge from `i` to an
+/// earlier position crosses all of them. When those edges weigh at
+/// least `min(bound, best)`, `best` being the lightest cut found so
+/// far, the row can neither beat nor tie the winner, nor bring the
+/// answer below `bound`, and costs only `i`'s degree.
+///
 /// # Panics
 ///
 /// Panics unless `tree_edges` is a spanning tree of `wg`'s nodes
@@ -285,6 +296,7 @@ pub(crate) fn min_respecting_cut(
     wg: &WeightedGraph,
     tree_edges: &[(NodeId, NodeId)],
     root: NodeId,
+    bound: u64,
     buffers: &mut CutBuffers,
 ) -> (u64, Vec<NodeId>) {
     let g = wg.graph();
@@ -338,77 +350,85 @@ pub(crate) fn min_respecting_cut(
         }
     }
 
-    // 2-respecting, row by row. With best = 0 no positive pair can
-    // beat it. Otherwise a disjoint j that no edge of subtree(i)
-    // reaches weighs cut1[i] + cut1[j] > best, so rows skip those.
-    if best > 0 {
-        inner.resize(n, 0);
-        is_touched.resize(n, false);
-        pending.resize(n, 0);
-        shared.resize(n, 0);
-        for i in 1..n {
-            let e = end[i] as usize;
-            let base = cut1[i];
-            for p in i..e {
-                let mut out = 0u64;
-                for &(q, w) in &arcs[arc_start[p] as usize..arc_start[p + 1] as usize] {
-                    let q = q as usize;
-                    if q < i {
-                        out += w;
-                    } else if q >= e {
-                        out += w;
-                        shared[q] += w;
-                        // Touch q's tree path up to the first touched
-                        // position or row i's ancestors.
-                        let mut a = q;
-                        while !is_touched[a] {
-                            is_touched[a] = true;
-                            touched.push(a as u32);
-                            let up = parent[a] as usize;
-                            if up < e {
-                                break;
-                            }
-                            pending[up] += 1;
-                            a = up;
+    // 2-respecting, row by row. A row whose edges to earlier positions
+    // weigh at least min(bound, best) is skipped (with best = 0, every
+    // row). A disjoint j that no edge of subtree(i) reaches weighs
+    // cut1[i] + cut1[j] > best, so rows skip those.
+    inner.resize(n, 0);
+    is_touched.resize(n, false);
+    pending.resize(n, 0);
+    shared.resize(n, 0);
+    for i in 1..n {
+        let row_arcs = &arcs[arc_start[i] as usize..arc_start[i + 1] as usize];
+        let to_earlier: u64 = row_arcs
+            .iter()
+            .filter(|&&(q, _)| (q as usize) < i)
+            .map(|&(_, w)| w)
+            .sum();
+        if to_earlier >= bound.min(best) {
+            continue;
+        }
+        let e = end[i] as usize;
+        let base = cut1[i];
+        for p in i..e {
+            let mut out = 0u64;
+            for &(q, w) in &arcs[arc_start[p] as usize..arc_start[p + 1] as usize] {
+                let q = q as usize;
+                if q < i {
+                    out += w;
+                } else if q >= e {
+                    out += w;
+                    shared[q] += w;
+                    // Touch q's tree path up to the first touched
+                    // position or row i's ancestors.
+                    let mut a = q;
+                    while !is_touched[a] {
+                        is_touched[a] = true;
+                        touched.push(a as u32);
+                        let up = parent[a] as usize;
+                        if up < e {
+                            break;
                         }
+                        pending[up] += 1;
+                        a = up;
                     }
                 }
-                inner[p] = out;
             }
-            let (mut row, mut row_j) = (u64::MAX, usize::MAX);
-            // Nested j in descending position: each sum is complete when
-            // reached, and `<=` keeps the least j of a tie.
-            for j in (i + 1..e).rev() {
-                let c = base + cut1[j] - 2 * inner[j];
-                if c > 0 && c <= row {
-                    (row, row_j) = (c, j);
+            inner[p] = out;
+        }
+        let (mut row, mut row_j) = (u64::MAX, usize::MAX);
+        // Nested j in descending position: each sum is complete when
+        // reached, and `<=` keeps the least j of a tie.
+        for j in (i + 1..e).rev() {
+            let c = base + cut1[j] - 2 * inner[j];
+            if c > 0 && c <= row {
+                (row, row_j) = (c, j);
+            }
+            inner[parent[j] as usize] += inner[j];
+        }
+        // Later touched j, children first: `shared` becomes the
+        // subtree sum of the outer endpoints' weights.
+        ready.extend(touched.drain(..).filter(|&j| pending[j as usize] == 0));
+        while let Some(j) = ready.pop() {
+            let j = j as usize;
+            let c = base + cut1[j] - 2 * shared[j];
+            if c > 0 && (c < row || (c == row && j < row_j)) {
+                (row, row_j) = (c, j);
+            }
+            let up = parent[j] as usize;
+            if up >= e {
+                shared[up] += shared[j];
+                pending[up] -= 1;
+                if pending[up] == 0 {
+                    ready.push(up as u32);
                 }
-                inner[parent[j] as usize] += inner[j];
             }
-            // Later touched j, children first: `shared` becomes the
-            // subtree sum of the outer endpoints' weights.
-            ready.extend(touched.drain(..).filter(|&j| pending[j as usize] == 0));
-            while let Some(j) = ready.pop() {
-                let j = j as usize;
-                let c = base + cut1[j] - 2 * shared[j];
-                if c > 0 && (c < row || (c == row && j < row_j)) {
-                    (row, row_j) = (c, j);
-                }
-                let up = parent[j] as usize;
-                if up >= e {
-                    shared[up] += shared[j];
-                    pending[up] -= 1;
-                    if pending[up] == 0 {
-                        ready.push(up as u32);
-                    }
-                }
-                is_touched[j] = false;
-                shared[j] = 0;
-            }
-            if row < best {
-                best = row;
-                winner = Some((i, Some(row_j)));
-            }
+            is_touched[j] = false;
+            shared[j] = 0;
+        }
+        if row < best {
+            best = row;
+            winner = Some((i, Some(row_j)));
         }
     }
 
@@ -568,7 +588,7 @@ pub fn min_cut_search(wg: &WeightedGraph, cfg: &MinCutConfig) -> Result<CutSearc
         let trees = pack_trees(&skeleton, trees_per_round);
         trees_packed += trees.len();
         for tree in &trees {
-            let (w, side) = min_respecting_cut(wg, tree, 0, &mut buffers);
+            let (w, side) = min_respecting_cut(wg, tree, 0, best, &mut buffers);
             if w < best {
                 best = w;
                 best_side = side;
@@ -720,7 +740,7 @@ mod tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, u64::MAX, &mut CutBuffers::default());
         let exact = stoer_wagner(&wg).unwrap().weight;
         assert_eq!(w, exact);
         assert_eq!(cut_weight(&wg, &side), w);
@@ -996,7 +1016,10 @@ mod tests {
         // Connected G(n, p) with weights 1..=3 (ties), 1..=100, and
         // 0..=2 (zero-weight edges, where a pair can weigh 0 and is
         // skipped); then cluster rings, where 2-respecting cuts tie.
+        // Each case runs at bounds 0, the oracle's weight, one more, a
+        // random value and u64::MAX.
         let mut rng = ChaCha8Rng::seed_from_u64(0x0AC1E);
+        let mut bound_rng = ChaCha8Rng::seed_from_u64(0xB0D);
         let mut buffers = CutBuffers::default();
         for case in 0..2700 {
             let wg = if case < 2100 {
@@ -1019,11 +1042,23 @@ mod tests {
                 edges.into_iter().filter(|&(u, v)| uf.union(u, v)).collect();
             tree.shuffle(&mut rng);
             let root = rng.gen_range(0..n as NodeId);
-            assert_eq!(
-                min_respecting_cut(&wg, &tree, root, &mut buffers),
-                respecting_cut_oracle(&wg, &tree, root),
-                "case {case}: n={n} root={root} tree={tree:?}"
-            );
+            // Below the bound the answer is the oracle's; otherwise it
+            // is a real cut of at least the bound.
+            let oracle = respecting_cut_oracle(&wg, &tree, root);
+            let random = bound_rng.gen_range(0..=2 * oracle.0 + 1);
+            for bound in [0, oracle.0, oracle.0 + 1, random, u64::MAX] {
+                let (w, side) = min_respecting_cut(&wg, &tree, root, bound, &mut buffers);
+                if oracle.0 < bound {
+                    assert_eq!(
+                        (w, &side),
+                        (oracle.0, &oracle.1),
+                        "case {case} bound {bound}: n={n} root={root} tree={tree:?}"
+                    );
+                } else {
+                    assert!(w >= bound, "case {case} bound {bound}: weight {w}");
+                    assert_eq!(cut_weight(&wg, &side), w, "case {case} bound {bound}");
+                }
+            }
         }
     }
 
@@ -1078,7 +1113,13 @@ mod tests {
     #[should_panic(expected = "needs a spanning tree")]
     fn min_respecting_cut_rejects_a_short_tree() {
         let wg = WeightedGraph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
-        min_respecting_cut(&wg, &[(0, 1), (1, 2)], 0, &mut CutBuffers::default());
+        min_respecting_cut(
+            &wg,
+            &[(0, 1), (1, 2)],
+            0,
+            u64::MAX,
+            &mut CutBuffers::default(),
+        );
     }
 
     #[test]
@@ -1092,6 +1133,7 @@ mod tests {
             &wg,
             &[(0, 1), (1, 2), (2, 0)],
             0,
+            u64::MAX,
             &mut CutBuffers::default(),
         );
     }
@@ -1151,7 +1193,7 @@ mod nested_tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, u64::MAX, &mut CutBuffers::default());
         assert_eq!(w, 2);
         assert_eq!(side, vec![1, 2]);
         assert_eq!(cut_weight(&wg, &side), 2);
@@ -1169,7 +1211,7 @@ mod nested_tests {
         )
         .unwrap();
         let tree: Vec<(NodeId, NodeId)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let (w, side) = min_respecting_cut(&wg, &tree, 0, &mut CutBuffers::default());
+        let (w, side) = min_respecting_cut(&wg, &tree, 0, u64::MAX, &mut CutBuffers::default());
         assert_eq!(w, 2);
         assert!(side == vec![4] || side.len() == 4);
     }
