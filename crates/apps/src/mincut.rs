@@ -43,7 +43,7 @@
 use crate::mst::{check_encodable, mst_via_shortcuts, MstConfig, MstError};
 use lcs_congest::{ceil_log2, FaultPlan, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
-use lcs_graph::{stoer_wagner, Graph, NodeId, UnionFind, WeightedGraph};
+use lcs_graph::{connected_components, stoer_wagner, Graph, NodeId, UnionFind, WeightedGraph};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -520,7 +520,9 @@ fn check_cuttable(g: &Graph) -> Result<(), MinCutError> {
 /// pricing: skeleton sampling, greedy tree packing and the
 /// respecting-cut scan, on the whole graph (`cfg.mst` is not run, and
 /// its fault plan is not consulted). The index-served min-cut calls
-/// this alone, since its answer carries no round count.
+/// this alone, since its answer carries no round count. When the
+/// positive-weight edges leave the graph disconnected, the answer is
+/// the weight-0 cut whose side is what they connect to node 0.
 ///
 /// # Errors
 ///
@@ -575,7 +577,13 @@ pub fn min_cut_search(wg: &WeightedGraph, cfg: &MinCutConfig) -> Result<CutSearc
         let skeleton = Graph::from_edges(n, &kept).expect("skeleton nodes in range");
         if !lcs_graph::is_connected(&skeleton) {
             if p >= 1.0 {
-                break; // only zero-weight edges were left out
+                // Every positive-weight edge was kept, so only
+                // zero-weight edges leave node 0's component.
+                if best > 0 {
+                    let parts = connected_components(&skeleton);
+                    (best, best_side) = (0, parts.members(parts.label[0]));
+                }
+                break;
             }
             // Sampling too sparse (estimate too big): the min cut is
             // tiny; halve the estimate and retry. An estimate already
@@ -708,13 +716,15 @@ fn degraded_min_cut(
 }
 
 /// Convenience: ratio between the approximate result and the exact
-/// Stoer–Wagner cut.
+/// Stoer–Wagner cut; `f64::INFINITY` when the exact cut weighs 0 and
+/// the found one does not.
 pub fn approximation_ratio(wg: &WeightedGraph, outcome: &MinCutOutcome) -> f64 {
     let exact = stoer_wagner(wg).map(|c| c.weight).unwrap_or(0);
-    if exact == 0 {
-        return 1.0;
+    match (exact, outcome.weight) {
+        (0, 0) => 1.0,
+        (0, _) => f64::INFINITY,
+        _ => outcome.weight as f64 / exact as f64,
     }
-    outcome.weight as f64 / exact as f64
 }
 
 #[cfg(test)]
@@ -748,29 +758,40 @@ mod tests {
 
     #[test]
     fn approx_matches_exact_on_bridge_graph() {
-        let wg = WeightedGraph::from_weighted_edges(
-            6,
-            &[
-                (0, 1, 9),
-                (1, 2, 9),
-                (2, 0, 9),
-                (3, 4, 9),
-                (4, 5, 9),
-                (5, 3, 9),
-                (2, 3, 2),
-            ],
-        )
-        .unwrap();
-        let cfg = MinCutConfig {
-            mst: MstConfig {
-                diameter: Some(3),
-                ..MstConfig::default()
-            },
-            ..MinCutConfig::default()
-        };
-        let out = approximate_min_cut(&wg, &cfg).unwrap();
-        assert_eq!(out.weight, 2);
-        assert_eq!(cut_weight(&wg, &out.side), 2);
+        // A weight-0 bridge leaves the skeleton disconnected at every
+        // sampling rate: the search must return that cut, and a cut
+        // that misses it has an unbounded ratio.
+        for bridge in [2, 0] {
+            let wg = WeightedGraph::from_weighted_edges(
+                6,
+                &[
+                    (0, 1, 9),
+                    (1, 2, 9),
+                    (2, 0, 9),
+                    (3, 4, 9),
+                    (4, 5, 9),
+                    (5, 3, 9),
+                    (2, 3, bridge),
+                ],
+            )
+            .unwrap();
+            let cfg = MinCutConfig {
+                mst: MstConfig {
+                    diameter: Some(3),
+                    ..MstConfig::default()
+                },
+                ..MinCutConfig::default()
+            };
+            let out = approximate_min_cut(&wg, &cfg).unwrap();
+            assert_eq!(out.weight, bridge);
+            assert_eq!(cut_weight(&wg, &out.side), bridge);
+            assert_eq!(approximation_ratio(&wg, &out), 1.0);
+            let missed = MinCutOutcome {
+                weight: 18,
+                ..out.clone()
+            };
+            assert_eq!(approximation_ratio(&wg, &missed), 18.0 / bridge as f64);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use lcs_core::{
     IndexBuildConfig, KoganParter, KpParams, LargenessRule, OracleMode,
 };
 use lcs_graph::{
-    dijkstra, gnp, gnp_connected, grid, kruskal, HighwayGraph, HighwayParams, NodeId,
+    cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, HighwayGraph, HighwayParams, NodeId,
     WeightedGraph, W_UNREACHABLE,
 };
 use lcs_serve::{
@@ -334,6 +334,42 @@ fn heavy_weights_serve_exact_distances_and_a_typed_min_cut_failure() {
             MinCutError::Mst(MstError::EncodingOverflow)
         );
     }
+}
+
+#[test]
+fn served_min_cut_finds_a_zero_weight_cut() {
+    // Every edge leaving path 0 weighs 0, so path 0 is a weight-0 cut
+    // that the skeleton, which keeps only positive-weight edges, never
+    // spans.
+    let idx = doc_example_index();
+    let in_path0 = |v: NodeId| idx.partition().part_of(v) == Some(0);
+    let weights: Vec<u64> = idx
+        .graph()
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(e, &(u, v))| {
+            if in_path0(u) != in_path0(v) {
+                0
+            } else {
+                e as u64 % 9 + 1
+            }
+        })
+        .collect();
+    let cx = Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), weights).unwrap());
+    let served = ServePool::with_customization(Arc::clone(&cx), 1).serve(&[Query::MinCut], 3);
+    let seed = per_query_seed(3, 0);
+    let one_shot = approximate_min_cut(cx.weighted_graph(), &min_cut_config(&cx, seed)).unwrap();
+    assert_eq!(one_shot.weight, 0);
+    assert_eq!(cut_weight(cx.weighted_graph(), &one_shot.side), 0);
+    assert_eq!(
+        served.results[0],
+        QueryResult::MinCut {
+            weight: 0,
+            side: one_shot.side,
+            trees_packed: one_shot.trees_packed as u64,
+        }
+    );
 }
 
 /// Seeded G(n,p) (connected and not) and highway instances for the MST
