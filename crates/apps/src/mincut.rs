@@ -31,8 +31,14 @@
 //! — at most one step per pair of subtrees an edge crosses on opposite
 //! sides of its lowest common ancestor, so never more than the
 //! `|tree path|²` pairs per edge — and `O(n + m)` memory, whose buffers
-//! the trees of one run share. Packing a tree buckets the edges by load
-//! and runs one union–find pass, `O(m·α(n))`.
+//! the trees of one run share. That is the worst case: a row costs only
+//! its first position's degree when that position's edges to earlier
+//! positions weigh at least the lightest cut found so far, by the
+//! search (starting from the minimum weighted degree) or in this tree,
+//! because every cut the row weighs crosses them. When the minimum cut
+//! is well below most nodes' weighted degree, most rows stop there.
+//! Packing a tree buckets the edges by load and runs one union–find
+//! pass, `O(m·α(n))`.
 //!
 //! Distributed cost accounting: each packed tree costs one
 //! MST-via-shortcuts computation plus one partwise aggregation for the
@@ -281,12 +287,12 @@ pub(crate) struct CutBuffers {
 /// more than the `|tree path|²` pairs of subtrees it crosses, and
 /// memory stays `O(n + m)` in `buffers`.
 ///
-/// Most rows are skipped outright. Every side row `i` weighs holds
-/// position `i` and no earlier position, so each edge from `i` to an
-/// earlier position crosses all of them. When those edges weigh at
-/// least `min(bound, best)`, `best` being the lightest cut found so
-/// far, the row can neither beat nor tie the winner, nor bring the
-/// answer below `bound`, and costs only `i`'s degree.
+/// A row that cannot matter is skipped outright. Every side row `i`
+/// weighs holds position `i` and no earlier position, so each edge
+/// from `i` to an earlier position crosses all of them. When those
+/// edges weigh at least `min(bound, best)`, `best` being the lightest
+/// cut found so far, the row can neither beat nor tie the winner, nor
+/// bring the answer below `bound`, and costs only `i`'s degree.
 ///
 /// # Panics
 ///
@@ -1085,9 +1091,9 @@ mod tests {
 
     #[test]
     fn min_cut_search_answers_are_pinned() {
-        // 240 seeded instances, each ε of {0.1, 0.2, 0.5} meeting each
-        // family: G(n, p) under five weight ranges, cluster rings and
-        // small highway graphs. Weights are at least 1, so no answer is
+        // 240 seeded instances: G(n, p) under five weight ranges,
+        // cluster rings and small highway graphs, each family at every
+        // ε of {0.1, 0.2, 0.5}. Weights are at least 1, so no answer is
         // a zero-weight cut.
         let mut rng = ChaCha8Rng::seed_from_u64(0x91C07);
         let mut fnv = Fnv::new();
