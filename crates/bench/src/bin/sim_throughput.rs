@@ -20,7 +20,7 @@
 //! diverge from the sequential run's** — CI runs `--quick --shards
 //! 1,4` and relies on that exit code as the shard determinism gate
 //! (the gate covers the event-driven active-set engine's sparsest
-//! workloads — `idle` and `sparse_bfs` — alongside the dense ones, so
+//! workloads — `idle` and `sparse_bfs` — alongside the saturated ones, so
 //! an active-set scheduling divergence fails the build).
 //!
 //! Two workloads run at **large scale** — `large_bfs` and

@@ -61,28 +61,6 @@
 //! shard count — thin-frontier protocols no longer pay two barrier
 //! crossings per round for idle workers.
 //!
-//! # All-active (dense) rounds
-//!
-//! The opposite extreme is a **saturated** round: when the previous
-//! round put a message on *every* arc (`in_flight == num_arcs`) and no
-//! node is isolated, every node is guaranteed to have mail, so the
-//! active set is the full node span by construction. The coordinator
-//! then switches the next round into **dense mode**: shards iterate
-//! their whole span directly and skip all event bookkeeping — no wake
-//! notifications per send, no active-list maintenance, no mail-flag
-//! reads, no occupancy checks on gather (every reverse slot is
-//! occupied). This restores the pre-event-driving raw message path for
-//! workloads like `saturate` while producing bit-identical outcomes:
-//! the set and order of executed nodes, their inboxes, and all
-//! statistics match the normal path exactly. Leaving dense mode with
-//! messages still in flight inserts one **resync** round that
-//! reconstructs the mail flags and activations the skipped
-//! notifications would have left (an `O(own arcs)` occupancy scan per
-//! shard), after which normal event-driven scheduling resumes. The
-//! mode decision is made once per round by the coordinator from the
-//! global in-flight count, so it is identical at every shard count and
-//! the determinism contract below is unaffected.
-//!
 //! # Persistent sharded rounds
 //!
 //! Nodes are split into contiguous shards ([`SimConfig::shards`]). The
@@ -361,9 +339,11 @@ pub struct SimConfig {
     pub shared_randomness_words: usize,
     /// Number of contiguous node shards executed by the persistent
     /// worker pool ([`crate::pool`]), one thread per shard. `0` (the
-    /// default) resolves to [`std::thread::available_parallelism`]
-    /// clamped to the node count, so multi-core hardware is used out of
-    /// the box; `1` runs fully sequentially on the calling thread. Any
+    /// default) resolves to [`std::thread::available_parallelism`],
+    /// lowered so every shard gets at least 4,096 nodes (see
+    /// [`SimConfig::resolved_shards`]): large graphs use multi-core
+    /// hardware out of the box, and graphs under 8,192 nodes run on one
+    /// shard; `1` runs fully sequentially on the calling thread. Any
     /// value produces bit-identical outcomes (see the module docs'
     /// determinism contract), so the choice is purely about wall-clock.
     pub shards: usize,
@@ -558,8 +538,7 @@ impl<M: Message> FaultState<M> {
     /// of the reorder ring, orders them deterministically, and
     /// activates every receiver (a delayed delivery must wake its
     /// receiver). Runs before the active-list swap, so the activations
-    /// land in **this** round's list; in a dense round they are
-    /// subsumed by the full sweep and harmlessly discarded.
+    /// land in **this** round's list.
     fn begin_round(
         &mut self,
         round: u64,
@@ -740,7 +719,7 @@ impl WakeMatrix {
 /// activation path — local wire sends ([`WireFx`]), cross-shard wake
 /// drains, and [`Wake::Stay`] re-enqueues — goes through here: it is
 /// the single owner of the duplicate-free invariant that the
-/// dense-round fast path's list regeneration relies on.
+/// full-span list regeneration in `run_shard` relies on.
 #[inline]
 pub(crate) fn activate(next_active: &mut Vec<u32>, in_set: &mut [bool], node_lo: u32, v: u32) {
     let off = (v - node_lo) as usize;
@@ -793,21 +772,6 @@ fn prefetch_read<T>(p: &T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
 }
-
-// Round execution modes, decided by the coordinator once per round
-// from the global in-flight count (see the module docs' dense-rounds
-// section). Workers read the mode through a relaxed atomic; the pool's
-// barrier crossings provide the ordering.
-
-/// Event-driven scheduling: only the active set runs.
-const MODE_NORMAL: u8 = 0;
-/// Every arc carried a message last round: run the full node span and
-/// skip all event bookkeeping.
-const MODE_DENSE: u8 = 1;
-/// First round after leaving dense mode with messages still in flight:
-/// reconstruct mail flags and activations from mailbox occupancy, then
-/// proceed normally.
-const MODE_RESYNC: u8 = 2;
 
 /// The untyped (message-independent) per-shard engine state, persisted
 /// across a session's phases by the [`EngineHost`]: the shard's
@@ -945,10 +909,6 @@ pub(crate) struct EngineHost {
     /// Parity mailbox occupancy bytes, one per arc (persistent —
     /// untyped, unlike the payload buffers; reset at phase start).
     occs: [Vec<OccCell>; 2],
-    /// Whether dense (all-active) rounds are sound for this graph:
-    /// `in_flight == num_arcs` implies *every* node has mail only when
-    /// no node is isolated.
-    dense_eligible: bool,
     /// Cross-shard wake queues (persistent; reset at phase start).
     wakes: WakeMatrix,
     /// Per-shard cores (persistent; reset at phase start). Emptied when
@@ -976,7 +936,6 @@ impl EngineHost {
             bounds: (0..shards).map(|s| (s * n / shards) as u32).collect(),
             mails: [mk_flags(), mk_flags()],
             occs: [mk_occ(), mk_occ()],
-            dense_eligible: graph.num_arcs() > 0 && (0..n as NodeId).all(|v| graph.degree(v) > 0),
             wakes: WakeMatrix::new(shards),
             cores: build_cores(graph, shards),
             arena: SlabArena::default(),
@@ -1040,11 +999,7 @@ fn build_rev_arcs(g: &Graph) -> Vec<u32> {
 /// wakes drained from the parity queues), then runs each active node in
 /// ascending id order — gathering its inbox from `cur`, applying its
 /// sends into the shard's own span of `nxt`, and re-enqueuing it when
-/// it asks to stay awake. In [`MODE_DENSE`] the active set is the full
-/// node span by construction and all event bookkeeping is skipped; in
-/// [`MODE_RESYNC`] the mail flags and activations the dense rounds
-/// skipped are first rebuilt from mailbox occupancy (module docs).
-/// Returns `(next_active_len, first_violation)`.
+/// it asks to stay awake. Returns `(next_active_len, first_violation)`.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<P: Protocol + Sync>(
     graph: &Graph,
@@ -1065,7 +1020,6 @@ fn run_shard<P: Protocol + Sync>(
     me: usize,
     wakes: &WakeMatrix,
     bounds: &[u32],
-    mode: u8,
 ) -> (u64, Option<SimError>) {
     sh.round_start = sh.counters();
     let Shard {
@@ -1101,8 +1055,8 @@ fn run_shard<P: Protocol + Sync>(
 
     // Fault round-start: apply crash/recovery events and surface this
     // round's delayed deliveries, activating their receivers. Runs
-    // before the active-list swap (so the activations join this round's
-    // list) and before the dense dispatch (a dense sweep subsumes them).
+    // before the active-list swap, so the activations join this round's
+    // list.
     if let Some(fs) = faults.as_mut() {
         fs.begin_round(
             round,
@@ -1110,38 +1064,6 @@ fn run_shard<P: Protocol + Sync>(
             &mut core.in_set,
             node_lo as u32,
         );
-    }
-
-    if mode == MODE_DENSE {
-        return run_shard_dense(
-            graph, protocol, core, messages, words, inbox, faults, nodes, rngs, cur, nxt, occ_cur,
-            occ_nxt, mail_cur, rev, shared, round, bandwidth, me, wakes,
-        );
-    }
-
-    if mode == MODE_RESYNC {
-        // The previous rounds ran dense with wire effects skipped:
-        // no mail flags were set and no wakes enqueued for this round.
-        // Rebuild both from mailbox occupancy — a node has mail iff any
-        // of its reverse slots is occupied. One O(own arcs) scan, paid
-        // once per dense exit.
-        #[allow(clippy::needless_range_loop)] // v indexes three parallel structures
-        for v in node_lo..core.node_hi {
-            for b in graph.arc_range(v as NodeId) {
-                // SAFETY: read-buffer occupancy of slot `rev[b]`, read
-                // only by the owner of arc `b` (invariant 2).
-                if unsafe { *occ_cur[rev[b] as usize].0.get() } {
-                    mail_cur[v].store(true, Ordering::Relaxed);
-                    activate(
-                        &mut core.next_active,
-                        &mut core.in_set,
-                        node_lo as u32,
-                        v as u32,
-                    );
-                    break;
-                }
-            }
-        }
     }
 
     // Drain the wake queues other shards filled for us last round (the
@@ -1170,10 +1092,11 @@ fn run_shard<P: Protocol + Sync>(
     core.next_active.clear();
     let span = core.node_hi - node_lo;
     if core.cur_active.len() == span {
-        // Dense round: the dedup invariant makes the list a permutation
-        // of the whole span — regenerate it in order instead of paying
-        // an O(span log span) sort (this keeps saturated rounds on the
-        // raw message path).
+        // Full-span round: the dedup invariant makes the list a
+        // permutation of the whole span — regenerate it in order
+        // instead of paying an O(span log span) sort. Round 0 needs
+        // this branch: `reset_for_phase` seeds the whole span without
+        // setting `in_set`, so the bitmap scan below would run nothing.
         core.in_set.fill(false);
         core.cur_active.clear();
         core.cur_active.extend(node_lo as u32..core.node_hi as u32);
@@ -1334,147 +1257,6 @@ fn run_shard<P: Protocol + Sync>(
     (core.next_active.len() as u64, violation)
 }
 
-/// The [`MODE_DENSE`] send phase: every node in the span runs, so all
-/// event bookkeeping is skipped — pending wakes and activations are
-/// discarded (subsumed by the full sweep), mail flags are cleared
-/// unconditionally (so a later notify's early-exit cannot observe a
-/// stale flag), the inbox gather reads every reverse slot without an
-/// occupancy check (`in_flight == num_arcs` guarantees occupancy), and
-/// sends carry no [`WireFx`]. Statistics and [`Wake::Stay`] handling
-/// are identical to the normal path, so outcomes are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_dense<P: Protocol + Sync>(
-    graph: &Graph,
-    protocol: &P,
-    core: &mut ShardCore,
-    messages: &mut u64,
-    words: &mut u64,
-    inbox: &mut Vec<(NodeId, P::Msg)>,
-    faults: &mut Option<FaultState<P::Msg>>,
-    nodes: &mut [P::State],
-    rngs: &mut [ChaCha8Rng],
-    cur: &[Slot<P::Msg>],
-    nxt: &[Slot<P::Msg>],
-    occ_cur: &[OccCell],
-    occ_nxt: &[OccCell],
-    mail_cur: &[AtomicBool],
-    rev: &[u32],
-    shared: &[u64],
-    round: u64,
-    bandwidth: u32,
-    me: usize,
-    wakes: &WakeMatrix,
-) -> (u64, Option<SimError>) {
-    let _ = occ_cur; // release builds compile the debug assertion away
-    let node_lo = core.node_lo;
-    // The wake queues other shards filled for us last round are
-    // subsumed by the full sweep, but must still be emptied to keep the
-    // parity protocol's "clean before reuse" invariant.
-    let drain_parity = ((round + 1) % 2) as usize;
-    for t in 0..wakes.shards {
-        if t != me {
-            // SAFETY: same drain-side access as the normal path.
-            unsafe { (*wakes.bufs[drain_parity][t * wakes.shards + me].0.get()).clear() };
-        }
-    }
-    // Pending activations are likewise subsumed; drop them (clearing
-    // their bitmap bits preserves the dedup invariant for the stays
-    // recorded below).
-    for &v in &core.next_active {
-        core.in_set[v as usize - node_lo] = false;
-    }
-    core.next_active.clear();
-
-    let mut violation: Option<SimError> = None;
-    for v in node_lo..core.node_hi {
-        let range = graph.arc_range(v as NodeId);
-        // Unconditional clear: entering the first dense round every
-        // flag in this parity is set (the previous normal round's
-        // notifies), in dense-to-dense rounds they are all clear — both
-        // are handled without a read.
-        mail_cur[v].store(false, Ordering::Relaxed);
-        inbox.clear();
-        // Gather every reverse slot without occupancy checks —
-        // `in_flight == num_arcs` last round guarantees each is
-        // occupied — walking the neighbor list and reverse-arc span in
-        // lockstep (both parallel to the arc range).
-        let heads = graph.neighbors(v as NodeId);
-        let rev_span = &rev[range.clone()];
-        if let Some(fs) = faults.as_mut() {
-            if fs.is_down(v, node_lo) {
-                // Crashed receiver in a dense round: every reverse slot
-                // is occupied, so the whole degree's worth of inbound
-                // messages is destroyed, plus any due delayed ones.
-                fs.dropped += rev_span.len() as u64;
-                fs.drop_due(v as u32);
-                continue;
-            }
-            for (&h, &ra) in heads.iter().zip(rev_span) {
-                let ra = ra as usize;
-                // SAFETY: as in the fault-free gather below.
-                let m = unsafe {
-                    debug_assert!(*occ_cur.get_unchecked(ra).0.get());
-                    (*cur.get_unchecked(ra).0.get()).assume_init_ref().clone()
-                };
-                fs.deliver(round, ra, v as u32, h, m, inbox);
-            }
-            fs.take_due(v as u32, inbox);
-        } else {
-            inbox.extend(heads.iter().zip(rev_span).map(|(&h, &ra)| {
-                let ra = ra as usize;
-                // SAFETY: read buffer (invariant 2); `ra < num_arcs` by
-                // the reverse-arc table's construction; occupancy
-                // guaranteed as above.
-                unsafe {
-                    debug_assert!(*occ_cur.get_unchecked(ra).0.get());
-                    let m = (*cur.get_unchecked(ra).0.get()).assume_init_ref().clone();
-                    (h, m)
-                }
-            }));
-        }
-        {
-            // SAFETY: this shard's own arc span of the write buffer
-            // (invariant 1); the borrow ends with `ctx`.
-            let own = unsafe { own_slots_mut(&nxt[range.start..range.end]) };
-            let occ = unsafe { own_occ_mut(&occ_nxt[range.start..range.end]) };
-            let mut ctx = RoundCtx {
-                node: v as NodeId,
-                round,
-                graph,
-                inbox,
-                rng: &mut rngs[v - node_lo],
-                shared,
-                tx: TxState {
-                    slots: own,
-                    occ,
-                    heads: graph.neighbors(v as NodeId),
-                    arc_base: range.start as u32,
-                    wire: None,
-                    dirty: &mut core.dirty_out,
-                    messages,
-                    words,
-                    per_arc: &mut core.per_arc[range.start - core.arc_lo..range.end - core.arc_lo],
-                    violation: &mut violation,
-                    bandwidth,
-                },
-            };
-            protocol.round(&mut nodes[v - node_lo], &mut ctx);
-        }
-        if violation.is_some() {
-            return (core.next_active.len() as u64, violation);
-        }
-        if let Wake::Stay = protocol.wake(&nodes[v - node_lo]) {
-            activate(
-                &mut core.next_active,
-                &mut core.in_set,
-                node_lo as u32,
-                v as u32,
-            );
-        }
-    }
-    (core.next_active.len() as u64, violation)
-}
-
 /// One engine phase: runs `protocol` over `nodes` (one state per node)
 /// to quiescence — no node awake and no messages in flight — on the
 /// host's persistent pool. [`Session`](crate::Session) calls this once
@@ -1548,7 +1330,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
         unsafe { buf.set_len(num_arcs) };
         buf
     });
-    let dense_eligible = host.dense_eligible;
 
     let EngineHost {
         pool,
@@ -1559,7 +1340,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
         wakes,
         cores,
         arena,
-        ..
     } = host;
     let shard_count = pool.workers();
 
@@ -1603,12 +1383,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     let rev_ref: &[u32] = rev;
     let shared_ref: &[u64] = &shared;
     let bandwidth = cfg.bandwidth_words;
-    // Round mode, written by the coordinator (in `control`) and read by
-    // the workers at the start of the next round's step; the pool's
-    // barrier crossings provide the happens-before edge, so relaxed
-    // atomics suffice.
-    let mode = std::sync::atomic::AtomicU8::new(MODE_NORMAL);
-    let mode_ref = &mode;
     let step = move |w: usize, st: &mut ShardWorker<'_, P>, round: u64| -> StepReport {
         let parity = (round % 2) as usize;
         let (next_active, violation) = run_shard(
@@ -1630,7 +1404,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             w,
             wakes_ref,
             bounds_ref,
-            mode_ref.load(Ordering::Relaxed),
         );
         StepReport {
             violation,
@@ -1641,10 +1414,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     };
 
     let mut prev_in_flight = 0u64;
-    // Coordinator-side mirror of the mode the round just executed under
-    // (the atomic already holds the *next* round's mode once stored).
-    let mut mode_used = MODE_NORMAL;
-    let num_arcs_u64 = num_arcs as u64;
     let stats_ref = &mut stats;
     let control = move |round: u64,
                         results: Vec<std::thread::Result<StepReport>>|
@@ -1675,27 +1444,12 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             }
         }
         prev_in_flight = in_flight;
-        // Decide the next round's mode (module docs, dense rounds): a
-        // message on every arc makes the full span active by
-        // construction; leaving dense mode with traffic still in flight
-        // takes one resync round to rebuild the skipped wire effects.
-        let next_mode = if dense_eligible && in_flight == num_arcs_u64 {
-            MODE_DENSE
-        } else if mode_used == MODE_DENSE && in_flight > 0 {
-            MODE_RESYNC
-        } else {
-            MODE_NORMAL
-        };
-        mode_ref.store(next_mode, Ordering::Relaxed);
-        mode_used = next_mode;
         if in_flight == 0 && next_active == 0 && fault_pending == 0 {
             // Quiescence: no node awake, nothing on the wire, nothing
             // parked in a fault-layer reorder ring, no recovery still
             // scheduled.
             Control::Stop(Ok(()))
-        } else if next_mode == MODE_NORMAL
-            && next_active + in_flight + fault_pending <= INLINE_WORK_MAX
-        {
+        } else if next_active + in_flight + fault_pending <= INLINE_WORK_MAX {
             // A near-quiescent round: run it on the coordinator instead
             // of paying the barrier for idle workers.
             Control::ContinueInline

@@ -430,15 +430,15 @@ fn violation_on_wake_after_quiescence_is_reported_at_the_wake_round() {
     }
 }
 
-/// A [`LateViolator`]-style node that first drives the engine into its
-/// dense (all-active) fast path by flooding **every arc every round**
-/// (`in_flight == num_arcs` is the dense trigger, and it counts fresh
-/// sends only — message fates are applied receiver-side, so a fault
-/// plan cannot deflect the mode switch), then violates the model at a
+/// A [`LateViolator`]-style node that floods **every arc every round**
+/// until `flood_until`, so every node runs every round (message fates
+/// are applied receiver-side: a fault plan drops or delays deliveries
+/// but not the sends that fill every arc), then violates the model at a
 /// planned round. With `flood_until > violate_at` the violation lands
-/// in a `MODE_DENSE` round; with `flood_until < violate_at` (plus the
-/// single keep-alive send at `flood_until`) it lands in the
-/// `MODE_RESYNC` round that drains the dense exit.
+/// in a round where every arc carries a message; with
+/// `flood_until < violate_at` (plus the single keep-alive send at
+/// `flood_until`) it lands in the first round after the flood, while
+/// that one message is still being delivered.
 struct DenseViolator {
     /// 0 = send to a non-neighbor, 1 = double-send, 2 = oversized.
     mode: u8,
@@ -462,8 +462,8 @@ impl Protocol for DenseViolator {
                 ctx.send_nth(i, BigMsg(1));
             }
         } else if ctx.node() == 0 && ctx.round() == self.flood_until {
-            // Leave dense mode with one message still in flight: the
-            // next round must run as MODE_RESYNC.
+            // End the flood with one message still in flight: the next
+            // round's schedule comes from that one delivery.
             ctx.send_nth(0, BigMsg(1));
         }
         if ctx.node() == 0 && ctx.round() == self.violate_at {
@@ -534,8 +534,8 @@ fn assert_dense_violation(violate_at: u64, flood_until: u64) {
 #[test]
 fn violations_in_dense_rounds_under_faults_are_caught_identically() {
     // All six nodes flood all arcs through round 9, so rounds 1..=9 run
-    // MODE_DENSE; the violation at round 5 happens inside the dense
-    // fast path, with the fault plan live.
+    // every node; the violation at round 5 happens mid-flood, with the
+    // fault plan live.
     assert_dense_violation(5, 10);
 }
 
@@ -546,8 +546,9 @@ fn violations_in_dense_rounds_under_faults_are_caught_identically() {
 #[test]
 fn violations_in_resync_rounds_under_faults_are_caught_identically() {
     // Flooding stops after round 5 but node 0's keep-alive send at
-    // round 6 leaves dense mode with traffic in flight, so round 7 is
-    // the MODE_RESYNC round — exactly when the violation fires.
+    // round 6 leaves traffic in flight, so round 7 is the first round
+    // scheduled from that lone delivery — exactly when the violation
+    // fires.
     assert_dense_violation(7, 6);
 }
 
