@@ -689,6 +689,9 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<AggregationSetup, IndexErro
         headers.push((part, root, depth, spans));
     }
     let mut trees = Vec::with_capacity(count);
+    // `listed_in[v]` is the last tree that listed `v`: a member repeated
+    // within one tree would be counted twice by every fold over it.
+    let mut listed_in = vec![u32::MAX; graph.n()];
     for (i, (part, root, depth, spans_part)) in headers.into_iter().enumerate() {
         if offsets[i + 1] < offsets[i] {
             return Err(IndexError::Malformed(
@@ -707,6 +710,12 @@ fn parse_trees(body: &[u8], graph: &Graph) -> Result<AggregationSetup, IndexErro
                     "tree node {v}/{p} out of range (n={n})"
                 )));
             }
+            if listed_in[v as usize] == i as u32 {
+                return Err(IndexError::Malformed(format!(
+                    "tree {i} lists node {v} twice"
+                )));
+            }
+            listed_in[v as usize] = i as u32;
             members.push((v, if p == u32::MAX { None } else { Some(p) }));
         }
         trees.push(PartTree {
@@ -782,7 +791,11 @@ mod tests {
         swapped.setup.trees.swap(0, 1);
         let mut unrooted = fixture();
         unrooted.setup.trees[2].root = unrooted.graph.n() as NodeId;
-        for idx in [swapped, unrooted] {
+        // A member listed twice would be counted twice by every fold.
+        let mut repeated = fixture();
+        let member = repeated.setup.trees[0].members[1];
+        repeated.setup.trees[0].members.push(member);
+        for idx in [swapped, unrooted, repeated] {
             assert!(matches!(
                 ShortcutIndex::from_bytes(&idx.to_bytes()),
                 Err(IndexError::Malformed(_))
