@@ -2,13 +2,12 @@
 //! execution.
 //!
 //! A [`Pool`] spawns one thread per worker **once** and then drives any
-//! number of *phases* over them — each phase being a round-synchronous
-//! computation in the style of [`run_rounds`]. Phases are type-erased:
+//! number of *phases* over them — each phase being one round-synchronous
+//! computation run by [`Pool::run_rounds`]. Phases are type-erased:
 //! the pool's threads outlive any single phase's state type, which is
 //! what lets a [`Session`](crate::Session) run a multi-protocol
 //! pipeline (BFS, then aggregation, then multi-BFS, …) with exactly one
-//! pool spawn. The free function [`run_rounds`] remains as the
-//! single-phase convenience (spawn, run, tear down).
+//! pool spawn.
 //!
 //! # Round protocol
 //!
@@ -400,29 +399,6 @@ impl Drop for Pool {
     }
 }
 
-/// Single-phase convenience: spawns a throwaway [`Pool`] sized to
-/// `states`, runs one phase, and tears the pool down. Semantics are
-/// exactly [`Pool::run_rounds`].
-///
-/// # Panics
-///
-/// Panics if `states` is empty; otherwise as [`Pool::run_rounds`].
-pub fn run_rounds<S, R, T, Step, Ctl>(
-    states: Vec<S>,
-    max_rounds: u64,
-    step: Step,
-    control: Ctl,
-) -> (Vec<S>, Option<T>)
-where
-    S: Send,
-    R: Send,
-    Step: Fn(usize, &mut S, u64) -> R + Sync,
-    Ctl: FnMut(u64, Vec<std::thread::Result<R>>) -> Control<T>,
-{
-    assert!(!states.is_empty(), "pool needs at least one worker state");
-    Pool::new(states.len()).run_rounds(states, max_rounds, step, control)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,7 +428,7 @@ mod tests {
     /// a deterministic quantity to compare across worker counts.
     fn accumulate(workers: usize, rounds: u64) -> (Vec<u64>, Option<u64>) {
         let states = vec![0u64; workers];
-        let (states, out) = run_rounds(
+        let (states, out) = Pool::new(workers).run_rounds(
             states,
             rounds,
             |i, acc, round| {
@@ -480,7 +456,7 @@ mod tests {
     #[test]
     fn stop_value_is_returned_and_states_come_back_in_worker_order() {
         let states: Vec<u64> = (0..5).collect();
-        let (states, out) = run_rounds(
+        let (states, out) = Pool::new(5).run_rounds(
             states,
             1000,
             |_i, s, _round| {
@@ -506,7 +482,7 @@ mod tests {
 
     #[test]
     fn round_limit_yields_none() {
-        let (states, out) = run_rounds(
+        let (states, out) = Pool::new(3).run_rounds(
             vec![(); 3],
             7,
             |_i, _s, round| round,
@@ -518,7 +494,7 @@ mod tests {
 
     #[test]
     fn zero_rounds_never_invokes_step() {
-        let (states, out) = run_rounds(
+        let (states, out) = Pool::new(4).run_rounds(
             vec![0u32; 4],
             0,
             |_i, _s, _round| panic!("step must not run"),
@@ -531,7 +507,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_without_deadlocking_the_barrier() {
         let result = std::panic::catch_unwind(|| {
-            run_rounds(
+            Pool::new(3).run_rounds(
                 vec![0u64; 3],
                 1000,
                 |i, s, round| {
@@ -557,7 +533,7 @@ mod tests {
     #[test]
     fn lowest_worker_panic_wins_when_several_fire() {
         let result = std::panic::catch_unwind(|| {
-            run_rounds(
+            Pool::new(4).run_rounds(
                 vec![(); 4],
                 10,
                 |i, _s, _round| panic!("worker {i} panicked"),
@@ -581,7 +557,7 @@ mod tests {
     /// would have encountered it first.
     #[test]
     fn control_can_let_a_lower_workers_report_outrank_a_higher_panic() {
-        let (_, out) = run_rounds(
+        let (_, out) = Pool::new(3).run_rounds(
             vec![(); 3],
             10,
             |i, _s, _round| {
@@ -607,7 +583,7 @@ mod tests {
     #[test]
     fn control_panic_shuts_the_pool_down_cleanly() {
         let result = std::panic::catch_unwind(|| {
-            run_rounds(
+            Pool::new(2).run_rounds(
                 vec![0u8; 2],
                 10,
                 |_i, _s, _round| (),
@@ -696,7 +672,7 @@ mod tests {
         let main_thread = std::thread::current().id();
         // State: (accumulator, thread id of each observed round).
         let states: Vec<(u64, Vec<std::thread::ThreadId>)> = vec![(0, Vec::new()); 3];
-        let (states, out) = run_rounds(
+        let (states, out) = Pool::new(3).run_rounds(
             states,
             8,
             |i, st, round| {

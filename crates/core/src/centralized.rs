@@ -21,7 +21,7 @@
 
 use crate::params::KpParams;
 use crate::sampling::SampleOracle;
-use lcs_graph::{bfs, BfsOptions, EdgeId, Graph, NodeId, UNREACHABLE};
+use lcs_graph::{bfs, BfsOptions, EdgeId, Graph, UNREACHABLE};
 use lcs_shortcut::{Partition, ShortcutSet};
 
 /// How largeness is decided.
@@ -221,15 +221,6 @@ pub fn prune_to_trees(
     }
 }
 
-/// Convenience: which node in the graph would key instance `i` — the
-/// leader of the `i`-th large part in part order.
-pub fn large_part_leaders(partition: &Partition, is_large: &[bool]) -> Vec<NodeId> {
-    (0..partition.num_parts())
-        .filter(|&i| is_large[i])
-        .map(|i| partition.leader(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,21 +391,5 @@ mod tests {
             OracleMode::PerPart,
         );
         assert_ne!(a.shortcuts, c.shortcuts, "different seed, different coins");
-    }
-
-    #[test]
-    fn large_part_leaders_ordering() {
-        let (g, p, params) = fixture(4, 3, 30);
-        let out = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            1,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
-        let leaders = large_part_leaders(&p, &out.is_large);
-        assert_eq!(leaders.len(), 3);
-        assert!(leaders.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -7,7 +7,7 @@
 //! unshortcut half then yields `dist_H(s, t) = O(k_D·log n)` with
 //! recursion depth `O(log n)`.
 //!
-//! [`dilation_trace`] replays that recursion on a concrete augmented
+//! `dilation_trace` replays that recursion on a concrete augmented
 //! subgraph and records which event fired at every level, the realized
 //! recursion depth, and any *violations* (levels where none of the three
 //! events held within the threshold — the "w.h.p." failure the analysis
@@ -91,7 +91,7 @@ fn rec(
 /// # Panics
 ///
 /// Panics if `path` is empty or its nodes are missing from `sub`.
-pub fn dilation_trace(sub: &EdgeSubgraph, path: &[NodeId], threshold: u32) -> DilationTrace {
+fn dilation_trace(sub: &EdgeSubgraph, path: &[NodeId], threshold: u32) -> DilationTrace {
     assert!(!path.is_empty(), "path must be non-empty");
     let mut trace = DilationTrace {
         total_length: 0,

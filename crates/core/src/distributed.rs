@@ -41,11 +41,10 @@ use crate::sampling::SampleOracle;
 use lcs_congest::{
     ceil_log2, positions_from_tree, AggOp, Bfs, FaultPlan, MultiAggregate, MultiBfs,
     MultiBfsInstance, MultiBfsSpec, Participation, PrefixNumber, RunStats, Session, SimConfig,
-    SimError, TreeAggregate, TreePosition,
+    SimError, TreeAggregate,
 };
 use lcs_graph::{is_connected, EdgeId, Graph, NodeId};
 use lcs_shortcut::{Partition, ShortcutSet};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -567,33 +566,6 @@ fn participations_from_multibfs(
         .collect()
 }
 
-/// Positions helper re-exported for applications that reuse the global
-/// tree (e.g. MST phases).
-pub fn global_tree_positions(
-    graph: &Graph,
-    root: NodeId,
-    sim_cfg: &SimConfig,
-) -> Result<(Vec<TreePosition>, RunStats), SimError> {
-    let out = Session::new(graph, sim_cfg.clone()).run(Bfs::new(root))?;
-    Ok((
-        positions_from_tree(root, &out.parent, &out.children),
-        out.stats,
-    ))
-}
-
-/// Reference table for debugging: which part each instance rank maps to.
-pub fn rank_map(partition: &Partition, is_large: &[bool]) -> HashMap<u32, usize> {
-    let mut rank = 0u32;
-    let mut map = HashMap::new();
-    for (i, &large) in is_large.iter().enumerate().take(partition.num_parts()) {
-        if large {
-            map.insert(rank, i);
-            rank += 1;
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,39 +848,6 @@ mod tests {
                 assert_eq!(tried, vec![4]);
             }
             Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod helper_tests {
-    use super::*;
-    use lcs_graph::generators::grid;
-
-    #[test]
-    fn rank_map_orders_large_parts() {
-        let g = grid(4, 4);
-        let p = Partition::new(&g, vec![vec![0, 1], vec![4, 5], vec![10, 11]]).unwrap();
-        let m = rank_map(&p, &[true, false, true]);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[&0], 0);
-        assert_eq!(m[&1], 2);
-    }
-
-    #[test]
-    fn global_tree_positions_build() {
-        let g = grid(3, 3);
-        let (pos, stats) = global_tree_positions(&g, 4, &SimConfig::default()).unwrap();
-        assert!(pos[4].is_root);
-        assert!(pos.iter().all(|p| p.in_tree));
-        assert!(stats.rounds > 0);
-        // Every non-root has a parent; children lists mirror parents.
-        for (v, p) in pos.iter().enumerate() {
-            if let Some(par) = p.parent {
-                assert!(pos[par as usize].children.contains(&(v as NodeId)));
-            } else {
-                assert!(p.is_root);
-            }
         }
     }
 }

@@ -53,16 +53,16 @@ pub mod streaming;
 
 pub use backend::KoganParter;
 pub use centralized::{
-    centralized_shortcuts, classify_large, large_part_leaders, prune_to_trees,
-    CentralizedShortcuts, LargenessRule, OracleMode, PrunedShortcuts,
+    centralized_shortcuts, classify_large, prune_to_trees, CentralizedShortcuts, LargenessRule,
+    OracleMode, PrunedShortcuts,
 };
 pub use degrade::{detect_and_excise, DegradedOutcome, Excision};
-pub use dilation::{certify_part, dilation_trace, DilationTrace, Trichotomy};
+pub use dilation::{certify_part, DilationTrace, Trichotomy};
 pub use distributed::{
     distributed_shortcuts, DistributedConfig, DistributedError, DistributedOutcome, GuessReport,
 };
 pub use index_build::{build_index, build_index_distributed, IndexBuildConfig};
-pub use odd::{odd_shortcuts_subdivision, shared_delay, subdivide, OddStrategy};
+pub use odd::{odd_shortcuts_subdivision, shared_delay, OddStrategy};
 pub use params::{guess_ladder, k_d, KpParams, ParamError};
 pub use sampling::SampleOracle;
 pub use shortcut_tree::{ShortcutTree, ShortcutTreeError, WalkEnd, WalkMeasurement};

@@ -18,7 +18,7 @@ use crate::centralized::{classify_large, CentralizedShortcuts, LargenessRule};
 use crate::params::KpParams;
 use crate::sampling::SampleOracle;
 use lcs_congest::hash::splitmix64;
-use lcs_graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use lcs_graph::{EdgeId, Graph, NodeId};
 use lcs_shortcut::{Partition, ShortcutSet};
 
 /// Which odd-diameter construction to use.
@@ -28,21 +28,6 @@ pub enum OddStrategy {
     Subdivision,
     /// Even-case code path with odd `D` plugged into the formulas.
     Direct,
-}
-
-/// Subdivides every edge of `g`: node `n + e` is the dummy midpoint of
-/// edge `e`. Returns the subdivided graph (diameter exactly doubles for
-/// any graph with at least one edge).
-pub fn subdivide(g: &Graph) -> Graph {
-    let n = g.n();
-    let mut b = GraphBuilder::new(n + g.m());
-    for e in g.edge_ids() {
-        let (u, v) = g.edge_endpoints(e);
-        let x = (n + e.index()) as NodeId;
-        b.add_edge(u, x);
-        b.add_edge(x, v);
-    }
-    b.build().expect("subdivision is simple")
 }
 
 /// The subdivision-based odd-`D` construction, projected back to `G`.
@@ -115,27 +100,8 @@ pub fn shared_delay(shared_word: u64, inst: u32, range: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::centralized::{centralized_shortcuts, OracleMode};
-    use lcs_graph::{exact_diameter, HighwayGraph, HighwayParams};
+    use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::{measure_quality, DilationMode};
-
-    #[test]
-    fn subdivision_doubles_diameter() {
-        let hw = HighwayGraph::new(HighwayParams {
-            num_paths: 2,
-            path_len: 10,
-            diameter: 5,
-        })
-        .unwrap();
-        let g2 = subdivide(hw.graph());
-        assert_eq!(g2.n(), hw.graph().n() + hw.graph().m());
-        assert_eq!(g2.m(), 2 * hw.graph().m());
-        // Node-to-node distances exactly double; midpoint-to-midpoint
-        // pairs can add 2 more, so diam(G') ∈ {2D, 2D+2} (the paper's
-        // "D' = 2D" refers to the doubled node distances).
-        let d2 = exact_diameter(&g2).unwrap();
-        assert!(d2 == 10 || d2 == 12, "subdivided diameter {d2}");
-        assert_eq!(d2 % 2, 0);
-    }
 
     #[test]
     fn subdivision_strategy_meets_bounds_for_d5() {
