@@ -183,25 +183,15 @@ impl Graph {
             arc_edges[cv] = eid;
             cursor[v as usize] += 1;
         }
-        // Canonical edge order already sorts each adjacency list by
-        // neighbor id *except* that edges are emitted in (min, max)
-        // order, so a node's list interleaves "as u" and "as v" entries.
-        // Sort each list (stable key: neighbor id) to enable binary
-        // search in `edge_between`.
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut slot: Vec<(NodeId, EdgeId)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(arc_edges[lo..hi].iter().copied())
-                .collect();
-            slot.sort_unstable_by_key(|&(w, _)| w);
-            for (i, (w, e)) in slot.into_iter().enumerate() {
-                neighbors[lo + i] = w;
-                arc_edges[lo + i] = e;
-            }
-        }
+        // Filling in canonical (min, max) order sorts every list without
+        // a sort: node v first receives its smaller neighbours (the edges
+        // (u, v), u < v, ascending in u), then its larger ones (the edges
+        // (v, w), all after them, ascending in w). `edge_between` binary
+        // searches these lists.
+        debug_assert!((0..n).all(|v| {
+            let list = &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+            list.windows(2).all(|w| w[0] < w[1])
+        }));
         Graph {
             offsets,
             neighbors,
