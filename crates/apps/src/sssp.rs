@@ -21,7 +21,7 @@
 use lcs_congest::{AggOp, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
 use lcs_graph::{dijkstra, NodeId, WeightedGraph, W_UNREACHABLE};
-use lcs_shortcut::{AggregationSetup, Partition, ShortcutSet};
+use lcs_shortcut::{AggregationSetup, PartPaths, Partition, ShortcutSet};
 use std::convert::Infallible;
 
 /// Result of the SSSP computation.
@@ -85,59 +85,16 @@ pub fn bellman_ford_rounds(wg: &WeightedGraph, source: NodeId) -> (Vec<u64>, u64
 /// path to the root is broken — a parent edge missing from the graph,
 /// or a parent cycle, which only a malformed index can hold — reads
 /// as [`W_UNREACHABLE`] too.
+///
+/// This is [`PartPaths::depths`] on a view derived for the one call; a
+/// [`ShortcutIndex`](lcs_shortcut::ShortcutIndex) derives its view once
+/// and every customization reuses it.
 pub fn part_tree_depths(
     wg: &WeightedGraph,
     partition: &Partition,
     setup: &AggregationSetup,
 ) -> Vec<u64> {
-    const NONE: NodeId = NodeId::MAX;
-    let g = wg.graph();
-    let n = g.n();
-    let mut depth = vec![W_UNREACHABLE; n];
-    // Scratch reset after each tree: every member's parent, and the
-    // depths settled so far. Only the part's members and their
-    // ancestors are settled; the rest of a tree (a shortcut's reach
-    // into other parts) is never walked.
-    let mut parent = vec![NONE; n];
-    let mut settled: Vec<Option<u64>> = vec![None; n];
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut path: Vec<NodeId> = Vec::new();
-    for tree in &setup.trees {
-        for &(v, p) in &tree.members {
-            parent[v as usize] = p.unwrap_or(NONE);
-        }
-        settled[tree.root as usize] = Some(0);
-        touched.push(tree.root);
-        for &v in partition.part(tree.part) {
-            // Climb to a settled ancestor (or to a node the tree
-            // misses, or as many steps as the tree has members), then
-            // settle the path back down.
-            let mut u = v;
-            while settled[u as usize].is_none()
-                && parent[u as usize] != NONE
-                && path.len() < tree.members.len()
-            {
-                path.push(u);
-                u = parent[u as usize];
-            }
-            let mut d = settled[u as usize].unwrap_or(W_UNREACHABLE);
-            while let Some(x) = path.pop() {
-                d = g
-                    .edge_between(parent[x as usize], x)
-                    .map_or(W_UNREACHABLE, |e| d.saturating_add(wg.weight(e)));
-                settled[x as usize] = Some(d);
-                touched.push(x);
-            }
-            depth[v as usize] = settled[v as usize].unwrap_or(W_UNREACHABLE);
-        }
-        for &(v, _) in &tree.members {
-            parent[v as usize] = NONE;
-        }
-        for v in touched.drain(..) {
-            settled[v as usize] = None;
-        }
-    }
-    depth
+    PartPaths::new(wg.graph(), partition, setup).depths(wg.weights())
 }
 
 /// The interleaved relaxation behind every SSSP entry point. Each

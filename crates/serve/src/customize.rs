@@ -4,8 +4,9 @@
 //! trees) stays in the [`ShortcutIndex`], which every customization
 //! borrows and none copies. Only the weight-dependent table is
 //! recomputed: each node's weighted depth in its own part's tree, the
-//! one flat table SSSP's tree relaxation reads, found by walking every
-//! part member up its tree once.
+//! one flat table SSSP's tree relaxation reads, filled in one pass over
+//! the part members' root paths the index holds
+//! ([`ShortcutIndex::part_paths`]).
 //!
 //! A customization also holds its MST answer, filled by the first
 //! [`Query::Mst`](crate::Query::Mst) it serves. Boruvka merges on the
@@ -14,7 +15,6 @@
 //! that serves no MST never computes one.
 
 use crate::query::QueryResult;
-use lcs_apps::part_tree_depths;
 use lcs_graph::WeightedGraph;
 use lcs_shortcut::{AggregationSetup, ShortcutIndex};
 use std::fmt;
@@ -46,8 +46,8 @@ impl std::error::Error for CustomizeError {}
 pub struct CustomizedIndex {
     index: Arc<ShortcutIndex>,
     wg: WeightedGraph,
-    /// Weighted depth of every node in its own part's tree, from
-    /// [`part_tree_depths`].
+    /// Weighted depth of every node in its own part's tree, as
+    /// [`lcs_apps::part_tree_depths`] defines it.
     depths: Vec<u64>,
     /// The answer to every [`Query::Mst`](crate::Query::Mst) against
     /// these weights, filled by the first one.
@@ -83,7 +83,7 @@ impl CustomizedIndex {
         }
         let wg = WeightedGraph::new(index.graph().clone(), weights)
             .map_err(|e| CustomizeError::BadWeights(e.to_string()))?;
-        let depths = part_tree_depths(&wg, index.partition(), index.aggregation_setup());
+        let depths = index.part_paths().depths(wg.weights());
         Ok(CustomizedIndex {
             index,
             wg,
@@ -108,8 +108,8 @@ impl CustomizedIndex {
     }
 
     /// Each node's weighted depth in its own part's tree under the
-    /// active weights ([`part_tree_depths`]); `W_UNREACHABLE` where no
-    /// part tree spans the node.
+    /// active weights ([`lcs_apps::part_tree_depths`]); `W_UNREACHABLE`
+    /// where no part tree spans the node.
     pub fn depths(&self) -> &[u64] {
         &self.depths
     }

@@ -8,7 +8,10 @@
 //! * SSSP runs [`lcs_apps::relax_partwise`], the one relaxation loop
 //!   [`lcs_apps::shortcut_sssp`] runs, over the index's frozen trees and
 //!   the customization's depth table;
-//! * aggregation folds over the frozen trees;
+//! * aggregation folds over the part members each frozen tree lists
+//!   ([`ShortcutIndex::part_paths`](lcs_shortcut::ShortcutIndex::part_paths)),
+//!   not over the shortcut nodes of other parts, which fold the
+//!   identity;
 //! * MST is computed once per customization by
 //!   [`lcs_apps::mst_via_shortcuts`] and cloned for every later query;
 //! * min-cut runs [`lcs_apps::min_cut_search`] alone, without the MST
@@ -238,16 +241,9 @@ fn mst(cx: &CustomizedIndex, seed: u64) -> QueryResult {
 }
 
 fn aggregate(cx: &CustomizedIndex, op: AggOp, seed: u64) -> QueryResult {
-    let partition = cx.index().partition();
-    let value = |v: NodeId, part: usize| -> u64 {
-        if partition.part_of(v) == Some(part as u32) {
-            aggregate_value(seed, part, v)
-        } else {
-            op.identity()
-        }
-    };
+    let paths = cx.index().part_paths();
     QueryResult::Aggregate {
-        per_part: cx.setup().aggregate_centralized(op, &value),
+        per_part: paths.aggregate_members(op, |v, part| aggregate_value(seed, part, v)),
     }
 }
 

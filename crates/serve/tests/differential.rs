@@ -16,25 +16,32 @@
 //!   table is pinned against a per-tree reference on 216 random
 //!   instances, and the MST answer against every seed and shortcut
 //!   strategy.
+//! * The frozen trees, the depth table and the served aggregate are
+//!   pinned against the per-part builds they replaced, on the same
+//!   instances and on loaded indexes whose trees are broken.
 
 use lcs_apps::{
     approximate_min_cut, mst_via_shortcuts, shortcut_sssp, shortcut_sssp_simulated, MinCutError,
     MstConfig, MstError, ShortcutStrategy,
 };
+use lcs_congest::hash::Fnv;
 use lcs_congest::{AggOp, SimConfig};
 use lcs_core::{
     build_index, build_index_distributed, centralized_shortcuts, DistributedConfig,
     IndexBuildConfig, KoganParter, KpParams, LargenessRule, OracleMode,
 };
 use lcs_graph::{
-    cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, HighwayGraph, HighwayParams, NodeId,
-    WeightedGraph, W_UNREACHABLE,
+    bfs, cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, BfsOptions, Graph, HighwayGraph,
+    HighwayParams, NodeId, WeightedGraph, UNREACHABLE, W_UNREACHABLE,
 };
 use lcs_serve::{
     aggregate_value, min_cut_config, mst_config, per_query_seed, CustomizedIndex, Query,
     QueryResult, ServePool,
 };
-use lcs_shortcut::{AggregationSetup, IndexMeta, Partition, ShortcutIndex, ShortcutSet};
+use lcs_shortcut::{
+    global_tree_shortcuts, trivial_shortcuts, AggregationSetup, IndexMeta, PartTree, Partition,
+    ShortcutIndex, ShortcutSet,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -628,4 +635,303 @@ fn one_relaxation_agrees_with_the_per_tree_reference_on_random_instances() {
         outside_members > 0,
         "some trees must hold members from outside their part"
     );
+}
+
+/// The tree build as written before the shared scratch arrays: one
+/// `EdgeSubgraph` and one BFS per part, and one `edge_between` per tree
+/// edge.
+fn per_part_tree_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> AggregationSetup {
+    let mut trees = Vec::new();
+    let mut edge_load = vec![0u32; g.m()];
+    for i in 0..p.num_parts() {
+        let sub = s.augmented_subgraph(g, p, i);
+        let local_root = sub.local_of(p.leader(i)).unwrap();
+        let r = bfs(sub.local(), &[local_root], &BfsOptions::default());
+        let mut members = Vec::new();
+        for lv in 0..sub.n() as u32 {
+            if r.dist[lv as usize] == UNREACHABLE {
+                continue;
+            }
+            let node = sub.parent_of(lv);
+            let parent = r.parent[lv as usize].map(|lp| sub.parent_of(lp));
+            if let Some(q) = parent {
+                edge_load[g.edge_between(q, node).unwrap().index()] += 1;
+            }
+            members.push((node, parent));
+        }
+        let spans_part = p.part(i).iter().all(|&v| {
+            sub.local_of(v)
+                .is_some_and(|lv| r.dist[lv as usize] != UNREACHABLE)
+        });
+        trees.push(PartTree {
+            part: i,
+            root: p.leader(i),
+            members,
+            depth: r.max_depth(),
+            spans_part,
+        });
+    }
+    AggregationSetup {
+        tree_congestion: edge_load.iter().copied().max().unwrap_or(0),
+        tree_depth: trees.iter().map(|t| t.depth).max().unwrap_or(0),
+        trees,
+    }
+}
+
+/// The depth table as written before the per-part root paths: every
+/// part member walked up its tree, with `n`-sized scratch reset per
+/// tree, a broken edge or an over-long climb reading as unreachable.
+fn depth_reference(wg: &WeightedGraph, p: &Partition, setup: &AggregationSetup) -> Vec<u64> {
+    const NONE: NodeId = NodeId::MAX;
+    let g = wg.graph();
+    let mut depth = vec![W_UNREACHABLE; g.n()];
+    let mut parent = vec![NONE; g.n()];
+    let mut settled: Vec<Option<u64>> = vec![None; g.n()];
+    let mut touched = Vec::new();
+    let mut path = Vec::new();
+    for tree in &setup.trees {
+        for &(v, q) in &tree.members {
+            parent[v as usize] = q.unwrap_or(NONE);
+        }
+        settled[tree.root as usize] = Some(0);
+        touched.push(tree.root);
+        for &v in p.part(tree.part) {
+            let mut u = v;
+            while settled[u as usize].is_none()
+                && parent[u as usize] != NONE
+                && path.len() < tree.members.len()
+            {
+                path.push(u);
+                u = parent[u as usize];
+            }
+            let mut d = settled[u as usize].unwrap_or(W_UNREACHABLE);
+            while let Some(x) = path.pop() {
+                d = g
+                    .edge_between(parent[x as usize], x)
+                    .map_or(W_UNREACHABLE, |e| d.saturating_add(wg.weight(e)));
+                settled[x as usize] = Some(d);
+                touched.push(x);
+            }
+            depth[v as usize] = settled[v as usize].unwrap_or(W_UNREACHABLE);
+        }
+        for &(v, _) in &tree.members {
+            parent[v as usize] = NONE;
+        }
+        for v in touched.drain(..) {
+            settled[v as usize] = None;
+        }
+    }
+    depth
+}
+
+/// Serves one Sum, Max and Min aggregate and compares each with the
+/// fold over every tree node, off-part nodes folding the identity.
+fn assert_served_aggregates_fold_the_trees(cx: &Arc<CustomizedIndex>, at: &str) {
+    let ops = [AggOp::Sum, AggOp::Max, AggOp::Min];
+    let batch_seed = 0xA66;
+    let batch = ServePool::with_customization(Arc::clone(cx), 1)
+        .serve(&ops.map(|op| Query::Aggregate { op }), batch_seed);
+    let p = cx.index().partition();
+    for (j, (op, served)) in ops.iter().zip(&batch.results).enumerate() {
+        let seed = per_query_seed(batch_seed, j);
+        let value = |v: NodeId, part: usize| {
+            if p.part_of(v) == Some(part as u32) {
+                aggregate_value(seed, part, v)
+            } else {
+                op.identity()
+            }
+        };
+        let per_part = cx.setup().aggregate_centralized(*op, &value);
+        assert_eq!(served, &QueryResult::Aggregate { per_part }, "{op:?}, {at}");
+    }
+}
+
+#[test]
+fn trees_depths_and_aggregates_agree_with_the_per_part_references_on_random_instances() {
+    for i in 0..216u64 {
+        let (wg, p, shortcuts) = relaxation_instance(i);
+        let g = wg.graph();
+        for (name, s) in [
+            ("raw", shortcuts.clone()),
+            ("trivial", trivial_shortcuts(&p)),
+            ("global tree", global_tree_shortcuts(g, &p, 0, Some(1))),
+        ] {
+            assert_eq!(
+                AggregationSetup::build(g, &p, &s),
+                per_part_tree_reference(g, &p, &s),
+                "instance {i}, {name} shortcuts"
+            );
+        }
+        let idx = Arc::new(ShortcutIndex::freeze(
+            g.clone(),
+            wg.weights().to_vec(),
+            p.clone(),
+            shortcuts,
+            IndexMeta {
+                backend: "kogan_parter_raw".to_string(),
+                params: vec![],
+                seed: i,
+                certificate: None,
+                diameter: None,
+            },
+        ));
+        let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&idx)));
+        assert_eq!(
+            cx.depths(),
+            depth_reference(&wg, &p, idx.aggregation_setup()),
+            "instance {i}"
+        );
+        assert_served_aggregates_fold_the_trees(&cx, &format!("instance {i}"));
+    }
+}
+
+fn put(out: &mut Vec<u8>, x: u32) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+/// `idx` with its trees section re-encoded from `trees` in the
+/// documented format, its checksum redone, and loaded back: an index
+/// whose producer wrote these trees. The trees section is the file's
+/// last, so no other section moves.
+fn with_trees(idx: &ShortcutIndex, trees: &[PartTree]) -> ShortcutIndex {
+    let bytes = idx.to_bytes();
+    let content = &bytes[..bytes.len() - 8];
+    let word = |at: usize| u32::from_le_bytes(content[at..at + 4].try_into().unwrap());
+    let entry = 16 + (word(12) as usize - 1) * 24;
+    assert_eq!(word(entry), 6, "the trees section comes last");
+    let offset = u64::from_le_bytes(content[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    let setup = idx.aggregation_setup();
+    let mut body = Vec::new();
+    put(&mut body, trees.len() as u32);
+    put(&mut body, setup.tree_congestion);
+    put(&mut body, setup.tree_depth);
+    let mut end = 0;
+    put(&mut body, end);
+    for t in trees {
+        end += t.members.len() as u32;
+        put(&mut body, end);
+    }
+    for t in trees {
+        for x in [t.part as u32, t.root, t.depth, u32::from(t.spans_part)] {
+            put(&mut body, x);
+        }
+    }
+    for t in trees {
+        for &(v, q) in &t.members {
+            put(&mut body, v);
+            put(&mut body, q.unwrap_or(u32::MAX));
+        }
+    }
+    let mut out = content[..offset].to_vec();
+    out[entry + 16..entry + 24].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(&body);
+    let checksum = Fnv::new().bytes(&out).finish();
+    out.extend_from_slice(&checksum.to_le_bytes());
+    ShortcutIndex::from_bytes(&out).expect("from_bytes accepts the broken trees")
+}
+
+/// Part members of `tree` whose path to the root passes through `x`
+/// (`x` included).
+fn below(tree: &PartTree, p: &Partition, x: NodeId) -> Vec<NodeId> {
+    let parent: HashMap<NodeId, Option<NodeId>> = tree.members.iter().copied().collect();
+    p.part(tree.part)
+        .iter()
+        .copied()
+        .filter(|&v| {
+            let mut u = Some(v);
+            while let Some(w) = u {
+                if w == x {
+                    return true;
+                }
+                u = parent.get(&w).copied().flatten();
+            }
+            false
+        })
+        .collect()
+}
+
+/// Loaded indexes whose trees leave out a part member, name a parent
+/// edge the graph lacks, or hold a parent cycle: every member below
+/// the break reads as unreachable, every other depth is the intact
+/// index's, and the served aggregate still equals the fold over the
+/// whole tree.
+#[test]
+fn broken_loaded_trees_read_as_unreachable_and_serve_the_tree_fold() {
+    let idx = doc_example_index();
+    let (g, p) = (idx.graph(), idx.partition());
+    let intact = CustomizedIndex::baseline(Arc::clone(&idx));
+    let trees = &idx.aggregation_setup().trees;
+    let mut checked = 0;
+    for (t, tree) in trees.iter().enumerate() {
+        // The in-part member with the most part members below it, and
+        // its parent.
+        let Some(x) = tree
+            .members
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| v != tree.root && p.part_of(v) == Some(t as u32))
+            .max_by_key(|&v| (below(tree, p, v).len(), v))
+        else {
+            continue;
+        };
+        let mut left_out = tree.clone();
+        left_out.members.retain(|&(v, _)| v != x);
+        // A listed node that is neither adjacent to x nor below it.
+        let stranger = tree
+            .members
+            .iter()
+            .map(|&(v, _)| v)
+            .find(|&y| y != x && !g.has_edge(x, y) && !below(tree, p, x).contains(&y))
+            .expect("a non-neighbour outside x's subtree");
+        let mut non_edge = tree.clone();
+        for m in &mut non_edge.members {
+            if m.0 == x {
+                m.1 = Some(stranger);
+            }
+        }
+        let mut broken = vec![
+            ("left out", left_out, below(tree, p, x)),
+            ("non-edge parent", non_edge, below(tree, p, x)),
+        ];
+        // A non-root node with a child c and part members below it,
+        // made c's child.
+        let cycle_at = tree
+            .members
+            .iter()
+            .filter_map(|&(c, q)| q.filter(|&q| q != tree.root).map(|q| (q, c)))
+            .max_by_key(|&(q, c)| (below(tree, p, q).len(), q, c));
+        if let Some((q, c)) = cycle_at {
+            let mut cycle = tree.clone();
+            for m in &mut cycle.members {
+                if m.0 == q {
+                    m.1 = Some(c);
+                }
+            }
+            broken.push(("parent cycle", cycle, below(tree, p, q)));
+        }
+        for (what, bad, affected) in broken {
+            let at = format!("tree {t}, {what}");
+            let mut all = trees.clone();
+            all[t] = bad;
+            let loaded = Arc::new(with_trees(&idx, &all));
+            let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&loaded)));
+            assert!(!affected.is_empty(), "{at}");
+            for v in g.nodes() {
+                let want = if affected.contains(&v) {
+                    W_UNREACHABLE
+                } else {
+                    intact.depths()[v as usize]
+                };
+                assert_eq!(cx.depths()[v as usize], want, "node {v}, {at}");
+            }
+            assert_eq!(
+                cx.depths(),
+                depth_reference(cx.weighted_graph(), p, loaded.aggregation_setup()),
+                "{at}"
+            );
+            assert_served_aggregates_fold_the_trees(&cx, &at);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 3 * trees.len(), "every tree breaks three ways");
 }

@@ -21,7 +21,7 @@ use lcs_congest::{
     AggOp, MultiAggOutcome, MultiAggregate, Participation, ScheduleCost, Session, SimConfig,
     SimError,
 };
-use lcs_graph::{bfs, BfsOptions, Graph, NodeId, UNREACHABLE};
+use lcs_graph::{EdgeId, Graph, NodeId, UNREACHABLE, W_UNREACHABLE};
 use std::collections::HashMap;
 
 /// One part's aggregation tree: BFS tree of `G[S_i] ∪ H_i` rooted at
@@ -57,56 +57,27 @@ impl AggregationSetup {
     /// subgraph. (The distributed construction grows the same trees with
     /// `lcs-congest::multi_bfs`; `lcs-core` exercises that path.)
     ///
+    /// Each part's subgraph is laid out densely: local ids go to the
+    /// part's members first, then to the endpoints of its edges in
+    /// ascending edge id order; adjacency lists ascend by local id; the
+    /// BFS from the leader scans them in that order, and the tree lists
+    /// its nodes by local id. One set of scratch arrays serves every
+    /// part.
+    ///
     /// # Panics
     ///
     /// Panics if `shortcuts.num_parts() != partition.num_parts()`.
     pub fn build(graph: &Graph, partition: &Partition, shortcuts: &ShortcutSet) -> Self {
         assert_eq!(shortcuts.num_parts(), partition.num_parts());
-        let mut trees = Vec::with_capacity(partition.num_parts());
+        let mut scratch = TreeScratch::new(graph.n());
         let mut edge_load = vec![0u32; graph.m()];
-        let mut max_depth = 0u32;
-        for i in 0..partition.num_parts() {
-            let sub = shortcuts.augmented_subgraph(graph, partition, i);
-            let root = partition.leader(i);
-            let local_root = sub
-                .local_of(root)
-                .expect("leader is in its own augmented subgraph");
-            let r = bfs(sub.local(), &[local_root], &BfsOptions::default());
-            let mut members = Vec::new();
-            let mut depth = 0u32;
-            for lv in 0..sub.n() as u32 {
-                let d = r.dist[lv as usize];
-                if d == UNREACHABLE {
-                    continue;
-                }
-                depth = depth.max(d);
-                let node = sub.parent_of(lv);
-                let parent = r.parent[lv as usize].map(|lp| sub.parent_of(lp));
-                if let Some(p) = parent {
-                    let e = graph
-                        .edge_between(p, node)
-                        .expect("tree edges exist in parent graph");
-                    edge_load[e.index()] += 1;
-                }
-                members.push((node, parent));
-            }
-            let spans_part = partition.part(i).iter().all(|&v| {
-                sub.local_of(v)
-                    .is_some_and(|lv| r.dist[lv as usize] != UNREACHABLE)
-            });
-            max_depth = max_depth.max(depth);
-            trees.push(PartTree {
-                part: i,
-                root,
-                members,
-                depth,
-                spans_part,
-            });
-        }
+        let trees: Vec<PartTree> = (0..partition.num_parts())
+            .map(|i| scratch.tree(graph, partition, shortcuts.edges(i), i, &mut edge_load))
+            .collect();
         AggregationSetup {
-            trees,
             tree_congestion: edge_load.iter().copied().max().unwrap_or(0),
-            tree_depth: max_depth,
+            tree_depth: trees.iter().map(|t| t.depth).max().unwrap_or(0),
+            trees,
         }
     }
 
@@ -219,6 +190,349 @@ impl AggregationSetup {
     }
 }
 
+/// Marks a node with no local id in [`TreeScratch`], and a missing
+/// parent or member in [`PartPaths`].
+const NONE: u32 = u32::MAX;
+
+/// The scratch [`AggregationSetup::build`] shares across parts: the
+/// `n`-entry local-id map, reset after each part, and the local
+/// subgraph and BFS arrays, which grow to the largest part's subgraph.
+#[derive(Default)]
+struct TreeScratch {
+    /// Local id of each node in the current part's subgraph, or [`NONE`].
+    local: Vec<u32>,
+    /// Local id → node.
+    nodes: Vec<NodeId>,
+    /// Edges of `G[S_i] ∪ H_i`, ascending.
+    edges: Vec<EdgeId>,
+    /// Local CSR offsets, and a fill cursor per local node.
+    offsets: Vec<u32>,
+    cursor: Vec<u32>,
+    /// `(neighbour, edge)` arcs in edge order, then ascending by
+    /// neighbour within each list.
+    filled: Vec<(u32, EdgeId)>,
+    sorted: Vec<(u32, EdgeId)>,
+    /// BFS hop distance, parent with the edge to it, and FIFO order.
+    dist: Vec<u32>,
+    parent: Vec<Option<(u32, EdgeId)>>,
+    queue: Vec<u32>,
+}
+
+impl TreeScratch {
+    fn new(n: usize) -> Self {
+        TreeScratch {
+            local: vec![NONE; n],
+            ..TreeScratch::default()
+        }
+    }
+
+    fn local_id(&mut self, v: NodeId) -> u32 {
+        if self.local[v as usize] == NONE {
+            self.local[v as usize] = self.nodes.len() as u32;
+            self.nodes.push(v);
+        }
+        self.local[v as usize]
+    }
+
+    /// Part `i`'s BFS tree in `G[S_i] ∪ H_i`, adding one to
+    /// `edge_load` for each of its edges.
+    fn tree(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        shortcut_edges: &[EdgeId],
+        i: usize,
+        edge_load: &mut [u32],
+    ) -> PartTree {
+        let part = partition.part(i);
+        let internal = ShortcutSet::part_internal_edges(graph, partition, i);
+        merge_ascending(&internal, shortcut_edges, &mut self.edges);
+
+        self.nodes.clear();
+        for &v in part {
+            self.local_id(v);
+        }
+        for j in 0..self.edges.len() {
+            let (u, w) = graph.edge_endpoints(self.edges[j]);
+            self.local_id(u);
+            self.local_id(w);
+        }
+        let k = self.nodes.len();
+
+        // Local CSR by counting. The first fill lists each node's arcs
+        // in edge order; appending every node's arcs to its neighbours'
+        // lists, nodes in local-id order, then sorts each list.
+        self.offsets.clear();
+        self.offsets.resize(k + 1, 0);
+        for &e in &self.edges {
+            let (u, w) = graph.edge_endpoints(e);
+            self.offsets[self.local[u as usize] as usize + 1] += 1;
+            self.offsets[self.local[w as usize] as usize + 1] += 1;
+        }
+        for x in 0..k {
+            self.offsets[x + 1] += self.offsets[x];
+        }
+        let arcs = self.offsets[k] as usize;
+        self.filled.clear();
+        self.filled.resize(arcs, (0, EdgeId(0)));
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.offsets[..k]);
+        for &e in &self.edges {
+            let (u, w) = graph.edge_endpoints(e);
+            let (lu, lw) = (self.local[u as usize], self.local[w as usize]);
+            self.filled[self.cursor[lu as usize] as usize] = (lw, e);
+            self.cursor[lu as usize] += 1;
+            self.filled[self.cursor[lw as usize] as usize] = (lu, e);
+            self.cursor[lw as usize] += 1;
+        }
+        self.sorted.clear();
+        self.sorted.resize(arcs, (0, EdgeId(0)));
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.offsets[..k]);
+        for x in 0..k {
+            for a in self.offsets[x] as usize..self.offsets[x + 1] as usize {
+                let (y, e) = self.filled[a];
+                self.sorted[self.cursor[y as usize] as usize] = (x as u32, e);
+                self.cursor[y as usize] += 1;
+            }
+        }
+
+        let root = partition.leader(i);
+        let local_root = self.local[root as usize];
+        self.dist.clear();
+        self.dist.resize(k, UNREACHABLE);
+        self.parent.clear();
+        self.parent.resize(k, None);
+        self.queue.clear();
+        self.dist[local_root as usize] = 0;
+        self.queue.push(local_root);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let du = self.dist[u as usize];
+            for a in self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize {
+                let (w, e) = self.sorted[a];
+                if self.dist[w as usize] == UNREACHABLE {
+                    self.dist[w as usize] = du + 1;
+                    self.parent[w as usize] = Some((u, e));
+                    self.queue.push(w);
+                }
+            }
+        }
+
+        let mut members = Vec::with_capacity(self.queue.len());
+        for lv in 0..k {
+            if self.dist[lv] == UNREACHABLE {
+                continue;
+            }
+            let parent = self.parent[lv].map(|(lp, e)| {
+                edge_load[e.index()] += 1;
+                self.nodes[lp as usize]
+            });
+            members.push((self.nodes[lv], parent));
+        }
+        // The part's members hold local ids 0..|S_i|.
+        let spans_part = self.dist[..part.len()].iter().all(|&d| d != UNREACHABLE);
+        let depth = self.queue.last().map_or(0, |&l| self.dist[l as usize]);
+        for &v in &self.nodes {
+            self.local[v as usize] = NONE;
+        }
+        PartTree {
+            part: i,
+            root,
+            members,
+            depth,
+            spans_part,
+        }
+    }
+}
+
+/// Merges two strictly ascending edge lists into `out`, each edge once.
+fn merge_ascending(a: &[EdgeId], b: &[EdgeId], out: &mut Vec<EdgeId>) {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]) && b.windows(2).all(|w| w[0] < w[1]));
+    out.clear();
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        let next = a[x].min(b[y]);
+        x += usize::from(a[x] == next);
+        y += usize::from(b[y] == next);
+        out.push(next);
+    }
+    out.extend_from_slice(&a[x..]);
+    out.extend_from_slice(&b[y..]);
+}
+
+/// What the per-part answers read of the aggregation trees, and no
+/// more: for each part, the members its tree lists, and the root paths
+/// of those members as top-down steps. It depends on the trees alone,
+/// not on weights, so an index derives it once and every customization
+/// and served aggregate reuses it. Its size is the parts plus their
+/// root paths, not the trees: a shortcut tree may reach most of the
+/// graph while its part is a small corner of it.
+///
+/// A member whose path to its tree's root is broken — it is not
+/// listed, an ancestor is missing or has no parent, a parent edge is
+/// not in the graph, or the parents form a cycle, which only a
+/// malformed index can hold — gets no step, and reads as
+/// [`W_UNREACHABLE`] in [`PartPaths::depths`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartPaths {
+    /// Nodes of the graph (the depth table's length).
+    n: usize,
+    /// `listed[listed_at[i]..listed_at[i + 1]]`: the members of part
+    /// `i` that its tree lists, ascending.
+    listed: Vec<NodeId>,
+    listed_at: Vec<u32>,
+    /// Every part's root-path steps; a step's parent comes before it.
+    steps: Vec<PathStep>,
+}
+
+/// One node on a part member's root path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathStep {
+    /// The node, if it is a member of the tree's part, else [`NONE`].
+    member: NodeId,
+    /// Index of the parent's step, or [`NONE`] at the tree's root,
+    /// whose depth is 0.
+    parent: u32,
+    /// The edge from the parent (unused at the root).
+    edge: EdgeId,
+}
+
+impl PartPaths {
+    /// Derives the view from `setup`'s trees, in time linear in their
+    /// sizes. Tree `i` is read as part `i`'s, as
+    /// [`AggregationSetup::build`] and [`ShortcutIndex::from_bytes`]
+    /// guarantee.
+    ///
+    /// [`ShortcutIndex::from_bytes`]: crate::ShortcutIndex::from_bytes
+    ///
+    /// # Panics
+    ///
+    /// Panics if `setup` has more trees than `partition` has parts, or
+    /// a tree names a node `graph` lacks.
+    pub fn new(graph: &Graph, partition: &Partition, setup: &AggregationSetup) -> Self {
+        // `parent[v]` while one tree is read: `v`'s parent, NO_PARENT
+        // if the tree lists `v` without one, NONE if it does not list
+        // `v`.
+        const NO_PARENT: u32 = NONE - 1;
+        // `state[v]`: the step of `v`, or one of these markers.
+        const UNSEEN: u32 = NONE;
+        const BROKEN: u32 = NONE - 1;
+        const CLIMBING: u32 = NONE - 2;
+        let n = graph.n();
+        let mut parent = vec![NONE; n];
+        let mut state = vec![UNSEEN; n];
+        let mut seen: Vec<NodeId> = Vec::new();
+        let mut path: Vec<NodeId> = Vec::new();
+        let mut listed = Vec::new();
+        let mut listed_at = vec![0u32];
+        let mut steps: Vec<PathStep> = Vec::new();
+        for (i, tree) in setup.trees.iter().enumerate() {
+            let in_part = |v: NodeId| partition.part_of(v) == Some(i as u32);
+            for &(v, p) in &tree.members {
+                parent[v as usize] = p.unwrap_or(NO_PARENT);
+            }
+            for &v in partition.part(i) {
+                if parent[v as usize] != NONE {
+                    listed.push(v);
+                }
+                // Climb to the root or to a node already read; a node
+                // met twice on one climb closes a parent cycle.
+                let mut u = v;
+                let mut top = loop {
+                    if u == tree.root && state[u as usize] == UNSEEN {
+                        state[u as usize] = steps.len() as u32;
+                        seen.push(u);
+                        steps.push(PathStep {
+                            member: if in_part(u) { u } else { NONE },
+                            parent: NONE,
+                            edge: EdgeId(0),
+                        });
+                    }
+                    match state[u as usize] {
+                        UNSEEN if parent[u as usize] < NO_PARENT => {
+                            state[u as usize] = CLIMBING;
+                            seen.push(u);
+                            path.push(u);
+                            u = parent[u as usize];
+                        }
+                        UNSEEN | BROKEN | CLIMBING => break None,
+                        step => break Some(step),
+                    }
+                };
+                while let Some(x) = path.pop() {
+                    top = top.and_then(|above| {
+                        let edge = graph.edge_between(parent[x as usize], x)?;
+                        steps.push(PathStep {
+                            member: if in_part(x) { x } else { NONE },
+                            parent: above,
+                            edge,
+                        });
+                        Some(steps.len() as u32 - 1)
+                    });
+                    state[x as usize] = top.unwrap_or(BROKEN);
+                }
+            }
+            listed_at.push(listed.len() as u32);
+            for &(v, _) in &tree.members {
+                parent[v as usize] = NONE;
+            }
+            for v in seen.drain(..) {
+                state[v as usize] = UNSEEN;
+            }
+        }
+        PartPaths {
+            n,
+            listed,
+            listed_at,
+            steps,
+        }
+    }
+
+    /// The weighted depth of every node in its own part's tree under
+    /// `weights` (one per edge), in one pass over the steps:
+    /// [`W_UNREACHABLE`] where no part tree spans the node, and where
+    /// the sum is too heavy for `u64` (sums saturate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` has no entry for a tree edge.
+    pub fn depths(&self, weights: &[u64]) -> Vec<u64> {
+        let mut depth = vec![W_UNREACHABLE; self.n];
+        let mut at: Vec<u64> = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let d = match step.parent {
+                NONE => 0,
+                above => at[above as usize].saturating_add(weights[step.edge.index()]),
+            };
+            at.push(d);
+            if step.member != NONE {
+                depth[step.member as usize] = d;
+            }
+        }
+        depth
+    }
+
+    /// Folds `value(v, i)` under `op` over the members `v` of each part
+    /// `i` that its tree lists. Every [`AggOp`] is commutative and
+    /// associative, so this equals
+    /// [`AggregationSetup::aggregate_centralized`] whenever `value` is
+    /// `op`'s identity off the part, without reading the tree nodes of
+    /// other parts.
+    pub fn aggregate_members(&self, op: AggOp, value: impl Fn(NodeId, usize) -> u64) -> Vec<u64> {
+        self.listed_at
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                self.listed[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .fold(op.identity(), |a, &v| op.apply(a, value(v, i)))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +632,110 @@ mod tests {
         // Better shortcuts -> cheaper aggregation, even though the
         // global tree costs congestion.
         assert!(fast.accounted_rounds(g.n()) < slow.accounted_rounds(g.n()));
+    }
+
+    #[test]
+    fn part_paths_hold_the_parts_not_the_trees() {
+        let (g, p) = fixture();
+        let setup = AggregationSetup::build(&g, &p, &global_tree_shortcuts(&g, &p, 0, Some(1)));
+        let paths = PartPaths::new(&g, &p, &setup);
+        // Every part's tree spans the whole graph; its members and their
+        // root paths are a fraction of it.
+        let tree_nodes: usize = setup.trees.iter().map(|t| t.members.len()).sum();
+        assert_eq!(tree_nodes, p.num_parts() * g.n());
+        assert!(paths.steps.len() * 2 < tree_nodes, "{}", paths.steps.len());
+        assert_eq!(paths.listed, p.parts().concat());
+        let value = |v: NodeId, part: usize| {
+            if p.part_of(v) == Some(part as u32) {
+                v as u64 * 7 % 11
+            } else {
+                0
+            }
+        };
+        for op in [AggOp::Sum, AggOp::Max] {
+            assert_eq!(
+                paths.aggregate_members(op, value),
+                setup.aggregate_centralized(op, &value)
+            );
+        }
+        let weights: Vec<u64> = (1..=g.m() as u64).collect();
+        let depths = paths.depths(&weights);
+        for t in &setup.trees {
+            let parent: std::collections::HashMap<NodeId, Option<NodeId>> =
+                t.members.iter().copied().collect();
+            for &v in p.part(t.part) {
+                let (mut u, mut d) = (v, 0);
+                while let Some(q) = parent[&u] {
+                    d += weights[g.edge_between(q, u).unwrap().index()];
+                    u = q;
+                }
+                assert_eq!(depths[v as usize], d, "node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn part_paths_read_broken_root_paths_as_unreachable() {
+        // Path 0-…-8 in one part, rooted at the unlisted 8: 7 and 6
+        // hang below it, 5 is listed without a parent and 4 below it, 3
+        // is not listed, 1 and 2 are each other's parent, and 0 hangs
+        // off 6 over the non-edge {0, 6}.
+        let g = lcs_graph::path(9);
+        let p = Partition::new(&g, vec![(0..9).collect()]).unwrap();
+        let setup = AggregationSetup {
+            trees: vec![PartTree {
+                part: 0,
+                root: 8,
+                members: vec![
+                    (7, Some(8)),
+                    (6, Some(7)),
+                    (5, None),
+                    (4, Some(5)),
+                    (2, Some(1)),
+                    (1, Some(2)),
+                    (0, Some(6)),
+                ],
+                depth: 2,
+                spans_part: false,
+            }],
+            tree_congestion: 1,
+            tree_depth: 2,
+        };
+        let paths = PartPaths::new(&g, &p, &setup);
+        let u = W_UNREACHABLE;
+        // Edge {v, v + 1} weighs v + 1.
+        let weights: Vec<u64> = (1..=8).collect();
+        assert_eq!(paths.depths(&weights), vec![u, u, u, u, u, u, 15, 8, 0]);
+        assert_eq!(paths.listed, vec![0, 1, 2, 4, 5, 6, 7]);
+        assert_eq!(paths.steps.len(), 3, "the root, 7 and 6");
+    }
+
+    #[test]
+    fn part_paths_read_a_long_parent_cycle_in_linear_time() {
+        // One part of 100,000 nodes whose parents run 0 → 1 → … → n-2
+        // and back to 0, past the root n-1: a climb per member would
+        // take n²/2 steps.
+        let n = 100_000u32;
+        let g = lcs_graph::path(n as usize);
+        let p = Partition::new(&g, vec![(0..n).collect()]).unwrap();
+        let members = (0..n - 1)
+            .map(|v| (v, Some(if v + 1 < n - 1 { v + 1 } else { 0 })))
+            .collect();
+        let setup = AggregationSetup {
+            trees: vec![PartTree {
+                part: 0,
+                root: n - 1,
+                members,
+                depth: 1,
+                spans_part: true,
+            }],
+            tree_congestion: 1,
+            tree_depth: 1,
+        };
+        let paths = PartPaths::new(&g, &p, &setup);
+        let depths = paths.depths(&vec![1; g.m()]);
+        assert_eq!(depths[n as usize - 1], 0);
+        assert!(depths[..n as usize - 1].iter().all(|&d| d == W_UNREACHABLE));
     }
 
     #[test]

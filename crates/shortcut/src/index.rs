@@ -25,7 +25,7 @@
 //! malformed buffer returns a typed [`IndexError`] — never panics —
 //! and a round trip is byte-exact: `to_bytes ∘ from_bytes = id`.
 
-use crate::aggregation::{AggregationSetup, PartTree};
+use crate::aggregation::{AggregationSetup, PartPaths, PartTree};
 use crate::partition::Partition;
 use crate::shortcut::{Quality, ShortcutSet};
 use lcs_congest::hash::Fnv;
@@ -130,6 +130,8 @@ pub struct ShortcutIndex {
     partition: Partition,
     shortcuts: ShortcutSet,
     setup: AggregationSetup,
+    /// Derived from `setup` on freeze and load; never serialized.
+    paths: PartPaths,
 }
 
 impl ShortcutIndex {
@@ -152,6 +154,7 @@ impl ShortcutIndex {
     ) -> Self {
         assert_eq!(weights.len(), graph.m(), "one weight per edge");
         let setup = AggregationSetup::build(&graph, &partition, &shortcuts);
+        let paths = PartPaths::new(&graph, &partition, &setup);
         ShortcutIndex {
             meta,
             graph,
@@ -159,6 +162,7 @@ impl ShortcutIndex {
             partition,
             shortcuts,
             setup,
+            paths,
         }
     }
 
@@ -194,6 +198,14 @@ impl ShortcutIndex {
     /// customization of the index borrows these; none copies them.
     pub fn aggregation_setup(&self) -> &AggregationSetup {
         &self.setup
+    }
+
+    /// Each part's listed members and their root paths in its frozen
+    /// tree, derived when the index is frozen or loaded and never
+    /// serialized: customization fills its depth table from it, and
+    /// the served aggregate folds over it.
+    pub fn part_paths(&self) -> &PartPaths {
+        &self.paths
     }
 
     /// Number of aggregation trees (= parts).
@@ -311,6 +323,7 @@ impl ShortcutIndex {
                 partition.num_parts()
             )));
         }
+        let paths = PartPaths::new(&graph, &partition, &setup);
         Ok(ShortcutIndex {
             meta,
             graph,
@@ -318,6 +331,7 @@ impl ShortcutIndex {
             partition,
             shortcuts,
             setup,
+            paths,
         })
     }
 

@@ -36,7 +36,7 @@ pub mod separator;
 pub mod shortcut;
 pub mod verifier;
 
-pub use aggregation::{AggregationSetup, PartTree};
+pub use aggregation::{AggregationSetup, PartPaths, PartTree};
 pub use baseline::{global_tree_shortcuts, kitamura_style_shortcuts, trivial_shortcuts};
 pub use builder::{GlobalTree, KitamuraSampling, ShortcutBuilder, Trivial};
 pub use index::{IndexError, IndexMeta, ShortcutIndex, INDEX_FORMAT_VERSION};
