@@ -45,9 +45,10 @@ pub struct MultiBfsInstance {
     pub depth_limit: u32,
 }
 
-/// Symmetric membership predicate: is edge `{u, v}` part of instance
-/// `i`'s subgraph? Implementations must answer identically for `(u, v)`
-/// and `(v, u)`.
+/// Membership predicate: may a token of instance `i` cross the arc
+/// `u → v`? It is evaluated only at the sending end `u`, when `u`
+/// forwards a token, so it may answer `(u, v)` and `(v, u)` differently:
+/// the construction's sampled edges are each endpoint's own coin.
 pub type MembershipFn = Arc<dyn Fn(NodeId, NodeId, u32) -> bool + Send + Sync>;
 
 /// Edge-membership oracle of a multi-BFS bundle.
@@ -60,13 +61,14 @@ pub type MembershipFn = Arc<dyn Fn(NodeId, NodeId, u32) -> bool + Send + Sync>;
 pub enum Membership {
     /// Every edge belongs to every instance.
     All,
-    /// Arbitrary symmetric predicate (see [`MembershipFn`]).
+    /// Arbitrary arc predicate, evaluated at the sender (see
+    /// [`MembershipFn`]).
     Fn(MembershipFn),
 }
 
 impl Membership {
-    /// Wraps a predicate closure (see [`MembershipFn`] for the
-    /// symmetry requirement).
+    /// Wraps a predicate closure (see [`MembershipFn`]: the sender
+    /// evaluates it, and it need not be symmetric).
     pub fn func(f: impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync + 'static) -> Self {
         Membership::Fn(Arc::new(f))
     }
