@@ -67,7 +67,9 @@ pub struct MstConfig {
     pub execution: ExecutionMode,
     /// Known diameter (skips re-deriving it; required for
     /// [`ShortcutStrategy::KoganParter`] parameters — pass the measured
-    /// graph diameter).
+    /// graph diameter). When a fault plan excises nodes, Boruvka runs on
+    /// the survivors with their diameter re-derived instead: excision
+    /// can stretch it.
     pub diameter: Option<u32>,
     /// Probability constant for the KP sampling.
     pub prob_constant: f64,
@@ -418,6 +420,10 @@ fn degraded_mst(
     }
 
     // ---- Excision: the MST of the surviving component. ---------------
+    let sub_cfg = MstConfig {
+        diameter: None, // excision can stretch the diameter
+        ..sub_cfg
+    };
     let sub_wg = exc.induced_weighted(wg);
     let sub = mst_pipeline(&sub_wg, &sub_cfg)?;
 
@@ -711,6 +717,58 @@ mod tests {
             out.total_rounds > clean.total_rounds,
             "detection is charged"
         );
+    }
+
+    /// Excision can stretch the diameter, so Boruvka on the survivors
+    /// must key its round budget on their diameter, not the caller's:
+    /// crashing node 10 of `cycle(20)` leaves a 19-node path, D 10 → 18.
+    #[test]
+    fn degraded_mst_rederives_the_survivors_diameter() {
+        use lcs_congest::Crash;
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let wg =
+            WeightedGraph::with_random_weights(lcs_graph::generators::cycle(20), 1000, &mut rng);
+        let dead: NodeId = 10;
+        let cfg = MstConfig {
+            diameter: Some(10),
+            faults: Some(FaultPlan {
+                crashes: vec![Crash {
+                    node: dead,
+                    at_round: 0,
+                    recover_at: None,
+                }],
+                ..FaultPlan::default()
+            }),
+            ..MstConfig::default()
+        };
+        let out = mst_via_shortcuts(&wg, &cfg).unwrap();
+        let deg = out
+            .degraded
+            .as_ref()
+            .expect("faulty run reports degradation");
+        assert_eq!(deg.excluded_nodes, vec![dead]);
+        // The survivors rebuilt independently, relabeled in id order.
+        let new_id = |v: NodeId| if v < dead { v } else { v - 1 };
+        let edges: Vec<(NodeId, NodeId, u64)> = wg
+            .graph()
+            .edges()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(a, b))| a != dead && b != dead)
+            .map(|(e, &(a, b))| (new_id(a), new_id(b), wg.weight(EdgeId(e as u32))))
+            .collect();
+        let survivors = WeightedGraph::from_weighted_edges(19, &edges).unwrap();
+        assert_eq!(exact_diameter(survivors.graph()), Some(18));
+        let direct = mst_via_shortcuts(
+            &survivors,
+            &MstConfig {
+                diameter: None,
+                ..MstConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(out.weight, direct.weight);
+        assert_eq!(out.total_rounds, direct.total_rounds + deg.extra_rounds);
     }
 
     #[test]

@@ -48,10 +48,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod accounting;
 mod arena;
 pub mod bfs;
+mod capture;
 pub mod error;
 pub mod hash;
 pub mod message;

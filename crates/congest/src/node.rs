@@ -36,9 +36,10 @@ pub enum Wake {
 /// plus its activation for the next round's active set — either a
 /// direct push into the sending shard's own next-active list or a
 /// cross-shard wake enqueued for the destination shard to drain.
-/// Capture contexts (the [`Join`](crate::Join) combinator) omit this:
-/// their sends land in local queues and only touch the wire — and thus
-/// the schedule — when really sent later.
+/// Capture contexts (how [`Join`](crate::Join) and
+/// [`Reliable`](crate::Reliable) run their inner protocols) omit this:
+/// their sends land in per-neighbor slots and only touch the wire — and
+/// thus the schedule — when the host really sends them later.
 pub(crate) struct WireFx<'a> {
     /// Per-node "has mail next round" flags (shared across shards; a
     /// relaxed store is enough, the round barrier orders it).
@@ -134,7 +135,6 @@ pub struct RoundCtx<'a, M> {
     pub(crate) graph: &'a Graph,
     pub(crate) inbox: &'a [(NodeId, M)],
     pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) shared: &'a [u64],
     pub(crate) tx: TxState<'a, M>,
 }
 
@@ -320,16 +320,6 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     #[inline]
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
         self.rng
-    }
-
-    /// Shared randomness visible to all nodes. The paper's scheduler
-    /// (Ghaffari'15) uses `O(log² n)` shared random bits, which can be
-    /// disseminated in `O(D + log n)` rounds; the simulator exposes them
-    /// directly and the round accounting adds that dissemination cost
-    /// explicitly where relevant.
-    #[inline]
-    pub fn shared_randomness(&self) -> &'a [u64] {
-        self.shared
     }
 }
 

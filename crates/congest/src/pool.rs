@@ -110,6 +110,7 @@ struct RawJob {
 // SAFETY: `RawJob` is two plain words; the *use* of the pointer is
 // governed by the phase protocol (module docs), not by these impls.
 unsafe impl Send for RawJob {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for RawJob {}
 
 unsafe fn call_thunk<F: Fn(usize, u64) + Sync>(data: *const (), worker: usize, round: u64) {
@@ -215,6 +216,8 @@ impl Pool {
                     // coordinator keeps the phase frame alive until
                     // after the done barrier (module docs).
                     let job = unsafe { &*shared.job.load(Ordering::Relaxed) };
+                    // SAFETY: `raw_job_of` paired `call` with `data`'s
+                    // closure type; the closure lives as the job does.
                     unsafe { (job.call)(job.data, index, round) };
                     shared.done.wait();
                 })
@@ -367,7 +370,9 @@ impl Pool {
 /// sharing sound).
 #[derive(Clone, Copy)]
 struct SendPtr<S>(*mut S);
+// SAFETY: `S: Send`, and each worker touches only its own elements.
 unsafe impl<S: Send> Send for SendPtr<S> {}
+// SAFETY: as for `Send`.
 unsafe impl<S: Send> Sync for SendPtr<S> {}
 
 impl<S> SendPtr<S> {

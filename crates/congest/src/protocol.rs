@@ -23,6 +23,16 @@
 //!   arbitration, so `k` part-wise aggregations genuinely share rounds
 //!   as the paper assumes ([`Join`] nests: `join(p1, join(p2, p3))`).
 //!
+//! Both combinators that run a protocol inside another's rounds,
+//! [`Join`] and [`Reliable`](crate::Reliable), share one capture path:
+//! per inner protocol and node, a crate-private capture mailbox holds
+//! the inner inbox and one payload slot per neighbor, runs the inner
+//! hook only when the [quiescence contract](Protocol#the-quiescence-contract)
+//! asks for it (round 0, mail, or [`Wake::Stay`]), keeps its sends off
+//! the wire, forwards a model violation to the host, and hands the
+//! payloads back. `Join` queues them per neighbor (hook at the engine
+//! round); `Reliable` frames them per link (hook at its virtual round).
+//!
 //! # Writing a protocol
 //!
 //! A [`Protocol`] value owns the protocol's *global* inputs (roots,
@@ -83,10 +93,11 @@
 //! assert_eq!(maxima, vec![4; 5]);
 //! ```
 
+use crate::capture::{Capture, Hook};
 use crate::message::Message;
-use crate::node::{RoundCtx, TxState, Wake};
+use crate::node::{RoundCtx, Wake};
 use crate::stats::RunStats;
-use lcs_graph::{Graph, NodeId};
+use lcs_graph::Graph;
 use std::collections::VecDeque;
 
 /// A whole-network CONGEST protocol: per-node state construction, round
@@ -194,36 +205,23 @@ impl<A: Message, B: Message> Message for JoinMsg<A, B> {
     }
 }
 
-/// Per-node state of a [`Join`]: both sides' states plus the per-side,
-/// per-neighbor FIFO queues that multiplex the shared bandwidth, and
-/// reusable capture scratch (see [`Join`]'s docs for the mechanism).
+/// Per-node state of a [`Join`]: both sides' states, one capture
+/// mailbox per side, and the per-side, per-neighbor FIFO queues that
+/// multiplex the shared bandwidth (see [`Join`]'s docs for the
+/// mechanism).
 pub struct JoinState<P1: Protocol, P2: Protocol> {
     a: P1::State,
     b: P2::State,
+    cap_a: Capture<P1::Msg>,
+    cap_b: Capture<P2::Msg>,
     /// Pending outbound messages per neighbor, first protocol.
     qa: Vec<VecDeque<P1::Msg>>,
     /// Pending outbound messages per neighbor, second protocol.
     qb: Vec<VecDeque<P2::Msg>>,
-    /// Untagged inbox views handed to the sub-protocols.
-    inbox_a: Vec<(NodeId, P1::Msg)>,
-    inbox_b: Vec<(NodeId, P2::Msg)>,
-    /// Capture mailboxes: the sub-protocols' sends land here (one flat
-    /// slot per neighbor, occupancy tracked in `occ_*`, mirroring the
-    /// engine's wire mailboxes) and are moved into the queues.
-    slots_a: Vec<std::mem::MaybeUninit<P1::Msg>>,
-    slots_b: Vec<std::mem::MaybeUninit<P2::Msg>>,
-    occ_a: Vec<bool>,
-    occ_b: Vec<bool>,
-    /// Scratch sinks for the capture contexts (indices of written
-    /// slots; per-arc counters). Real statistics are recorded when the
-    /// queued message is actually sent.
-    dirty: Vec<u32>,
-    per_arc: Vec<u32>,
     /// Total queued messages across both sides (kept in sync by the
     /// capture and drain paths so `halted` is O(1), not a per-round
     /// scan of every per-neighbor queue).
     pending: usize,
-    initialized: bool,
 }
 
 /// Runs two protocols **concurrently in shared rounds**, multiplexing
@@ -281,93 +279,47 @@ impl<P1: Protocol, P2: Protocol> Protocol for Join<P1, P2> {
             .map(|(a, b)| JoinState {
                 a,
                 b,
+                cap_a: Capture::default(),
+                cap_b: Capture::default(),
                 qa: Vec::new(),
                 qb: Vec::new(),
-                inbox_a: Vec::new(),
-                inbox_b: Vec::new(),
-                slots_a: Vec::new(),
-                slots_b: Vec::new(),
-                occ_a: Vec::new(),
-                occ_b: Vec::new(),
-                dirty: Vec::new(),
-                per_arc: Vec::new(),
                 pending: 0,
-                initialized: false,
             })
             .collect()
     }
 
     fn round(&self, st: &mut Self::State, ctx: &mut RoundCtx<'_, Self::Msg>) {
         let degree = ctx.degree();
-        if !st.initialized {
-            st.initialized = true;
-            st.qa = (0..degree).map(|_| VecDeque::new()).collect();
-            st.qb = (0..degree).map(|_| VecDeque::new()).collect();
-            st.slots_a = (0..degree)
-                .map(|_| std::mem::MaybeUninit::uninit())
-                .collect();
-            st.slots_b = (0..degree)
-                .map(|_| std::mem::MaybeUninit::uninit())
-                .collect();
-            st.occ_a = vec![false; degree];
-            st.occ_b = vec![false; degree];
-            st.per_arc = vec![0; degree];
+        let round = ctx.round();
+        if st.qa.len() != degree {
+            st.qa.resize_with(degree, VecDeque::new);
+            st.qb.resize_with(degree, VecDeque::new);
         }
         // 1. Split the tagged inbox into per-side untagged views.
-        st.inbox_a.clear();
-        st.inbox_b.clear();
+        st.cap_a.inbox.clear();
+        st.cap_b.inbox.clear();
         for &(from, ref msg) in ctx.inbox() {
             match msg {
-                JoinMsg::A(m) => st.inbox_a.push((from, m.clone())),
-                JoinMsg::B(m) => st.inbox_b.push((from, m.clone())),
+                JoinMsg::A(m) => st.cap_a.inbox.push((from, m.clone())),
+                JoinMsg::B(m) => st.cap_b.inbox.push((from, m.clone())),
             }
         }
-        // 2. Run each side against a capture context (sends land in
-        //    `slots_*`, then move into the queues) — but only when that
-        //    side has traffic or asked to stay awake: the join extends
-        //    the engine's event-driven scheduling *through* itself, so
-        //    a quiescent side costs nothing even while the other side
-        //    keeps the node active. Skipping is outcome-neutral by the
-        //    quiescence contract (a sleeping side's hook would have
-        //    been a no-op, drawing no RNG), which also preserves the
-        //    documented RNG order: A draws before B within a round.
-        let run_a = ctx.round() == 0 || !st.inbox_a.is_empty() || self.a.wake(&st.a) == Wake::Stay;
-        if run_a
-            && run_captured(
-                &self.a,
-                &mut st.a,
-                &st.inbox_a,
-                &mut st.slots_a,
-                &mut st.occ_a,
-                &mut st.qa,
-                &mut st.dirty,
-                &mut st.per_arc,
-                &mut st.pending,
-                ctx,
-            )
-        {
-            return; // violation recorded; the run is aborting
+        // 2. Run each side through its capture, A before B (the RNG
+        //    order), and queue what it sent. The capture's gate skips a
+        //    quiescent side, so the join extends the engine's
+        //    event-driven scheduling through itself: a sleeping side
+        //    costs nothing even while the other keeps the node active.
+        if st.cap_a.run(&self.a, &mut st.a, round, ctx) == Hook::Violation {
+            return; // the run is aborting
         }
-        let run_b = ctx.round() == 0 || !st.inbox_b.is_empty() || self.b.wake(&st.b) == Wake::Stay;
-        if run_b
-            && run_captured(
-                &self.b,
-                &mut st.b,
-                &st.inbox_b,
-                &mut st.slots_b,
-                &mut st.occ_b,
-                &mut st.qb,
-                &mut st.dirty,
-                &mut st.per_arc,
-                &mut st.pending,
-                ctx,
-            )
-        {
+        st.pending += st.cap_a.drain(|i, m| st.qa[i].push_back(m));
+        if st.cap_b.run(&self.b, &mut st.b, round, ctx) == Hook::Violation {
             return;
         }
+        st.pending += st.cap_b.drain(|i, m| st.qb[i].push_back(m));
         // 3. Drain at most one message per neighbor, round-robin: even
         //    rounds prefer side A, odd rounds side B.
-        let prefer_b = ctx.round() % 2 == 1;
+        let prefer_b = round % 2 == 1;
         for i in 0..degree {
             let msg = if prefer_b {
                 st.qb[i]
@@ -414,80 +366,4 @@ impl<P1: Protocol, P2: Protocol> Protocol for Join<P1, P2> {
             self.b.finish(graph, sb, stats),
         )
     }
-}
-
-/// Runs one side's round hook against a capture context: its sends are
-/// written into `slots` (one per neighbor, enforcing the one-message
-/// discipline *per side per round* at capture time) and then moved
-/// into the side's per-neighbor queues. Returns `true` when the side
-/// committed a model violation (recorded into the real context; the
-/// engine aborts the run at the end of the round).
-#[allow(clippy::too_many_arguments)]
-fn run_captured<P: Protocol, W: Message>(
-    proto: &P,
-    state: &mut P::State,
-    inbox: &[(NodeId, P::Msg)],
-    slots: &mut [std::mem::MaybeUninit<P::Msg>],
-    occ: &mut [bool],
-    queues: &mut [VecDeque<P::Msg>],
-    dirty: &mut Vec<u32>,
-    per_arc: &mut [u32],
-    pending: &mut usize,
-    ctx: &mut RoundCtx<'_, W>,
-) -> bool {
-    let mut violation = None;
-    let (mut messages, mut words) = (0u64, 0u64);
-    {
-        let mut capture = RoundCtx {
-            node: ctx.node,
-            round: ctx.round,
-            graph: ctx.graph,
-            inbox,
-            rng: &mut *ctx.rng,
-            shared: ctx.shared,
-            tx: TxState {
-                slots,
-                occ,
-                heads: ctx.tx.heads,
-                arc_base: 0,
-                // No wire effects: a captured send is queued, not sent.
-                // Mail flags and receiver activation happen when the
-                // drain step really sends it (via the outer context),
-                // so the engine's active sets see exactly the wire
-                // traffic at any shard count.
-                wire: None,
-                dirty,
-                messages: &mut messages,
-                words: &mut words,
-                per_arc,
-                violation: &mut violation,
-                bandwidth: ctx.tx.bandwidth,
-            },
-        };
-        proto.round(state, &mut capture);
-    }
-    // Move captured sends into the queues (dirty holds neighbor
-    // indices, since the capture context's arc base is 0). A dirty
-    // entry's occupancy byte is always set — sends are the only writer
-    // and the overflow check rules out duplicates — so every listed
-    // slot holds a live payload to move out.
-    for &i in dirty.iter() {
-        let i = i as usize;
-        debug_assert!(occ[i]);
-        occ[i] = false;
-        // SAFETY: `occ[i]` was set by a captured send, so `slots[i]`
-        // holds an initialized message; clearing the byte first makes
-        // the move-out unique.
-        let m = unsafe { slots[i].assume_init_read() };
-        queues[i].push_back(m);
-        *pending += 1;
-    }
-    dirty.clear();
-    if let Some(v) = violation {
-        if ctx.tx.violation.is_none() {
-            *ctx.tx.violation = Some(v);
-        }
-        return true;
-    }
-    false
 }

@@ -16,6 +16,11 @@
 //! bandwidth discipline and show up in [`RunStats`] — the measured
 //! overhead of reliability.
 //!
+//! The inner hook runs through [`Join`](crate::Join)'s capture path
+//! (see the [`protocol`](crate::protocol) module docs) at the virtual
+//! round number, behind the same quiescence gate; its sends wait per
+//! neighbor until this node frames them onto its links.
+//!
 //! Because every node executes the same inner rounds with the same
 //! inboxes in the same order as a fault-free synchronous run, the inner
 //! protocol's output is **byte-identical** to its fault-free output — a
@@ -84,10 +89,11 @@
 //! the detection can never fire, so fault-free and drop/delay-only runs
 //! are untouched.
 
+use crate::capture::{Capture, Hook};
 use crate::error::SimError;
 use crate::hash::splitmix64;
 use crate::message::Message;
-use crate::node::{RoundCtx, TxState, Wake};
+use crate::node::{RoundCtx, Wake};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -373,10 +379,9 @@ impl<M> Link<M> {
     }
 }
 
-/// Per-node state of a [`Reliable`] run: the inner protocol's state plus
-/// the synchronizer/ARQ machinery and reusable capture scratch (the
-/// inner hook's sends land in flat per-neighbor slots, mirroring
-/// [`Join`](crate::Join)'s capture mechanism).
+/// Per-node state of a [`Reliable`] run: the inner protocol's state, its
+/// capture mailbox (the one [`Join`](crate::Join) uses per side), and
+/// the synchronizer/ARQ machinery.
 pub struct ReliableState<P: Protocol> {
     inner: P::State,
     /// This node itself is crashed (it never participates; the engine's
@@ -391,12 +396,7 @@ pub struct ReliableState<P: Protocol> {
     /// will be executed (see the module docs).
     stopped: bool,
     links: Vec<Link<P::Msg>>,
-    // Capture scratch for the inner hook.
-    inner_inbox: Vec<(NodeId, P::Msg)>,
-    slots: Vec<std::mem::MaybeUninit<P::Msg>>,
-    occ: Vec<bool>,
-    dirty: Vec<u32>,
-    per_arc: Vec<u32>,
+    capture: Capture<P::Msg>,
     /// Last engine round this node's hook ran (rejoin detection: a
     /// [`Wake::Stay`] node whose hook skipped a round was crashed —
     /// nothing else removes a staying node from the active set).
@@ -518,11 +518,7 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                 quiet: 0,
                 stopped: false,
                 links: Vec::new(),
-                inner_inbox: Vec::new(),
-                slots: Vec::new(),
-                occ: Vec::new(),
-                dirty: Vec::new(),
-                per_arc: Vec::new(),
+                capture: Capture::default(),
                 last_round: 0,
                 stay: false,
             })
@@ -547,11 +543,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                 .iter()
                 .map(|&w| Link::new(self.is_crashed(w)))
                 .collect();
-            st.slots = (0..degree)
-                .map(|_| std::mem::MaybeUninit::uninit())
-                .collect();
-            st.occ = vec![false; degree];
-            st.per_arc = vec![0; degree];
         }
 
         // 1. Process arrivals: verify integrity tags (a mismatch means
@@ -665,56 +656,29 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             // round, in neighbor order — the same order the engine's
             // gather produces, so inbox-order-sensitive protocols
             // behave identically.
-            st.inner_inbox.clear();
+            let inbox = &mut st.capture.inbox;
+            inbox.clear();
             let mut quiet_floor = u32::MAX;
             for (i, link) in st.links.iter_mut().enumerate() {
-                if link.dead {
+                if link.dead || t == 0 {
                     continue;
                 }
-                if t > 0 {
-                    let (payload, q) = link.pending_in.pop_front().expect("synchronizer invariant");
-                    quiet_floor = quiet_floor.min(q);
-                    if let Some(m) = payload {
-                        st.inner_inbox.push((ctx.neighbors()[i], m));
-                    }
+                let (payload, q) = link.pending_in.pop_front().expect("synchronizer invariant");
+                quiet_floor = quiet_floor.min(q);
+                if let Some(m) = payload {
+                    inbox.push((ctx.neighbors()[i], m));
                 }
             }
-            // Gated inner hook, as in `Join`: a side that is asleep
-            // with no mail promised its hook is a no-op (and draws no
-            // RNG), so skipping it is outcome-neutral.
-            let run =
-                t == 0 || !st.inner_inbox.is_empty() || self.inner.wake(&st.inner) == Wake::Stay;
-            let mut sent_any = false;
-            if run {
-                if run_inner_captured(
-                    &self.inner,
-                    &mut st.inner,
-                    &st.inner_inbox,
-                    &mut st.slots,
-                    &mut st.occ,
-                    &mut st.dirty,
-                    &mut st.per_arc,
-                    t,
-                    ctx,
-                ) {
-                    // Violation recorded; the run is aborting. Drain
-                    // any captured payloads so nothing leaks.
-                    for i in 0..degree {
-                        if st.occ[i] {
-                            st.occ[i] = false;
-                            // SAFETY: set occupancy ⇒ initialized slot.
-                            unsafe { st.slots[i].assume_init_drop() };
-                        }
-                    }
-                    st.dirty.clear();
-                    return;
-                }
-                sent_any = !st.dirty.is_empty();
-            }
+            // The inner hook lives in virtual time: it runs at round
+            // `t`, behind the capture's quiescence gate.
+            let active = match st.capture.run(&self.inner, &mut st.inner, t, ctx) {
+                Hook::Violation => return, // the run is aborting
+                Hook::Skipped => false,
+                Hook::Ran { sent } => sent || self.inner.wake(&st.inner) == Wake::Stay,
+            };
             // Quiet-level update (module docs): active resets the cone,
             // inactivity grows it by one past the slowest visible
             // neighbor.
-            let active = sent_any || (run && self.inner.wake(&st.inner) == Wake::Stay);
             st.quiet = if active {
                 0
             } else {
@@ -743,17 +707,8 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             }
             // Frame this round's (possibly absent) payload for every
             // live link.
-            st.dirty.clear();
             for (i, link) in st.links.iter_mut().enumerate() {
-                let payload = if st.occ[i] {
-                    st.occ[i] = false;
-                    // SAFETY: the occupancy byte was set by a captured
-                    // send, so the slot holds an initialized message;
-                    // clearing it first makes the move-out unique.
-                    Some(unsafe { st.slots[i].assume_init_read() })
-                } else {
-                    None
-                };
+                let payload = st.capture.take(i);
                 if !link.dead {
                     link.frames.push_back((payload, st.quiet));
                     link.produced += 1;
@@ -843,60 +798,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
         let inner_states = states.into_iter().map(|s| s.inner).collect();
         self.inner.finish(graph, inner_states, stats)
     }
-}
-
-/// Runs the inner protocol's hook for virtual round `t` against a
-/// capture context (sends land in the per-neighbor slots; no wire
-/// effects — the real sends happen when the frames are transmitted).
-/// Returns `true` when the inner hook committed a model violation
-/// (recorded into the real context; the engine aborts the run).
-#[allow(clippy::too_many_arguments)]
-fn run_inner_captured<P: Protocol, W: Message>(
-    proto: &P,
-    state: &mut P::State,
-    inbox: &[(NodeId, P::Msg)],
-    slots: &mut [std::mem::MaybeUninit<P::Msg>],
-    occ: &mut [bool],
-    dirty: &mut Vec<u32>,
-    per_arc: &mut [u32],
-    t: u64,
-    ctx: &mut RoundCtx<'_, W>,
-) -> bool {
-    let mut violation = None;
-    let (mut messages, mut words) = (0u64, 0u64);
-    {
-        let mut capture = RoundCtx {
-            node: ctx.node,
-            // The inner protocol lives in virtual time: it sees the
-            // virtual round number, not the outer engine round.
-            round: t,
-            graph: ctx.graph,
-            inbox,
-            rng: &mut *ctx.rng,
-            shared: ctx.shared,
-            tx: TxState {
-                slots,
-                occ,
-                heads: ctx.tx.heads,
-                arc_base: 0,
-                wire: None,
-                dirty,
-                messages: &mut messages,
-                words: &mut words,
-                per_arc,
-                violation: &mut violation,
-                bandwidth: ctx.tx.bandwidth,
-            },
-        };
-        proto.round(state, &mut capture);
-    }
-    if let Some(v) = violation {
-        if ctx.tx.violation.is_none() {
-            *ctx.tx.violation = Some(v);
-        }
-        return true;
-    }
-    false
 }
 
 #[cfg(test)]

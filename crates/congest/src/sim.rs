@@ -130,7 +130,7 @@ use crate::pool::{Control, Pool};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{ArcId, Graph, NodeId};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -333,10 +333,8 @@ pub struct SimConfig {
     /// Abort with [`SimError::RoundLimitExceeded`] after this many
     /// rounds without quiescence.
     pub max_rounds: u64,
-    /// Master seed; node RNGs and shared randomness derive from it.
+    /// Master seed; node RNGs derive from it.
     pub seed: u64,
-    /// Number of shared-randomness words exposed to every node.
-    pub shared_randomness_words: usize,
     /// Number of contiguous node shards executed by the persistent
     /// worker pool ([`crate::pool`]), one thread per shard. `0` (the
     /// default) resolves to [`std::thread::available_parallelism`],
@@ -358,7 +356,6 @@ impl Default for SimConfig {
             bandwidth_words: DEFAULT_BANDWIDTH_WORDS,
             max_rounds: 1_000_000,
             seed: 0xC0FFEE,
-            shared_randomness_words: 64,
             shards: 0,
             faults: None,
         }
@@ -1014,7 +1011,6 @@ fn run_shard<P: Protocol + Sync>(
     mail_cur: &[AtomicBool],
     mail_nxt: &[AtomicBool],
     rev: &[u32],
-    shared: &[u64],
     round: u64,
     bandwidth: u32,
     me: usize,
@@ -1037,12 +1033,12 @@ fn run_shard<P: Protocol + Sync>(
     // the dirty lists so `dirty_in` names this round's inbound slots.
     // Every dirty slot is occupied (sends are the only writer and the
     // overflow check rules out duplicates), so payload drops are exact.
-    // SAFETY: own-span slots of the write buffer (invariant 1);
-    // `occ_nxt[a]` was set by the send that initialized `nxt[a]`, and
-    // dirty entries are own-range arc ids, so `a < num_arcs`.
     for &a in &core.dirty_in {
         let a = a as usize;
         debug_assert!(a < occ_nxt.len());
+        // SAFETY: own-span slots of the write buffer (invariant 1);
+        // `occ_nxt[a]` was set by the send that initialized `nxt[a]`,
+        // and dirty entries are own-range arc ids, so `a < num_arcs`.
         unsafe {
             *occ_nxt.get_unchecked(a).0.get() = false;
             if std::mem::needs_drop::<P::Msg>() {
@@ -1210,6 +1206,7 @@ fn run_shard<P: Protocol + Sync>(
             // SAFETY: this shard's own arc span of the write buffer
             // (invariant 1); the borrow ends with `ctx`.
             let own = unsafe { own_slots_mut(&nxt[range.start..range.end]) };
+            // SAFETY: the occupancy bytes of that span, as above.
             let occ = unsafe { own_occ_mut(&occ_nxt[range.start..range.end]) };
             let mut ctx = RoundCtx {
                 node: v as NodeId,
@@ -1217,7 +1214,6 @@ fn run_shard<P: Protocol + Sync>(
                 graph,
                 inbox,
                 rng: &mut rngs[v - node_lo],
-                shared,
                 tx: TxState {
                     slots: own,
                     occ,
@@ -1303,11 +1299,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     host.reset_for_phase(graph);
     let mut stats = RunStats::new(graph);
 
-    // Deterministic per-node RNGs and shared randomness.
-    let mut master = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let shared: Vec<u64> = (0..cfg.shared_randomness_words)
-        .map(|_| master.gen())
-        .collect();
+    // Deterministic per-node RNGs.
     let mut node_rngs: Vec<ChaCha8Rng> = (0..n)
         .map(|v| {
             ChaCha8Rng::seed_from_u64(
@@ -1381,7 +1373,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     let wakes_ref: &WakeMatrix = wakes;
     let bounds_ref: &[u32] = bounds;
     let rev_ref: &[u32] = rev;
-    let shared_ref: &[u64] = &shared;
     let bandwidth = cfg.bandwidth_words;
     let step = move |w: usize, st: &mut ShardWorker<'_, P>, round: u64| -> StepReport {
         let parity = (round % 2) as usize;
@@ -1398,7 +1389,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             &mails_ref[parity],
             &mails_ref[1 - parity],
             rev_ref,
-            shared_ref,
             round,
             bandwidth,
             w,
@@ -1473,12 +1463,14 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
         let buf_in = &bufs[(last % 2) as usize];
         let buf_out = &bufs[((last + 1) % 2) as usize];
         for w in &workers {
-            // SAFETY: the pool has stopped; this thread has exclusive
-            // access, and every dirty slot is occupied (wipe protocol).
             for &a in &w.sh.core.dirty_in {
+                // SAFETY: the pool has stopped; this thread has
+                // exclusive access, and every dirty slot is occupied
+                // (wipe protocol).
                 unsafe { (*buf_in[a as usize].0.get()).assume_init_drop() };
             }
             for &a in &w.sh.core.dirty_out {
+                // SAFETY: as for `dirty_in` above.
                 unsafe { (*buf_out[a as usize].0.get()).assume_init_drop() };
             }
         }
@@ -1538,6 +1530,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
 mod tests {
     use super::*;
     use crate::Session;
+    use rand::Rng;
 
     /// Runs `protocol` in a fresh session: its output plus the phase's
     /// statistics.

@@ -22,7 +22,6 @@ use lcs_congest::{
     SimError,
 };
 use lcs_graph::{EdgeId, Graph, NodeId, UNREACHABLE, W_UNREACHABLE};
-use std::collections::HashMap;
 
 /// One part's aggregation tree: BFS tree of `G[S_i] ∪ H_i` rooted at
 /// the leader.
@@ -104,16 +103,17 @@ impl AggregationSetup {
         value: &dyn Fn(NodeId, usize) -> u64,
     ) -> Vec<Vec<Participation>> {
         let mut per_node: Vec<Vec<Participation>> = vec![Vec::new(); n];
+        // Child lists by node id, filled from one tree's parent links
+        // and taken by its members; one set serves every tree.
+        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for tree in &self.trees {
-            // children lists derived from parents.
-            let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
             for &(v, p) in &tree.members {
-                if let Some(p) = p {
-                    children.entry(p).or_default().push(v);
+                if let Some(list) = p.and_then(|p| children.get_mut(p as usize)) {
+                    list.push(v);
                 }
             }
             for &(v, p) in &tree.members {
-                let mut ch = children.remove(&v).unwrap_or_default();
+                let mut ch = std::mem::take(&mut children[v as usize]);
                 ch.sort_unstable();
                 per_node[v as usize].push(Participation {
                     inst: tree.part as u32,
@@ -121,6 +121,12 @@ impl AggregationSetup {
                     children: ch,
                     value: value(v, tree.part),
                 });
+            }
+            // A parent the tree does not list keeps its list: empty it.
+            for &(_, p) in &tree.members {
+                if let Some(list) = p.and_then(|p| children.get_mut(p as usize)) {
+                    list.clear();
+                }
             }
         }
         per_node
@@ -622,6 +628,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each member gets its children ascending, whatever the member
+    /// order. A member listed twice gets them at its first entry, and
+    /// children of a parent the tree does not list are dropped rather
+    /// than handed to that node in a later tree.
+    #[test]
+    fn participations_list_children_ascending_per_tree() {
+        let tree = |part: usize, members: Vec<(NodeId, Option<NodeId>)>| PartTree {
+            part,
+            root: members[0].0,
+            members,
+            depth: 0,
+            spans_part: true,
+        };
+        let setup = AggregationSetup {
+            trees: vec![
+                tree(
+                    0,
+                    vec![
+                        (2, None),
+                        (5, Some(2)),
+                        (1, Some(2)),
+                        (4, Some(1)),
+                        (2, Some(4)),
+                    ],
+                ),
+                tree(1, vec![(3, None), (0, Some(3)), (6, Some(4))]),
+                tree(2, vec![(4, None), (6, Some(4))]),
+            ],
+            tree_congestion: 1,
+            tree_depth: 2,
+        };
+        let per_node = setup.participations(7, &|v, part| u64::from(v) * 10 + part as u64);
+        let got = |v: usize| -> Vec<(u32, Option<NodeId>, Vec<NodeId>, u64)> {
+            per_node[v]
+                .iter()
+                .map(|p| (p.inst, p.parent, p.children.clone(), p.value))
+                .collect()
+        };
+        assert_eq!(
+            got(2),
+            vec![(0, None, vec![1, 5], 20), (0, Some(4), vec![], 20)]
+        );
+        assert_eq!(got(1), vec![(0, Some(2), vec![4], 10)]);
+        assert_eq!(
+            got(4),
+            vec![(0, Some(1), vec![2], 40), (2, None, vec![6], 42)]
+        );
+        assert_eq!(got(3), vec![(1, None, vec![0], 31)]);
+        assert_eq!(
+            got(6),
+            vec![(1, Some(4), vec![], 61), (2, Some(4), vec![], 62)]
+        );
+        assert!(got(5).iter().all(|p| p.2.is_empty()));
     }
 
     #[test]
