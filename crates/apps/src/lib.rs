@@ -27,6 +27,7 @@
 //! assert_eq!(out.weight, kruskal(&wg).weight);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mincut;

@@ -650,7 +650,7 @@ pub fn approximate_min_cut(
 ) -> Result<MinCutOutcome, MinCutError> {
     if let Some(plan) = &cfg.mst.faults {
         check_cuttable(wg.graph())?;
-        return degraded_min_cut(wg, cfg, &plan.clone());
+        return degraded_min_cut(wg, cfg, plan);
     }
     let found = min_cut_search(wg, cfg)?;
     let mst = mst_via_shortcuts(wg, &cfg.mst)?;
@@ -669,8 +669,9 @@ pub fn approximate_min_cut(
 /// Fault-tolerant wrapper: detect crash-stops on the faulty network,
 /// excise the dead, and pack trees on the surviving subgraph (which the
 /// detection BFS guarantees is connected). The inner MST subroutine
-/// re-derives the diameter (`diameter: None`) because excision can
-/// lengthen shortest paths; detection rounds are charged on top.
+/// re-derives the diameter once nodes are excised, since excision can
+/// lengthen shortest paths ([`lcs_core::Excision::survivors_diameter`]);
+/// detection rounds are charged on top.
 fn degraded_min_cut(
     wg: &WeightedGraph,
     cfg: &MinCutConfig,
@@ -678,28 +679,13 @@ fn degraded_min_cut(
 ) -> Result<MinCutOutcome, MinCutError> {
     let g = wg.graph();
     let exc = detect_and_excise(g, plan, cfg.mst.seed, cfg.mst.shards).map_err(MinCutError::Sim)?;
-
-    if exc.is_trivial() {
-        let inner = MinCutConfig {
-            mst: MstConfig {
-                faults: None,
-                ..cfg.mst.clone()
-            },
-            ..cfg.clone()
-        };
-        let mut out = approximate_min_cut(wg, &inner)?;
-        out.total_rounds += exc.extra_rounds;
-        out.degraded = Some(exc.outcome());
-        return Ok(out);
-    }
-
     if exc.survivors.len() < 2 {
         return Err(MinCutError::NotCuttable);
     }
     let inner = MinCutConfig {
         mst: MstConfig {
             faults: None,
-            diameter: None, // excision can stretch the diameter
+            diameter: exc.survivors_diameter(cfg.mst.diameter),
             ..cfg.mst.clone()
         },
         ..cfg.clone()
@@ -915,33 +901,48 @@ mod tests {
         assert_eq!(cut_weight(&sub, &side_sub), out.weight);
     }
 
+    /// Without permanent crashes the excision is empty and the outcome
+    /// is the fault-free run's plus the detection bill. The caller's
+    /// diameter is two more than the fixture's exact one, and an empty
+    /// excision keeps it: re-deriving it would price every packed tree
+    /// at a different MST.
     #[test]
     fn degraded_min_cut_without_permanent_crashes_matches_fault_free() {
         use lcs_congest::FaultPlan;
         let wg = weighted_fixture(3);
+        let d = lcs_graph::exact_diameter(wg.graph()).expect("connected fixture");
         let clean_cfg = MinCutConfig {
             epsilon: 0.25,
             seed: 3,
+            mst: MstConfig {
+                diameter: Some(d + 2),
+                ..MstConfig::default()
+            },
             ..MinCutConfig::default()
         };
         let clean = approximate_min_cut(&wg, &clean_cfg).unwrap();
+        let plan = FaultPlan {
+            drop_rate: 0.10,
+            corrupt_rate: 0.05,
+            ..FaultPlan::default()
+        };
         let faulty_cfg = MinCutConfig {
             mst: MstConfig {
-                faults: Some(FaultPlan {
-                    drop_rate: 0.10,
-                    corrupt_rate: 0.05,
-                    ..FaultPlan::default()
-                }),
+                faults: Some(plan.clone()),
                 ..clean_cfg.mst.clone()
             },
             ..clean_cfg.clone()
         };
         let out = approximate_min_cut(&wg, &faulty_cfg).unwrap();
+        let exc =
+            detect_and_excise(wg.graph(), &plan, clean_cfg.mst.seed, clean_cfg.mst.shards).unwrap();
+        assert!(exc.excluded.is_empty());
         assert_eq!(out.weight, clean.weight);
         assert_eq!(out.side, clean.side);
-        let deg = out.degraded.expect("plan reports degradation");
-        assert!(deg.excluded_nodes.is_empty());
-        assert_eq!(out.total_rounds, clean.total_rounds + deg.extra_rounds);
+        assert_eq!(out.trees_packed, clean.trees_packed);
+        assert_eq!(out.estimate_iterations, clean.estimate_iterations);
+        assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+        assert_eq!(out.degraded, Some(exc.outcome()));
     }
 
     /// Brute-force reference for [`min_respecting_cut`]: weighs every

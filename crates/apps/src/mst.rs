@@ -69,10 +69,8 @@ pub struct MstConfig {
     /// [`ShortcutStrategy::KoganParter`] parameters — pass the measured
     /// graph diameter). When a fault plan excises nodes, Boruvka runs on
     /// the survivors with their diameter re-derived instead: excision
-    /// can stretch it.
+    /// can stretch it ([`lcs_core::Excision::survivors_diameter`]).
     pub diameter: Option<u32>,
-    /// Probability constant for the KP sampling.
-    pub prob_constant: f64,
     /// Engine shards for simulated execution ([`SimConfig::shards`]);
     /// `0` (the default) auto-sizes to the machine. Any value is
     /// bit-identical.
@@ -93,7 +91,6 @@ impl Default for MstConfig {
             strategy: ShortcutStrategy::KoganParter,
             execution: ExecutionMode::Accounted,
             diameter: None,
-            prob_constant: 1.0,
             shards: 0,
             faults: None,
         }
@@ -221,10 +218,8 @@ fn decode(word: u64) -> EdgeId {
 ///
 /// See [`MstError`].
 pub fn mst_via_shortcuts(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstError> {
-    if wg.graph().n() > 0 {
-        if let Some(plan) = &cfg.faults {
-            return degraded_mst(wg, cfg, &plan.clone());
-        }
+    if let Some(plan) = &cfg.faults {
+        return degraded_mst(wg, cfg, plan);
     }
     mst_pipeline(wg, cfg)
 }
@@ -281,7 +276,8 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
         // Shortcuts for the fragments.
         let (shortcuts, shortcut_rounds): (ShortcutSet, u64) = match cfg.strategy {
             ShortcutStrategy::KoganParter => {
-                let params = KpParams::new(n, diameter.max(3), cfg.prob_constant)?;
+                // The paper's sampling probability `p = k_D ln n / N`.
+                let params = KpParams::new(n, diameter.max(3), 1.0)?;
                 let raw = centralized_shortcuts(
                     g,
                     &partition,
@@ -405,24 +401,9 @@ fn degraded_mst(
     let g = wg.graph();
     let exc = detect_and_excise(g, plan, cfg.seed, cfg.shards).map_err(MstError::Sim)?;
     let sub_cfg = MstConfig {
+        diameter: exc.survivors_diameter(cfg.diameter),
         faults: None,
         ..cfg.clone()
-    };
-
-    if exc.is_trivial() {
-        // Nothing crash-stopped: the reliable layer absorbed the drops
-        // and delays; Boruvka runs on the whole graph.
-        let mut out = mst_pipeline(wg, &sub_cfg)?;
-        out.total_rounds += exc.extra_rounds;
-        out.messages += exc.messages;
-        out.degraded = Some(exc.outcome());
-        return Ok(out);
-    }
-
-    // ---- Excision: the MST of the surviving component. ---------------
-    let sub_cfg = MstConfig {
-        diameter: None, // excision can stretch the diameter
-        ..sub_cfg
     };
     let sub_wg = exc.induced_weighted(wg);
     let sub = mst_pipeline(&sub_wg, &sub_cfg)?;
@@ -582,6 +563,17 @@ mod tests {
         let single = WeightedGraph::from_weighted_edges(1, &[]).unwrap();
         let out = mst_via_shortcuts(&single, &MstConfig::default()).unwrap();
         assert!(out.edges.is_empty());
+        // A fault plan takes the degraded path on any graph, and says so.
+        let faulty = MstConfig {
+            faults: Some(FaultPlan::drops(0.1, 3)),
+            ..MstConfig::default()
+        };
+        for wg in [&empty, &single] {
+            let out = mst_via_shortcuts(wg, &faulty).unwrap();
+            assert!(out.edges.is_empty());
+            let deg = out.degraded.expect("plan reports degradation");
+            assert!(deg.excluded_nodes.is_empty());
+        }
     }
 
     #[test]
@@ -685,38 +677,46 @@ mod tests {
         }
     }
 
+    /// Without permanent crashes the excision is empty and the outcome
+    /// is the fault-free run's plus the detection bill, in both
+    /// execution modes. The caller's diameter (6) is not the fixture's
+    /// exact one (4), and an empty excision keeps it: re-deriving it
+    /// would charge every phase a smaller construction budget.
     #[test]
     fn degraded_mst_without_crashes_matches_fault_free() {
         let wg = highway_weighted(4, 3, 16, 4);
-        let clean = mst_via_shortcuts(
-            &wg,
-            &MstConfig {
-                diameter: Some(4),
-                ..MstConfig::default()
-            },
-        )
-        .unwrap();
-        let cfg = MstConfig {
-            diameter: Some(4),
-            faults: Some(FaultPlan {
-                drop_rate: 0.10,
-                delay_rate: 0.10,
-                max_delay: 2,
-                corrupt_rate: 0.05,
-                crashes: vec![],
-                fault_seed: 5,
-            }),
-            ..MstConfig::default()
+        assert_eq!(exact_diameter(wg.graph()), Some(4));
+        let plan = FaultPlan {
+            drop_rate: 0.10,
+            delay_rate: 0.10,
+            max_delay: 2,
+            corrupt_rate: 0.05,
+            crashes: vec![],
+            fault_seed: 5,
         };
-        let out = mst_via_shortcuts(&wg, &cfg).unwrap();
-        assert_eq!(out.edges, clean.edges, "drops/delays never change the MST");
-        assert_eq!(out.weight, clean.weight);
-        let deg = out.degraded.unwrap();
-        assert!(deg.completed && deg.excluded_nodes.is_empty());
-        assert!(
-            out.total_rounds > clean.total_rounds,
-            "detection is charged"
-        );
+        for execution in [ExecutionMode::Accounted, ExecutionMode::Simulated] {
+            let clean_cfg = MstConfig {
+                diameter: Some(6),
+                execution,
+                ..MstConfig::default()
+            };
+            let clean = mst_via_shortcuts(&wg, &clean_cfg).unwrap();
+            let cfg = MstConfig {
+                faults: Some(plan.clone()),
+                ..clean_cfg
+            };
+            let out = mst_via_shortcuts(&wg, &cfg).unwrap();
+            let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
+            assert!(exc.excluded.is_empty());
+            assert_eq!(out.edges, clean.edges, "drops/delays never change the MST");
+            assert_eq!(out.weight, clean.weight);
+            assert_eq!(out.phases, clean.phases);
+            assert_eq!(out.phase_costs, clean.phase_costs, "{execution:?}");
+            assert_eq!(out.execution, execution);
+            assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+            assert_eq!(out.messages, clean.messages + exc.messages);
+            assert_eq!(out.degraded, Some(exc.outcome()));
+        }
     }
 
     /// Excision can stretch the diameter, so Boruvka on the survivors

@@ -295,15 +295,7 @@ pub fn shortcut_sssp_simulated(
     cfg: &SimConfig,
 ) -> Result<SimulatedSsspOutcome, SimError> {
     if let Some(plan) = &cfg.faults {
-        return degraded_sssp(
-            wg,
-            partition,
-            shortcuts,
-            source,
-            max_iterations,
-            cfg,
-            &plan.clone(),
-        );
+        return degraded_sssp(wg, partition, shortcuts, source, max_iterations, cfg, plan);
     }
     let g = wg.graph();
     let setup = AggregationSetup::build(g, partition, shortcuts);
@@ -365,18 +357,6 @@ fn degraded_sssp(
         faults: None,
         ..cfg.clone()
     };
-
-    if exc.is_trivial() {
-        // Drops, delays, corruption, and transient crashes were all
-        // absorbed by the reliable detection layer: relax on the whole
-        // graph, charging only the detection overhead.
-        let mut out =
-            shortcut_sssp_simulated(wg, partition, shortcuts, source, max_iterations, &inner_cfg)?;
-        out.outcome.total_rounds += exc.extra_rounds;
-        out.messages += exc.messages;
-        out.degraded = Some(exc.outcome());
-        return Ok(out);
-    }
 
     if exc.new_id[source as usize] == u32::MAX {
         return Err(SimError::FaultConfig {
@@ -692,10 +672,12 @@ mod tests {
         assert_eq!(sharded.messages, out.messages);
     }
 
+    /// Without permanent crashes the excision is empty and the outcome
+    /// is the fault-free run's plus the detection bill, from the root
+    /// and from a source deep in a path part.
     #[test]
     fn degraded_sssp_without_permanent_crashes_matches_fault_free() {
         let (wg, p, s) = fixture();
-        let clean = shortcut_sssp_simulated(&wg, &p, &s, 0, 4096, &SimConfig::default()).unwrap();
         let plan = FaultPlan {
             drop_rate: 0.10,
             delay_rate: 0.05,
@@ -703,22 +685,26 @@ mod tests {
             corrupt_rate: 0.05,
             ..FaultPlan::default()
         };
-        let out = shortcut_sssp_simulated(
-            &wg,
-            &p,
-            &s,
-            0,
-            4096,
-            &SimConfig {
-                faults: Some(plan),
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.outcome.dist, clean.outcome.dist, "faults absorbed");
-        let deg = out.degraded.expect("plan reports degradation");
-        assert!(deg.excluded_nodes.is_empty());
-        assert!(out.messages > clean.messages, "detection overhead charged");
+        let cfg = SimConfig {
+            faults: Some(plan.clone()),
+            ..SimConfig::default()
+        };
+        let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
+        assert!(exc.excluded.is_empty());
+        for source in [0, 57] {
+            let clean =
+                shortcut_sssp_simulated(&wg, &p, &s, source, 4096, &SimConfig::default()).unwrap();
+            let out = shortcut_sssp_simulated(&wg, &p, &s, source, 4096, &cfg).unwrap();
+            let (o, c) = (&out.outcome, &clean.outcome);
+            assert_eq!(o.dist, c.dist, "faults absorbed (source {source})");
+            assert_eq!(o.iterations, c.iterations);
+            assert_eq!(o.total_rounds, c.total_rounds + exc.extra_rounds);
+            assert_eq!(o.max_stretch.to_bits(), c.max_stretch.to_bits());
+            assert_eq!(o.mean_stretch.to_bits(), c.mean_stretch.to_bits());
+            assert_eq!(out.messages, clean.messages + exc.messages);
+            assert_eq!(out.phase_rounds, clean.phase_rounds);
+            assert_eq!(out.degraded, Some(exc.outcome()));
+        }
     }
 
     #[test]

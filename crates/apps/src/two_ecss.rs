@@ -131,7 +131,7 @@ fn tree_path_edges(n: usize, tree_edges: &[(NodeId, NodeId)], u: NodeId, v: Node
 /// detection phase fails.
 pub fn two_ecss(wg: &WeightedGraph, cfg: &MstConfig) -> Result<TwoEcssOutcome, TwoEcssError> {
     if let Some(plan) = &cfg.faults {
-        return degraded_two_ecss(wg, cfg, &plan.clone());
+        return degraded_two_ecss(wg, cfg, plan);
     }
     let g = wg.graph();
     let n = g.n();
@@ -220,8 +220,9 @@ pub fn two_ecss(wg: &WeightedGraph, cfg: &MstConfig) -> Result<TwoEcssOutcome, T
 /// excise the dead, and build the 2-ECSS of the surviving subgraph
 /// (MST + greedy augmentation both run on the survivors, so every
 /// surviving tree edge is covered by a surviving cycle). The inner MST
-/// re-derives the diameter because excision can lengthen shortest
-/// paths; detection rounds are charged on top.
+/// re-derives the diameter once nodes are excised, since excision can
+/// lengthen shortest paths ([`lcs_core::Excision::survivors_diameter`]);
+/// detection rounds are charged on top.
 fn degraded_two_ecss(
     wg: &WeightedGraph,
     cfg: &MstConfig,
@@ -229,21 +230,9 @@ fn degraded_two_ecss(
 ) -> Result<TwoEcssOutcome, TwoEcssError> {
     let g = wg.graph();
     let exc = detect_and_excise(g, plan, cfg.seed, cfg.shards).map_err(TwoEcssError::Sim)?;
-
-    if exc.is_trivial() {
-        let inner = MstConfig {
-            faults: None,
-            ..cfg.clone()
-        };
-        let mut out = two_ecss(wg, &inner)?;
-        out.total_rounds += exc.extra_rounds;
-        out.degraded = Some(exc.outcome());
-        return Ok(out);
-    }
-
     let inner = MstConfig {
+        diameter: exc.survivors_diameter(cfg.diameter),
         faults: None,
-        diameter: None, // excision can stretch the diameter
         ..cfg.clone()
     };
     let sub_wg = exc.induced_weighted(wg);
@@ -393,6 +382,60 @@ mod tests {
         mapped.sort_unstable();
         assert_eq!(mapped, reference.edges, "same subgraph, edge for edge");
         assert!(verify_two_ecss(sub_wg.graph(), &reference.edges));
+    }
+
+    /// Without permanent crashes the excision is empty and the outcome
+    /// is the fault-free run's plus the detection bill. The caller's
+    /// diameter (5) is not the one the MST would derive (3 on a
+    /// complete graph), and an empty excision keeps it.
+    #[test]
+    fn degraded_two_ecss_without_permanent_crashes_matches_fault_free() {
+        use lcs_congest::FaultPlan;
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let wg = WeightedGraph::with_random_weights(complete(8), 60, &mut rng);
+        let clean_cfg = MstConfig {
+            diameter: Some(5),
+            ..MstConfig::default()
+        };
+        let clean = two_ecss(&wg, &clean_cfg).unwrap();
+        let plan = FaultPlan {
+            drop_rate: 0.10,
+            delay_rate: 0.05,
+            max_delay: 2,
+            corrupt_rate: 0.05,
+            ..FaultPlan::default()
+        };
+        let cfg = MstConfig {
+            faults: Some(plan.clone()),
+            ..clean_cfg
+        };
+        let out = two_ecss(&wg, &cfg).unwrap();
+        let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
+        assert!(exc.excluded.is_empty());
+        assert_eq!(out.edges, clean.edges);
+        assert_eq!(out.weight, clean.weight);
+        assert_eq!(out.mst_weight, clean.mst_weight);
+        assert_eq!(out.augmentation_weight, clean.augmentation_weight);
+        assert_eq!(out.greedy_rounds, clean.greedy_rounds);
+        assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+        assert_eq!(out.degraded, Some(exc.outcome()));
+    }
+
+    /// A graph without nodes has the empty 2-ECSS, under a fault plan
+    /// too, in debug and release builds alike.
+    #[test]
+    fn degraded_two_ecss_on_an_empty_graph_has_no_edges() {
+        use lcs_congest::FaultPlan;
+        let wg = WeightedGraph::from_weighted_edges(0, &[]).unwrap();
+        let cfg = MstConfig {
+            faults: Some(FaultPlan::drops(0.1, 3)),
+            ..MstConfig::default()
+        };
+        let out = two_ecss(&wg, &cfg).unwrap();
+        assert!(out.edges.is_empty());
+        assert_eq!(out.weight, 0);
+        let deg = out.degraded.expect("plan reports degradation");
+        assert!(deg.excluded_nodes.is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! standard workload constructors, and a `--quick` switch for CI-scale
 //! runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod quality;

@@ -35,7 +35,12 @@
 //!    [`Reliable`] makes protocol outputs byte-identical to fault-free
 //!    runs (a tier-1 property of `lcs-congest`), the remaining phases
 //!    are simulated fault-free and only the detection overhead is
-//!    charged, as [`DegradedOutcome::extra_rounds`].
+//!    charged, as [`DegradedOutcome::extra_rounds`]. This one path also
+//!    serves a plan without permanent crashes: an empty excision
+//!    relabels by the identity (survivors keep their ids, edges keep
+//!    theirs, every part is its own single fragment), so the pipeline
+//!    runs on a copy of the whole graph and returns the fault-free
+//!    outcome plus the detection bill.
 //!
 //! [`detect_and_excise`] performs step 1 and returns an [`Excision`]
 //! whose helpers implement step 2; callers own step 3 plus the mapping
@@ -166,7 +171,7 @@ pub fn detect_and_excise(
                 TreeAggregate::new(positions.clone(), &ones, AggOp::Sum, true)
             })?;
         debug_assert_eq!(
-            census[0].unwrap_or(0),
+            census.first().copied().flatten().unwrap_or(0),
             bfs.dist.iter().flatten().count() as u64,
             "census must count exactly the BFS-reached survivors"
         );
@@ -217,12 +222,13 @@ fn quiet_ladder<P: Protocol + Sync>(
 }
 
 impl Excision {
-    /// `true` when nothing was excised: drops, delays, corruption, and
-    /// transient crashes were absorbed by the reliable layer, so the
-    /// pipeline may run on the whole graph.
+    /// The diameter a pipeline on the survivors may take as known: the
+    /// caller's `diameter` when nothing was excised (the survivors are
+    /// the whole graph), else `None`, for the pipeline to re-derive,
+    /// since excision can stretch it.
     #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.excluded.is_empty()
+    pub fn survivors_diameter(&self, diameter: Option<u32>) -> Option<u32> {
+        diameter.filter(|_| self.excluded.is_empty())
     }
 
     /// The [`DegradedOutcome`] this excision reports.
@@ -450,9 +456,38 @@ mod tests {
         let exc = detect_and_excise(&g, &crash_plan(&[1]), 7, 1).unwrap();
         assert_eq!(exc.survivors, vec![0]);
         assert_eq!(exc.excluded, vec![1, 2, 3, 4, 5]);
-        assert!(!exc.is_trivial());
+        assert_eq!(exc.survivors_diameter(Some(5)), None, "re-derived");
         assert!(exc.extra_rounds > 0);
         assert_eq!(exc.phase_stats.len(), 2);
+    }
+
+    /// Why a plan without permanent crashes needs no path of its own:
+    /// an empty excision rebuilds every input unchanged.
+    #[test]
+    fn empty_excision_relabels_by_the_identity() {
+        let g = HighwayGraph::balanced(120, 4).unwrap().graph().clone();
+        let exc = detect_and_excise(&g, &FaultPlan::drops(0.1, 9), 2, 1).unwrap();
+        assert!(exc.excluded.is_empty());
+        assert_eq!(exc.survivors, (0..g.n() as NodeId).collect::<Vec<_>>());
+        let sub_g = exc.induced_graph(&g);
+        assert_eq!(sub_g, g, "same nodes, edges and edge ids");
+        let weights: Vec<u64> = (0..g.m() as u64).map(|i| 1 + i % 7).collect();
+        let wg = WeightedGraph::new(g.clone(), weights).unwrap();
+        assert_eq!(exc.induced_weighted(&wg).weights(), wg.weights());
+        // Parts listed out of order and unsorted, as a caller may.
+        let partition = Partition::new(&g, vec![vec![5, 4, 3], vec![0, 1], vec![9]]).unwrap();
+        let (sub_p, back) = exc.split_partition(&sub_g, &partition);
+        assert_eq!(sub_p, partition, "each part is its own one fragment");
+        assert_eq!(back, vec![0, 1, 2]);
+        let shortcuts = lcs_shortcut::global_tree_shortcuts(&g, &partition, 0, None);
+        assert_eq!(
+            exc.restrict_shortcuts(&g, &sub_g, &shortcuts, &back),
+            shortcuts
+        );
+        for e in g.edge_ids() {
+            assert_eq!(exc.original_edge(&g, &sub_g, e), e);
+        }
+        assert_eq!(exc.survivors_diameter(Some(7)), Some(7), "kept");
     }
 
     /// A plan inside the reference test's budget: drop ≤ 20 %, delay

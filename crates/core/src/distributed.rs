@@ -53,8 +53,6 @@ use std::sync::Arc;
 pub struct DistributedConfig {
     /// Seed for all randomness (sampling PRF, shared delays, engine).
     pub seed: u64,
-    /// Probability constant (1.0 = paper's `p = k_D log n / N`).
-    pub prob_constant: f64,
     /// Skip the guess ladder and use this diameter directly.
     pub known_diameter: Option<u32>,
     /// Queue capacity multiplier over `congestion_bound` (congestion
@@ -79,7 +77,6 @@ impl Default for DistributedConfig {
     fn default() -> Self {
         DistributedConfig {
             seed: 0xFACE,
-            prob_constant: 1.0,
             known_diameter: None,
             queue_cap_factor: 1.0,
             shards: 0,
@@ -216,13 +213,18 @@ pub fn distributed_shortcuts(
     }
 }
 
-/// The fault-free pipeline (Phases A and B of the module docs).
+/// The fault-free pipeline (Phases A and B of the module docs). A graph
+/// on fewer than two nodes needs no shortcuts and is rejected before
+/// Phase A, as [`KpParams::new`] would reject it after.
 fn run_pipeline(
     graph: &Graph,
     partition: &Partition,
     cfg: &DistributedConfig,
 ) -> Result<DistributedOutcome, DistributedError> {
     let n = graph.n();
+    if n < 2 {
+        return Err(ParamError::GraphTooSmall(n).into());
+    }
     let partition = Arc::new(partition.clone());
     let sim_cfg = SimConfig {
         seed: cfg.seed,
@@ -267,7 +269,8 @@ fn run_pipeline(
     };
     let mut guesses: Vec<GuessReport> = Vec::new();
     for &guess in &ladder {
-        let params = KpParams::new(n, guess, cfg.prob_constant)?;
+        // The paper's sampling probability `p = k_D ln n / N`.
+        let params = KpParams::new(n, guess, 1.0)?;
         let before_rounds = session.rounds_used() + accounted_rounds;
         let before_msgs = session.stats().messages;
 
@@ -496,21 +499,6 @@ fn degraded_shortcuts(
         faults: None,
         ..cfg.clone()
     };
-
-    if exc.is_trivial() {
-        // Nothing crash-stopped: drops/delays were absorbed by the
-        // reliable layer; the pipeline runs on the whole graph.
-        let mut out = run_pipeline(graph, partition, &sub_cfg)?;
-        out.total_rounds += exc.extra_rounds;
-        out.total_messages += exc.messages;
-        let mut phases = exc.phase_stats.clone();
-        phases.extend(out.phase_stats);
-        out.phase_stats = phases;
-        out.degraded = Some(exc.outcome());
-        return Ok(out);
-    }
-
-    // ---- Excision, then the pipeline proper on the survivors. --------
     let sub_g = exc.induced_graph(graph);
     let (sub_partition, sub_to_orig_part) = exc.split_partition(&sub_g, partition);
     let sub = run_pipeline(&sub_g, &sub_partition, &sub_cfg)?;
@@ -524,9 +512,8 @@ fn degraded_shortcuts(
             per_part[oi].push(exc.original_edge(graph, &sub_g, e));
         }
     }
-    let sub_phase_stats = sub.phase_stats;
     let mut phase_stats = exc.phase_stats.clone();
-    phase_stats.extend(sub_phase_stats);
+    phase_stats.extend(sub.phase_stats);
     Ok(DistributedOutcome {
         shortcuts: ShortcutSet::from_edge_lists(per_part),
         is_large,
@@ -688,6 +675,30 @@ mod tests {
         assert_eq!(err, DistributedError::Disconnected);
     }
 
+    /// A graph without nodes needs no shortcuts: a parameter error in
+    /// debug and release builds alike.
+    #[test]
+    fn empty_graph_is_too_small() {
+        let g = Graph::from_edges(0, &[]).unwrap();
+        let p = Partition::new(&g, vec![]).unwrap();
+        let err = distributed_shortcuts(&g, &p, &DistributedConfig::default()).unwrap_err();
+        assert_eq!(err, DistributedError::Params(ParamError::GraphTooSmall(0)));
+    }
+
+    /// The same under a fault plan: detection on no nodes excises
+    /// nothing, and the survivors are still too few.
+    #[test]
+    fn empty_graph_with_a_fault_plan_is_too_small() {
+        let g = Graph::from_edges(0, &[]).unwrap();
+        let p = Partition::new(&g, vec![]).unwrap();
+        let cfg = DistributedConfig {
+            faults: Some(FaultPlan::drops(0.1, 3)),
+            ..DistributedConfig::default()
+        };
+        let err = distributed_shortcuts(&g, &p, &cfg).unwrap_err();
+        assert_eq!(err, DistributedError::Params(ParamError::GraphTooSmall(0)));
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let (g, p) = fixture(4, 3, 24);
@@ -792,39 +803,68 @@ mod tests {
         assert!(out.phase_stats[0].label.starts_with("F.detect"));
     }
 
+    /// Without permanent crashes the excision is empty and the outcome
+    /// is the fault-free run's plus the detection bill: the same
+    /// shortcuts, guesses and cumulative stats, the detection phases
+    /// ahead of the fault-free ones.
     #[test]
     fn degraded_construction_without_crashes_matches_fault_free() {
         let (g, p) = fixture(4, 3, 24);
-        let clean = distributed_shortcuts(
-            &g,
-            &p,
-            &DistributedConfig {
-                known_diameter: Some(4),
-                ..DistributedConfig::default()
-            },
-        )
-        .unwrap();
-        let cfg = DistributedConfig {
+        let clean_cfg = DistributedConfig {
             known_diameter: Some(4),
-            faults: Some(FaultPlan {
-                drop_rate: 0.10,
-                delay_rate: 0.10,
-                max_delay: 2,
-                corrupt_rate: 0.05,
-                crashes: vec![],
-                fault_seed: 21,
-            }),
             ..DistributedConfig::default()
         };
+        let clean = distributed_shortcuts(&g, &p, &clean_cfg).unwrap();
+        let plan = FaultPlan {
+            drop_rate: 0.10,
+            delay_rate: 0.10,
+            max_delay: 2,
+            corrupt_rate: 0.05,
+            crashes: vec![],
+            fault_seed: 21,
+        };
+        let cfg = DistributedConfig {
+            faults: Some(plan.clone()),
+            ..clean_cfg
+        };
         let out = distributed_shortcuts(&g, &p, &cfg).unwrap();
+        let exc = detect_and_excise(&g, &plan, cfg.seed, cfg.shards).unwrap();
+        assert!(exc.excluded.is_empty());
         assert_eq!(out.shortcuts, clean.shortcuts, "reliability is exact");
         assert_eq!(out.is_large, clean.is_large);
-        let deg = out.degraded.unwrap();
-        assert!(deg.completed && deg.excluded_nodes.is_empty());
-        assert!(
-            out.total_rounds > clean.total_rounds,
-            "detection is charged"
-        );
+        assert_eq!(out.accepted_guess, clean.accepted_guess);
+        assert_eq!(out.params, clean.params);
+        assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+        assert_eq!(out.total_messages, clean.total_messages + exc.messages);
+        let rows = |o: &DistributedOutcome| -> Vec<_> {
+            o.guesses
+                .iter()
+                .map(|r| {
+                    let GuessReport {
+                        guess,
+                        accepted,
+                        overflowed,
+                        rounds,
+                        messages,
+                        num_large,
+                        max_queue,
+                    } = *r;
+                    (
+                        guess, accepted, overflowed, rounds, messages, num_large, max_queue,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(rows(&out), rows(&clean));
+        assert_eq!(out.stats, clean.stats);
+        let phases: Vec<RunStats> = exc
+            .phase_stats
+            .iter()
+            .chain(&clean.phase_stats)
+            .cloned()
+            .collect();
+        assert_eq!(out.phase_stats, phases);
+        assert_eq!(out.degraded, Some(exc.outcome()));
     }
 
     #[test]

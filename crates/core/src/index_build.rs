@@ -99,7 +99,7 @@ pub fn build_index_distributed(
         params: vec![
             (
                 "prob_constant".to_string(),
-                format!("{}", cfg.prob_constant),
+                format!("{}", outcome.params.prob_constant),
             ),
             (
                 "known_diameter".to_string(),

@@ -35,6 +35,7 @@
 //! assert!((q.dilation as u64) <= params.dilation_bound());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

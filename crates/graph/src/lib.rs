@@ -23,6 +23,7 @@
 //! assert_eq!(hw.path_parts().len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -51,6 +51,7 @@
 //! assert_eq!(batch.results.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod customize;

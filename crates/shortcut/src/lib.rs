@@ -24,6 +24,7 @@
 //! assert_eq!(report.quality.dilation, 11);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregation;

@@ -84,6 +84,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lcs_apps as apps;
 pub use lcs_congest as congest;
 pub use lcs_core as core;
