@@ -26,7 +26,7 @@
 use lcs_congest::{AggOp, ExecutionMode, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{
     centralized_shortcuts, detect_and_excise, prune_to_trees, DegradedOutcome, KpParams,
-    LargenessRule, OracleMode, ParamError,
+    OracleMode, ParamError,
 };
 use lcs_graph::{exact_diameter, kruskal, EdgeId, NodeId, UnionFind, WeightedGraph};
 use lcs_shortcut::{
@@ -283,7 +283,6 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
                     &partition,
                     params,
                     cfg.seed ^ (phase as u64) << 32,
-                    LargenessRule::Radius,
                     OracleMode::PerPart,
                 );
                 let pruned = prune_to_trees(g, &partition, &raw.shortcuts, params.depth_limit());

@@ -1,22 +1,25 @@
 //! # lcs-bench
 //!
-//! Experiment harness reproducing every claim of *Kogan & Parter,
-//! PODC 2021* as a measurable table. The paper is a theory paper — its
-//! "tables and figures" are theorems and schematic figures — so each
-//! experiment binary (`src/bin/e*.rs`) operationalizes one claim:
-//! a parameter sweep whose measured scaling is compared against the
-//! claimed bound. `EXPERIMENTS.md` records the outputs.
+//! Benches for the Kogan–Parter reproduction (PODC 2021). The paper is a
+//! theory paper, so its "results" are theorems and corollaries; the
+//! `claims` binary (`src/bin/claims.rs`) runs each statement on fixed
+//! seeds and prints one row per statement with its measured value, its
+//! bound and a verdict, and exits 1 if a bounded row fails. The other
+//! binaries are the gated benches: `sim_throughput`, `quality_bench`,
+//! `serve_throughput` and `adversary_bench`, each checked against a
+//! committed `BENCH_*.json`.
 //!
 //! Shared infrastructure: aligned table printing, log-log slope fits,
-//! standard workload constructors, and a `--quick` switch for CI-scale
-//! runs.
+//! the standard highway workload, the JSON helpers of the `--check`
+//! gates, the quality-bench cells ([`quality`]) and the simulator
+//! workloads ([`sim_workloads`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod quality;
 
-use lcs_graph::{HighwayGraph, NodeId};
+use lcs_graph::HighwayGraph;
 use lcs_shortcut::Partition;
 
 /// A printed results table.
@@ -115,45 +118,6 @@ pub fn highway_workload(n_target: usize, diameter: u32) -> (HighwayGraph, Partit
     let parts = hw.path_parts();
     let partition = Partition::new(hw.graph(), parts).expect("path parts are valid");
     (hw, partition)
-}
-
-/// Parses `--quick` / `--trace` style flags from `std::env::args`.
-#[derive(Debug, Clone, Default)]
-pub struct BenchArgs {
-    /// CI-scale run.
-    pub quick: bool,
-    /// Verbose per-instance traces.
-    pub trace: bool,
-    /// Optional seed override.
-    pub seed: Option<u64>,
-}
-
-impl BenchArgs {
-    /// Reads flags from the process arguments.
-    pub fn from_env() -> Self {
-        let mut a = BenchArgs::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => a.quick = true,
-                "--trace" | "--trichotomy" => a.trace = true,
-                "--seed" => {
-                    a.seed = args.next().and_then(|s| s.parse().ok());
-                }
-                _ => {}
-            }
-        }
-        a
-    }
-
-    /// Picks between a full and a quick sweep.
-    pub fn sizes<'a>(&self, full: &'a [usize], quick: &'a [usize]) -> &'a [usize] {
-        if self.quick {
-            quick
-        } else {
-            full
-        }
-    }
 }
 
 /// Parses `--flag VALUE` from a bin's arguments. A bare `--flag` (no
@@ -277,22 +241,9 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Per-part sizes of a partition (printing helper).
-pub fn part_sizes(partition: &Partition) -> Vec<usize> {
-    (0..partition.num_parts())
-        .map(|i| partition.part(i).len())
-        .collect()
-}
-
-/// All nodes of a partition's parts flattened (test helper).
-pub fn covered_nodes(partition: &Partition) -> Vec<NodeId> {
-    partition.parts().iter().flatten().copied().collect()
-}
-
-/// Shared simulator-throughput workloads, used by both the
-/// `sim_throughput` binary (full scale, emits `BENCH_sim.json`) and the
-/// `sim_throughput` criterion bench — one definition, so the two
-/// trend lines measure the same thing.
+/// The simulator-throughput workloads the `sim_throughput` binary runs
+/// (emits and checks `BENCH_sim.json`): an idle clock, a saturating
+/// flood and the standard multi-BFS bundle.
 pub mod sim_workloads {
     use lcs_congest::{MultiBfsInstance, MultiBfsSpec, Protocol, RoundCtx, RunStats, Wake};
     use lcs_graph::{Graph, NodeId};

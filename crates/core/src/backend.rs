@@ -6,13 +6,13 @@
 //!
 //! [`KoganParter::build`] runs exactly the centralized pipeline the rest
 //! of this crate tests — [`centralized_shortcuts`] with
-//! [`LargenessRule::Radius`] and [`OracleMode::PerPart`], optionally
-//! followed by [`prune_to_trees`] at the paper's depth limit — seeding
-//! it with one `u64` drawn from the caller's RNG. The differential
+//! [`OracleMode::PerPart`], optionally followed by [`prune_to_trees`] at
+//! the paper's depth limit — seeding it with one `u64` drawn from the
+//! caller's RNG. The differential
 //! suite (`tests/backend_equivalence.rs`) holds this adapter
 //! byte-identical to the free-function pipeline.
 
-use crate::centralized::{centralized_shortcuts, prune_to_trees, LargenessRule, OracleMode};
+use crate::centralized::{centralized_shortcuts, prune_to_trees, OracleMode};
 use crate::params::KpParams;
 use lcs_graph::{exact_diameter, Graph};
 use lcs_shortcut::{Partition, Quality, ShortcutBuilder, ShortcutSet};
@@ -81,14 +81,7 @@ impl ShortcutBuilder for KoganParter {
         let Some(params) = self.resolve_params(graph) else {
             return ShortcutSet::empty(partition.num_parts());
         };
-        let raw = centralized_shortcuts(
-            graph,
-            partition,
-            params,
-            seed,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let raw = centralized_shortcuts(graph, partition, params, seed, OracleMode::PerPart);
         if self.pruned {
             prune_to_trees(graph, partition, &raw.shortcuts, params.depth_limit()).shortcuts
         } else {

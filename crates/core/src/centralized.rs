@@ -24,16 +24,6 @@ use crate::sampling::SampleOracle;
 use lcs_graph::{bfs, BfsOptions, EdgeId, Graph, UNREACHABLE};
 use lcs_shortcut::{Partition, ShortcutSet};
 
-/// How largeness is decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LargenessRule {
-    /// Paper's distributed test: a part is large when the depth-`k_D`
-    /// BFS from its leader does **not** span it (radius > `k_D`).
-    Radius,
-    /// Paper's definition in §2: `|S_i| > k_D`.
-    Size,
-}
-
 /// Output of the centralized construction.
 #[derive(Debug, Clone)]
 pub struct CentralizedShortcuts {
@@ -48,18 +38,12 @@ pub struct CentralizedShortcuts {
     pub oracle: SampleOracle,
 }
 
-/// Classifies each part as large/small under `rule`.
-pub fn classify_large(
-    graph: &Graph,
-    partition: &Partition,
-    k_ceil: u32,
-    rule: LargenessRule,
-) -> Vec<bool> {
+/// Classifies each part as large/small by the paper's distributed test:
+/// a part is large when the depth-`k_D` BFS from its leader does **not**
+/// span it (radius > `k_D`).
+pub fn classify_large(graph: &Graph, partition: &Partition, k_ceil: u32) -> Vec<bool> {
     (0..partition.num_parts())
-        .map(|i| match rule {
-            LargenessRule::Radius => partition.leader_radius(graph, i) > k_ceil,
-            LargenessRule::Size => partition.part(i).len() > k_ceil as usize,
-        })
+        .map(|i| partition.leader_radius(graph, i) > k_ceil)
         .collect()
 }
 
@@ -84,11 +68,10 @@ pub fn centralized_shortcuts(
     partition: &Partition,
     params: KpParams,
     seed: u64,
-    rule: LargenessRule,
     mode: OracleMode,
 ) -> CentralizedShortcuts {
     let oracle = SampleOracle::new(seed, params.p, params.reps);
-    let is_large = classify_large(graph, partition, params.k_ceil, rule);
+    let is_large = classify_large(graph, partition, params.k_ceil);
     let large_parts: Vec<usize> = (0..partition.num_parts())
         .filter(|&i| is_large[i])
         .collect();
@@ -246,8 +229,7 @@ mod tests {
         // With a huge k threshold, everything is small.
         let mut fake = params;
         fake.k_ceil = 1000;
-        let out =
-            centralized_shortcuts(&g, &p, fake, 1, LargenessRule::Radius, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, fake, 1, OracleMode::PerPart);
         assert!(out.is_large.iter().all(|&l| !l));
         assert_eq!(out.shortcuts.total_edges(), 0);
     }
@@ -255,14 +237,7 @@ mod tests {
     #[test]
     fn step1_edges_present_for_large_parts() {
         let (g, p, params) = fixture(4, 2, 30);
-        let out = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            2,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let out = centralized_shortcuts(&g, &p, params, 2, OracleMode::PerPart);
         assert!(out.is_large.iter().all(|&l| l), "long paths are large");
         // Every edge incident to part 0 is in H_0.
         for &v in p.part(0) {
@@ -273,26 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn radius_and_size_rules_agree_on_paths() {
-        let (g, p, params) = fixture(4, 3, 40);
-        let by_radius = classify_large(&g, &p, params.k_ceil, LargenessRule::Radius);
-        let by_size = classify_large(&g, &p, params.k_ceil, LargenessRule::Size);
-        // A path part has radius = len-1 ≥ size-1, so for paths the two
-        // rules coincide (both compare ~len against k).
-        assert_eq!(by_radius, by_size);
-    }
-
-    #[test]
     fn sampled_construction_meets_bounds_on_highway() {
         let (g, p, params) = fixture(4, 4, 40);
-        let out = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            3,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let out = centralized_shortcuts(&g, &p, params, 3, OracleMode::PerPart);
         let report = measure_quality(&g, &p, &out.shortcuts, DilationMode::Exact);
         assert!(
             (report.quality.congestion as u64) <= params.congestion_bound(),
@@ -319,15 +277,8 @@ mod tests {
     #[test]
     fn per_arc_mode_has_same_distribution() {
         let (g, p, params) = fixture(4, 4, 40);
-        let a = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            5,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
-        let b = centralized_shortcuts(&g, &p, params, 5, LargenessRule::Radius, OracleMode::PerArc);
+        let a = centralized_shortcuts(&g, &p, params, 5, OracleMode::PerPart);
+        let b = centralized_shortcuts(&g, &p, params, 5, OracleMode::PerArc);
         // Not identical coins, but comparable volume (within 2x).
         let (ta, tb) = (
             a.shortcuts.total_edges() as f64,
@@ -343,14 +294,7 @@ mod tests {
     #[test]
     fn pruned_trees_span_and_respect_depth() {
         let (g, p, params) = fixture(4, 4, 40);
-        let out = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            7,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let out = centralized_shortcuts(&g, &p, params, 7, OracleMode::PerPart);
         let pruned = prune_to_trees(&g, &p, &out.shortcuts, params.depth_limit());
         assert!(pruned.spans.iter().all(|&s| s), "trees must span parts");
         assert!(pruned.depths.iter().all(|&d| d <= params.depth_limit()));
@@ -365,31 +309,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (g, p, params) = fixture(3, 3, 30);
-        let a = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            11,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
-        let b = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            11,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let a = centralized_shortcuts(&g, &p, params, 11, OracleMode::PerPart);
+        let b = centralized_shortcuts(&g, &p, params, 11, OracleMode::PerPart);
         assert_eq!(a.shortcuts, b.shortcuts);
-        let c = centralized_shortcuts(
-            &g,
-            &p,
-            params,
-            12,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let c = centralized_shortcuts(&g, &p, params, 12, OracleMode::PerPart);
         assert_ne!(a.shortcuts, c.shortcuts, "different seed, different coins");
     }
 }

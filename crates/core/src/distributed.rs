@@ -556,7 +556,7 @@ fn participations_from_multibfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::{centralized_shortcuts, LargenessRule as LR, OracleMode};
+    use crate::centralized::{centralized_shortcuts, OracleMode};
     use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::{measure_quality, verify, DilationMode};
 
@@ -637,8 +637,7 @@ mod tests {
             ..DistributedConfig::default()
         };
         let dist = distributed_shortcuts(&g, &p, &cfg).unwrap();
-        let central =
-            centralized_shortcuts(&g, &p, dist.params, 42, LR::Radius, OracleMode::PerPart);
+        let central = centralized_shortcuts(&g, &p, dist.params, 42, OracleMode::PerPart);
         let dq = measure_quality(&g, &p, &dist.shortcuts, DilationMode::Exact).quality;
         let cq = measure_quality(&g, &p, &central.shortcuts, DilationMode::Exact).quality;
         // The distributed trees are prunings of (directionally

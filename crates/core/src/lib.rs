@@ -21,7 +21,7 @@
 //! ```
 //! use lcs_graph::{HighwayGraph, HighwayParams};
 //! use lcs_shortcut::{measure_quality, DilationMode, Partition};
-//! use lcs_core::{centralized_shortcuts, KpParams, LargenessRule, OracleMode};
+//! use lcs_core::{centralized_shortcuts, KpParams, OracleMode};
 //!
 //! let hw = HighwayGraph::new(HighwayParams {
 //!     num_paths: 4, path_len: 30, diameter: 4,
@@ -29,8 +29,7 @@
 //! let g = hw.graph();
 //! let parts = Partition::new(g, hw.path_parts()).unwrap();
 //! let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-//! let out = centralized_shortcuts(g, &parts, params, 7,
-//!     LargenessRule::Radius, OracleMode::PerPart);
+//! let out = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
 //! let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
 //! assert!((q.dilation as u64) <= params.dilation_bound());
 //! ```
@@ -50,12 +49,11 @@ pub mod odd;
 pub mod params;
 pub mod sampling;
 pub mod shortcut_tree;
-pub mod streaming;
 
 pub use backend::KoganParter;
 pub use centralized::{
-    centralized_shortcuts, classify_large, prune_to_trees, CentralizedShortcuts, LargenessRule,
-    OracleMode, PrunedShortcuts,
+    centralized_shortcuts, classify_large, prune_to_trees, CentralizedShortcuts, OracleMode,
+    PrunedShortcuts,
 };
 pub use degrade::{detect_and_excise, DegradedOutcome, Excision};
 pub use dilation::{certify_part, DilationTrace, Trichotomy};
@@ -63,8 +61,7 @@ pub use distributed::{
     distributed_shortcuts, DistributedConfig, DistributedError, DistributedOutcome, GuessReport,
 };
 pub use index_build::{build_index, build_index_distributed, IndexBuildConfig};
-pub use odd::{odd_shortcuts_subdivision, shared_delay, OddStrategy};
+pub use odd::{odd_shortcuts_subdivision, shared_delay};
 pub use params::{guess_ladder, k_d, KpParams, ParamError};
 pub use sampling::SampleOracle;
 pub use shortcut_tree::{ShortcutTree, ShortcutTreeError, WalkEnd, WalkMeasurement};
-pub use streaming::{streamed_quality, StreamedQuality};

@@ -8,27 +8,20 @@
 //! same edge marginals as the even case while the analysis can walk the
 //! even-diameter subdivision.
 //!
-//! We implement both:
-//! * [`OddStrategy::Subdivision`] — the paper's reduction, literally;
-//! * [`OddStrategy::Direct`] — run the even-case sampling formulas with
-//!   the odd `D` (all parameter formulas are well-defined for odd `D`);
-//!   the ablation experiment (E10) compares the two.
+//! [`odd_shortcuts_subdivision`] is the paper's reduction, literally.
+//! The alternative is to run the even-case [`centralized_shortcuts`]
+//! with the odd `D` plugged into the formulas, all of which are
+//! well-defined for odd `D`; the `claims` bench checks both against the
+//! Theorem 1.1 bounds.
+//!
+//! [`centralized_shortcuts`]: crate::centralized_shortcuts
 
-use crate::centralized::{classify_large, CentralizedShortcuts, LargenessRule};
+use crate::centralized::{classify_large, CentralizedShortcuts};
 use crate::params::KpParams;
 use crate::sampling::SampleOracle;
 use lcs_congest::hash::splitmix64;
 use lcs_graph::{EdgeId, Graph, NodeId};
 use lcs_shortcut::{Partition, ShortcutSet};
-
-/// Which odd-diameter construction to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OddStrategy {
-    /// Edge subdivision with `√p` per-half sampling (paper, §3.2).
-    Subdivision,
-    /// Even-case code path with odd `D` plugged into the formulas.
-    Direct,
-}
 
 /// The subdivision-based odd-`D` construction, projected back to `G`.
 ///
@@ -42,12 +35,11 @@ pub fn odd_shortcuts_subdivision(
     partition: &Partition,
     params: KpParams,
     seed: u64,
-    rule: LargenessRule,
 ) -> CentralizedShortcuts {
     assert!(params.d % 2 == 1, "subdivision strategy targets odd D");
     let sqrt_p = params.p.sqrt();
     let half_oracle = SampleOracle::new(seed ^ 0x0DD0_0DD0, sqrt_p, params.reps);
-    let is_large = classify_large(graph, partition, params.k_ceil, rule);
+    let is_large = classify_large(graph, partition, params.k_ceil);
     let mut per_part: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.num_parts()];
     for i in 0..partition.num_parts() {
         if !is_large[i] {
@@ -114,7 +106,7 @@ mod tests {
         let g = hw.graph();
         let p = Partition::new(g, hw.path_parts()).unwrap();
         let params = KpParams::new(g.n(), 5, 1.0).unwrap();
-        let out = odd_shortcuts_subdivision(g, &p, params, 9, LargenessRule::Radius);
+        let out = odd_shortcuts_subdivision(g, &p, params, 9);
         let report = measure_quality(g, &p, &out.shortcuts, DilationMode::Exact);
         assert!(
             (report.quality.dilation as u64) <= params.dilation_bound(),
@@ -141,15 +133,8 @@ mod tests {
         let g = hw.graph();
         let p = Partition::new(g, hw.path_parts()).unwrap();
         let params = KpParams::new(g.n(), 5, 1.0).unwrap();
-        let sub = odd_shortcuts_subdivision(g, &p, params, 13, LargenessRule::Radius);
-        let dir = centralized_shortcuts(
-            g,
-            &p,
-            params,
-            13,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let sub = odd_shortcuts_subdivision(g, &p, params, 13);
+        let dir = centralized_shortcuts(g, &p, params, 13, OracleMode::PerPart);
         let (a, b) = (
             sub.shortcuts.total_edges() as f64,
             dir.shortcuts.total_edges() as f64,
@@ -170,7 +155,7 @@ mod tests {
         let p = Partition::new(g, hw.path_parts()).unwrap();
         let params = KpParams::new(g.n(), 4, 1.0).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            odd_shortcuts_subdivision(g, &p, params, 1, LargenessRule::Radius)
+            odd_shortcuts_subdivision(g, &p, params, 1)
         }));
         assert!(r.is_err());
     }

@@ -3,9 +3,7 @@
 //! free functions with the seed the adapter draws (the first `next_u64`
 //! of the caller's RNG).
 
-use lcs_core::{
-    centralized_shortcuts, prune_to_trees, KoganParter, KpParams, LargenessRule, OracleMode,
-};
+use lcs_core::{centralized_shortcuts, prune_to_trees, KoganParter, KpParams, OracleMode};
 use lcs_graph::{gnp_connected, Graph, HighwayGraph, HighwayParams};
 use lcs_shortcut::{Partition, ShortcutBuilder};
 use rand::{RngCore, SeedableRng};
@@ -31,14 +29,7 @@ fn pipeline(
     pruned: bool,
 ) -> lcs_shortcut::ShortcutSet {
     let params = KpParams::new(g.n(), d, 1.0).unwrap();
-    let raw = centralized_shortcuts(
-        g,
-        p,
-        params,
-        seed,
-        LargenessRule::Radius,
-        OracleMode::PerPart,
-    );
+    let raw = centralized_shortcuts(g, p, params, seed, OracleMode::PerPart);
     if pruned {
         prune_to_trees(g, p, &raw.shortcuts, params.depth_limit()).shortcuts
     } else {

@@ -4,7 +4,7 @@
 //! between `measure_quality` and `verify` on the hard highway
 //! instances the construction targets.
 
-use lcs_core::{centralized_shortcuts, k_d, KpParams, LargenessRule, OracleMode, ParamError};
+use lcs_core::{centralized_shortcuts, k_d, KpParams, OracleMode, ParamError};
 use lcs_graph::{HighwayGraph, HighwayParams};
 use lcs_shortcut::{measure_quality, verify, DilationMode, Partition};
 
@@ -109,14 +109,7 @@ fn measure_quality_agrees_with_verify_on_highways() {
         let g = hw.graph();
         let parts = Partition::new(g, hw.path_parts()).unwrap();
         let params = KpParams::new(g.n(), diameter, 1.0).unwrap();
-        let built = centralized_shortcuts(
-            g,
-            &parts,
-            params,
-            7,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let built = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
 
         let measured = measure_quality(g, &parts, &built.shortcuts, DilationMode::Exact);
         let report = verify(g, &parts, &built.shortcuts, None, DilationMode::Exact)

@@ -28,7 +28,7 @@ use lcs_congest::hash::Fnv;
 use lcs_congest::{AggOp, SimConfig};
 use lcs_core::{
     build_index, build_index_distributed, centralized_shortcuts, DistributedConfig,
-    IndexBuildConfig, KoganParter, KpParams, LargenessRule, OracleMode,
+    IndexBuildConfig, KoganParter, KpParams, OracleMode,
 };
 use lcs_graph::{
     bfs, cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, BfsOptions, Graph, HighwayGraph,
@@ -487,14 +487,7 @@ fn relaxation_instance(i: u64) -> (WeightedGraph, Partition, ShortcutSet) {
     parts.sort();
     let p = Partition::new(&g, parts).unwrap();
     let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-    let raw = centralized_shortcuts(
-        &g,
-        &p,
-        params,
-        i,
-        LargenessRule::Radius,
-        OracleMode::PerPart,
-    );
+    let raw = centralized_shortcuts(&g, &p, params, i, OracleMode::PerPart);
     let wg = WeightedGraph::with_random_weights(g, 1 + (i % 5) * 40, &mut rng);
     (wg, p, raw.shortcuts)
 }

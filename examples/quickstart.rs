@@ -41,14 +41,7 @@ fn main() {
     );
 
     // 4. Centralized construction + pruning to the BFS-tree form.
-    let raw = centralized_shortcuts(
-        g,
-        &parts,
-        params,
-        42,
-        LargenessRule::Radius,
-        OracleMode::PerPart,
-    );
+    let raw = centralized_shortcuts(g, &parts, params, 42, OracleMode::PerPart);
     let pruned = prune_to_trees(g, &parts, &raw.shortcuts, params.depth_limit());
 
     // 5. Full CONGEST execution (diameter guessing included). The whole

@@ -36,8 +36,7 @@
 //!
 //! // Build the paper's shortcuts and check their quality.
 //! let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-//! let built = centralized_shortcuts(
-//!     g, &parts, params, 7, LargenessRule::Radius, OracleMode::PerPart);
+//! let built = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
 //! let q = measure_quality(g, &parts, &built.shortcuts, DilationMode::Exact).quality;
 //! assert!((q.dilation as u64) <= params.dilation_bound());
 //! assert!((q.congestion as u64) <= params.congestion_bound());
@@ -105,8 +104,8 @@ pub mod prelude {
     };
     pub use lcs_core::{
         build_index, build_index_distributed, centralized_shortcuts, distributed_shortcuts, k_d,
-        prune_to_trees, DistributedConfig, IndexBuildConfig, KpParams, LargenessRule, OracleMode,
-        SampleOracle, ShortcutTree,
+        prune_to_trees, DistributedConfig, IndexBuildConfig, KpParams, OracleMode, SampleOracle,
+        ShortcutTree,
     };
     pub use lcs_graph::{
         exact_diameter, kruskal, stoer_wagner, Graph, GraphBuilder, HighwayGraph, HighwayParams,

@@ -60,8 +60,7 @@ proptest! {
         let mut params = KpParams::new(g.n(), 4, 1.0).unwrap();
         params.p = p;
         params = params.with_reps(reps);
-        let built = centralized_shortcuts(
-            g, &parts, params, seed, LargenessRule::Radius, OracleMode::PerPart);
+        let built = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
         let sub = built.shortcuts.augmented_subgraph(g, &parts, 0);
         for i in (0..path.len()).step_by(4) {
             let m = tree.walk_to_level(i, 3).unwrap();
@@ -84,8 +83,7 @@ proptest! {
         let (hw, parts) = highway_fixture(7);
         let g = hw.graph();
         let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-        let out = centralized_shortcuts(
-            g, &parts, params, seed, LargenessRule::Radius, OracleMode::PerPart);
+        let out = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
         let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
         prop_assert!((q.congestion as u64) <= params.congestion_bound());
         prop_assert!((q.dilation as u64) <= params.dilation_bound());
@@ -100,8 +98,7 @@ proptest! {
         let parts = Partition::bfs_balls(&g, k, &mut rng);
         let d = exact_diameter(&g).unwrap().max(3);
         let params = KpParams::new(g.n(), d, 1.0).unwrap();
-        let out = centralized_shortcuts(
-            &g, &parts, params, seed, LargenessRule::Radius, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &parts, params, seed, OracleMode::PerPart);
         // verify() recomputes everything and errors on any structural
         // violation.
         let report = verify(&g, &parts, &out.shortcuts, None, DilationMode::Exact).unwrap();
@@ -115,10 +112,8 @@ proptest! {
         let (hw, parts) = highway_fixture(2);
         let g = hw.graph();
         let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-        let a = centralized_shortcuts(
-            g, &parts, params, seed, LargenessRule::Radius, OracleMode::PerPart);
-        let b = centralized_shortcuts(
-            g, &parts, params, seed, LargenessRule::Radius, OracleMode::PerArc);
+        let a = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
+        let b = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerArc);
         let (ta, tb) = (a.shortcuts.total_edges() as f64, b.shortcuts.total_edges() as f64);
         prop_assert!(ta > 0.0 && tb > 0.0);
         prop_assert!(ta / tb < 3.0 && tb / ta < 3.0, "{ta} vs {tb}");

@@ -186,14 +186,7 @@ fn different_seeds_change_the_coins_not_the_guarantees() {
     let params = KpParams::new(g.n(), 4, 0.2).unwrap();
     let mut qualities = Vec::new();
     for seed in 0..6u64 {
-        let out = centralized_shortcuts(
-            g,
-            &parts,
-            params,
-            seed,
-            LargenessRule::Radius,
-            OracleMode::PerPart,
-        );
+        let out = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
         let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
         assert!(
             (q.congestion as u64) <= params.congestion_bound(),
