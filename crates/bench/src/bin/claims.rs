@@ -1,6 +1,6 @@
 //! `claims` — the paper's statements, run on fixed seeds.
 //!
-//! Usage: `claims [--quick] [--out PATH]`
+//! Usage: `claims [--quick] [--out PATH | --check PATH]`
 //!
 //! Prints one row per statement of Kogan & Parter (PODC 2021) and
 //! instance: the measured value, the bound and a verdict. A row has a
@@ -13,15 +13,19 @@
 //! slopes print next to the exponent `(D−2)/(2D−2)`, unasserted.
 //!
 //! Exit status: 0 when every bounded row holds, 1 when one fails, 2 on
-//! any argument but `--quick` (CI scale) and `--out PATH` (also write the
-//! rows as JSON; the committed `BENCH_claims.json` is a full run). Every
-//! instance is seeded, so two runs print the same rows.
+//! any argument but `--quick` (CI scale), `--out PATH` (also write the
+//! rows as JSON; the committed `BENCH_claims.json` is a full run) and
+//! `--check PATH`. Every instance is seeded, so two runs print the same
+//! rows, and `--check PATH` compares every row with the file at `PATH`
+//! and never writes: it exits 1 and names each row that differs, is new
+//! or is missing, and 2 before running anything if the file is not a
+//! run of the same mode.
 
 use lcs_apps::{
     approximate_min_cut, bellman_ford_rounds, mst_via_shortcuts, shortcut_sssp, two_ecss,
     verify_two_ecss, MinCutConfig, MstConfig, ShortcutStrategy,
 };
-use lcs_bench::{geomean, highway_workload, loglog_slope};
+use lcs_bench::{geomean, highway_workload, json_str, loglog_slope};
 use lcs_congest::{MultiBfs, MultiBfsInstance, MultiBfsSpec, Session, SimConfig};
 use lcs_core::{
     centralized_shortcuts, certify_part, distributed_shortcuts, k_d, odd_shortcuts_subdivision,
@@ -162,6 +166,7 @@ fn exit_status(rows: &[Row]) -> i32 {
 struct Args {
     quick: bool,
     out: Option<String>,
+    check: Option<String>,
 }
 
 /// Parses the arguments after the program name; `Err` names the
@@ -170,16 +175,72 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--out" => match it.next() {
-                Some(path) if !path.starts_with("--") => parsed.out = Some(path.clone()),
-                _ => return Err("--out requires a path".to_string()),
-            },
+        let slot = match arg.as_str() {
+            "--quick" => {
+                parsed.quick = true;
+                continue;
+            }
+            "--out" => &mut parsed.out,
+            "--check" => &mut parsed.check,
             other => return Err(format!("unknown argument {other:?}")),
+        };
+        match it.next() {
+            Some(path) if !path.starts_with("--") => *slot = Some(path.clone()),
+            _ => return Err(format!("{arg} requires a path")),
         }
     }
+    if parsed.out.is_some() && parsed.check.is_some() {
+        return Err("--check never writes; drop --out".to_string());
+    }
     Ok(parsed)
+}
+
+fn mode(quick: bool) -> &'static str {
+    if quick {
+        "quick"
+    } else {
+        "full"
+    }
+}
+
+/// `Err` unless `committed`, a file `--out` wrote, holds a run of `mode`.
+fn check_mode(committed: &str, mode: &str) -> Result<(), String> {
+    match json_str(committed, "mode") {
+        Some(m) if m == mode => Ok(()),
+        m => Err(format!(
+            "the file is a {:?} run, this is a \"{mode}\" run",
+            m.unwrap_or("?")
+        )),
+    }
+}
+
+/// Every row of this run that differs from the committed row of the
+/// same claim and instance, or that `committed` lacks, then every
+/// committed row this run lacks, one line each.
+fn row_diffs(rows: &[Row], committed: &str) -> Vec<String> {
+    fn key(line: &str) -> (Option<&str>, Option<&str>) {
+        (json_str(line, "claim"), json_str(line, "instance"))
+    }
+    let then: Vec<&str> = committed
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"claim\":"))
+        .collect();
+    let now: Vec<String> = rows.iter().map(Row::json).collect();
+    let mut diffs = Vec::new();
+    for line in &now {
+        match then.iter().find(|t| key(t) == key(line)) {
+            Some(t) if t == line => {}
+            Some(t) => diffs.push(format!("differs: {line}\n   was: {t}")),
+            None => diffs.push(format!("new: {line}")),
+        }
+    }
+    for t in &then {
+        if !now.iter().any(|line| key(line) == key(t)) {
+            diffs.push(format!("missing: {t}"));
+        }
+    }
+    diffs
 }
 
 /// The exact-dilation cutoff of every experiment: BFS from every part
@@ -733,8 +794,19 @@ fn ablations(quick: bool, r: &mut Report) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| {
-        eprintln!("claims: {e}\nusage: claims [--quick] [--out PATH]");
+        eprintln!("claims: {e}\nusage: claims [--quick] [--out PATH | --check PATH]");
         std::process::exit(2);
+    });
+    let committed = args.check.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("claims --check: cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        if let Err(e) = check_mode(&text, mode(args.quick)) {
+            eprintln!("claims --check {path}: {e}; modes must match to compare");
+            std::process::exit(2);
+        }
+        text
     });
     let mut report = Report::default();
     quality_scaling(args.quick, &mut report);
@@ -778,7 +850,7 @@ fn main() {
         );
     }
     if let Some(path) = &args.out {
-        let mode = if args.quick { "quick" } else { "full" };
+        let mode = mode(args.quick);
         let body: Vec<String> = rows.iter().map(Row::json).collect();
         let json = format!(
             "{{\n  \"bench\": \"claims\",\n  \"mode\": \"{mode}\",\n  \"failed\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
@@ -787,6 +859,21 @@ fn main() {
         );
         std::fs::write(path, json).unwrap_or_else(|e| panic!("claims: cannot write {path}: {e}"));
         eprintln!("wrote {path}");
+    }
+    if let (Some(path), Some(committed)) = (&args.check, &committed) {
+        let diffs = row_diffs(&rows, committed);
+        for d in &diffs {
+            eprintln!("{d}");
+        }
+        if !diffs.is_empty() {
+            eprintln!(
+                "claims --check: {} rows differ from {path} \
+                 (rerun with `--out {path}` instead to regenerate if intentional)",
+                diffs.len()
+            );
+            std::process::exit(1);
+        }
+        eprintln!("claims --check: all {} rows equal {path}", rows.len());
     }
     std::process::exit(exit_status(&rows));
 }
@@ -829,21 +916,59 @@ mod tests {
     }
 
     #[test]
-    fn only_quick_and_out_are_accepted() {
+    fn only_quick_out_and_check_are_accepted() {
         let parse = |a: &[&str]| parse_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
         assert_eq!(parse(&[]), Ok(Args::default()));
         let both = Args {
             quick: true,
             out: Some("x.json".to_string()),
+            check: None,
         };
         assert_eq!(parse(&["--out", "x.json", "--quick"]), Ok(both));
+        let check = Args {
+            quick: true,
+            out: None,
+            check: Some("x.json".to_string()),
+        };
+        assert_eq!(parse(&["--quick", "--check", "x.json"]), Ok(check));
         for bad in [
             &["--seed", "1"][..],
             &["--out"],
             &["--out", "--quick"],
             &["quick"],
+            &["--check"],
+            &["--check", "--quick"],
+            &["--check", "x.json", "--out", "y.json"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be refused");
         }
+    }
+
+    #[test]
+    fn check_names_each_differing_new_and_missing_row() {
+        let mut report = Report::default();
+        for (instance, value) in [("a", 1.0), ("b", 2.0), ("c", 3.0)] {
+            report.on(instance.to_string());
+            report.push("claim", value, Bound::AtMost(4.0));
+        }
+        let file = |rows: &[Row]| {
+            let body: Vec<String> = rows.iter().map(Row::json).collect();
+            format!(
+                "{{\n  \"mode\": \"full\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
+                body.join(",\n    ")
+            )
+        };
+        let committed = file(&report.rows);
+        assert_eq!(check_mode(&committed, "full"), Ok(()));
+        assert!(check_mode(&committed, "quick").is_err());
+        assert!(row_diffs(&report.rows, &committed).is_empty());
+
+        report.rows[1].value = 2.5;
+        report.rows[2].instance = "d".to_string();
+        let diffs = row_diffs(&report.rows, &committed);
+        assert_eq!(diffs.len(), 3, "{diffs:?}");
+        assert!(diffs[0].starts_with("differs: ") && diffs[0].contains("\"value\": 2.500"));
+        assert!(diffs[1].starts_with("new: ") && diffs[1].contains("\"instance\": \"d\""));
+        assert!(diffs[2].starts_with("missing: ") && diffs[2].contains("\"instance\": \"c\""));
     }
 }

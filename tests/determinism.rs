@@ -98,7 +98,7 @@ fn pinned_index_checksum_and_serve_batch() {
     let (index, _) = build_index_distributed(&g, wg.weights(), &parts, &pinned_config()).unwrap();
     let bytes = index.to_bytes();
     let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(checksum, 3065340308505903955);
+    assert_eq!(checksum, 4946547945751344244);
 
     let queries = [
         Query::sssp(0),
