@@ -25,8 +25,7 @@
 
 use lcs_congest::{AggOp, ExecutionMode, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{
-    centralized_shortcuts, detect_and_excise, prune_to_trees, DegradedOutcome, KpParams,
-    OracleMode, ParamError,
+    centralized_shortcuts, detect_and_excise, prune_to_trees, DegradedOutcome, KpParams, ParamError,
 };
 use lcs_graph::{exact_diameter, kruskal, EdgeId, NodeId, UnionFind, WeightedGraph};
 use lcs_shortcut::{
@@ -277,14 +276,9 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
         let (shortcuts, shortcut_rounds): (ShortcutSet, u64) = match cfg.strategy {
             ShortcutStrategy::KoganParter => {
                 // The paper's sampling probability `p = k_D ln n / N`.
-                let params = KpParams::new(n, diameter.max(3), 1.0)?;
-                let raw = centralized_shortcuts(
-                    g,
-                    &partition,
-                    params,
-                    cfg.seed ^ (phase as u64) << 32,
-                    OracleMode::PerPart,
-                );
+                let params = KpParams::new(n, diameter.max(3))?;
+                let raw =
+                    centralized_shortcuts(g, &partition, params, cfg.seed ^ (phase as u64) << 32);
                 let pruned = prune_to_trees(g, &partition, &raw.shortcuts, params.depth_limit());
                 // Charged at the distributed construction's budget
                 // (`Õ(k_D)`); the simulated construction is exercised

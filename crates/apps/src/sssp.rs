@@ -402,7 +402,7 @@ fn degraded_sssp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::{centralized_shortcuts, prune_to_trees, KpParams, OracleMode};
+    use lcs_core::{centralized_shortcuts, prune_to_trees, KpParams};
     use lcs_graph::{HighwayGraph, HighwayParams};
 
     /// Highway instance with light path edges and heavy highway edges:
@@ -428,8 +428,8 @@ mod tests {
             .collect();
         let wg = WeightedGraph::new(g.clone(), weights).unwrap();
         let p = Partition::new(&g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-        let raw = centralized_shortcuts(&g, &p, params, 3, OracleMode::PerPart);
+        let params = KpParams::new(g.n(), 4).unwrap();
+        let raw = centralized_shortcuts(&g, &p, params, 3);
         let pruned = prune_to_trees(&g, &p, &raw.shortcuts, params.depth_limit());
         (wg, p, pruned.shortcuts)
     }

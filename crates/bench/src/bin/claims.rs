@@ -10,7 +10,12 @@
 //! exists (Kruskal, Stoer–Wagner, Dijkstra, Bellman–Ford, 2-edge-
 //! connectivity). An `O(·)` statement with no constant in the code, and
 //! every scaling statement, is a measured row with no verdict: log-log
-//! slopes print next to the exponent `(D−2)/(2D−2)`, unasserted.
+//! slopes print next to the exponent `(D−2)/(2D−2)`, unasserted. Every
+//! KP set is `centralized_shortcuts`, the coins the library ships.
+//!
+//! Two rows are controls, bounded `≥ 1`: the Lemma 3.5 trace on H = ∅
+//! and the Lemma 3.3 walks at a twentieth of `p` must each find a
+//! violation, so an instrument that cannot fire fails the run.
 //!
 //! Exit status: 0 when every bounded row holds, 1 when one fails, 2 on
 //! any argument but `--quick` (CI scale), `--out PATH` (also write the
@@ -29,11 +34,11 @@ use lcs_bench::{geomean, highway_workload, json_str, loglog_slope};
 use lcs_congest::{MultiBfs, MultiBfsInstance, MultiBfsSpec, Session, SimConfig};
 use lcs_core::{
     centralized_shortcuts, certify_part, distributed_shortcuts, k_d, odd_shortcuts_subdivision,
-    prune_to_trees, shared_delay, DistributedConfig, KpParams, OracleMode, SampleOracle,
-    ShortcutTree,
+    prune_to_trees, shared_delay, DistributedConfig, KpParams, SampleOracle, ShortcutTree,
 };
 use lcs_graph::{
-    complete, dijkstra, gnp_connected, kruskal, stoer_wagner, HighwayGraph, NodeId, WeightedGraph,
+    complete, dijkstra, gnp_connected, kruskal, stoer_wagner, HighwayGraph, HighwayParams, NodeId,
+    WeightedGraph,
 };
 use lcs_shortcut::{
     global_tree_shortcuts, kitamura_style_shortcuts, measure_quality, trivial_shortcuts,
@@ -254,7 +259,7 @@ fn dilation_mode(n: usize) -> DilationMode {
 }
 
 fn kp_params(n: usize, d: u32) -> KpParams {
-    KpParams::new(n, d, 1.0).expect("every instance has n >= 2 and D >= 3")
+    KpParams::new(n, d).expect("every instance has n >= 2 and D >= 3")
 }
 
 /// E1 and E7 (Thm 1.1, measured): `c + d` of the centralized KP sets on
@@ -275,10 +280,7 @@ fn quality_scaling(quick: bool, r: &mut Report) {
             let n = g.n();
             let mode = dilation_mode(n);
             let total = |s: &ShortcutSet| measure_quality(g, &partition, s, mode).quality.total();
-            let kp = total(
-                &centralized_shortcuts(g, &partition, kp_params(n, d), 1, OracleMode::PerArc)
-                    .shortcuts,
-            );
+            let kp = total(&centralized_shortcuts(g, &partition, kp_params(n, d), 1).shortcuts);
             let trivial = total(&trivial_shortcuts(&partition));
             let global = total(&global_tree_shortcuts(g, &partition, 0, Some(1)));
             let lg = (n as f64).log2();
@@ -315,7 +317,8 @@ fn quality_scaling(quick: bool, r: &mut Report) {
 }
 
 /// E2 and E3 (Thm 1.1 congestion, Thm 3.1 dilation, Lemma 3.5): the
-/// worst over seeds per (D, n) cell.
+/// worst over seeds per (D, n) cell, then a control that must fire: the
+/// same Lemma 3.5 trace on H = ∅ over a path about six times 4·k_D long.
 fn congestion_and_dilation(quick: bool, r: &mut Report) {
     let sizes: &[usize] = if quick {
         &[400, 900]
@@ -332,7 +335,7 @@ fn congestion_and_dilation(quick: bool, r: &mut Report) {
             let (mut cong, mut dil, mut violations, mut depth) = (0u32, 0u32, 0u32, 0u32);
             let mut means = Vec::new();
             for s in 0..seeds {
-                let out = centralized_shortcuts(g, &partition, params, s, OracleMode::PerArc);
+                let out = centralized_shortcuts(g, &partition, params, s);
                 let report = measure_quality(g, &partition, &out.shortcuts, dilation_mode(n));
                 cong = cong.max(report.quality.congestion);
                 dil = dil.max(report.quality.dilation);
@@ -368,6 +371,26 @@ fn congestion_and_dilation(quick: bool, r: &mut Report) {
             .note = format!("max recursion depth {depth}; lg n {:.1}", (n as f64).log2());
         }
     }
+    let hw = HighwayGraph::new(HighwayParams {
+        num_paths: 7,
+        path_len: 357,
+        diameter: 4,
+    })
+    .expect("valid highway");
+    let (g, n) = (hw.graph(), hw.graph().n());
+    let partition = Partition::new(g, hw.path_parts()).expect("path parts are valid");
+    let threshold = 4 * kp_params(n, 4).k_ceil;
+    let trace = certify_part(g, &partition, &trivial_shortcuts(&partition), 0, threshold);
+    r.on(format!("E3 control D=4 n={n} 7 paths of 357, H empty"));
+    r.push(
+        "Lemma 3.5 control: levels with no event at 4*k_D",
+        trace.violations.into(),
+        Bound::AtLeast(1.0),
+    )
+    .note = format!(
+        "max recursion depth {}; threshold {threshold}",
+        trace.recursion_depth
+    );
 }
 
 /// E4 and E9 (Thm 1.1 rounds, §1 messages): the distributed construction
@@ -521,7 +544,9 @@ fn min_cut(quick: bool, r: &mut Report) {
 
 /// E8 (Lemmas 3.2 and 3.3, Observation 3.1): greedy (i,k)-walks and T*
 /// layer distances in the shortcut tree of the first path of a D = 6
-/// highway, towards its column leaves.
+/// highway, towards its column leaves. At these sizes `p` clamps to 1,
+/// so a control reruns the same walks at a twentieth of `p`, where the
+/// Lemma 3.3 bound must fail.
 fn walks(quick: bool, r: &mut Report) {
     let d = 6u32;
     let (hw, partition) = highway_workload(if quick { 600 } else { 2500 }, d);
@@ -535,18 +560,25 @@ fn walks(quick: bool, r: &mut Report) {
         .collect();
     let seeds: u64 = if quick { 3 } else { 10 };
     let levels = 2..=ell + 1;
-    let mut max_len = vec![0usize; ell + 2];
+    let stress_p = 0.05 * params.p;
+    let (mut max_len, mut stress_len) = (vec![0usize; ell + 2], vec![0usize; ell + 2]);
     let (mut walks, mut repeated, mut unreachable, mut layer_dist) = (0, 0, 0, 0);
     for seed in 0..seeds {
-        let oracle = SampleOracle::new(seed, params.p, params.reps);
-        let tree = ShortcutTree::new(g, &path, &q, ell, &oracle, partition.leader(0), 0)
-            .expect("Q lies within distance ell of P");
+        let tree_at = |p| {
+            let oracle = SampleOracle::new(seed, p, params.reps);
+            ShortcutTree::new(g, &path, &q, ell, &oracle, partition.leader(0), 0)
+                .expect("Q lies within distance ell of P")
+        };
+        let (tree, stress) = (tree_at(params.p), tree_at(stress_p));
         for level in levels.clone() {
             for i in (0..path.len()).step_by((path.len() / 8).max(1)) {
                 if let Some(m) = tree.walk_to_level(i, level) {
                     max_len[level] = max_len[level].max(m.length);
                     walks += 1;
                     repeated += u32::from(!m.level_nodes_distinct);
+                }
+                if let Some(m) = stress.walk_to_level(i, level) {
+                    stress_len[level] = stress_len[level].max(m.length);
                 }
             }
             match tree.tstar_dist_to_layer(0, level) {
@@ -556,15 +588,34 @@ fn walks(quick: bool, r: &mut Report) {
         }
     }
     let ratio = params.big_n as f64 / (params.k * (n as f64).ln());
-    for level in levels {
-        let bound = ratio.max(2.0).powi(level as i32 - 2).max(1.0);
+    let bound = |level: usize| ratio.max(2.0).powi(level as i32 - 2).max(1.0);
+    for level in levels.clone() {
         r.on(format!("E8 D={d} n={n} seeds 0..{seeds}, level {level}"));
         r.push(
             "Lemma 3.3: walk length <= max(N/(k_D ln n), 2)^(k-2)",
             max_len[level] as f64,
-            Bound::AtMost(bound),
-        );
+            Bound::AtMost(bound(level)),
+        )
+        .note = format!("p {:.3}", params.p);
     }
+    let over = levels
+        .clone()
+        .filter(|&l| stress_len[l] as f64 > bound(l))
+        .count();
+    let per_level: Vec<String> = levels
+        .map(|l| format!("{} vs {}", stress_len[l], num(bound(l))))
+        .collect();
+    r.on(format!("E8 control D={d} n={n} seeds 0..{seeds}, p/20"));
+    r.push(
+        "Lemma 3.3 control: levels whose longest walk exceeds the bound",
+        over as f64,
+        Bound::AtLeast(1.0),
+    )
+    .note = format!(
+        "p {stress_p:.3}; longest walk vs bound at levels 2 to {}: {}",
+        ell + 1,
+        per_level.join(", ")
+    );
     r.on(format!("E8 D={d} n={n} seeds 0..{seeds}"));
     r.push(
         "Obs 3.1: walks whose level-k nodes repeat",
@@ -598,7 +649,7 @@ fn odd_diameter(quick: bool, r: &mut Report) {
             let n = g.n();
             let params = kp_params(n, d);
             let sub = odd_shortcuts_subdivision(g, &partition, params, 3);
-            let direct = centralized_shortcuts(g, &partition, params, 3, OracleMode::PerArc);
+            let direct = centralized_shortcuts(g, &partition, params, 3);
             let (cb, db) = (
                 params.congestion_bound() as f64,
                 params.dilation_bound() as f64,
@@ -642,7 +693,7 @@ fn sssp_and_two_ecss(quick: bool, r: &mut Report) {
             .collect();
         let wg = WeightedGraph::new(g.clone(), weights).expect("one weight per edge");
         let params = kp_params(g.n(), 4);
-        let raw = centralized_shortcuts(g, &partition, params, 11, OracleMode::PerArc);
+        let raw = centralized_shortcuts(g, &partition, params, 11);
         let pruned = prune_to_trees(g, &partition, &raw.shortcuts, params.depth_limit());
         let truth = dijkstra(&wg, 0);
         let (_, bf_rounds) = bellman_ford_rounds(&wg, 0);
@@ -773,8 +824,7 @@ fn ablations(quick: bool, r: &mut Report) {
                 .total()
         };
         let params = kp_params(g.n(), 4);
-        let kp =
-            total(&centralized_shortcuts(g, &partition, params, 9, OracleMode::PerArc).shortcuts);
+        let kp = total(&centralized_shortcuts(g, &partition, params, 9).shortcuts);
         let p = hw.params();
         r.on(format!(
             "D=4 n={} {} paths of {} (gamma n^{gexp:.2})",

@@ -35,7 +35,7 @@ use lcs_bench::{json_str, value_flag};
 use lcs_core::{k_d, KpParams};
 
 fn reference_json(f: &Family) -> String {
-    let params = KpParams::new(f.graph.n(), f.d.max(3), 1.0).expect("bench graphs have n >= 2");
+    let params = KpParams::new(f.graph.n(), f.d.max(3)).expect("bench graphs have n >= 2");
     format!(
         concat!(
             "{{\"family\":\"{}\",\"n\":{},\"m\":{},\"d\":{},",

@@ -121,7 +121,6 @@ pub fn registry(d: u32) -> Vec<Box<dyn ShortcutBuilder>> {
         Box::new(GlobalTree::default()),
         Box::new(KoganParter {
             diameter: Some(d.max(3)),
-            prob_constant: 1.0,
             pruned: true,
         }),
         Box::new(lcs_shortcut::TreeSeparator::default()),

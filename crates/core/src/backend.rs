@@ -5,14 +5,13 @@
 //! backends.
 //!
 //! [`KoganParter::build`] runs exactly the centralized pipeline the rest
-//! of this crate tests — [`centralized_shortcuts`] with
-//! [`OracleMode::PerPart`], optionally followed by [`prune_to_trees`] at
-//! the paper's depth limit — seeding it with one `u64` drawn from the
-//! caller's RNG. The differential
+//! of this crate tests — [`centralized_shortcuts`], optionally followed
+//! by [`prune_to_trees`] at the paper's depth limit — seeding it with one
+//! `u64` drawn from the caller's RNG. The differential
 //! suite (`tests/backend_equivalence.rs`) holds this adapter
 //! byte-identical to the free-function pipeline.
 
-use crate::centralized::{centralized_shortcuts, prune_to_trees, OracleMode};
+use crate::centralized::{centralized_shortcuts, prune_to_trees};
 use crate::params::KpParams;
 use lcs_graph::{exact_diameter, Graph};
 use lcs_shortcut::{Partition, Quality, ShortcutBuilder, ShortcutSet};
@@ -26,8 +25,6 @@ pub struct KoganParter {
     /// Known diameter; `None` = measure it (clamped to ≥ 3, the
     /// smallest `D` the parameterization supports).
     pub diameter: Option<u32>,
-    /// Sampling-probability constant (`1.0` = paper).
-    pub prob_constant: f64,
     /// Prune the raw sampled sets to depth-limited BFS trees (the
     /// protocol's actual output). The default.
     pub pruned: bool,
@@ -37,7 +34,6 @@ impl Default for KoganParter {
     fn default() -> Self {
         KoganParter {
             diameter: None,
-            prob_constant: 1.0,
             pruned: true,
         }
     }
@@ -49,7 +45,7 @@ impl KoganParter {
             Some(d) => d,
             None => exact_diameter(graph)?,
         };
-        KpParams::new(graph.n(), d.max(3), self.prob_constant).ok()
+        KpParams::new(graph.n(), d.max(3)).ok()
     }
 }
 
@@ -65,7 +61,6 @@ impl ShortcutBuilder for KoganParter {
                 self.diameter
                     .map_or_else(|| "measured".to_string(), |d| d.to_string()),
             ),
-            ("prob_constant", format!("{}", self.prob_constant)),
             ("pruned", self.pruned.to_string()),
         ]
     }
@@ -81,7 +76,7 @@ impl ShortcutBuilder for KoganParter {
         let Some(params) = self.resolve_params(graph) else {
             return ShortcutSet::empty(partition.num_parts());
         };
-        let raw = centralized_shortcuts(graph, partition, params, seed, OracleMode::PerPart);
+        let raw = centralized_shortcuts(graph, partition, params, seed);
         if self.pruned {
             prune_to_trees(graph, partition, &raw.shortcuts, params.depth_limit()).shortcuts
         } else {

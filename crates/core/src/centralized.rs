@@ -17,7 +17,8 @@
 //! Sampling is keyed by the part **leader id**, so the distributed
 //! implementation — which discovers parts in a different order — draws
 //! the *same* coins and produces the same `H_i` (differential tests rely
-//! on this).
+//! on this). The probability is the paper's `p` with `D` repetitions
+//! ([`KpParams`]); the `kogan_parter` backend runs this function.
 
 use crate::params::KpParams;
 use crate::sampling::SampleOracle;
@@ -33,9 +34,6 @@ pub struct CentralizedShortcuts {
     pub is_large: Vec<bool>,
     /// The parameters used.
     pub params: KpParams,
-    /// The oracle used (for analysis tooling that re-examines the same
-    /// coins, e.g. shortcut trees).
-    pub oracle: SampleOracle,
 }
 
 /// Classifies each part as large/small by the paper's distributed test:
@@ -47,28 +45,16 @@ pub fn classify_large(graph: &Graph, partition: &Partition, k_ceil: u32) -> Vec<
         .collect()
 }
 
-/// How Step-2 coins are enumerated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleMode {
-    /// Evaluate the PRF per (arc, instance, repetition) — `Θ(m·N·D)`
-    /// work, and bit-identical to the distributed execution.
-    PerPart,
-    /// Enumerate the instances that picked each arc by geometric
-    /// gap-skipping — `O(total picks)` expected work; same distribution,
-    /// different coin set.
-    PerArc,
-}
-
 /// Runs the centralized construction.
 ///
-/// Large parts are keyed for sampling by their leader id. Small parts
+/// Large parts are keyed for sampling by their leader id, one PRF call
+/// per (arc, part, repetition) until a repetition succeeds. Small parts
 /// get `H_i = ∅`.
 pub fn centralized_shortcuts(
     graph: &Graph,
     partition: &Partition,
     params: KpParams,
     seed: u64,
-    mode: OracleMode,
 ) -> CentralizedShortcuts {
     let oracle = SampleOracle::new(seed, params.p, params.reps);
     let is_large = classify_large(graph, partition, params.k_ceil);
@@ -87,38 +73,15 @@ pub fn centralized_shortcuts(
     }
 
     // Step 2.
-    match mode {
-        OracleMode::PerPart => {
-            for &i in &large_parts {
-                let leader = partition.leader(i);
-                for u in graph.nodes() {
-                    if partition.part_of(u) == Some(i as u32) {
-                        continue;
-                    }
-                    for (v, e) in graph.neighbors_with_edges(u) {
-                        for rep in 0..params.reps {
-                            if oracle.sampled_by(u, v, leader, rep) {
-                                per_part[i].push(e);
-                                break;
-                            }
-                        }
-                    }
-                }
+    for &i in &large_parts {
+        let leader = partition.leader(i);
+        for u in graph.nodes() {
+            if partition.part_of(u) == Some(i as u32) {
+                continue;
             }
-        }
-        OracleMode::PerArc => {
-            // Dense index over large parts, ordered by part index.
-            for u in graph.nodes() {
-                let pu = partition.part_of(u);
-                for (v, e) in graph.neighbors_with_edges(u) {
-                    for rep in 0..params.reps {
-                        for pick in oracle.picks_for_arc(u, v, rep, large_parts.len()) {
-                            let i = large_parts[pick as usize];
-                            if pu != Some(i as u32) {
-                                per_part[i].push(e);
-                            }
-                        }
-                    }
+            for (v, e) in graph.neighbors_with_edges(u) {
+                if (0..params.reps).any(|rep| oracle.sampled_by(u, v, leader, rep)) {
+                    per_part[i].push(e);
                 }
             }
         }
@@ -128,7 +91,6 @@ pub fn centralized_shortcuts(
         shortcuts: ShortcutSet::from_edge_lists(per_part),
         is_large,
         params,
-        oracle,
     }
 }
 
@@ -219,7 +181,7 @@ mod tests {
         .unwrap();
         let g = hw.graph().clone();
         let p = Partition::new(&g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), d, 1.0).unwrap();
+        let params = KpParams::new(g.n(), d).unwrap();
         (g, p, params)
     }
 
@@ -229,7 +191,7 @@ mod tests {
         // With a huge k threshold, everything is small.
         let mut fake = params;
         fake.k_ceil = 1000;
-        let out = centralized_shortcuts(&g, &p, fake, 1, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, fake, 1);
         assert!(out.is_large.iter().all(|&l| !l));
         assert_eq!(out.shortcuts.total_edges(), 0);
     }
@@ -237,7 +199,7 @@ mod tests {
     #[test]
     fn step1_edges_present_for_large_parts() {
         let (g, p, params) = fixture(4, 2, 30);
-        let out = centralized_shortcuts(&g, &p, params, 2, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, params, 2);
         assert!(out.is_large.iter().all(|&l| l), "long paths are large");
         // Every edge incident to part 0 is in H_0.
         for &v in p.part(0) {
@@ -250,7 +212,7 @@ mod tests {
     #[test]
     fn sampled_construction_meets_bounds_on_highway() {
         let (g, p, params) = fixture(4, 4, 40);
-        let out = centralized_shortcuts(&g, &p, params, 3, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, params, 3);
         let report = measure_quality(&g, &p, &out.shortcuts, DilationMode::Exact);
         assert!(
             (report.quality.congestion as u64) <= params.congestion_bound(),
@@ -275,26 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn per_arc_mode_has_same_distribution() {
-        let (g, p, params) = fixture(4, 4, 40);
-        let a = centralized_shortcuts(&g, &p, params, 5, OracleMode::PerPart);
-        let b = centralized_shortcuts(&g, &p, params, 5, OracleMode::PerArc);
-        // Not identical coins, but comparable volume (within 2x).
-        let (ta, tb) = (
-            a.shortcuts.total_edges() as f64,
-            b.shortcuts.total_edges() as f64,
-        );
-        assert!(ta > 0.0 && tb > 0.0);
-        assert!(
-            (ta / tb) < 2.0 && (tb / ta) < 2.0,
-            "volumes {ta} vs {tb} should be comparable"
-        );
-    }
-
-    #[test]
     fn pruned_trees_span_and_respect_depth() {
         let (g, p, params) = fixture(4, 4, 40);
-        let out = centralized_shortcuts(&g, &p, params, 7, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, params, 7);
         let pruned = prune_to_trees(&g, &p, &out.shortcuts, params.depth_limit());
         assert!(pruned.spans.iter().all(|&s| s), "trees must span parts");
         assert!(pruned.depths.iter().all(|&d| d <= params.depth_limit()));
@@ -309,10 +254,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (g, p, params) = fixture(3, 3, 30);
-        let a = centralized_shortcuts(&g, &p, params, 11, OracleMode::PerPart);
-        let b = centralized_shortcuts(&g, &p, params, 11, OracleMode::PerPart);
+        let a = centralized_shortcuts(&g, &p, params, 11);
+        let b = centralized_shortcuts(&g, &p, params, 11);
         assert_eq!(a.shortcuts, b.shortcuts);
-        let c = centralized_shortcuts(&g, &p, params, 12, OracleMode::PerPart);
+        let c = centralized_shortcuts(&g, &p, params, 12);
         assert_ne!(a.shortcuts, c.shortcuts, "different seed, different coins");
     }
 }

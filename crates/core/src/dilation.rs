@@ -159,7 +159,7 @@ pub fn certify_part(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::{centralized_shortcuts, OracleMode};
+    use crate::centralized::centralized_shortcuts;
     use crate::params::KpParams;
     use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::trivial_shortcuts;
@@ -173,7 +173,7 @@ mod tests {
         .unwrap();
         let g = hw.graph().clone();
         let p = Partition::new(&g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), 4, 1.0).unwrap();
+        let params = KpParams::new(g.n(), 4).unwrap();
         (g, p, params)
     }
 
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn kp_shortcuts_certify_with_few_violations() {
         let (g, p, params) = fixture();
-        let out = centralized_shortcuts(&g, &p, params, 21, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, params, 21);
         let threshold = params.dilation_bound() as u32;
         for i in 0..p.num_parts() {
             let trace = certify_part(&g, &p, &out.shortcuts, i, threshold);
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn recursion_depth_is_logarithmic() {
         let (g, p, params) = fixture();
-        let out = centralized_shortcuts(&g, &p, params, 22, OracleMode::PerPart);
+        let out = centralized_shortcuts(&g, &p, params, 22);
         // Small threshold forces actual recursion.
         let trace = certify_part(&g, &p, &out.shortcuts, 0, params.k_ceil);
         // Path length 48: depth must stay well below the path length

@@ -270,7 +270,7 @@ fn run_pipeline(
     let mut guesses: Vec<GuessReport> = Vec::new();
     for &guess in &ladder {
         // The paper's sampling probability `p = k_D ln n / N`.
-        let params = KpParams::new(n, guess, 1.0)?;
+        let params = KpParams::new(n, guess)?;
         let before_rounds = session.rounds_used() + accounted_rounds;
         let before_msgs = session.stats().messages;
 
@@ -556,7 +556,7 @@ fn participations_from_multibfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::{centralized_shortcuts, OracleMode};
+    use crate::centralized::centralized_shortcuts;
     use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::{measure_quality, verify, DilationMode};
 
@@ -637,7 +637,7 @@ mod tests {
             ..DistributedConfig::default()
         };
         let dist = distributed_shortcuts(&g, &p, &cfg).unwrap();
-        let central = centralized_shortcuts(&g, &p, dist.params, 42, OracleMode::PerPart);
+        let central = centralized_shortcuts(&g, &p, dist.params, 42);
         let dq = measure_quality(&g, &p, &dist.shortcuts, DilationMode::Exact).quality;
         let cq = measure_quality(&g, &p, &central.shortcuts, DilationMode::Exact).quality;
         // The distributed trees are prunings of (directionally

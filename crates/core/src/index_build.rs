@@ -98,10 +98,6 @@ pub fn build_index_distributed(
         backend: "kogan_parter_distributed".to_string(),
         params: vec![
             (
-                "prob_constant".to_string(),
-                format!("{}", outcome.params.prob_constant),
-            ),
-            (
                 "known_diameter".to_string(),
                 cfg.known_diameter
                     .map_or_else(|| "guessed".to_string(), |d| d.to_string()),

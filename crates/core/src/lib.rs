@@ -21,15 +21,15 @@
 //! ```
 //! use lcs_graph::{HighwayGraph, HighwayParams};
 //! use lcs_shortcut::{measure_quality, DilationMode, Partition};
-//! use lcs_core::{centralized_shortcuts, KpParams, OracleMode};
+//! use lcs_core::{centralized_shortcuts, KpParams};
 //!
 //! let hw = HighwayGraph::new(HighwayParams {
 //!     num_paths: 4, path_len: 30, diameter: 4,
 //! }).unwrap();
 //! let g = hw.graph();
 //! let parts = Partition::new(g, hw.path_parts()).unwrap();
-//! let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-//! let out = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
+//! let params = KpParams::new(g.n(), 4).unwrap();
+//! let out = centralized_shortcuts(g, &parts, params, 7);
 //! let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
 //! assert!((q.dilation as u64) <= params.dilation_bound());
 //! ```
@@ -52,8 +52,7 @@ pub mod shortcut_tree;
 
 pub use backend::KoganParter;
 pub use centralized::{
-    centralized_shortcuts, classify_large, prune_to_trees, CentralizedShortcuts, OracleMode,
-    PrunedShortcuts,
+    centralized_shortcuts, classify_large, prune_to_trees, CentralizedShortcuts, PrunedShortcuts,
 };
 pub use degrade::{detect_and_excise, DegradedOutcome, Excision};
 pub use dilation::{certify_part, DilationTrace, Trichotomy};

@@ -74,7 +74,6 @@ pub fn odd_shortcuts_subdivision(
         shortcuts: ShortcutSet::from_edge_lists(per_part),
         is_large,
         params,
-        oracle: half_oracle,
     }
 }
 
@@ -91,7 +90,7 @@ pub fn shared_delay(shared_word: u64, inst: u32, range: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::{centralized_shortcuts, OracleMode};
+    use crate::centralized::centralized_shortcuts;
     use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::{measure_quality, DilationMode};
 
@@ -105,7 +104,7 @@ mod tests {
         .unwrap();
         let g = hw.graph();
         let p = Partition::new(g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), 5, 1.0).unwrap();
+        let params = KpParams::new(g.n(), 5).unwrap();
         let out = odd_shortcuts_subdivision(g, &p, params, 9);
         let report = measure_quality(g, &p, &out.shortcuts, DilationMode::Exact);
         assert!(
@@ -132,9 +131,9 @@ mod tests {
         .unwrap();
         let g = hw.graph();
         let p = Partition::new(g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), 5, 1.0).unwrap();
+        let params = KpParams::new(g.n(), 5).unwrap();
         let sub = odd_shortcuts_subdivision(g, &p, params, 13);
-        let dir = centralized_shortcuts(g, &p, params, 13, OracleMode::PerPart);
+        let dir = centralized_shortcuts(g, &p, params, 13);
         let (a, b) = (
             sub.shortcuts.total_edges() as f64,
             dir.shortcuts.total_edges() as f64,
@@ -153,7 +152,7 @@ mod tests {
         .unwrap();
         let g = hw.graph();
         let p = Partition::new(g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), 4, 1.0).unwrap();
+        let params = KpParams::new(g.n(), 4).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             odd_shortcuts_subdivision(g, &p, params, 1)
         }));

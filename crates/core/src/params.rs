@@ -52,23 +52,21 @@ pub struct KpParams {
     pub k_ceil: u32,
     /// `N = ⌈n / k_D⌉`.
     pub big_n: usize,
-    /// Per-direction per-repetition sampling probability (clamped to 1).
+    /// Per-direction per-repetition sampling probability
+    /// `k_D·ln n / N`, clamped to 1.
     pub p: f64,
-    /// Number of independent sampling repetitions (the paper uses `D`).
+    /// Number of independent sampling repetitions, `D`.
     pub reps: u32,
-    /// The constant multiplying `k_D·log n / N` in `p` (1.0 = paper).
-    pub prob_constant: f64,
 }
 
 impl KpParams {
-    /// Computes the parameters for an `n`-node graph of diameter `d`,
-    /// with the paper's repetition count (`reps = d`) and a probability
-    /// constant.
+    /// Computes the paper's parameters for an `n`-node graph of
+    /// diameter `d`.
     ///
     /// # Errors
     ///
     /// See [`ParamError`].
-    pub fn new(n: usize, d: u32, prob_constant: f64) -> Result<Self, ParamError> {
+    pub fn new(n: usize, d: u32) -> Result<Self, ParamError> {
         if d < 3 {
             return Err(ParamError::DiameterTooSmall(d));
         }
@@ -79,7 +77,7 @@ impl KpParams {
         let k = k_d(n, d);
         let k_ceil = k.ceil() as u32;
         let big_n = (nf / k).ceil() as usize;
-        let p = (prob_constant * k * nf.ln() / big_n as f64).min(1.0);
+        let p = (k * nf.ln() / big_n as f64).min(1.0);
         Ok(KpParams {
             n,
             d,
@@ -88,17 +86,7 @@ impl KpParams {
             big_n,
             p,
             reps: d,
-            prob_constant,
         })
-    }
-
-    /// Overrides the repetition count (ablation: the analysis needs `D`
-    /// independent repetitions; fewer repetitions with boosted
-    /// probability have the same edge marginals but break the
-    /// level-independence of the (i,k)-walk argument).
-    pub fn with_reps(mut self, reps: u32) -> Self {
-        self.reps = reps.max(1);
-        self
     }
 
     /// `⌈log₂ n⌉`.
@@ -171,7 +159,7 @@ mod tests {
 
     #[test]
     fn params_consistency() {
-        let p = KpParams::new(4096, 4, 1.0).unwrap();
+        let p = KpParams::new(4096, 4).unwrap();
         assert_eq!(p.k_ceil, 16);
         // k = 4096^(1/3) = 15.99…, so N = ⌈4096/k⌉ = 257.
         assert_eq!(p.big_n, 257);
@@ -184,29 +172,22 @@ mod tests {
 
     #[test]
     fn probability_clamped() {
-        // Tiny n: the formula exceeds 1 and must clamp.
-        let p = KpParams::new(16, 3, 4.0).unwrap();
+        // At D = 6 and n = 630, k_D·ln n / N exceeds 1 and must clamp.
+        let p = KpParams::new(630, 6).unwrap();
+        assert!(p.k * (630f64).ln() / p.big_n as f64 > 1.0);
         assert_eq!(p.p, 1.0);
     }
 
     #[test]
     fn rejects_bad_inputs() {
         assert!(matches!(
-            KpParams::new(100, 2, 1.0),
+            KpParams::new(100, 2),
             Err(ParamError::DiameterTooSmall(2))
         ));
         assert!(matches!(
-            KpParams::new(1, 4, 1.0),
+            KpParams::new(1, 4),
             Err(ParamError::GraphTooSmall(1))
         ));
-    }
-
-    #[test]
-    fn reps_override() {
-        let p = KpParams::new(1000, 5, 1.0).unwrap().with_reps(1);
-        assert_eq!(p.reps, 1);
-        let p0 = KpParams::new(1000, 5, 1.0).unwrap().with_reps(0);
-        assert_eq!(p0.reps, 1, "clamped to at least one repetition");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! free functions with the seed the adapter draws (the first `next_u64`
 //! of the caller's RNG).
 
-use lcs_core::{centralized_shortcuts, prune_to_trees, KoganParter, KpParams, OracleMode};
+use lcs_core::{centralized_shortcuts, prune_to_trees, KoganParter, KpParams};
 use lcs_graph::{gnp_connected, Graph, HighwayGraph, HighwayParams};
 use lcs_shortcut::{Partition, ShortcutBuilder};
 use rand::{RngCore, SeedableRng};
@@ -28,8 +28,8 @@ fn pipeline(
     seed: u64,
     pruned: bool,
 ) -> lcs_shortcut::ShortcutSet {
-    let params = KpParams::new(g.n(), d, 1.0).unwrap();
-    let raw = centralized_shortcuts(g, p, params, seed, OracleMode::PerPart);
+    let params = KpParams::new(g.n(), d).unwrap();
+    let raw = centralized_shortcuts(g, p, params, seed);
     if pruned {
         prune_to_trees(g, p, &raw.shortcuts, params.depth_limit()).shortcuts
     } else {
@@ -44,7 +44,6 @@ fn kogan_parter_backend_matches_pipeline() {
         for pruned in [true, false] {
             let backend = KoganParter {
                 diameter: Some(4),
-                prob_constant: 1.0,
                 pruned,
             };
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);

@@ -4,7 +4,7 @@
 //! between `measure_quality` and `verify` on the hard highway
 //! instances the construction targets.
 
-use lcs_core::{centralized_shortcuts, k_d, KpParams, OracleMode, ParamError};
+use lcs_core::{centralized_shortcuts, k_d, KpParams, ParamError};
 use lcs_graph::{HighwayGraph, HighwayParams};
 use lcs_shortcut::{measure_quality, verify, DilationMode, Partition};
 
@@ -46,7 +46,7 @@ fn k_d_table_small_diameters() {
 fn diameter_two_is_rejected() {
     for n in [2usize, 64, 4096] {
         assert_eq!(
-            KpParams::new(n, 2, 1.0).unwrap_err(),
+            KpParams::new(n, 2).unwrap_err(),
             ParamError::DiameterTooSmall(2),
             "n={n}"
         );
@@ -59,7 +59,7 @@ fn diameter_two_is_rejected() {
 fn bound_formulas_match_table() {
     for n in [64usize, 1000, 4096, 100_000] {
         for d in [3u32, 4, 5] {
-            let p = KpParams::new(n, d, 1.0).unwrap();
+            let p = KpParams::new(n, d).unwrap();
             let k_ceil = k_d(n, d).ceil() as u64;
             assert_eq!(p.k_ceil as u64, k_ceil, "n={n} D={d}");
             assert_eq!(
@@ -85,7 +85,7 @@ fn bounds_monotone_in_n() {
     for d in [3u32, 4, 5] {
         let mut prev = (0u64, 0u64);
         for n in [64usize, 256, 1024, 4096, 16_384] {
-            let p = KpParams::new(n, d, 1.0).unwrap();
+            let p = KpParams::new(n, d).unwrap();
             let cur = (p.dilation_bound(), p.congestion_bound());
             assert!(cur.0 >= prev.0 && cur.1 >= prev.1, "n={n} D={d}");
             prev = cur;
@@ -108,8 +108,8 @@ fn measure_quality_agrees_with_verify_on_highways() {
         .unwrap();
         let g = hw.graph();
         let parts = Partition::new(g, hw.path_parts()).unwrap();
-        let params = KpParams::new(g.n(), diameter, 1.0).unwrap();
-        let built = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
+        let params = KpParams::new(g.n(), diameter).unwrap();
+        let built = centralized_shortcuts(g, &parts, params, 7);
 
         let measured = measure_quality(g, &parts, &built.shortcuts, DilationMode::Exact);
         let report = verify(g, &parts, &built.shortcuts, None, DilationMode::Exact)

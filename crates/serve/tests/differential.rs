@@ -31,7 +31,7 @@ use lcs_congest::hash::Fnv;
 use lcs_congest::{AggOp, SimConfig};
 use lcs_core::{
     build_index, build_index_distributed, centralized_shortcuts, DistributedConfig,
-    IndexBuildConfig, KoganParter, KpParams, OracleMode,
+    IndexBuildConfig, KoganParter, KpParams,
 };
 use lcs_graph::{
     bfs, cut_weight, dijkstra, gnp, gnp_connected, grid, kruskal, BfsOptions, EdgeId, Graph,
@@ -489,8 +489,8 @@ fn relaxation_instance(i: u64) -> (WeightedGraph, Partition, ShortcutSet) {
         .collect();
     parts.sort();
     let p = Partition::new(&g, parts).unwrap();
-    let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-    let raw = centralized_shortcuts(&g, &p, params, i, OracleMode::PerPart);
+    let params = KpParams::new(g.n(), 4).unwrap();
+    let raw = centralized_shortcuts(&g, &p, params, i);
     let wg = WeightedGraph::with_random_weights(g, 1 + (i % 5) * 40, &mut rng);
     (wg, p, raw.shortcuts)
 }

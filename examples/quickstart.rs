@@ -34,14 +34,14 @@ fn main() {
 
     // 3. Paper parameters: k_D = n^((D-2)/(2D-2)), N = n/k_D,
     //    p = k_D log n / N.
-    let params = KpParams::new(g.n(), 4, 1.0).expect("D >= 3");
+    let params = KpParams::new(g.n(), 4).expect("D >= 3");
     println!(
         "params: k_D={:.2} N={} p={:.3} reps={}",
         params.k, params.big_n, params.p, params.reps
     );
 
     // 4. Centralized construction + pruning to the BFS-tree form.
-    let raw = centralized_shortcuts(g, &parts, params, 42, OracleMode::PerPart);
+    let raw = centralized_shortcuts(g, &parts, params, 42);
     let pruned = prune_to_trees(g, &parts, &raw.shortcuts, params.depth_limit());
 
     // 5. Full CONGEST execution (diameter guessing included). The whole

@@ -17,7 +17,7 @@ fn main() {
     })
     .expect("valid parameters");
     let g = hw.graph();
-    let params = KpParams::new(g.n(), 4, 1.0).expect("params");
+    let params = KpParams::new(g.n(), 4).expect("params");
     println!(
         "instance: n={} m={} | k_D={:.2} p={:.3} reps={}",
         g.n(),

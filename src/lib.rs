@@ -35,8 +35,8 @@
 //! let parts = Partition::new(g, hw.path_parts()).unwrap();
 //!
 //! // Build the paper's shortcuts and check their quality.
-//! let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-//! let built = centralized_shortcuts(g, &parts, params, 7, OracleMode::PerPart);
+//! let params = KpParams::new(g.n(), 4).unwrap();
+//! let built = centralized_shortcuts(g, &parts, params, 7);
 //! let q = measure_quality(g, &parts, &built.shortcuts, DilationMode::Exact).quality;
 //! assert!((q.dilation as u64) <= params.dilation_bound());
 //! assert!((q.congestion as u64) <= params.congestion_bound());
@@ -104,8 +104,7 @@ pub mod prelude {
     };
     pub use lcs_core::{
         build_index, build_index_distributed, centralized_shortcuts, distributed_shortcuts, k_d,
-        prune_to_trees, DistributedConfig, IndexBuildConfig, KpParams, OracleMode, SampleOracle,
-        ShortcutTree,
+        prune_to_trees, DistributedConfig, IndexBuildConfig, KpParams, SampleOracle, ShortcutTree,
     };
     pub use lcs_graph::{
         exact_diameter, kruskal, stoer_wagner, Graph, GraphBuilder, HighwayGraph, HighwayParams,

@@ -57,10 +57,10 @@ proptest! {
         let tree = ShortcutTree::new(g, &path, &q, 2, &oracle, parts.leader(0), 0).unwrap();
         // Materialize H_0 with the same coins: step 1 + either-direction
         // sampling (a superset of the directed coins the tree uses).
-        let mut params = KpParams::new(g.n(), 4, 1.0).unwrap();
+        let mut params = KpParams::new(g.n(), 4).unwrap();
         params.p = p;
-        params = params.with_reps(reps);
-        let built = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
+        params.reps = reps;
+        let built = centralized_shortcuts(g, &parts, params, seed);
         let sub = built.shortcuts.augmented_subgraph(g, &parts, 0);
         for i in (0..path.len()).step_by(4) {
             let m = tree.walk_to_level(i, 3).unwrap();
@@ -82,8 +82,8 @@ proptest! {
     fn bounds_hold_over_seeds(seed in any::<u64>()) {
         let (hw, parts) = highway_fixture(7);
         let g = hw.graph();
-        let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-        let out = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
+        let params = KpParams::new(g.n(), 4).unwrap();
+        let out = centralized_shortcuts(g, &parts, params, seed);
         let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
         prop_assert!((q.congestion as u64) <= params.congestion_bound());
         prop_assert!((q.dilation as u64) <= params.dilation_bound());
@@ -97,25 +97,11 @@ proptest! {
         let g = lcs_graph::gnp_connected(80, 0.08, &mut rng);
         let parts = Partition::bfs_balls(&g, k, &mut rng);
         let d = exact_diameter(&g).unwrap().max(3);
-        let params = KpParams::new(g.n(), d, 1.0).unwrap();
-        let out = centralized_shortcuts(&g, &parts, params, seed, OracleMode::PerPart);
+        let params = KpParams::new(g.n(), d).unwrap();
+        let out = centralized_shortcuts(&g, &parts, params, seed);
         // verify() recomputes everything and errors on any structural
         // violation.
         let report = verify(&g, &parts, &out.shortcuts, None, DilationMode::Exact).unwrap();
         prop_assert!((report.quality.congestion as u64) <= params.congestion_bound());
-    }
-
-    /// The two oracle enumeration modes agree in distribution: per-edge
-    /// inclusion frequency across seeds is comparable.
-    #[test]
-    fn oracle_modes_distributionally_close(seed in 0u64..1000) {
-        let (hw, parts) = highway_fixture(2);
-        let g = hw.graph();
-        let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-        let a = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
-        let b = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerArc);
-        let (ta, tb) = (a.shortcuts.total_edges() as f64, b.shortcuts.total_edges() as f64);
-        prop_assert!(ta > 0.0 && tb > 0.0);
-        prop_assert!(ta / tb < 3.0 && tb / ta < 3.0, "{ta} vs {tb}");
     }
 }

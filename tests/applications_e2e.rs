@@ -100,8 +100,8 @@ fn sssp_accelerates_long_chains_with_sound_bounds() {
         .collect();
     let wg = WeightedGraph::new(g.clone(), weights).unwrap();
     let parts = Partition::new(&g, hw.path_parts()).unwrap();
-    let params = KpParams::new(g.n(), 4, 1.0).unwrap();
-    let raw = centralized_shortcuts(&g, &parts, params, 4, OracleMode::PerPart);
+    let params = KpParams::new(g.n(), 4).unwrap();
+    let raw = centralized_shortcuts(&g, &parts, params, 4);
     let pruned = prune_to_trees(&g, &parts, &raw.shortcuts, params.depth_limit());
     let accel = shortcut_sssp(&wg, &parts, &pruned.shortcuts, 0, 512);
     let (_, bf_rounds) = bellman_ford_rounds(&wg, 0);

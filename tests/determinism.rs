@@ -98,7 +98,7 @@ fn pinned_index_checksum_and_serve_batch() {
     let (index, _) = build_index_distributed(&g, wg.weights(), &parts, &pinned_config()).unwrap();
     let bytes = index.to_bytes();
     let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(checksum, 4946547945751344244);
+    assert_eq!(checksum, 7199580136454551337);
 
     let queries = [
         Query::sssp(0),
@@ -181,12 +181,14 @@ fn different_seeds_change_the_coins_not_the_guarantees() {
     .unwrap();
     let g = hw.graph();
     let parts = Partition::new(g, hw.path_parts()).unwrap();
-    // A small constant keeps p well below 1 at this size, so the coins
-    // actually vary (at p = 1 every seed samples everything).
-    let params = KpParams::new(g.n(), 4, 0.2).unwrap();
+    // A fifth of the paper's `k_D·ln n / N` keeps p well below 1 at this
+    // size, so the coins actually vary (at p = 1 every seed samples
+    // everything).
+    let mut params = KpParams::new(g.n(), 4).unwrap();
+    params.p = 0.2 * params.k * (g.n() as f64).ln() / params.big_n as f64;
     let mut qualities = Vec::new();
     for seed in 0..6u64 {
-        let out = centralized_shortcuts(g, &parts, params, seed, OracleMode::PerPart);
+        let out = centralized_shortcuts(g, &parts, params, seed);
         let q = measure_quality(g, &parts, &out.shortcuts, DilationMode::Exact).quality;
         assert!(
             (q.congestion as u64) <= params.congestion_bound(),

@@ -73,7 +73,7 @@ fn centralized_and_distributed_agree_on_largeness_and_scale() {
         },
     )
     .unwrap();
-    let central = centralized_shortcuts(&g, &parts, dist.params, seed, OracleMode::PerPart);
+    let central = centralized_shortcuts(&g, &parts, dist.params, seed);
     assert_eq!(dist.is_large, central.is_large);
     // Distributed trees are subsets of the (direction-restricted)
     // centralized raw shortcut edges + part-incident edges.
@@ -97,8 +97,8 @@ fn shortcuts_on_random_small_diameter_graphs() {
     let g = lcs_graph::gnp_connected(300, 0.05, &mut rng);
     let d = exact_diameter(&g).unwrap().max(3);
     let parts = Partition::bfs_balls(&g, 12, &mut rng);
-    let params = KpParams::new(g.n(), d, 1.0).unwrap();
-    let out = centralized_shortcuts(&g, &parts, params, 3, OracleMode::PerPart);
+    let params = KpParams::new(g.n(), d).unwrap();
+    let out = centralized_shortcuts(&g, &parts, params, 3);
     let report = verify(&g, &parts, &out.shortcuts, None, DilationMode::Exact).unwrap();
     assert!((report.quality.congestion as u64) <= params.congestion_bound());
     assert!((report.quality.dilation as u64) <= params.dilation_bound());
@@ -107,7 +107,7 @@ fn shortcuts_on_random_small_diameter_graphs() {
 #[test]
 fn odd_diameter_subdivision_end_to_end() {
     let (g, parts) = highway(5, 4, 30);
-    let params = KpParams::new(g.n(), 5, 1.0).unwrap();
+    let params = KpParams::new(g.n(), 5).unwrap();
     let out = lcs_core::odd_shortcuts_subdivision(&g, &parts, params, 11);
     let report = verify(&g, &parts, &out.shortcuts, None, DilationMode::Exact).unwrap();
     assert!((report.quality.dilation as u64) <= params.dilation_bound());
@@ -122,8 +122,8 @@ fn quality_beats_trivial_baseline_on_hard_family() {
     let hw = HighwayGraph::balanced(3600, 3).unwrap();
     let g = hw.graph().clone();
     let parts = Partition::new(&g, hw.path_parts()).unwrap();
-    let params = KpParams::new(g.n(), 3, 1.0).unwrap();
-    let kp = centralized_shortcuts(&g, &parts, params, 9, OracleMode::PerArc);
+    let params = KpParams::new(g.n(), 3).unwrap();
+    let kp = centralized_shortcuts(&g, &parts, params, 9);
     let kp_q = measure_quality(&g, &parts, &kp.shortcuts, DilationMode::Exact).quality;
     let triv_q =
         measure_quality(&g, &parts, &trivial_shortcuts(&parts), DilationMode::Exact).quality;
