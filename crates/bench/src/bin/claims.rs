@@ -771,17 +771,12 @@ fn ablations(quick: bool, r: &mut Report) {
     let g = hw.graph();
     let n = g.n();
     let params = kp_params(n, 4);
-    let oracle = SampleOracle::new(5, params.p, params.reps);
     let leaders: Vec<NodeId> = (0..partition.num_parts())
         .map(|i| partition.leader(i))
         .collect();
-    let (part, lead) = (Arc::new(partition.clone()), Arc::new(leaders.clone()));
-    let reps = params.reps;
-    let membership = lcs_congest::Membership::func(move |u, v, inst| {
-        part.part_of(u) == Some(inst)
-            || part.part_of(v) == Some(inst)
-            || (0..reps).any(|rep| oracle.sampled_by(u, v, lead[inst as usize], rep))
-    });
+    let parts: Vec<u32> = (0..partition.num_parts() as u32).collect();
+    let membership =
+        SampleOracle::new(5, params.p, params.reps).membership(Arc::new(partition.clone()), &parts);
     let phase_len = lcs_congest::ceil_log2(n) as u64;
     for (name, delays) in [
         ("random start delays", true),

@@ -25,6 +25,10 @@
 //! sound *upper bounds* on the instance-subgraph BFS distances — exact
 //! in the contention-free case — and the spanning/depth guarantees the
 //! construction needs are preserved by its `O(k_D log n)` depth budget.
+//!
+//! **Outcome.** Each node's reach and child logs leave the run as the
+//! node wrote them ([`MultiBfsOutcome`]): nothing is tabled per
+//! instance or sorted after the last round.
 
 use crate::message::Message;
 use crate::node::RoundCtx;
@@ -154,16 +158,15 @@ pub struct Reached {
     pub dist: u32,
     /// Tree parent (None for the root).
     pub parent: Option<NodeId>,
-    /// Round at which the node joined.
-    pub round: u64,
     /// Root of the instance, as learned from the token.
     pub root: NodeId,
 }
 
 /// Per-node state of the multi-BFS protocol.
 ///
-/// Instance ids are dense (`0..instances.len()`), so per-instance state
-/// is kept in flat vectors — token arrival is an index, not a hash.
+/// Instance ids are dense (`0..instances.len()`), so "reached" is one
+/// bit per instance — token arrival tests a bit, not a hash — and what
+/// the node learns is appended to logs in arrival order.
 ///
 /// The layout is split by temperature. The fields below are everything
 /// the common per-round paths touch — token rejection reads
@@ -194,13 +197,12 @@ pub struct MultiBfsNode {
     queued: u32,
     /// Instances rooted here whose start has not fired yet.
     pending_roots: u32,
-    /// Reach records in arrival order, as `(instance, info)` pairs;
-    /// scattered into an instance-indexed table at `finish`. During
-    /// the run this is append-only — each accepted token touches the
-    /// hot tail of one contiguous buffer instead of a cold
-    /// instance-indexed slot in a `k × 24`-byte-per-node table (10 MB
-    /// of scattered write traffic for the benchmark bundle). The
-    /// reached bitmaps answer all mid-run queries.
+    /// Reach log: one `(instance, how)` entry per accepted token, in
+    /// acceptance order, each instance at most once (the reached bits
+    /// guard every push). Append-only, so an accepted token touches
+    /// the hot tail of one contiguous buffer; the reached bits answer
+    /// every mid-run query, and `finish` moves the log out as it is
+    /// ([`MultiBfsOutcome::reached`]).
     accepted: Vec<(u32, Reached)>,
     /// Rarely-touched state (queue machinery, roots, diagnostics).
     cold: Box<MultiBfsCold>,
@@ -210,11 +212,9 @@ pub struct MultiBfsNode {
 /// never touch, boxed so it does not dilute the node's hot cache line.
 #[derive(Debug, Default)]
 struct MultiBfsCold {
-    /// Children discovered, as `(instance, child)` pairs in arrival
-    /// order; distributed into per-instance sorted lists at `finish`.
-    /// One flat vector per node beats a `Vec<Vec<NodeId>>` — a child
-    /// ack appends to one contiguous buffer instead of chasing a
-    /// per-instance pointer.
+    /// Child log: one `(instance, child)` entry per child ack, in
+    /// arrival order; `finish` moves it out as it is
+    /// ([`MultiBfsOutcome::children`]).
     children: Vec<(u32, NodeId)>,
     /// Per-neighbor outgoing FIFO queues (indexed in neighbor order).
     /// Allocated on first use: with the direct send path, a node whose
@@ -365,16 +365,19 @@ impl MultiBfsNode {
 
 /// Result of the [`MultiBfs`] protocol.
 ///
-/// Instance ids are dense (`0..spec.instances.len()`), so per-node
-/// per-instance data is stored in flat vectors indexed by instance id —
-/// the node states are moved out verbatim, with no per-entry hashing.
+/// Each node's logs are moved out of its state as the protocol recorded
+/// them: the outcome builds no instance-indexed table and sorts
+/// nothing. [`reach`](Self::reach) and [`children_of`](Self::children_of)
+/// answer per-instance questions.
 #[derive(Debug)]
 pub struct MultiBfsOutcome {
-    /// Per-node reach info: `reached[v][inst]` is `Some` when instance
-    /// `inst` reached node `v`.
-    pub reached: Vec<Vec<Option<Reached>>>,
-    /// Per-node children per instance (sorted): `children[v][inst]`.
-    pub children: Vec<Vec<Vec<NodeId>>>,
+    /// Per-node reach log: `reached[v]` holds `(inst, how)` for every
+    /// instance that reached `v`, in the order `v` accepted their
+    /// tokens; each instance appears at most once.
+    pub reached: Vec<Vec<(u32, Reached)>>,
+    /// Per-node child log: `children[v]` holds `(inst, child)` for
+    /// every child acknowledgment `v` received, in arrival order.
+    pub children: Vec<Vec<(u32, NodeId)>>,
     /// Longest per-neighbor queue observed anywhere.
     pub max_queue: usize,
     /// Whether any node dropped tokens (congestion-cap enforcement
@@ -385,27 +388,23 @@ pub struct MultiBfsOutcome {
 }
 
 impl MultiBfsOutcome {
-    /// Nodes reached by instance `i`, with distances.
-    pub fn instance_nodes(&self, inst: u32) -> Vec<(NodeId, Reached)> {
-        self.reached
+    /// How instance `inst` reached node `v`, if it did.
+    pub fn reach(&self, v: NodeId, inst: u32) -> Option<Reached> {
+        self.reached[v as usize]
             .iter()
-            .enumerate()
-            .filter_map(|(v, m)| {
-                m.get(inst as usize)
-                    .copied()
-                    .flatten()
-                    .map(|r| (v as NodeId, r))
-            })
-            .collect()
+            .find(|&&(i, _)| i == inst)
+            .map(|&(_, r)| r)
     }
 
-    /// Depth actually reached by instance `i` (0 for an unknown id).
-    pub fn instance_depth(&self, inst: u32) -> u32 {
-        self.reached
+    /// `v`'s children in instance `inst`, sorted.
+    pub fn children_of(&self, v: NodeId, inst: u32) -> Vec<NodeId> {
+        let mut children: Vec<NodeId> = self.children[v as usize]
             .iter()
-            .filter_map(|m| m.get(inst as usize).copied().flatten().map(|r| r.dist))
-            .max()
-            .unwrap_or(0)
+            .filter(|&&(i, _)| i == inst)
+            .map(|&(_, c)| c)
+            .collect();
+        children.sort_unstable();
+        children
     }
 }
 
@@ -465,7 +464,6 @@ impl Protocol for MultiBfs {
                     Reached {
                         dist: 0,
                         parent: None,
-                        round: ctx.round(),
                         root: me,
                     },
                 ));
@@ -491,7 +489,6 @@ impl Protocol for MultiBfs {
                         Reached {
                             dist,
                             parent: Some(from),
-                            round: ctx.round(),
                             root,
                         },
                     ));
@@ -552,34 +549,12 @@ impl Protocol for MultiBfs {
     }
 
     fn finish(self, _graph: &Graph, nodes: Vec<MultiBfsNode>, stats: &RunStats) -> MultiBfsOutcome {
-        let k = self.spec.instances.len();
         let max_queue = nodes.iter().map(|s| s.max_queue()).max().unwrap_or(0);
         let overflowed = nodes.iter().any(|s| s.overflowed());
-        let mut reached = Vec::with_capacity(nodes.len());
-        let mut children = Vec::with_capacity(nodes.len());
-        for s in nodes {
-            // Scatter the node's append-only reach log into the
-            // instance-indexed table. Each instance appears at most
-            // once (the reached bitmaps guard every push), so the
-            // arrival order cannot matter.
-            let mut m: Vec<Option<Reached>> = vec![None; k];
-            for (inst, r) in s.accepted {
-                m[inst as usize] = Some(r);
-            }
-            reached.push(m);
-            // Distribute the node's flat (instance, child) log into
-            // per-instance sorted lists; sorting erases the arrival
-            // order, so the flat log yields the same output the old
-            // per-instance accumulation did.
-            let mut c: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-            for (inst, child) in s.cold.children {
-                c[inst as usize].push(child);
-            }
-            for list in &mut c {
-                list.sort_unstable();
-            }
-            children.push(c);
-        }
+        let (reached, children) = nodes
+            .into_iter()
+            .map(|s| (s.accepted, s.cold.children))
+            .unzip();
         MultiBfsOutcome {
             reached,
             children,
@@ -599,6 +574,15 @@ mod tests {
 
     fn full_membership() -> Membership {
         Membership::All
+    }
+
+    /// How many nodes instance `inst` reached.
+    fn spanned(out: &MultiBfsOutcome, inst: u32) -> usize {
+        out.reached
+            .iter()
+            .flatten()
+            .filter(|&&(i, _)| i == inst)
+            .count()
     }
 
     /// All protocol tests go through the first-class `Session` API.
@@ -624,7 +608,7 @@ mod tests {
         let exact = bfs_distances(&g, 0);
         for v in g.nodes() {
             assert_eq!(
-                out.reached[v as usize][0].map(|r| r.dist),
+                out.reach(v, 0).map(|r| r.dist),
                 Some(exact[v as usize]),
                 "node {v}"
             );
@@ -645,9 +629,9 @@ mod tests {
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);
-        assert_eq!(out.instance_depth(0), 4);
-        assert_eq!(out.instance_nodes(0).len(), 5);
-        assert!(out.reached[5][0].is_none());
+        assert_eq!(out.reach(4, 0).map(|r| r.dist), Some(4));
+        assert_eq!(spanned(&out, 0), 5);
+        assert!(out.reach(5, 0).is_none());
     }
 
     #[test]
@@ -679,11 +663,11 @@ mod tests {
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);
-        assert_eq!(out.instance_nodes(0).len(), 5);
-        assert_eq!(out.instance_nodes(1).len(), 5);
-        assert_eq!(out.reached[4][0].unwrap().dist, 4);
-        assert_eq!(out.reached[5][1].unwrap().dist, 4);
-        assert!(out.reached[4][1].is_none());
+        assert_eq!(spanned(&out, 0), 5);
+        assert_eq!(spanned(&out, 1), 5);
+        assert_eq!(out.reach(4, 0).unwrap().dist, 4);
+        assert_eq!(out.reach(5, 1).unwrap().dist, 4);
+        assert!(out.reach(4, 1).is_none());
     }
 
     #[test]
@@ -705,7 +689,7 @@ mod tests {
         });
         let out = run_bundle(&g, spec);
         for i in 0..10u32 {
-            assert_eq!(out.instance_nodes(i).len(), 20, "instance {i} spans");
+            assert_eq!(spanned(&out, i), 20, "instance {i} spans");
         }
         assert!(out.max_queue >= 9, "hub must have queued");
         // Per-edge congestion: each of 10 instances crosses each edge at
@@ -758,9 +742,7 @@ mod tests {
         let out = run_bundle(&g, spec);
         assert!(out.overflowed);
         // Some instance failed to span.
-        let spanned = (0..8u32)
-            .filter(|&i| out.instance_nodes(i).len() == 12)
-            .count();
+        let spanned = (0..8u32).filter(|&i| spanned(&out, i) == 12).count();
         assert!(spanned < 8);
     }
 
@@ -778,11 +760,49 @@ mod tests {
         });
         let out = run_bundle(&g, spec);
         for v in g.nodes() {
-            if let Some(r) = out.reached[v as usize][0] {
+            if let Some(r) = out.reach(v, 0) {
                 if let Some(p) = r.parent {
-                    assert!(out.children[p as usize][0].contains(&v));
+                    assert!(out.children_of(p, 0).contains(&v));
                 }
             }
         }
+    }
+
+    /// The logs hold each instance once per node, in acceptance order,
+    /// and `children_of` is the sorted list of each instance's acks.
+    #[test]
+    fn logs_hold_each_instance_once_and_children_sort() {
+        let g = lcs_graph::generators::grid(6, 6);
+        let instances = (0..6)
+            .map(|i| MultiBfsInstance {
+                root: i * 7,
+                start_round: u64::from(i % 3),
+                depth_limit: 6,
+            })
+            .collect();
+        let spec = Arc::new(MultiBfsSpec {
+            instances,
+            membership: full_membership(),
+            queue_cap: 0,
+        });
+        let out = run_bundle(&g, spec);
+        let mut unsorted = false;
+        for v in g.nodes() {
+            let mut seen: Vec<u32> = out.reached[v as usize].iter().map(|&(i, _)| i).collect();
+            unsorted |= !seen.is_sorted();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), out.reached[v as usize].len(), "node {v}");
+            for inst in 0..6 {
+                let c = out.children_of(v, inst);
+                assert!(c.is_sorted());
+                let logged = out.children[v as usize].iter().filter(|&&(i, _)| i == inst);
+                assert_eq!(c.len(), logged.count());
+                for &w in &c {
+                    assert_eq!(out.reach(w, inst).unwrap().parent, Some(v));
+                }
+            }
+        }
+        assert!(unsorted, "some node accepts a later instance first");
     }
 }

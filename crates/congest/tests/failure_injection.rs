@@ -327,7 +327,7 @@ fn tiny_queue_cap_degrades_gracefully_not_fatally() {
         .unwrap();
     assert!(out.overflowed, "cap 1 must drop tokens");
     let spanned = (0..12u32)
-        .filter(|&i| out.instance_nodes(i).len() == 16)
+        .filter(|&i| g.nodes().all(|v| out.reach(v, i).is_some()))
         .count();
     assert!(spanned < 12, "some instance must be incomplete");
 }

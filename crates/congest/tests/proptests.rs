@@ -75,7 +75,7 @@ proptest! {
         for (i, &r) in roots.iter().enumerate() {
             let exact = bfs_distances(&g, r);
             for v in g.nodes() {
-                let got = out.reached[v as usize][i].map(|x| x.dist);
+                let got = out.reach(v, i as u32).map(|x| x.dist);
                 match got {
                     Some(d) => {
                         prop_assert!(exact[v as usize] != UNREACHABLE);

@@ -315,8 +315,8 @@ fn composed_pipeline(
         ranks.iter().flatten().sum::<u64>(),
         mb.reached
             .iter()
-            .flat_map(|r| r.iter().flatten())
-            .map(|r| u64::from(r.dist) + r.round)
+            .flatten()
+            .map(|(_, r)| u64::from(r.dist))
             .sum::<u64>(),
         ma.results
             .iter()

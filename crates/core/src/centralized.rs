@@ -47,9 +47,9 @@ pub fn classify_large(graph: &Graph, partition: &Partition, k_ceil: u32) -> Vec<
 
 /// Runs the centralized construction.
 ///
-/// Large parts are keyed for sampling by their leader id, one PRF call
-/// per (arc, part, repetition) until a repetition succeeds. Small parts
-/// get `H_i = ∅`.
+/// Large parts are keyed for sampling by their leader id; an arc joins
+/// `H_i` when any of its `D` repetitions comes up
+/// ([`SampleOracle::sampled`]). Small parts get `H_i = ∅`.
 pub fn centralized_shortcuts(
     graph: &Graph,
     partition: &Partition,
@@ -80,7 +80,7 @@ pub fn centralized_shortcuts(
                 continue;
             }
             for (v, e) in graph.neighbors_with_edges(u) {
-                if (0..params.reps).any(|rep| oracle.sampled_by(u, v, leader, rep)) {
+                if oracle.sampled(u, v, leader) {
                     per_part[i].push(e);
                 }
             }

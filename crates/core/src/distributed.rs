@@ -11,9 +11,11 @@
 //! * **Phase B** (per diameter guess `D''`, walking
 //!   [`guess_ladder`](crate::params::guess_ladder()) upward):
 //!   1. *Largeness test*: truncated depth-`k_{D''}` BFS inside every
-//!      part simultaneously (parts are disjoint — no congestion); a
-//!      1-round reach-bit exchange plus a convergecast over the
-//!      truncated trees tells each leader whether its part spanned.
+//!      part simultaneously (parts are disjoint — no congestion). A
+//!      1-round reach-bit exchange tells each reached node whether a
+//!      neighbour in its part was left unreached; a Max convergecast of
+//!      that bit over the truncated trees tells each leader whether its
+//!      part spanned, and `is_large` is what the leaders learned.
 //!   2. *Numbering*: prefix-numbering of large-part leaders over the
 //!      global tree gives each such leader a dense rank `i ∈ [0, N'')`,
 //!      plus the total `N''`; ranks are broadcast within the truncated
@@ -294,32 +296,38 @@ fn run_pipeline(
             queue_cap: 0,
         });
         let b1 = session.run_labeled(format!("B1.parts@{guess}"), MultiBfs::new(b1_spec))?;
-        // Reach-bit exchange (1 round) + convergecast over truncated
-        // trees (≤ k_ceil rounds) + rank broadcast later: counted below.
+        // The reach-bit exchange (1 round) tells each reached node
+        // whether a neighbour in its part was left unreached. A Max of
+        // that bit over the truncated part trees, broadcast back, tells
+        // each leader whether its part spanned: parts are connected, so
+        // one did not exactly when such a neighbour exists.
         accounted_rounds += 1;
-        let is_large: Vec<bool> = (0..partition.num_parts())
-            .map(|i| {
-                partition
-                    .part(i)
+        let borders_unreached = |v: NodeId, inst: u32| {
+            graph
+                .neighbors(v)
+                .iter()
+                .any(|&w| partition.part_of(w) == Some(inst) && b1.reach(w, inst).is_none())
+        };
+        let parts_b1 = (0..n as NodeId)
+            .map(|v| {
+                b1.reached[v as usize]
                     .iter()
-                    .any(|&v| b1.reached[v as usize][i].is_none())
+                    .map(|&(inst, r)| Participation {
+                        inst,
+                        parent: r.parent,
+                        children: b1.children_of(v, inst),
+                        value: u64::from(borders_unreached(v, inst)),
+                    })
+                    .collect()
             })
             .collect();
-        // Convergecast of the largeness bit over the truncated part
-        // trees + broadcast back (simulated as a multi-aggregate over
-        // the truncated trees).
-        {
-            let parts_b1 = participations_from_multibfs(graph, &b1, |v, inst| {
-                u64::from(
-                    partition.part_of(v) == Some(inst)
-                        && b1.reached[v as usize][inst as usize].is_none(),
-                )
-            });
-            session.run_labeled(
-                format!("B1.largeness@{guess}"),
-                MultiAggregate::new(parts_b1, AggOp::Max, true),
-            )?;
-        }
+        let largeness = session.run_labeled(
+            format!("B1.largeness@{guess}"),
+            MultiAggregate::new(parts_b1, AggOp::Max, true),
+        )?;
+        let is_large: Vec<bool> = (0..partition.num_parts())
+            .map(|i| largeness.result_at(partition.leader(i), i as u32) == Some(1))
+            .collect();
 
         // B2: prefix-number the large-part leaders over the global tree.
         let marked: Vec<bool> = (0..n)
@@ -338,13 +346,10 @@ fn run_pipeline(
         accounted_rounds += params.k_ceil as u64 + 1;
 
         // rank -> part index map (engine-side view of leader knowledge).
-        let mut rank_part: Vec<usize> = vec![usize::MAX; num_large];
-        let mut rank_leader: Vec<NodeId> = vec![0; num_large];
+        let mut rank_part: Vec<u32> = vec![u32::MAX; num_large];
         for i in 0..partition.num_parts() {
-            let leader = partition.leader(i);
-            if let Some(r) = ranks[leader as usize] {
-                rank_part[r as usize] = i;
-                rank_leader[r as usize] = leader;
+            if let Some(r) = ranks[partition.leader(i) as usize] {
+                rank_part[r as usize] = i as u32;
             }
         }
 
@@ -353,23 +358,11 @@ fn run_pipeline(
         let phase_len = ceil_log2(n) as u64;
         let instances: Vec<MultiBfsInstance> = (0..num_large)
             .map(|r| MultiBfsInstance {
-                root: rank_leader[r],
+                root: partition.leader(rank_part[r] as usize),
                 start_round: shared_delay(shared_word, r as u32, params.k_ceil as u64) * phase_len,
                 depth_limit: params.depth_limit(),
             })
             .collect();
-        let part_arc = Arc::clone(&partition);
-        let rank_part_arc = Arc::new(rank_part.clone());
-        let rank_leader_arc = Arc::new(rank_leader.clone());
-        let reps = params.reps;
-        let membership_aug = lcs_congest::Membership::func(move |u, v, inst| {
-            let pi = rank_part_arc[inst as usize] as u32;
-            if part_arc.part_of(u) == Some(pi) || part_arc.part_of(v) == Some(pi) {
-                return true; // Step 1 edges
-            }
-            let leader = rank_leader_arc[inst as usize];
-            (0..reps).any(|r| oracle.sampled_by(u, v, leader, r))
-        });
         let queue_cap = if cfg.queue_cap_factor <= 0.0 {
             0
         } else {
@@ -377,7 +370,7 @@ fn run_pipeline(
         };
         let b3_spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: membership_aug,
+            membership: oracle.membership(Arc::clone(&partition), &rank_part),
             queue_cap,
         });
         let b3_seed = cfg.seed ^ guess as u64;
@@ -419,10 +412,7 @@ fn run_pipeline(
                 return true;
             }
             let leader = partition.leader(pi as usize);
-            b3.reached[v as usize]
-                .iter()
-                .flatten()
-                .any(|r| r.root == leader)
+            b3.reached[v as usize].iter().any(|(_, r)| r.root == leader)
         };
         let all_ok = (0..n as u32).all(satisfied) && !b3.overflowed;
         // Global AND convergecast + broadcast of the decision.
@@ -449,14 +439,13 @@ fn run_pipeline(
 
         // Extract the tree shortcuts: parent edges of each instance.
         let mut per_part: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.num_parts()];
-        for v in 0..n {
-            for (inst, r) in b3.reached[v].iter().enumerate() {
-                let Some(r) = r else { continue };
+        for (v, log) in b3.reached.iter().enumerate() {
+            for &(inst, r) in log {
                 if let Some(p) = r.parent {
                     let e = graph
                         .edge_between(v as NodeId, p)
                         .expect("tree edge exists");
-                    per_part[rank_part[inst]].push(e);
+                    per_part[rank_part[inst as usize] as usize].push(e);
                 }
             }
         }
@@ -528,35 +517,10 @@ fn degraded_shortcuts(
     })
 }
 
-/// Builds multi-aggregate participations from a multi-BFS outcome
-/// (instance trees = the BFS trees it grew).
-fn participations_from_multibfs(
-    graph: &Graph,
-    out: &lcs_congest::MultiBfsOutcome,
-    value: impl Fn(NodeId, u32) -> u64,
-) -> Vec<Vec<Participation>> {
-    (0..graph.n())
-        .map(|v| {
-            out.reached[v]
-                .iter()
-                .enumerate()
-                .filter_map(|(inst, r)| {
-                    r.as_ref().map(|r| Participation {
-                        inst: inst as u32,
-                        parent: r.parent,
-                        children: out.children[v][inst].clone(),
-                        value: value(v as NodeId, inst as u32),
-                    })
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::centralized_shortcuts;
+    use crate::centralized::{centralized_shortcuts, classify_large};
     use lcs_graph::{HighwayGraph, HighwayParams};
     use lcs_shortcut::{measure_quality, verify, DilationMode};
 
@@ -647,6 +611,34 @@ mod tests {
         assert!(dq.congestion <= cq.congestion);
         assert!(dq.dilation as u64 <= 4 * (cq.dilation as u64).max(1));
         assert_eq!(dist.is_large, central.is_large);
+    }
+
+    /// `is_large` is what each leader's B1 convergecast learned, and it
+    /// is the centralized radius test on large and small parts alike.
+    #[test]
+    fn largeness_convergecast_classifies_mixed_parts() {
+        let (g, p) = fixture(4, 4, 30);
+        let v = p.part(2)[0];
+        let w = *g
+            .neighbors(v)
+            .iter()
+            .find(|&&w| p.part_of(w) == Some(2))
+            .unwrap();
+        let parts = vec![
+            p.part(0).to_vec(),
+            p.part(1).to_vec(),
+            vec![v, w],
+            vec![p.part(3)[0]],
+        ];
+        let mixed = Partition::new(&g, parts).unwrap();
+        let cfg = DistributedConfig {
+            known_diameter: Some(4),
+            ..DistributedConfig::default()
+        };
+        let out = distributed_shortcuts(&g, &mixed, &cfg).unwrap();
+        assert_eq!(out.is_large, [true, true, false, false]);
+        assert_eq!(out.is_large, classify_large(&g, &mixed, out.params.k_ceil));
+        assert_eq!(out.guesses[0].num_large, 2);
     }
 
     #[test]

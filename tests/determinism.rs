@@ -6,6 +6,7 @@
 //! serialization change that moves any outcome fails here — across
 //! commits, not only within one run.
 
+use low_congestion_shortcuts::congest::hash::Fnv;
 use low_congestion_shortcuts::congest::{Crash, FaultPlan, Reliable};
 use low_congestion_shortcuts::prelude::*;
 use rand::SeedableRng;
@@ -58,6 +59,17 @@ fn pinned_distributed_phase_fingerprints() {
         ]
     );
     assert_eq!(out.stats.fingerprint(), 10362357367798002986);
+    // The pipeline's own output, before any strip: every part's edge
+    // list (the index checksum below pins only the stripped sets) and
+    // the largeness verdicts.
+    let mut h = Fnv::new();
+    for i in 0..out.shortcuts.num_parts() {
+        h.u64(i as u64).u64(u64::from(out.is_large[i]));
+        for &e in out.shortcuts.edges(i) {
+            h.u64(u64::from(e.0));
+        }
+    }
+    assert_eq!(h.finish(), 5350190253183584763);
 }
 
 #[test]
