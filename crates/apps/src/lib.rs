@@ -40,11 +40,8 @@ pub use mincut::{
     MinCutOutcome,
 };
 pub use mst::{
-    assert_matches_kruskal, mst_via_shortcuts, MstConfig, MstError, MstOutcome, PhaseCost,
-    ShortcutStrategy,
+    assert_matches_kruskal, boruvka, mst_via_shortcuts, BoruvkaForest, MstConfig, MstError,
+    MstOutcome, PhaseCost, ShortcutStrategy,
 };
-pub use sssp::{
-    bellman_ford_rounds, part_tree_depths, relax_partwise, shortcut_sssp, shortcut_sssp_simulated,
-    SimulatedSsspOutcome, SsspOutcome,
-};
+pub use sssp::{bellman_ford_rounds, part_tree_depths, relax_partwise, shortcut_sssp, SsspOutcome};
 pub use two_ecss::{two_ecss, verify_two_ecss, TwoEcssError, TwoEcssOutcome};

@@ -44,7 +44,7 @@
 //! MST-via-shortcuts computation plus one partwise aggregation for the
 //! subtree sums (`Õ(k_D)` each); the 2-respecting scan is evaluated
 //! centrally with its round cost charged per GH16's distributed
-//! implementation — see DESIGN.md (substitutions).
+//! implementation — see the README's "Substitutions".
 
 use crate::mst::{check_encodable, mst_via_shortcuts, MstConfig, MstError};
 use lcs_congest::{ceil_log2, FaultPlan, SimError};
@@ -66,11 +66,10 @@ pub struct MinCutConfig {
     pub sampling_constant: f64,
     /// Number of packed trees per estimate round (`None` = `⌈3·ln n⌉`).
     pub trees: Option<usize>,
-    /// MST configuration used when accounting distributed rounds. In
-    /// [`ExecutionMode::Simulated`](lcs_congest::ExecutionMode) the MST
-    /// subroutine runs all of its Boruvka aggregations through one
-    /// engine [`Session`](lcs_congest::Session) (its `shards` field
-    /// sizes the session's worker pool).
+    /// MST configuration [`approximate_min_cut`] prices each packed
+    /// tree with: its MST run takes all of its Boruvka aggregations
+    /// through one engine [`Session`](lcs_congest::Session), whose
+    /// worker pool its `shards` field sizes.
     pub mst: MstConfig,
 }
 

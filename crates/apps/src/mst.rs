@@ -11,26 +11,24 @@
 //! `Õ(k_D)` overall on constant-diameter graphs.
 //!
 //! Tie-breaking by `(weight, edge id)` makes the MST unique and equal,
-//! edge for edge, to the Kruskal reference in `lcs-graph`.
+//! edge for edge, to the Kruskal reference in `lcs-graph`. The edges,
+//! weight and phase count therefore depend only on the weighted graph:
+//! [`boruvka`] folds each fragment's minimum centrally in the same loop
+//! [`mst_via_shortcuts`] runs, and returns the same answer.
 //!
-//! Execution modes:
-//! * [`ExecutionMode::Simulated`] — MWOE aggregations run through the
-//!   CONGEST simulator (message-for-message); shortcut construction
-//!   rounds are charged from the distributed construction's budget.
-//! * [`ExecutionMode::Accounted`] — aggregations charged via the
-//!   scheduler theorem from measured tree congestion/dilation.
-//!
-//! Fragment-merge bookkeeping (leader relabeling) is charged as one
-//! extra aggregation sweep per phase (see DESIGN.md substitutions).
+//! [`mst_via_shortcuts`] runs every MWOE aggregation on the CONGEST
+//! engine, message for message, in one [`Session`]. Two charges per
+//! phase are still formulas (README, "Substitutions"): the shortcut
+//! construction, at the strategy's round budget, and the leader-relabel
+//! sweep that follows each merge, at one scheduled aggregation.
 
-use lcs_congest::{AggOp, ExecutionMode, FaultPlan, Session, SimConfig, SimError};
+use lcs_congest::{AggOp, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{
     centralized_shortcuts, detect_and_excise, prune_to_trees, DegradedOutcome, KpParams, ParamError,
 };
 use lcs_graph::{exact_diameter, kruskal, EdgeId, NodeId, UnionFind, WeightedGraph};
 use lcs_shortcut::{
     global_tree_shortcuts, trivial_shortcuts, AggregationSetup, Partition, PartitionError,
-    ShortcutSet,
 };
 use std::fmt;
 
@@ -62,17 +60,14 @@ pub struct MstConfig {
     pub seed: u64,
     /// Shortcut construction per phase.
     pub strategy: ShortcutStrategy,
-    /// Simulated or accounted execution.
-    pub execution: ExecutionMode,
     /// Known diameter (skips re-deriving it; required for
     /// [`ShortcutStrategy::KoganParter`] parameters — pass the measured
     /// graph diameter). When a fault plan excises nodes, Boruvka runs on
     /// the survivors with their diameter re-derived instead: excision
     /// can stretch it ([`lcs_core::Excision::survivors_diameter`]).
     pub diameter: Option<u32>,
-    /// Engine shards for simulated execution ([`SimConfig::shards`]);
-    /// `0` (the default) auto-sizes to the machine. Any value is
-    /// bit-identical.
+    /// Engine shards ([`SimConfig::shards`]); `0` (the default)
+    /// auto-sizes to the machine. Any value is bit-identical.
     pub shards: usize,
     /// Fault plan for the network ([`SimConfig::faults`]). With a plan
     /// attached, a detection phase (reliable BFS + census convergecast
@@ -88,7 +83,6 @@ impl Default for MstConfig {
         MstConfig {
             seed: 0xB0B,
             strategy: ShortcutStrategy::KoganParter,
-            execution: ExecutionMode::Accounted,
             diameter: None,
             shards: 0,
             faults: None,
@@ -143,13 +137,27 @@ impl From<SimError> for MstError {
 /// Per-phase cost breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseCost {
-    /// Rounds charged/used to (re)build shortcuts for the fragments.
+    /// Rounds charged to (re)build shortcuts for the fragments: the
+    /// strategy's construction budget, a formula.
     pub shortcut_rounds: u64,
-    /// Rounds charged/used by the MWOE aggregation and merge
-    /// bookkeeping.
+    /// The rounds the engine ran for the MWOE aggregation, plus one
+    /// round for the fragment-label exchange and the leader-relabel
+    /// sweep's scheduled charge.
     pub aggregation_rounds: u64,
     /// Fragments alive at the start of the phase.
     pub fragments: usize,
+}
+
+/// The answer Boruvka computes, which depends only on the weighted
+/// graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoruvkaForest {
+    /// The MST/MSF edges, sorted by id.
+    pub edges: Vec<EdgeId>,
+    /// Total weight.
+    pub weight: u64,
+    /// Number of Boruvka phases.
+    pub phases: u32,
 }
 
 /// MST result with cost accounting.
@@ -161,14 +169,13 @@ pub struct MstOutcome {
     pub weight: u64,
     /// Number of Boruvka phases.
     pub phases: u32,
-    /// Total rounds across phases.
+    /// Total rounds across phases (plus detection under a fault plan).
     pub total_rounds: u64,
-    /// Total simulator messages (0 in accounted mode).
+    /// Messages the engine exchanged: every MWOE aggregation, plus
+    /// detection under a fault plan.
     pub messages: u64,
     /// Per-phase cost breakdown.
     pub phase_costs: Vec<PhaseCost>,
-    /// Execution mode used.
-    pub execution: ExecutionMode,
     /// Present iff the run was configured with a
     /// [`FaultPlan`](MstConfig::faults): what graceful degradation
     /// excised and cost.
@@ -206,8 +213,85 @@ fn decode(word: u64) -> EdgeId {
     EdgeId((word & ((1 << EID_BITS) - 1)) as u32)
 }
 
+/// Boruvka's loop, which every entry point runs. Each phase labels the
+/// fragments, gives every node its least encoded `(weight, edge id)`
+/// over the edges leaving its fragment (`u64::MAX` for none), takes each
+/// fragment's least candidate from `fragment_minima(phase, fragments,
+/// candidates)`, indexed by part, and merges along those edges. The loop
+/// stops once one fragment is left or a phase merges nothing; that last
+/// phase counts.
+fn boruvka_with(
+    wg: &WeightedGraph,
+    mut fragment_minima: impl FnMut(u32, &Partition, &[u64]) -> Result<Vec<u64>, MstError>,
+) -> Result<BoruvkaForest, MstError> {
+    let g = wg.graph();
+    let n = g.n();
+    let mut uf = UnionFind::new(n);
+    let mut forest = BoruvkaForest {
+        edges: Vec::new(),
+        weight: 0,
+        phases: 0,
+    };
+    let mut candidates = vec![u64::MAX; n];
+    loop {
+        let labels: Vec<u32> = (0..n as u32).map(|v| uf.find(v)).collect();
+        let fragments = Partition::from_labels(g, &labels)?;
+        if fragments.num_parts() <= 1 {
+            break;
+        }
+        for (v, best) in candidates.iter_mut().enumerate() {
+            *best = u64::MAX;
+            for (w, e) in g.neighbors_with_edges(v as NodeId) {
+                if labels[w as usize] != labels[v] {
+                    let word = encode(wg.weight(e), e).ok_or(MstError::EncodingOverflow)?;
+                    *best = (*best).min(word);
+                }
+            }
+        }
+        let minima = fragment_minima(forest.phases, &fragments, &candidates)?;
+        forest.phases += 1;
+        let mut merged_any = false;
+        for word in minima.into_iter().filter(|&word| word != u64::MAX) {
+            let e = decode(word);
+            let (a, b) = g.edge_endpoints(e);
+            if uf.union(a, b) {
+                forest.edges.push(e);
+                forest.weight += wg.weight(e);
+                merged_any = true;
+            }
+        }
+        if !merged_any {
+            break; // every remaining fragment is a full component
+        }
+    }
+    forest.edges.sort_unstable();
+    Ok(forest)
+}
+
+/// The MST (or minimum spanning forest) of `wg`, by Boruvka's loop with
+/// each fragment's minimum folded centrally. It builds no shortcuts,
+/// runs no engine and needs no seed or diameter, and returns the edges,
+/// weight and phase count that [`mst_via_shortcuts`] returns on `wg`
+/// under any fault-free configuration.
+///
+/// # Errors
+///
+/// [`MstError::EncodingOverflow`] when an edge's weight or id exceeds
+/// the MWOE encoding, as [`mst_via_shortcuts`] reports it.
+pub fn boruvka(wg: &WeightedGraph) -> Result<BoruvkaForest, MstError> {
+    boruvka_with(wg, |_, fragments, candidates| {
+        let mut minima = vec![u64::MAX; fragments.num_parts()];
+        for (v, &word) in candidates.iter().enumerate() {
+            if let Some(i) = fragments.part_of(v as NodeId) {
+                minima[i as usize] = minima[i as usize].min(word);
+            }
+        }
+        Ok(minima)
+    })
+}
+
 /// Computes the MST (or minimum spanning forest) of `wg` through the
-/// shortcut framework, with full round accounting.
+/// shortcut framework, with every MWOE aggregation run on the engine.
 ///
 /// With a [`FaultPlan`](MstConfig::faults) attached, crash-stopped
 /// nodes are detected and excised first and the MST is computed on the
@@ -223,22 +307,12 @@ pub fn mst_via_shortcuts(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutco
     mst_pipeline(wg, cfg)
 }
 
-/// The fault-free Boruvka pipeline.
+/// The fault-free Boruvka pipeline: each phase builds the strategy's
+/// shortcuts for the fragments and takes the minima by one Min
+/// aggregation through the engine.
 fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstError> {
     let g = wg.graph();
     let n = g.n();
-    if n == 0 {
-        return Ok(MstOutcome {
-            edges: vec![],
-            weight: 0,
-            phases: 0,
-            total_rounds: 0,
-            messages: 0,
-            phase_costs: vec![],
-            execution: cfg.execution,
-            degraded: None,
-        });
-    }
     let diameter = match cfg.diameter {
         Some(d) => d,
         None => exact_diameter(g).unwrap_or(3).max(3),
@@ -251,130 +325,56 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
     // One engine for every Boruvka phase's MWOE aggregation: the
     // session's pool and reverse-arc tables are built once, and its
     // cumulative stats give the whole run's message total.
-    let mut session = match cfg.execution {
-        ExecutionMode::Simulated => Some(Session::new(g, sim_cfg)),
-        ExecutionMode::Accounted => None,
-    };
-
-    let mut uf = UnionFind::new(n);
-    let mut mst_edges: Vec<EdgeId> = Vec::new();
-    let mut weight = 0u64;
+    let mut session = Session::new(g, sim_cfg);
     let mut phase_costs: Vec<PhaseCost> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut messages = 0u64;
-
-    for phase in 0..64 {
-        // Fragment labels.
-        let labels: Vec<u32> = (0..n as u32).map(|v| uf.find(v)).collect();
-        let partition = Partition::from_labels(g, &labels)?;
-        let fragments = partition.num_parts();
-        if fragments <= 1 {
-            break;
-        }
-
-        // Shortcuts for the fragments.
-        let (shortcuts, shortcut_rounds): (ShortcutSet, u64) = match cfg.strategy {
+    let forest = boruvka_with(wg, |phase, fragments, candidates| {
+        let (shortcuts, shortcut_rounds) = match cfg.strategy {
             ShortcutStrategy::KoganParter => {
                 // The paper's sampling probability `p = k_D ln n / N`.
                 let params = KpParams::new(n, diameter.max(3))?;
                 let raw =
-                    centralized_shortcuts(g, &partition, params, cfg.seed ^ (phase as u64) << 32);
-                let pruned = prune_to_trees(g, &partition, &raw.shortcuts, params.depth_limit());
+                    centralized_shortcuts(g, fragments, params, cfg.seed ^ (phase as u64) << 32);
+                let pruned = prune_to_trees(g, fragments, &raw.shortcuts, params.depth_limit());
                 // Charged at the distributed construction's budget
                 // (`Õ(k_D)`); the simulated construction is exercised
                 // separately in lcs-core tests/benches.
                 (pruned.shortcuts, params.round_budget())
             }
             ShortcutStrategy::GlobalTree => {
-                let s = global_tree_shortcuts(g, &partition, 0, None);
+                let s = global_tree_shortcuts(g, fragments, 0, None);
                 (s, 2 * diameter as u64 + 2)
             }
-            ShortcutStrategy::Trivial => (trivial_shortcuts(&partition), 0),
+            ShortcutStrategy::Trivial => (trivial_shortcuts(fragments), 0),
         };
-
-        // MWOE values per node: min over incident outgoing edges.
-        let setup = AggregationSetup::build(g, &partition, &shortcuts);
-        let mut node_candidate: Vec<u64> = vec![u64::MAX; n];
-        for v in 0..n as u32 {
-            let fv = labels[v as usize];
-            let mut best = u64::MAX;
-            for (w, e) in g.neighbors_with_edges(v) {
-                if labels[w as usize] != fv {
-                    let word = encode(wg.weight(e), e).ok_or(MstError::EncodingOverflow)?;
-                    best = best.min(word);
-                }
-            }
-            node_candidate[v as usize] = best;
-        }
+        let setup = AggregationSetup::build(g, fragments, &shortcuts);
         let value = |v: NodeId, part: usize| -> u64 {
-            if partition.part_of(v) == Some(part as u32) {
-                node_candidate[v as usize]
+            if fragments.part_of(v) == Some(part as u32) {
+                candidates[v as usize]
             } else {
                 u64::MAX
             }
         };
-
-        // One round for the fragment-label neighbor exchange.
-        let mut aggregation_rounds = 1u64;
-        let mwoe: Vec<u64> = match cfg.execution {
-            ExecutionMode::Simulated => {
-                let session = session.as_mut().expect("simulated mode has a session");
-                let (roots, outcome) =
-                    setup.aggregate_in_session(session, AggOp::Min, &value, true)?;
-                aggregation_rounds += outcome.stats.rounds;
-                messages += outcome.stats.messages;
-                roots.into_iter().map(|r| r.unwrap_or(u64::MAX)).collect()
-            }
-            ExecutionMode::Accounted => {
-                let res = setup.aggregate_centralized(AggOp::Min, &value);
-                aggregation_rounds += 2 * setup.accounted_rounds(n);
-                res
-            }
-        };
-        // Merge bookkeeping: one extra aggregation sweep (leader
-        // relabeling broadcast).
-        aggregation_rounds += setup.accounted_rounds(n);
-
-        // Merge.
-        let mut merged_any = false;
-        for (i, &word) in mwoe.iter().enumerate() {
-            if word == u64::MAX {
-                continue; // fragment has no outgoing edge (own component)
-            }
-            let e = decode(word);
-            let (a, b) = g.edge_endpoints(e);
-            let _ = i;
-            if uf.union(a, b) {
-                mst_edges.push(e);
-                weight += wg.weight(e);
-                merged_any = true;
-            }
-        }
-        total_rounds += shortcut_rounds + aggregation_rounds;
+        let (roots, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
         phase_costs.push(PhaseCost {
             shortcut_rounds,
-            aggregation_rounds,
-            fragments,
+            // One round for the fragment-label neighbor exchange, the
+            // aggregation, and the leader-relabel broadcast charged as
+            // one more scheduled sweep.
+            aggregation_rounds: 1 + agg.stats.rounds + setup.accounted_rounds(n),
+            fragments: fragments.num_parts(),
         });
-        if !merged_any {
-            break; // every remaining fragment is a full component
-        }
-    }
-
-    debug_assert_eq!(
-        session.as_ref().map_or(0, |s| s.stats().messages),
-        messages,
-        "session cumulative stats must equal the per-phase sum"
-    );
-    mst_edges.sort_unstable();
+        Ok(roots.into_iter().map(|r| r.unwrap_or(u64::MAX)).collect())
+    })?;
     Ok(MstOutcome {
-        edges: mst_edges,
-        weight,
-        phases: phase_costs.len() as u32,
-        total_rounds,
-        messages,
+        edges: forest.edges,
+        weight: forest.weight,
+        phases: forest.phases,
+        total_rounds: phase_costs
+            .iter()
+            .map(|p| p.shortcut_rounds + p.aggregation_rounds)
+            .sum(),
+        messages: session.stats().messages,
         phase_costs,
-        execution: cfg.execution,
         degraded: None,
     })
 }
@@ -415,7 +415,6 @@ fn degraded_mst(
         total_rounds: sub.total_rounds + exc.extra_rounds,
         messages: sub.messages + exc.messages,
         phase_costs: sub.phase_costs,
-        execution: cfg.execution,
         degraded: Some(exc.outcome()),
     })
 }
@@ -452,29 +451,16 @@ mod tests {
     }
 
     #[test]
-    fn accounted_mst_matches_kruskal_on_highway() {
-        let wg = highway_weighted(4, 4, 24, 1);
-        let cfg = MstConfig {
-            diameter: Some(4),
-            ..MstConfig::default()
-        };
-        let out = mst_via_shortcuts(&wg, &cfg).unwrap();
-        assert_matches_kruskal(&wg, &out);
-        assert!(out.phases >= 1);
-        assert!(out.total_rounds > 0);
-    }
-
-    #[test]
     fn simulated_mst_matches_kruskal() {
         let wg = highway_weighted(4, 3, 16, 2);
         let cfg = MstConfig {
             diameter: Some(4),
-            execution: ExecutionMode::Simulated,
             ..MstConfig::default()
         };
         let out = mst_via_shortcuts(&wg, &cfg).unwrap();
         assert_matches_kruskal(&wg, &out);
-        assert!(out.messages > 0, "simulated mode must exchange messages");
+        assert!(out.phases >= 1 && out.total_rounds > 0);
+        assert!(out.messages > 0, "the engine must exchange messages");
     }
 
     #[test]
@@ -527,6 +513,8 @@ mod tests {
         let k = kruskal(&wg);
         assert_eq!(out.edges, k.edges);
         assert_eq!(out.weight, 17);
+        // The second phase merges nothing, and it counts.
+        assert_eq!(out.phases, 2);
     }
 
     #[test]
@@ -556,6 +544,10 @@ mod tests {
         let single = WeightedGraph::from_weighted_edges(1, &[]).unwrap();
         let out = mst_via_shortcuts(&single, &MstConfig::default()).unwrap();
         assert!(out.edges.is_empty());
+        for wg in [&empty, &single] {
+            let forest = boruvka(wg).unwrap();
+            assert!(forest.edges.is_empty() && forest.phases == 0);
+        }
         // A fault plan takes the degraded path on any graph, and says so.
         let faulty = MstConfig {
             faults: Some(FaultPlan::drops(0.1, 3)),
@@ -671,10 +663,10 @@ mod tests {
     }
 
     /// Without permanent crashes the excision is empty and the outcome
-    /// is the fault-free run's plus the detection bill, in both
-    /// execution modes. The caller's diameter (6) is not the fixture's
-    /// exact one (4), and an empty excision keeps it: re-deriving it
-    /// would charge every phase a smaller construction budget.
+    /// is the fault-free run's plus the detection bill. The caller's
+    /// diameter (6) is not the fixture's exact one (4), and an empty
+    /// excision keeps it: re-deriving it would charge every phase a
+    /// smaller construction budget.
     #[test]
     fn degraded_mst_without_crashes_matches_fault_free() {
         let wg = highway_weighted(4, 3, 16, 4);
@@ -687,29 +679,25 @@ mod tests {
             crashes: vec![],
             fault_seed: 5,
         };
-        for execution in [ExecutionMode::Accounted, ExecutionMode::Simulated] {
-            let clean_cfg = MstConfig {
-                diameter: Some(6),
-                execution,
-                ..MstConfig::default()
-            };
-            let clean = mst_via_shortcuts(&wg, &clean_cfg).unwrap();
-            let cfg = MstConfig {
-                faults: Some(plan.clone()),
-                ..clean_cfg
-            };
-            let out = mst_via_shortcuts(&wg, &cfg).unwrap();
-            let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
-            assert!(exc.excluded.is_empty());
-            assert_eq!(out.edges, clean.edges, "drops/delays never change the MST");
-            assert_eq!(out.weight, clean.weight);
-            assert_eq!(out.phases, clean.phases);
-            assert_eq!(out.phase_costs, clean.phase_costs, "{execution:?}");
-            assert_eq!(out.execution, execution);
-            assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
-            assert_eq!(out.messages, clean.messages + exc.messages);
-            assert_eq!(out.degraded, Some(exc.outcome()));
-        }
+        let clean_cfg = MstConfig {
+            diameter: Some(6),
+            ..MstConfig::default()
+        };
+        let clean = mst_via_shortcuts(&wg, &clean_cfg).unwrap();
+        let cfg = MstConfig {
+            faults: Some(plan.clone()),
+            ..clean_cfg
+        };
+        let out = mst_via_shortcuts(&wg, &cfg).unwrap();
+        let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
+        assert!(exc.excluded.is_empty());
+        assert_eq!(out.edges, clean.edges, "drops/delays never change the MST");
+        assert_eq!(out.weight, clean.weight);
+        assert_eq!(out.phases, clean.phases);
+        assert_eq!(out.phase_costs, clean.phase_costs);
+        assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+        assert_eq!(out.messages, clean.messages + exc.messages);
+        assert_eq!(out.degraded, Some(exc.outcome()));
     }
 
     /// Excision can stretch the diameter, so Boruvka on the survivors

@@ -5,8 +5,8 @@
 //! needs as many rounds as the shortest-path **hop** diameter, which can
 //! be `Θ(n)` even when the unweighted diameter is `O(1)`. The paper's
 //! Corollary 4.2 plugs the shortcuts into Haeupler–Li's machinery; the
-//! full hopset construction is out of scope (see DESIGN.md
-//! substitutions). What we build instead isolates the primitive the
+//! full hopset construction is out of scope (see the README's
+//! "Substitutions"). What we build instead isolates the primitive the
 //! corollary relies on: interleaving Bellman–Ford edge relaxations with
 //! **partwise tree relaxations** — each part tree broadcasts
 //! `A_i = min_{v∈S_i}(dist(v) + wdepth_i(v))` and every member updates
@@ -30,15 +30,26 @@ use std::convert::Infallible;
 pub struct SsspOutcome {
     /// Distance upper bounds per node.
     pub dist: Vec<u64>,
-    /// Outer iterations until fixpoint.
+    /// Outer iterations run: until the fixpoint, or the cap.
     pub iterations: u32,
-    /// Rounds charged: one per edge relaxation plus the scheduled
-    /// aggregation cost per tree relaxation.
+    /// Rounds: one per Bellman–Ford sweep plus the rounds the engine
+    /// ran for each tree relaxation (plus detection under a fault
+    /// plan).
     pub total_rounds: u64,
+    /// Messages the engine exchanged in the tree relaxations (plus, under
+    /// a fault plan, the detection phases).
+    pub messages: u64,
+    /// The rounds of each tree relaxation's aggregation phase, one per
+    /// iteration.
+    pub phase_rounds: Vec<u64>,
     /// Max multiplicative stretch vs. exact distances.
     pub max_stretch: f64,
     /// Mean multiplicative stretch over reachable nodes.
     pub mean_stretch: f64,
+    /// Present iff the run was configured with a
+    /// [`FaultPlan`](SimConfig::faults): what graceful degradation
+    /// excised and cost.
+    pub degraded: Option<DegradedOutcome>,
 }
 
 /// Plain distributed Bellman–Ford baseline: exact distances; the round
@@ -99,36 +110,35 @@ pub fn part_tree_depths(
 }
 
 /// The interleaved relaxation behind every SSSP entry point. Each
-/// iteration runs one Bellman–Ford sweep (one round), then one
-/// partwise tree relaxation: `part_minima(dist, minima)` sets
-/// `minima[i] = A_i = min over v ∈ S_i of dist(v) + depth(v)` and
-/// returns the rounds it charges, and every member `u` of part `i`
+/// iteration runs one Bellman–Ford sweep, then one partwise tree
+/// relaxation: `part_minima(dist, minima)` sets `minima[i] = A_i = min
+/// over v ∈ S_i of dist(v) + depth(v)`, and every member `u` of part `i`
 /// takes `min(dist(u), A_i + depth(u))`. All minima may be taken before
 /// any update, because part `i`'s updates touch only its own members,
 /// which no other part's minimum reads. Sums saturate, so a candidate
-/// too heavy for `u64` is [`W_UNREACHABLE`] and never written.
+/// too heavy for `u64` is [`W_UNREACHABLE`] and never written. At most
+/// `max_iterations` iterations run: a cap of 0 returns the source-only
+/// distances.
 ///
-/// Returns `(dist, iterations, total_rounds)`.
+/// Returns `(dist, iterations)`.
 fn relax<E>(
     wg: &WeightedGraph,
     partition: &Partition,
     depth: &[u64],
     source: NodeId,
     max_iterations: u32,
-    mut part_minima: impl FnMut(&[u64], &mut [u64]) -> Result<u64, E>,
-) -> Result<(Vec<u64>, u32, u64), E> {
+    mut part_minima: impl FnMut(&[u64], &mut [u64]) -> Result<(), E>,
+) -> Result<(Vec<u64>, u32), E> {
     let g = wg.graph();
     let mut dist = vec![W_UNREACHABLE; g.n()];
     dist[source as usize] = 0;
     let mut snapshot = dist.clone();
     let mut minima = vec![W_UNREACHABLE; partition.num_parts()];
-    let mut total_rounds = 0u64;
     let mut iterations = 0u32;
-    loop {
+    while iterations < max_iterations {
         iterations += 1;
         let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round.
-        total_rounds += 1;
+        // (a) one Bellman-Ford sweep.
         snapshot.copy_from_slice(&dist);
         for e in g.edge_ids() {
             let (u, v) = g.edge_endpoints(e);
@@ -146,7 +156,7 @@ fn relax<E>(
             }
         }
         // (b) partwise tree relaxation: one aggregation per iteration.
-        total_rounds += part_minima(&dist, &mut minima)?;
+        part_minima(&dist, &mut minima)?;
         for (i, &a) in minima.iter().enumerate() {
             for &v in partition.part(i) {
                 let cand = a.saturating_add(depth[v as usize]);
@@ -156,21 +166,23 @@ fn relax<E>(
                 }
             }
         }
-        if !changed || iterations >= max_iterations {
+        if !changed {
             break;
         }
     }
-    Ok((dist, iterations, total_rounds))
+    Ok((dist, iterations))
 }
 
-/// [`shortcut_sssp`]'s relaxation on prebuilt tables: the part trees
-/// `setup` and the per-node `depth` table [`part_tree_depths`] derives
-/// from them under `wg`'s weights. Each part's minimum is folded
-/// centrally and charged as one scheduled convergecast + broadcast
-/// over the trees. Returns `(dist, iterations, total_rounds)`.
+/// [`shortcut_sssp`]'s relaxation on a prebuilt `depth` table (see
+/// [`part_tree_depths`]), with each part's minimum folded centrally
+/// over its members. A member the part's tree misses has depth
+/// [`W_UNREACHABLE`] and the tree's other nodes fold the identity, so
+/// the fold equals the tree aggregation [`shortcut_sssp`] runs on the
+/// engine. Returns `(dist, iterations)`.
 ///
-/// The index-served SSSP calls this on a customization's tables, so
-/// it answers byte-identically to [`shortcut_sssp`].
+/// The index-served SSSP calls this on a customization's table, so its
+/// distances and iteration count are byte-identical to
+/// [`shortcut_sssp`]'s.
 ///
 /// # Panics
 ///
@@ -178,15 +190,10 @@ fn relax<E>(
 pub fn relax_partwise(
     wg: &WeightedGraph,
     partition: &Partition,
-    setup: &AggregationSetup,
     depth: &[u64],
     source: NodeId,
     max_iterations: u32,
-) -> (Vec<u64>, u32, u64) {
-    let agg_rounds = setup
-        .schedule_cost()
-        .rounds_no_precompute(wg.graph().n().max(2))
-        * 2; // convergecast + broadcast
+) -> (Vec<u64>, u32) {
     let minima = |dist: &[u64], minima: &mut [u64]| {
         for (i, a) in minima.iter_mut().enumerate() {
             *a = partition
@@ -196,7 +203,7 @@ pub fn relax_partwise(
                 .min()
                 .unwrap_or(W_UNREACHABLE);
         }
-        Ok::<_, Infallible>(agg_rounds)
+        Ok::<_, Infallible>(())
     };
     let Ok(relaxed) = relax(wg, partition, depth, source, max_iterations, minima);
     relaxed
@@ -223,58 +230,13 @@ fn stretch(wg: &WeightedGraph, source: NodeId, dist: &[u64]) -> (f64, f64) {
     (max_stretch, mean)
 }
 
-/// Runs the interleaved relaxation. `max_iterations` caps the outer
-/// loop (pass `n` for guaranteed convergence to the fixpoint of the
-/// combined relaxation).
-pub fn shortcut_sssp(
-    wg: &WeightedGraph,
-    partition: &Partition,
-    shortcuts: &ShortcutSet,
-    source: NodeId,
-    max_iterations: u32,
-) -> SsspOutcome {
-    let setup = AggregationSetup::build(wg.graph(), partition, shortcuts);
-    let depth = part_tree_depths(wg, partition, &setup);
-    let (dist, iterations, total_rounds) =
-        relax_partwise(wg, partition, &setup, &depth, source, max_iterations);
-    let (max_stretch, mean_stretch) = stretch(wg, source, &dist);
-    SsspOutcome {
-        dist,
-        iterations,
-        total_rounds,
-        max_stretch,
-        mean_stretch,
-    }
-}
-
-/// Result of [`shortcut_sssp_simulated`]: the accounted outcome plus
-/// the engine-measured cost of the tree relaxations.
-#[derive(Debug, Clone)]
-pub struct SimulatedSsspOutcome {
-    /// The SSSP result (distances, iterations, stretch); its
-    /// `total_rounds` counts the *simulated* aggregation rounds plus
-    /// one per Bellman–Ford sweep.
-    pub outcome: SsspOutcome,
-    /// Messages actually exchanged by the tree-relaxation phases (plus,
-    /// under a fault plan, the detection phases).
-    pub messages: u64,
-    /// Per-phase engine statistics from the session (one aggregation
-    /// phase per outer iteration).
-    pub phase_rounds: Vec<u64>,
-    /// Present iff the run was configured with a
-    /// [`FaultPlan`](SimConfig::faults): what graceful degradation
-    /// excised and cost.
-    pub degraded: Option<DegradedOutcome>,
-}
-
-/// [`shortcut_sssp`] with the partwise tree relaxations executed
-/// **through the CONGEST engine**: one [`Session`] hosts every
-/// iteration's aggregation phase (the paper's partwise-aggregation
-/// primitive, message for message), so the outcome carries measured
-/// rounds and messages instead of only scheduled charges. The
-/// Bellman–Ford edge sweeps remain charged at one round each, as in
-/// the accounted variant; distances are identical to
-/// [`shortcut_sssp`].
+/// Runs the interleaved relaxation with every partwise tree relaxation
+/// executed **through the CONGEST engine**: one [`Session`] hosts every
+/// iteration's Min aggregation over the part trees (the paper's
+/// partwise-aggregation primitive, message for message). Each
+/// Bellman–Ford sweep is charged one round. `max_iterations` caps the
+/// outer loop (pass `n` for guaranteed convergence to the fixpoint of
+/// the combined relaxation).
 ///
 /// With a [`FaultPlan`](SimConfig::faults) attached, crash-stopped
 /// nodes are detected and excised first (see
@@ -287,14 +249,18 @@ pub struct SimulatedSsspOutcome {
 /// Propagates engine errors from the aggregation phases;
 /// [`SimError::FaultConfig`] when the detection root (node 0) or the
 /// SSSP source crashes permanently.
-pub fn shortcut_sssp_simulated(
+///
+/// # Panics
+///
+/// Panics if `source` is not a node of `wg`.
+pub fn shortcut_sssp(
     wg: &WeightedGraph,
     partition: &Partition,
     shortcuts: &ShortcutSet,
     source: NodeId,
     max_iterations: u32,
     cfg: &SimConfig,
-) -> Result<SimulatedSsspOutcome, SimError> {
+) -> Result<SsspOutcome, SimError> {
     if let Some(plan) = &cfg.faults {
         return degraded_sssp(wg, partition, shortcuts, source, max_iterations, cfg, plan);
     }
@@ -312,25 +278,23 @@ pub fn shortcut_sssp_simulated(
                 AggOp::Min.identity()
             }
         };
-        let (roots, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
+        let (roots, _) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
         for (a, root) in minima.iter_mut().zip(roots) {
             *a = root.unwrap_or(W_UNREACHABLE);
         }
-        Ok::<_, SimError>(agg.stats.rounds)
+        Ok::<_, SimError>(())
     };
-    let (dist, iterations, total_rounds) =
-        relax(wg, partition, &depth, source, max_iterations, minima)?;
+    let (dist, iterations) = relax(wg, partition, &depth, source, max_iterations, minima)?;
     let (max_stretch, mean_stretch) = stretch(wg, source, &dist);
-    Ok(SimulatedSsspOutcome {
-        outcome: SsspOutcome {
-            dist,
-            iterations,
-            total_rounds,
-            max_stretch,
-            mean_stretch,
-        },
+    let phase_rounds: Vec<u64> = session.phases().iter().map(|p| p.rounds).collect();
+    Ok(SsspOutcome {
+        dist,
+        iterations,
+        total_rounds: u64::from(iterations) + phase_rounds.iter().sum::<u64>(),
         messages: session.stats().messages,
-        phase_rounds: session.phases().iter().map(|p| p.rounds).collect(),
+        phase_rounds,
+        max_stretch,
+        mean_stretch,
         degraded: None,
     })
 }
@@ -351,7 +315,7 @@ fn degraded_sssp(
     max_iterations: u32,
     cfg: &SimConfig,
     plan: &FaultPlan,
-) -> Result<SimulatedSsspOutcome, SimError> {
+) -> Result<SsspOutcome, SimError> {
     let g = wg.graph();
     let exc = detect_and_excise(g, plan, cfg.seed, cfg.shards)?;
     let inner_cfg = SimConfig {
@@ -372,7 +336,7 @@ fn degraded_sssp(
     let (sub_partition, sub_to_orig) = exc.split_partition(sub_wg.graph(), partition);
     let sub_shortcuts = exc.restrict_shortcuts(g, sub_wg.graph(), shortcuts, &sub_to_orig);
     let sub_source = exc.new_id[source as usize];
-    let sub = shortcut_sssp_simulated(
+    let sub = shortcut_sssp(
         &sub_wg,
         &sub_partition,
         &sub_shortcuts,
@@ -383,19 +347,14 @@ fn degraded_sssp(
 
     let mut dist = vec![W_UNREACHABLE; g.n()];
     for (i, &v) in exc.survivors.iter().enumerate() {
-        dist[v as usize] = sub.outcome.dist[i];
+        dist[v as usize] = sub.dist[i];
     }
-    Ok(SimulatedSsspOutcome {
-        outcome: SsspOutcome {
-            dist,
-            iterations: sub.outcome.iterations,
-            total_rounds: sub.outcome.total_rounds + exc.extra_rounds,
-            max_stretch: sub.outcome.max_stretch,
-            mean_stretch: sub.outcome.mean_stretch,
-        },
+    Ok(SsspOutcome {
+        dist,
+        total_rounds: sub.total_rounds + exc.extra_rounds,
         messages: sub.messages + exc.messages,
-        phase_rounds: sub.phase_rounds,
         degraded: Some(exc.outcome()),
+        ..sub
     })
 }
 
@@ -434,10 +393,21 @@ mod tests {
         (wg, p, pruned.shortcuts)
     }
 
+    /// [`shortcut_sssp`] fault-free, on the default engine.
+    fn run(
+        wg: &WeightedGraph,
+        p: &Partition,
+        s: &ShortcutSet,
+        source: NodeId,
+        max_iterations: u32,
+    ) -> SsspOutcome {
+        shortcut_sssp(wg, p, s, source, max_iterations, &SimConfig::default()).unwrap()
+    }
+
     #[test]
     fn estimates_are_sound_upper_bounds() {
         let (wg, p, s) = fixture();
-        let out = shortcut_sssp(&wg, &p, &s, 0, 64);
+        let out = run(&wg, &p, &s, 0, 64);
         let exact = dijkstra(&wg, 0);
         for (v, &exact_d) in exact.iter().enumerate() {
             if exact_d != W_UNREACHABLE {
@@ -461,7 +431,7 @@ mod tests {
         // floods whole parts at once — while plain Bellman-Ford at the
         // same budget still misses nodes and is never better pointwise.
         let budget = 3;
-        let accel = shortcut_sssp(&wg, &p, &s, 0, budget);
+        let accel = run(&wg, &p, &s, 0, budget);
         assert!(
             accel.dist.iter().all(|&d| d != W_UNREACHABLE),
             "every node must have a finite estimate at budget {budget}"
@@ -474,7 +444,7 @@ mod tests {
         }
         assert!(strictly_better, "tree relaxation must help somewhere");
         // And exactness arrives as iterations continue.
-        let exact_run = shortcut_sssp(&wg, &p, &s, 0, 4096);
+        let exact_run = run(&wg, &p, &s, 0, 4096);
         assert!(
             (exact_run.max_stretch - 1.0).abs() < 1e-9,
             "converges to exact, stretch {}",
@@ -488,7 +458,7 @@ mod tests {
         // the tree relaxation is exact within parts.
         let (wg, p, _) = fixture();
         let trivial = lcs_shortcut::trivial_shortcuts(&p);
-        let out = shortcut_sssp(&wg, &p, &trivial, 0, 256);
+        let out = run(&wg, &p, &trivial, 0, 256);
         let exact = dijkstra(&wg, 0);
         assert_eq!(out.dist, exact, "path trees relax exactly");
         assert!((out.max_stretch - 1.0).abs() < 1e-9);
@@ -497,33 +467,28 @@ mod tests {
     #[test]
     fn simulated_relaxation_converges_and_measures_messages() {
         let (wg, p, s) = fixture();
-        let out = shortcut_sssp_simulated(&wg, &p, &s, 0, 4096, &SimConfig::default()).unwrap();
+        let out = run(&wg, &p, &s, 0, 4096);
         let exact = dijkstra(&wg, 0);
-        // Same fixpoint as the accounted variant: exact once converged.
+        // Exact once converged.
         assert!(
-            (out.outcome.max_stretch - 1.0).abs() < 1e-9
-                || out
-                    .outcome
-                    .dist
-                    .iter()
-                    .zip(exact.iter())
-                    .all(|(&a, &b)| a >= b),
+            (out.max_stretch - 1.0).abs() < 1e-9
+                || out.dist.iter().zip(exact.iter()).all(|(&a, &b)| a >= b),
             "sound upper bounds"
         );
         for (v, &e) in exact.iter().enumerate() {
             if e != W_UNREACHABLE {
-                assert!(out.outcome.dist[v] >= e, "node {v}");
+                assert!(out.dist[v] >= e, "node {v}");
             }
         }
         // The engine actually carried the tree relaxations.
         assert!(out.messages > 0, "simulated mode must exchange messages");
         assert_eq!(
             out.phase_rounds.len() as u32,
-            out.outcome.iterations,
+            out.iterations,
             "one aggregation phase per iteration"
         );
         // Sharded execution is bit-identical (outcome-level check).
-        let sharded = shortcut_sssp_simulated(
+        let sharded = shortcut_sssp(
             &wg,
             &p,
             &s,
@@ -535,7 +500,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(sharded.outcome.dist, out.outcome.dist);
+        assert_eq!(sharded.dist, out.dist);
         assert_eq!(sharded.messages, out.messages);
         assert_eq!(sharded.phase_rounds, out.phase_rounds);
     }
@@ -571,7 +536,7 @@ mod tests {
     #[test]
     fn source_distance_is_zero() {
         let (wg, p, s) = fixture();
-        let out = shortcut_sssp(&wg, &p, &s, 5, 32);
+        let out = run(&wg, &p, &s, 5, 32);
         assert_eq!(out.dist[5], 0);
     }
 
@@ -604,7 +569,7 @@ mod tests {
             faults: Some(plan),
             ..SimConfig::default()
         };
-        let out = shortcut_sssp_simulated(&wg, &p, &s, 0, 4096, &cfg).unwrap();
+        let out = shortcut_sssp(&wg, &p, &s, 0, 4096, &cfg).unwrap();
         let deg = out
             .degraded
             .as_ref()
@@ -640,17 +605,17 @@ mod tests {
         let sub_wg = WeightedGraph::from_weighted_edges(survivors.len(), &sub_edges).unwrap();
         let exact = dijkstra(&sub_wg, 0);
         for (i, &v) in survivors.iter().enumerate() {
-            assert_eq!(out.outcome.dist[v as usize], exact[i], "survivor {v}");
+            assert_eq!(out.dist[v as usize], exact[i], "survivor {v}");
         }
         for &v in &deg.excluded_nodes {
-            assert_eq!(out.outcome.dist[v as usize], W_UNREACHABLE, "excised {v}");
+            assert_eq!(out.dist[v as usize], W_UNREACHABLE, "excised {v}");
         }
         assert!(
-            (out.outcome.max_stretch - 1.0).abs() < 1e-9,
+            (out.max_stretch - 1.0).abs() < 1e-9,
             "converged run is exact on the survivors"
         );
         // Sharded execution of the whole degraded path is bit-identical.
-        let sharded = shortcut_sssp_simulated(
+        let sharded = shortcut_sssp(
             &wg,
             &p,
             &s,
@@ -662,7 +627,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(sharded.outcome.dist, out.outcome.dist);
+        assert_eq!(sharded.dist, out.dist);
         assert_eq!(sharded.messages, out.messages);
     }
 
@@ -686,15 +651,13 @@ mod tests {
         let exc = detect_and_excise(wg.graph(), &plan, cfg.seed, cfg.shards).unwrap();
         assert!(exc.excluded.is_empty());
         for source in [0, 57] {
-            let clean =
-                shortcut_sssp_simulated(&wg, &p, &s, source, 4096, &SimConfig::default()).unwrap();
-            let out = shortcut_sssp_simulated(&wg, &p, &s, source, 4096, &cfg).unwrap();
-            let (o, c) = (&out.outcome, &clean.outcome);
-            assert_eq!(o.dist, c.dist, "faults absorbed (source {source})");
-            assert_eq!(o.iterations, c.iterations);
-            assert_eq!(o.total_rounds, c.total_rounds + exc.extra_rounds);
-            assert_eq!(o.max_stretch.to_bits(), c.max_stretch.to_bits());
-            assert_eq!(o.mean_stretch.to_bits(), c.mean_stretch.to_bits());
+            let clean = run(&wg, &p, &s, source, 4096);
+            let out = shortcut_sssp(&wg, &p, &s, source, 4096, &cfg).unwrap();
+            assert_eq!(out.dist, clean.dist, "faults absorbed (source {source})");
+            assert_eq!(out.iterations, clean.iterations);
+            assert_eq!(out.total_rounds, clean.total_rounds + exc.extra_rounds);
+            assert_eq!(out.max_stretch.to_bits(), clean.max_stretch.to_bits());
+            assert_eq!(out.mean_stretch.to_bits(), clean.mean_stretch.to_bits());
             assert_eq!(out.messages, clean.messages + exc.messages);
             assert_eq!(out.phase_rounds, clean.phase_rounds);
             assert_eq!(out.degraded, Some(exc.outcome()));
@@ -713,7 +676,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let err = shortcut_sssp_simulated(
+        let err = shortcut_sssp(
             &wg,
             &p,
             &s,

@@ -49,7 +49,7 @@ use std::time::Instant;
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
 use lcs_bench::{check_records, f3, highway_workload, value_flag, Table};
 use lcs_congest::hash::splitmix64;
-use lcs_congest::{Crash, ExecutionMode, FaultPlan};
+use lcs_congest::{Crash, FaultPlan};
 use lcs_core::{distributed_shortcuts, DistributedConfig, DistributedOutcome};
 use lcs_graph::{Graph, NodeId, WeightedGraph};
 use lcs_shortcut::Partition;
@@ -288,7 +288,6 @@ fn mst_fingerprint(out: &MstOutcome) -> u64 {
 
 fn run_mst(name: &str, wg: &WeightedGraph, shards: usize, plan: Option<FaultPlan>) -> Measurement {
     let cfg = MstConfig {
-        execution: ExecutionMode::Simulated,
         shards,
         faults: plan,
         ..MstConfig::default()

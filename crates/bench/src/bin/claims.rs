@@ -444,7 +444,8 @@ fn rounds_and_messages(quick: bool, r: &mut Report) {
 }
 
 /// E5 (Cor 1.2, MST): every strategy's tree against Kruskal's, and the
-/// accounted rounds of each.
+/// rounds of each: its MWOE aggregations as the engine ran them, plus
+/// the construction and leader-relabel charges.
 fn mst(quick: bool, r: &mut Report) {
     let sizes: &[usize] = if quick {
         &[400, 900]
@@ -697,8 +698,10 @@ fn sssp_and_two_ecss(quick: bool, r: &mut Report) {
         let pruned = prune_to_trees(g, &partition, &raw.shortcuts, params.depth_limit());
         let truth = dijkstra(&wg, 0);
         let (_, bf_rounds) = bellman_ford_rounds(&wg, 0);
-        let run = |iters| shortcut_sssp(&wg, &partition, &pruned.shortcuts, 0, iters);
-        let [two, four, eight, fixpoint] = [run(2), run(4), run(8), run(4096)];
+        let sim = SimConfig::default();
+        let run = |iters| shortcut_sssp(&wg, &partition, &pruned.shortcuts, 0, iters, &sim);
+        let [two, four, eight, fixpoint] =
+            [run(2), run(4), run(8), run(4096)].map(|out| out.expect("fault-free relaxations run"));
         let count = |dist: &[u64], bad: fn(&u64, &u64) -> bool| {
             dist.iter().zip(&truth).filter(|(a, b)| bad(a, b)).count() as f64
         };

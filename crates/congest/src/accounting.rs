@@ -7,10 +7,9 @@
 //! pre-computation, using shared randomness.
 //!
 //! The simulator executes such schedules concretely (see
-//! [`crate::multi_bfs`]); for large parameter sweeps where full
-//! simulation is too slow, `lcs-core`/`lcs-apps` instead *account* rounds
-//! with the explicit-constant formula here. Every experiment reports
-//! which mode produced its numbers.
+//! [`crate::multi_bfs`]). A step that no protocol runs yet is charged
+//! with the explicit-constant formula here instead; the README's
+//! "Substitutions" section lists each such charge.
 
 /// `⌈log₂ max(n, 2)⌉`.
 pub fn ceil_log2(n: usize) -> u32 {
@@ -41,25 +40,6 @@ impl ScheduleCost {
     pub fn rounds_no_precompute(&self, n: usize) -> u64 {
         let lg = ceil_log2(n) as u64;
         self.congestion + self.dilation * lg
-    }
-}
-
-/// How a distributed computation's round count was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Every message exchanged through the simulator engine.
-    Simulated,
-    /// Rounds charged via [`ScheduleCost`] from measured congestion and
-    /// dilation.
-    Accounted,
-}
-
-impl std::fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutionMode::Simulated => write!(f, "simulated"),
-            ExecutionMode::Accounted => write!(f, "accounted"),
-        }
     }
 }
 

@@ -68,7 +68,7 @@ pub mod sim;
 pub mod stats;
 pub mod tree;
 
-pub use accounting::{ceil_log2, ExecutionMode, ScheduleCost};
+pub use accounting::{ceil_log2, ScheduleCost};
 pub use bfs::{Bfs, BfsMsg, BfsNode, DistBfsOutcome};
 pub use error::SimError;
 pub use message::{Message, DEFAULT_BANDWIDTH_WORDS};

@@ -9,14 +9,15 @@
 //! ([`ShortcutIndex::part_paths`]).
 //!
 //! A customization also holds its MST answer, filled by the first
-//! [`Query::Mst`](crate::Query::Mst) it serves. Boruvka merges on the
-//! exact minimum `(weight, edge id)`, so the answer depends only on the
-//! weights, never on the query seed or the shortcuts; a customization
-//! that serves no MST never computes one.
+//! [`Query::Mst`](crate::Query::Mst) it serves from the weighted graph
+//! alone ([`lcs_apps::boruvka`]). Boruvka merges on the exact minimum
+//! `(weight, edge id)`, so the answer depends only on the weights,
+//! never on the query seed or the shortcuts; a customization that
+//! serves no MST never computes one, and each later query clones it.
 
 use crate::query::QueryResult;
 use lcs_graph::WeightedGraph;
-use lcs_shortcut::{AggregationSetup, ShortcutIndex};
+use lcs_shortcut::ShortcutIndex;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -100,11 +101,6 @@ impl CustomizedIndex {
     /// The graph with the active (customized) weights.
     pub fn weighted_graph(&self) -> &WeightedGraph {
         &self.wg
-    }
-
-    /// The frozen aggregation trees, borrowed from the index.
-    pub fn setup(&self) -> &AggregationSetup {
-        self.index.aggregation_setup()
     }
 
     /// Each node's weighted depth in its own part's tree under the

@@ -5,15 +5,15 @@
 //! reproduce bit for bit regardless of which pool worker answers which
 //! query. Each kind reads only what its answer depends on:
 //!
-//! * SSSP runs [`lcs_apps::relax_partwise`], the one relaxation loop
-//!   [`lcs_apps::shortcut_sssp`] runs, over the index's frozen trees and
-//!   the customization's depth table;
+//! * SSSP runs [`lcs_apps::relax_partwise`], the relaxation loop
+//!   [`lcs_apps::shortcut_sssp`] runs, with each part's minimum folded
+//!   over its members under the customization's depth table;
 //! * aggregation folds over the part members each frozen tree lists
 //!   ([`ShortcutIndex::part_paths`](lcs_shortcut::ShortcutIndex::part_paths)),
 //!   not over the shortcut nodes of other parts, which fold the
 //!   identity;
-//! * MST is computed once per customization by
-//!   [`lcs_apps::mst_via_shortcuts`] and cloned for every later query;
+//! * MST is computed once per customization by [`lcs_apps::boruvka`],
+//!   from the weighted graph alone, and cloned for every later query;
 //! * min-cut runs [`lcs_apps::min_cut_search`] alone, without the MST
 //!   run [`lcs_apps::approximate_min_cut`] makes to price its rounds.
 //!
@@ -24,7 +24,7 @@
 //! and [`lcs_apps::approximate_min_cut`].
 
 use crate::customize::CustomizedIndex;
-use lcs_apps::{min_cut_search, mst_via_shortcuts, relax_partwise, MinCutConfig, MstConfig};
+use lcs_apps::{boruvka, min_cut_search, relax_partwise, MinCutConfig, MstConfig};
 use lcs_congest::hash::{splitmix64, Fnv};
 use lcs_congest::AggOp;
 use lcs_graph::{EdgeId, NodeId};
@@ -72,9 +72,6 @@ pub enum QueryResult {
         dist: Vec<u64>,
         /// Outer iterations until fixpoint (or cap).
         iterations: u32,
-        /// Accounted rounds (Bellman–Ford sweeps + scheduled
-        /// aggregations), same accounting as the one-shot pipeline.
-        total_rounds: u64,
     },
     /// Answer to [`Query::Mst`].
     Mst {
@@ -109,16 +106,12 @@ impl QueryResult {
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fnv::new();
         match self {
-            QueryResult::Sssp {
-                dist,
-                iterations,
-                total_rounds,
-            } => {
+            QueryResult::Sssp { dist, iterations } => {
                 f.u64(1);
                 for &d in dist {
                     f.u64(d);
                 }
-                f.u64(u64::from(*iterations)).u64(*total_rounds);
+                f.u64(u64::from(*iterations));
             }
             QueryResult::Mst {
                 edges,
@@ -176,67 +169,48 @@ pub(crate) fn answer(cx: &CustomizedIndex, query: &Query, seed: u64) -> QueryRes
             source,
             max_iterations,
         } => sssp(cx, source, max_iterations),
-        Query::Mst => mst(cx, seed),
+        Query::Mst => mst(cx),
         Query::Aggregate { op } => aggregate(cx, op, seed),
         Query::MinCut => min_cut(cx, seed),
     }
 }
 
-/// The interleaved Bellman–Ford + partwise tree relaxation over the
-/// index's frozen trees and the customization's depth table — the
-/// loop [`lcs_apps::shortcut_sssp`] runs, so distances, iteration
-/// count, and round accounting are byte-identical to it on the same
-/// inputs (the differential suite pins this).
+/// The interleaved Bellman–Ford + partwise tree relaxation under the
+/// customization's depth table — the loop [`lcs_apps::shortcut_sssp`]
+/// runs, so distances and iteration count are byte-identical to it on
+/// the same inputs (the differential suite pins this).
 fn sssp(cx: &CustomizedIndex, source: NodeId, max_iterations: u32) -> QueryResult {
     let wg = cx.weighted_graph();
     let n = wg.graph().n();
     if source as usize >= n {
         return QueryResult::Failed(format!("sssp source {source} out of range (n={n})"));
     }
-    let (dist, iterations, total_rounds) = relax_partwise(
+    let (dist, iterations) = relax_partwise(
         wg,
         cx.index().partition(),
-        cx.setup(),
         cx.depths(),
         source,
         max_iterations,
     );
-    QueryResult::Sssp {
-        dist,
-        iterations,
-        total_rounds,
-    }
+    QueryResult::Sssp { dist, iterations }
 }
 
-/// The MST configuration an index-served [`Query::Mst`] runs under,
-/// and the one [`min_cut_config`] carries for the one-shot min-cut's
-/// round pricing — exposed so differential tests can run the identical
-/// one-shot pipeline.
-pub fn mst_config(cx: &CustomizedIndex, seed: u64) -> MstConfig {
-    MstConfig {
-        seed,
-        diameter: cx.index().meta().diameter,
-        ..MstConfig::default()
-    }
-}
-
-/// The customization's MST answer: the first query computes it under
-/// its own seed, and every later one clones it. Boruvka merges on the
-/// exact minimum `(weight, edge id)`, so the edges, weight, phase count
-/// and an encoding overflow depend only on the weighted graph — never
-/// on the seed or the shortcuts — and every seed gets the same answer.
-fn mst(cx: &CustomizedIndex, seed: u64) -> QueryResult {
+/// The customization's MST answer: the first query computes it by
+/// [`lcs_apps::boruvka`], and every later one clones it. Boruvka merges
+/// on the exact minimum `(weight, edge id)`, so the edges, weight, phase
+/// count and an encoding overflow depend only on the weighted graph,
+/// and equal what [`lcs_apps::mst_via_shortcuts`] returns under any
+/// seed and shortcut strategy.
+fn mst(cx: &CustomizedIndex) -> QueryResult {
     cx.mst
-        .get_or_init(
-            || match mst_via_shortcuts(cx.weighted_graph(), &mst_config(cx, seed)) {
-                Ok(out) => QueryResult::Mst {
-                    edges: out.edges,
-                    weight: out.weight,
-                    phases: out.phases,
-                },
-                Err(e) => QueryResult::Failed(format!("mst: {e}")),
+        .get_or_init(|| match boruvka(cx.weighted_graph()) {
+            Ok(forest) => QueryResult::Mst {
+                edges: forest.edges,
+                weight: forest.weight,
+                phases: forest.phases,
             },
-        )
+            Err(e) => QueryResult::Failed(format!("mst: {e}")),
+        })
         .clone()
 }
 
@@ -248,11 +222,16 @@ fn aggregate(cx: &CustomizedIndex, op: AggOp, seed: u64) -> QueryResult {
 }
 
 /// The min-cut configuration an index-served [`Query::MinCut`] runs
-/// under — exposed for the differential suite.
+/// under, whose MST part the one-shot min-cut prices rounds with —
+/// exposed for the differential suite.
 pub fn min_cut_config(cx: &CustomizedIndex, seed: u64) -> MinCutConfig {
     MinCutConfig {
         seed,
-        mst: mst_config(cx, seed),
+        mst: MstConfig {
+            seed,
+            diameter: cx.index().meta().diameter,
+            ..MstConfig::default()
+        },
         ..MinCutConfig::default()
     }
 }

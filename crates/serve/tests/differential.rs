@@ -24,8 +24,8 @@
 //!   no tree leaf outside its part.
 
 use lcs_apps::{
-    approximate_min_cut, mst_via_shortcuts, shortcut_sssp, shortcut_sssp_simulated, MinCutError,
-    MstConfig, MstError, ShortcutStrategy,
+    approximate_min_cut, boruvka, mst_via_shortcuts, shortcut_sssp, MinCutError, MstConfig,
+    MstError, ShortcutStrategy,
 };
 use lcs_congest::hash::Fnv;
 use lcs_congest::{AggOp, SimConfig};
@@ -38,8 +38,7 @@ use lcs_graph::{
     HighwayGraph, HighwayParams, NodeId, WeightedGraph, UNREACHABLE, W_UNREACHABLE,
 };
 use lcs_serve::{
-    aggregate_value, min_cut_config, mst_config, per_query_seed, CustomizedIndex, Query,
-    QueryResult, ServePool,
+    aggregate_value, min_cut_config, per_query_seed, CustomizedIndex, Query, QueryResult, ServePool,
 };
 use lcs_shortcut::{
     global_tree_shortcuts, measure_quality, trivial_shortcuts, AggregationSetup, DilationMode,
@@ -97,16 +96,12 @@ fn served_sssp_is_byte_identical_to_one_shot() {
             }],
             9,
         );
-        let one_shot = shortcut_sssp(&wg, &p, &shortcuts, source, 4096);
+        let one_shot =
+            shortcut_sssp(&wg, &p, &shortcuts, source, 4096, &SimConfig::default()).unwrap();
         match &batch.results[0] {
-            lcs_serve::QueryResult::Sssp {
-                dist,
-                iterations,
-                total_rounds,
-            } => {
+            lcs_serve::QueryResult::Sssp { dist, iterations } => {
                 assert_eq!(dist, &one_shot.dist, "source {source}");
                 assert_eq!(*iterations, one_shot.iterations, "source {source}");
-                assert_eq!(*total_rounds, one_shot.total_rounds, "source {source}");
             }
             other => panic!("expected an SSSP answer, got {other:?}"),
         }
@@ -114,9 +109,9 @@ fn served_sssp_is_byte_identical_to_one_shot() {
 }
 
 /// The served MST equals the one-shot run at every batch seed and pool
-/// size, each on a fresh customization that fills its answer under its
-/// own seed, and the unique MST is Kruskal's — also when eight
-/// concurrent first queries race to fill one customization.
+/// size, each on a fresh customization that fills its answer, and the
+/// unique MST is Kruskal's — also when eight concurrent first queries
+/// race to fill one customization.
 #[test]
 fn served_mst_is_byte_identical_to_one_shot_and_kruskal() {
     let (wg, p) = fixture();
@@ -136,7 +131,11 @@ fn served_mst_is_byte_identical_to_one_shot_and_kruskal() {
             let served = ServePool::with_customization(Arc::clone(&cx), workers)
                 .serve(&[Query::Mst], batch_seed);
             let seed = per_query_seed(batch_seed, 0);
-            let one_shot = mst_via_shortcuts(&wg, &mst_config(&cx, seed)).unwrap();
+            let cfg = MstConfig {
+                seed,
+                ..MstConfig::default()
+            };
+            let one_shot = mst_via_shortcuts(&wg, &cfg).unwrap();
             assert_eq!(
                 served.results[0],
                 QueryResult::Mst {
@@ -260,7 +259,8 @@ fn customization_reweights_without_rebuilding() {
     // One-shot on a freshly weighted graph with the same frozen
     // shortcuts: identical answers.
     let new_wg = WeightedGraph::new(wg.graph().clone(), new_weights).unwrap();
-    let one_shot = shortcut_sssp(&new_wg, &p, idx.shortcuts(), 3, 4096);
+    let one_shot =
+        shortcut_sssp(&new_wg, &p, idx.shortcuts(), 3, 4096, &SimConfig::default()).unwrap();
     match &batch.results[0] {
         lcs_serve::QueryResult::Sssp { dist, .. } => assert_eq!(dist, &one_shot.dist),
         other => panic!("expected an SSSP answer, got {other:?}"),
@@ -326,16 +326,22 @@ fn heavy_weights_serve_exact_distances_and_a_typed_min_cut_failure() {
         }
         other => panic!("expected an SSSP answer, got {other:?}"),
     }
-    // Min-cut rejects what the MST's MWOE encoding cannot carry, before
-    // it sums a weight, with the error the one-shot pipeline reports.
+    // The MST, and min-cut before it sums a weight, reject what the
+    // MWOE encoding cannot carry, with the errors the one-shot
+    // pipelines report.
     let overflow = format!("min-cut: {}", MinCutError::Mst(MstError::EncodingOverflow));
+    let mst_overflow = format!("mst: {}", MstError::EncodingOverflow);
     for shift in [37u32, 61, 63] {
         let cx =
             Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), vec![1 << shift; m]).unwrap());
-        let served = ServePool::with_customization(Arc::clone(&cx), 1).serve(&[Query::MinCut], 3);
+        let served = ServePool::with_customization(Arc::clone(&cx), 1)
+            .serve(&[Query::MinCut, Query::Mst], 3);
         assert_eq!(
-            served.results[0],
-            QueryResult::Failed(overflow.clone()),
+            served.results,
+            [
+                QueryResult::Failed(overflow.clone()),
+                QueryResult::Failed(mst_overflow.clone())
+            ],
             "2^{shift}"
         );
         let one_shot = approximate_min_cut(cx.weighted_graph(), &min_cut_config(&cx, 3));
@@ -343,7 +349,25 @@ fn heavy_weights_serve_exact_distances_and_a_typed_min_cut_failure() {
             one_shot.unwrap_err(),
             MinCutError::Mst(MstError::EncodingOverflow)
         );
+        let one_shot = mst_via_shortcuts(cx.weighted_graph(), &MstConfig::default());
+        assert_eq!(one_shot.unwrap_err(), MstError::EncodingOverflow);
     }
+    // Just below the bound, both answer Kruskal's tree.
+    let cx =
+        Arc::new(CustomizedIndex::with_weights(Arc::clone(&idx), vec![(1 << 37) - 1; m]).unwrap());
+    let k = kruskal(cx.weighted_graph());
+    let one_shot = mst_via_shortcuts(cx.weighted_graph(), &MstConfig::default()).unwrap();
+    assert_eq!((&one_shot.edges, one_shot.weight), (&k.edges, k.weight));
+    assert_eq!(
+        ServePool::with_customization(cx, 1)
+            .serve(&[Query::Mst], 3)
+            .results[0],
+        QueryResult::Mst {
+            edges: k.edges,
+            weight: k.weight,
+            phases: one_shot.phases,
+        }
+    );
 }
 
 #[test]
@@ -409,9 +433,10 @@ fn mst_instances() -> Vec<WeightedGraph> {
     out
 }
 
-/// The premise of the served MST memo: Boruvka merges on the exact
-/// minimum `(weight, edge id)`, so the answer depends only on the
-/// weighted graph — never on the seed or the shortcut strategy.
+/// The premise of the served MST: Boruvka merges on the exact minimum
+/// `(weight, edge id)`, so the answer depends only on the weighted
+/// graph — never on the seed or the shortcut strategy — and the
+/// graph-only `boruvka` the index serves returns it.
 #[test]
 fn mst_answer_depends_only_on_the_weighted_graph() {
     for (i, wg) in mst_instances().iter().enumerate() {
@@ -426,6 +451,12 @@ fn mst_answer_depends_only_on_the_weighted_graph() {
         };
         let first = answer(1, ShortcutStrategy::KoganParter);
         assert_eq!(first.0, kruskal(wg).edges, "instance {i}");
+        let forest = boruvka(wg).unwrap();
+        assert_eq!(
+            (forest.edges, forest.weight, forest.phases),
+            first,
+            "instance {i}, graph only"
+        );
         for seed in [1, 0xB0B, 0xFEED_5EED] {
             for strategy in [
                 ShortcutStrategy::KoganParter,
@@ -497,7 +528,8 @@ fn relaxation_instance(i: u64) -> (WeightedGraph, Partition, ShortcutSet) {
 
 /// The relaxation as written before the flat table: per-tree depth
 /// maps keyed by every tree member, and each tree's minimum applied
-/// before the next tree's is taken. Returns `(dist, iterations)`.
+/// before the next tree's is taken, for at most `max_iterations`
+/// iterations. Returns `(dist, iterations)`.
 fn per_tree_reference(
     wg: &WeightedGraph,
     p: &Partition,
@@ -526,7 +558,7 @@ fn per_tree_reference(
     let mut dist = vec![W_UNREACHABLE; g.n()];
     dist[source as usize] = 0;
     let mut iterations = 0;
-    loop {
+    while iterations < max_iterations {
         iterations += 1;
         let before = dist.clone();
         for e in g.edge_ids() {
@@ -552,10 +584,11 @@ fn per_tree_reference(
                 }
             }
         }
-        if dist == before || iterations >= max_iterations {
-            return (dist, iterations);
+        if dist == before {
+            break;
         }
     }
+    (dist, iterations)
 }
 
 #[test]
@@ -585,12 +618,10 @@ fn one_relaxation_agrees_with_the_per_tree_reference_on_random_instances() {
             .filter(|&(part, v)| p.part_of(v) != Some(part as u32))
             .count();
         let pool = ServePool::new(Arc::clone(&idx), 1);
-        let agg_rounds = setup.schedule_cost().rounds_no_precompute(g.n().max(2)) * 2;
         let source = (i as usize * 7 % g.n()) as NodeId;
-        for max_iterations in [1u32, 2, 4096] {
+        for max_iterations in [0u32, 1, 2, 4096] {
             let at = format!("instance {i}, source {source}, cap {max_iterations}");
             let (dist, iterations) = per_tree_reference(&wg, &p, setup, source, max_iterations);
-            let total_rounds = u64::from(iterations) * (1 + agg_rounds);
             let query = Query::Sssp {
                 source,
                 max_iterations,
@@ -598,33 +629,28 @@ fn one_relaxation_agrees_with_the_per_tree_reference_on_random_instances() {
             let reference = QueryResult::Sssp {
                 dist: dist.clone(),
                 iterations,
-                total_rounds,
             };
             assert_eq!(
                 pool.serve(&[query], 0).results[0],
                 reference,
                 "served, {at}"
             );
-            let one_shot = shortcut_sssp(&wg, &p, &shortcuts, source, max_iterations);
-            assert_eq!(one_shot.dist, dist, "one-shot, {at}");
-            assert_eq!(one_shot.iterations, iterations, "one-shot, {at}");
-            assert_eq!(one_shot.total_rounds, total_rounds, "one-shot, {at}");
-            let simulated = [1usize, 3].map(|shards| {
+            let one_shot = [1usize, 3].map(|shards| {
                 let cfg = SimConfig {
                     shards,
                     ..SimConfig::default()
                 };
-                shortcut_sssp_simulated(&wg, &p, &shortcuts, source, max_iterations, &cfg).unwrap()
+                shortcut_sssp(&wg, &p, &shortcuts, source, max_iterations, &cfg).unwrap()
             });
-            for sim in &simulated {
-                assert_eq!(sim.outcome.dist, dist, "simulated, {at}");
-                assert_eq!(sim.outcome.iterations, iterations, "simulated, {at}");
+            for out in &one_shot {
+                assert_eq!(out.dist, dist, "one-shot, {at}");
+                assert_eq!(out.iterations, iterations, "one-shot, {at}");
             }
             assert_eq!(
-                simulated[0].outcome.total_rounds, simulated[1].outcome.total_rounds,
-                "simulated shards, {at}"
+                one_shot[0].total_rounds, one_shot[1].total_rounds,
+                "one-shot shards, {at}"
             );
-            assert_eq!(simulated[0].messages, simulated[1].messages, "{at}");
+            assert_eq!(one_shot[0].messages, one_shot[1].messages, "{at}");
         }
     }
     assert!(
@@ -776,7 +802,10 @@ fn assert_served_aggregates_fold_the_trees(cx: &Arc<CustomizedIndex>, at: &str) 
                 op.identity()
             }
         };
-        let per_part = cx.setup().aggregate_centralized(*op, &value);
+        let per_part = cx
+            .index()
+            .aggregation_setup()
+            .aggregate_centralized(*op, &value);
         assert_eq!(served, &QueryResult::Aggregate { per_part }, "{op:?}, {at}");
     }
 }

@@ -13,8 +13,11 @@
 //! * tree depth ≤ dilation,
 //! * per-edge tree overlap ≤ congestion,
 //! * so the scheduled execution takes `O(c + d·log n)` rounds
-//!   (Theorem 2.1), which the simulator realizes with queues and the
-//!   accountant charges via [`ScheduleCost`].
+//!   (Theorem 2.1), which the simulator realizes with queues.
+//!
+//! [`AggregationSetup::accounted_rounds`] prices one sweep by
+//! [`ScheduleCost`] instead, for the one step that runs no protocol
+//! yet: the leader relabel after each Boruvka merge.
 
 use crate::partition::Partition;
 use crate::shortcut::{ShortcutSet, Stripper};
@@ -99,8 +102,9 @@ impl AggregationSetup {
         }
     }
 
-    /// Accounted rounds for one aggregation (convergecast; double for
-    /// convergecast + broadcast) on an `n`-node network.
+    /// Scheduled rounds for one aggregation sweep (convergecast; double
+    /// for convergecast + broadcast) on an `n`-node network, by
+    /// [`ScheduleCost::rounds_no_precompute`].
     pub fn accounted_rounds(&self, n: usize) -> u64 {
         self.schedule_cost().rounds_no_precompute(n)
     }

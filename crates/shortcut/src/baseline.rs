@@ -14,8 +14,8 @@
 //!   al. Their code is not public; as the paper notes its own D = 3 case
 //!   "is similar to" Kitamura's, we instantiate the same sampling
 //!   template with a *fixed small repetition count* (one for D = 3, two
-//!   for D = 4) rather than the full `D`-repetition scheme — see
-//!   DESIGN.md §2 (substitutions).
+//!   for D = 4) rather than the full `D`-repetition scheme — see the
+//!   README's "Substitutions".
 
 use crate::partition::Partition;
 use crate::shortcut::ShortcutSet;

@@ -5,8 +5,9 @@
 //! density at most `δ`.
 //!
 //! We instantiate their core mechanism centrally (the repo's
-//! documented-substitution pattern, DESIGN.md §2): every part grows a
-//! BFS tree from its leader, all parts simultaneously, under a hard
+//! documented-substitution pattern, README "Substitutions"): every
+//! part grows a BFS tree from its leader, all parts simultaneously,
+//! under a hard
 //! per-edge *claim cap* — an edge may join at most `cap` different
 //! parts' trees (edges inside a part's own member set are free, since
 //! `G[S_i]` is already in the augmented subgraph). Parts take turns by

@@ -4,9 +4,10 @@
 //! `O(w·D·log n)` on treewidth-`w` graphs from tree decompositions.
 //!
 //! We instantiate their decomposition template centrally (the repo's
-//! documented-substitution pattern, DESIGN.md §2): a min-degree
-//! elimination order yields a tree decomposition, whose weighted
-//! centroid bag is a balanced separator; recursing on the remaining
+//! documented-substitution pattern, README "Substitutions"): a
+//! min-degree elimination order yields a tree decomposition, whose
+//! weighted centroid bag is a balanced separator; recursing on the
+//! remaining
 //! components gives a cluster hierarchy of depth `O(log n)`. Each part
 //! is *homed* at the deepest cluster that fully contains it, and its
 //! shortcut `H_i` is the home cluster's BFS tree pruned to the part

@@ -99,8 +99,8 @@ pub mod prelude {
         ShortcutStrategy,
     };
     pub use lcs_congest::{
-        positions_from_tree, AggOp, Bfs, ExecutionMode, Join, MultiAggregate, MultiBfs,
-        PrefixNumber, Protocol, Session, SimConfig, TreeAggregate, Wake,
+        positions_from_tree, AggOp, Bfs, Join, MultiAggregate, MultiBfs, PrefixNumber, Protocol,
+        Session, SimConfig, TreeAggregate, Wake,
     };
     pub use lcs_core::{
         build_index, build_index_distributed, centralized_shortcuts, distributed_shortcuts, k_d,

@@ -26,7 +26,6 @@ fn simulated_mst_on_engine_matches_kruskal_across_strategies() {
             &wg,
             &MstConfig {
                 strategy,
-                execution: ExecutionMode::Simulated,
                 diameter: Some(4),
                 ..MstConfig::default()
             },
@@ -103,7 +102,15 @@ fn sssp_accelerates_long_chains_with_sound_bounds() {
     let params = KpParams::new(g.n(), 4).unwrap();
     let raw = centralized_shortcuts(&g, &parts, params, 4);
     let pruned = prune_to_trees(&g, &parts, &raw.shortcuts, params.depth_limit());
-    let accel = shortcut_sssp(&wg, &parts, &pruned.shortcuts, 0, 512);
+    let accel = shortcut_sssp(
+        &wg,
+        &parts,
+        &pruned.shortcuts,
+        0,
+        512,
+        &SimConfig::default(),
+    )
+    .unwrap();
     let (_, bf_rounds) = bellman_ford_rounds(&wg, 0);
     assert!((accel.iterations as u64) < bf_rounds);
     let exact = lcs_graph::dijkstra(&wg, 0);

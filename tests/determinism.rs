@@ -121,7 +121,7 @@ fn pinned_index_checksum_and_serve_batch() {
         Query::MinCut,
     ];
     let batch = ServePool::new(Arc::new(index), 1).serve(&queries, 0xBA7C);
-    assert_eq!(batch.fingerprint, 2349593132063736553);
+    assert_eq!(batch.fingerprint, 17208130594470684867);
 }
 
 #[test]

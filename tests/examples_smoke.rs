@@ -48,8 +48,8 @@ fn shortcut_tree_demo_runs() {
     shortcut_tree_demo::run();
 }
 
-// The two application-scale examples simulate thousands of accounted
-// CONGEST rounds; they stay in tier-1 but are the slowest entries, so
+// The two application-scale examples run every MST aggregation on the
+// CONGEST engine; they stay in tier-1 but are the slowest entries, so
 // they are also the first candidates for tier-2 if they ever grow.
 
 #[test]
