@@ -45,11 +45,11 @@ pub enum ShortcutStrategy {
 
 impl fmt::Display for ShortcutStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShortcutStrategy::KoganParter => write!(f, "kogan-parter"),
-            ShortcutStrategy::GlobalTree => write!(f, "global-tree"),
-            ShortcutStrategy::Trivial => write!(f, "trivial"),
-        }
+        f.pad(match self {
+            ShortcutStrategy::KoganParter => "kogan-parter",
+            ShortcutStrategy::GlobalTree => "global-tree",
+            ShortcutStrategy::Trivial => "trivial",
+        })
     }
 }
 
@@ -448,6 +448,21 @@ mod tests {
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         WeightedGraph::with_random_weights(hw.graph().clone(), 1000, &mut rng)
+    }
+
+    /// A strategy's name fills the width it is given, so the columns of
+    /// a comparison table line up.
+    #[test]
+    fn strategy_names_honour_width() {
+        for s in [
+            ShortcutStrategy::KoganParter,
+            ShortcutStrategy::GlobalTree,
+            ShortcutStrategy::Trivial,
+        ] {
+            let cell = format!("{s:>14}");
+            assert_eq!(cell.chars().count(), 14, "{cell:?}");
+            assert!(cell.ends_with(&s.to_string()));
+        }
     }
 
     #[test]

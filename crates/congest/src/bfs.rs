@@ -6,7 +6,7 @@
 //! the parent learns its children, and forwards. Completes in
 //! `ecc(root) + 2` rounds.
 
-use crate::message::Message;
+use crate::message::{digest_fields, Message};
 use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
@@ -29,6 +29,13 @@ impl Message for BfsMsg {
         match self {
             BfsMsg::Token { .. } => 1,
             BfsMsg::Child => 1,
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        match *self {
+            BfsMsg::Token { dist } => digest_fields(0, &[u64::from(dist)]),
+            BfsMsg::Child => digest_fields(1, &[]),
         }
     }
 }

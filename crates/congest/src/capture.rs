@@ -6,11 +6,23 @@
 //! checked at capture time) and have no wire effects: the host sends
 //! them later through its own context, so mail flags and active sets
 //! see exactly the wire traffic at any shard count.
+//!
+//! The buffers a hook runs through (inbox, payload slots, occupancy
+//! bytes, dirty list, per-arc sink) are per-shard scratch, not node
+//! state. Each engine shard owns one [`Captures`] pool and lends it to
+//! every node it runs through a crate-private [`RoundCtx`] field; a
+//! host borrows a [`Capture`] for its inner message type, runs the
+//! hook, moves the payloads out with [`Capture::drain`] or
+//! [`Capture::take`], and gives the buffers back in the same round. A
+//! capture context lends the same pool on, so nested hosts borrow from
+//! it too, and a node costs no capture allocation however many joined
+//! phases it runs.
 
 use crate::message::Message;
 use crate::node::{RoundCtx, TxState, Wake};
 use crate::protocol::Protocol;
 use lcs_graph::NodeId;
+use std::any::Any;
 use std::mem::MaybeUninit;
 
 /// What one [`Capture::run`] did.
@@ -25,14 +37,46 @@ pub(crate) enum Hook {
     Violation,
 }
 
-/// One inner protocol's capture mailbox at one node: its inbox view,
-/// payload slots, occupancy bytes and send-path scratch. Slot `i` holds
-/// a live payload iff `occ[i]` is set; payloads leave through
-/// [`Capture::take`] (or [`Capture::drain`]), and [`Drop`] drops any
-/// still held.
+/// One shard's free capture buffers, at most one per message type
+/// unless hosts nest with the same inner type. [`Captures::lend`] hands
+/// out a pooled capture of the asked type (a new one the first time),
+/// and [`Captures::give_back`] returns it.
+#[derive(Default)]
+pub(crate) struct Captures {
+    free: Vec<Box<dyn Any + Send>>,
+}
+
+impl Captures {
+    /// Lends a capture for message type `M`, with an empty inbox and
+    /// no payloads.
+    pub(crate) fn lend<M: Send + 'static>(&mut self) -> Box<Capture<M>> {
+        match self.free.iter().position(|c| c.is::<Capture<M>>()) {
+            Some(i) => self
+                .free
+                .swap_remove(i)
+                .downcast()
+                .expect("the position matched the type"),
+            None => Box::default(),
+        }
+    }
+
+    /// Takes back a lent capture whose payloads have all left; its
+    /// inbox is cleared here, so no payload outlives the round.
+    pub(crate) fn give_back<M: Send + 'static>(&mut self, mut cap: Box<Capture<M>>) {
+        debug_assert!(!cap.occ.contains(&true), "captured payloads left over");
+        cap.inbox.clear();
+        self.free.push(cap);
+    }
+}
+
+/// One inner protocol's capture mailbox: its inbox view, payload
+/// slots, occupancy bytes and send-path scratch, sized to the largest
+/// degree it has served. Slot `i` holds a live payload iff `occ[i]` is
+/// set; payloads leave through [`Capture::take`] (or
+/// [`Capture::drain`]), and [`Drop`] drops any still held.
 pub(crate) struct Capture<M> {
     /// The inbox the next [`Capture::run`] hands to the hook; the host
-    /// clears and fills it.
+    /// fills it.
     pub(crate) inbox: Vec<(NodeId, M)>,
     slots: Vec<MaybeUninit<M>>,
     occ: Vec<bool>,
@@ -59,8 +103,9 @@ impl<M> Capture<M> {
     /// the quiescence gate lets it: at round 0, with mail, or after a
     /// [`Wake::Stay`]. Skipping a sleeping hook is outcome-neutral by
     /// the [quiescence contract](Protocol#the-quiescence-contract). The
-    /// hook draws from the host node's RNG. The host must have taken
-    /// the previous run's payloads.
+    /// hook draws from the host node's RNG and borrows from the host's
+    /// capture pool. The host must have taken the previous run's
+    /// payloads.
     #[inline]
     pub(crate) fn run<P, W>(
         &mut self,
@@ -77,7 +122,7 @@ impl<M> Capture<M> {
             return Hook::Skipped;
         }
         let degree = ctx.degree();
-        if self.occ.len() != degree {
+        if self.occ.len() < degree {
             self.slots.resize_with(degree, MaybeUninit::uninit);
             self.occ.resize(degree, false);
             self.per_arc.resize(degree, 0);
@@ -94,16 +139,17 @@ impl<M> Capture<M> {
                 graph: ctx.graph,
                 inbox: &self.inbox,
                 rng: &mut *ctx.rng,
+                captures: &mut *ctx.captures,
                 tx: TxState {
-                    slots: &mut self.slots,
-                    occ: &mut self.occ,
+                    slots: &mut self.slots[..degree],
+                    occ: &mut self.occ[..degree],
                     heads: ctx.tx.heads,
                     arc_base: 0,
                     wire: None,
                     dirty: &mut self.dirty,
                     messages: &mut messages,
                     words: &mut words,
-                    per_arc: &mut self.per_arc,
+                    per_arc: &mut self.per_arc[..degree],
                     violation: &mut violation,
                     bandwidth: ctx.tx.bandwidth,
                 },
@@ -129,18 +175,15 @@ impl<M> Capture<M> {
     }
 
     /// Hands each payload the last run captured to `sink`, with its
-    /// neighbor index, in send order; returns how many it handed.
-    pub(crate) fn drain(&mut self, mut sink: impl FnMut(usize, M)) -> usize {
-        let mut handed = 0;
+    /// neighbor index, in send order.
+    pub(crate) fn drain(&mut self, mut sink: impl FnMut(usize, M)) {
         for k in 0..self.dirty.len() {
             let i = self.dirty[k] as usize;
             if let Some(m) = self.take(i) {
                 sink(i, m);
-                handed += 1;
             }
         }
         self.dirty.clear();
-        handed
     }
 }
 
@@ -320,7 +363,8 @@ mod tests {
     /// Every payload a `Join` side or a `Reliable` inner protocol sends
     /// is dropped exactly once: after a completed phase, and after a
     /// phase that a double send aborts while the round's other sends
-    /// sit captured (and, under `Join`, earlier ones sit queued).
+    /// sit in the capture the shard lent (and, under `Join`, earlier
+    /// ones sit in the backlog).
     #[test]
     fn captured_payloads_are_dropped_exactly_once() {
         let joined = run_tracked("join, completed", SimConfig::default(), |l| {

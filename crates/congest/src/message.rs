@@ -10,6 +10,8 @@
 //!
 //! [`SimConfig::bandwidth_words`]: crate::sim::SimConfig::bandwidth_words
 
+use crate::hash::splitmix64;
+
 /// Default per-message budget, in `⌈log₂ n⌉`-bit words.
 pub const DEFAULT_BANDWIDTH_WORDS: u32 = 4;
 
@@ -46,13 +48,23 @@ pub trait Message: Clone + std::fmt::Debug {
     /// FNV-1a — valid for any `Message` since `Debug` is a supertrait,
     /// and stable because `Debug` output is deterministic for the plain
     /// data types used as CONGEST payloads. Override with a cheaper
-    /// field-wise hash where throughput matters.
+    /// field-wise hash where throughput matters, as every message type
+    /// of this crate does.
     fn digest(&self) -> u64 {
         use std::fmt::Write;
         let mut h = crate::hash::Fnv::new();
         write!(h, "{self:?}").expect("Debug formatting never fails");
         h.finish()
     }
+}
+
+/// The field-wise digest of this crate's message types: a splitmix64
+/// chain that starts from the variant's index and folds in each field.
+#[inline]
+pub(crate) fn digest_fields(variant: u64, fields: &[u64]) -> u64 {
+    fields
+        .iter()
+        .fold(splitmix64(variant), |h, &x| splitmix64(h ^ x))
 }
 
 impl Message for () {
@@ -105,7 +117,7 @@ impl<A: Message, B: Message> Message for (A, B) {
     fn corrupted(self, stream: u64) -> Self {
         // Corrupt one component, chosen by the low bit; re-derive the
         // component's stream so the flipped bits differ from the chooser.
-        let next = crate::hash::splitmix64(stream);
+        let next = splitmix64(stream);
         if stream & 1 == 0 {
             (self.0.corrupted(next), self.1)
         } else {
@@ -125,6 +137,55 @@ impl<A: Message, B: Message> Message for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::{BfsMsg, JoinMsg, MultiAggMsg, MultiBfsMsg, TreeMsg};
+    use std::collections::HashSet;
+
+    /// Asserts that no two of `msgs` share a digest.
+    fn assert_distinct<M: Message>(msgs: &[M]) {
+        let digests: HashSet<u64> = msgs.iter().map(Message::digest).collect();
+        assert_eq!(digests.len(), msgs.len(), "{msgs:?}");
+    }
+
+    /// The field-wise digests tell apart every variant and every value
+    /// of every field, on small and extreme values alike.
+    #[test]
+    fn distinct_messages_get_distinct_digests() {
+        let values = [0u32, 1, 2, 7, u32::MAX - 1, u32::MAX];
+        let wide = [0u64, 1, 7, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
+        let mut bfs = vec![BfsMsg::Child];
+        let mut tree = Vec::new();
+        let mut multi_bfs = Vec::new();
+        let mut multi_agg = Vec::new();
+        let mut joined = Vec::new();
+        for &v in &wide {
+            tree.extend([TreeMsg::Up(v), TreeMsg::Down(v)]);
+            joined.extend([JoinMsg::A(TreeMsg::Up(v)), JoinMsg::B(TreeMsg::Up(v))]);
+            joined.extend([JoinMsg::A(TreeMsg::Down(v)), JoinMsg::B(TreeMsg::Down(v))]);
+        }
+        for &x in &values {
+            bfs.push(BfsMsg::Token { dist: x });
+            multi_bfs.push(MultiBfsMsg::Child { inst: x });
+            for &value in &wide {
+                multi_agg.push(MultiAggMsg::Up { inst: x, value });
+                multi_agg.push(MultiAggMsg::Down { inst: x, value });
+            }
+            for &y in &values {
+                for &z in &values {
+                    multi_bfs.push(MultiBfsMsg::Token {
+                        inst: x,
+                        root: y,
+                        dist: z,
+                    });
+                }
+            }
+        }
+        assert_distinct(&bfs);
+        assert_distinct(&tree);
+        assert_distinct(&multi_bfs);
+        assert_distinct(&multi_agg);
+        assert_distinct(&joined);
+    }
 
     #[test]
     fn primitive_sizes() {

@@ -28,13 +28,16 @@
 //!
 //! **Outcome.** Each node's reach and child logs leave the run as the
 //! node wrote them ([`MultiBfsOutcome`]): nothing is tabled per
-//! instance or sorted after the last round.
+//! instance or sorted after the last round. A reach entry names the
+//! arc its token arrived on, so a caller reads the tree edge with
+//! [`Graph::arc_edge`] and the parent with [`Graph::arc_head`], with no
+//! adjacency search.
 
-use crate::message::Message;
+use crate::message::{digest_fields, Message};
 use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
-use lcs_graph::{Graph, NodeId};
+use lcs_graph::{ArcId, Graph, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -149,17 +152,45 @@ impl Message for MultiBfsMsg {
             MultiBfsMsg::Child { .. } => 1,
         }
     }
+
+    fn digest(&self) -> u64 {
+        match *self {
+            MultiBfsMsg::Token { inst, root, dist } => {
+                digest_fields(0, &[inst, root, dist].map(u64::from))
+            }
+            MultiBfsMsg::Child { inst } => digest_fields(1, &[u64::from(inst)]),
+        }
+    }
 }
 
-/// How a node was reached in one instance.
+/// How a node was reached in one instance: its distance and the arc
+/// its token arrived on. The instance (and so its root) is the log
+/// entry's key, so a reach log entry is 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reached {
     /// BFS distance in the instance subgraph (0 for the root).
     pub dist: u32,
-    /// Tree parent (None for the root).
-    pub parent: Option<NodeId>,
-    /// Root of the instance, as learned from the token.
-    pub root: NodeId,
+    /// The node's own arc to the neighbor whose token it adopted, or
+    /// [`Reached::ROOT`] at the instance's root.
+    arc: u32,
+}
+
+impl Reached {
+    /// The `arc` of a root, which adopted no token.
+    const ROOT: u32 = u32::MAX;
+
+    /// The node's arc to its tree parent, the neighbor whose token it
+    /// adopted (`None` for the root). Its [`Graph::arc_edge`] is the
+    /// tree edge and its [`Graph::arc_head`] the parent.
+    pub fn parent_arc(&self) -> Option<ArcId> {
+        (self.arc != Self::ROOT).then_some(ArcId(self.arc))
+    }
+
+    /// The tree parent in `graph`, the graph the bundle ran on (`None`
+    /// for the root).
+    pub fn parent(&self, graph: &Graph) -> Option<NodeId> {
+        self.parent_arc().map(|a| graph.arc_head(a))
+    }
 }
 
 /// Per-node state of the multi-BFS protocol.
@@ -373,7 +404,9 @@ impl MultiBfsNode {
 pub struct MultiBfsOutcome {
     /// Per-node reach log: `reached[v]` holds `(inst, how)` for every
     /// instance that reached `v`, in the order `v` accepted their
-    /// tokens; each instance appears at most once.
+    /// tokens; each instance appears at most once. `how` names `v`'s
+    /// arc to its parent ([`Reached::parent_arc`]), not the parent's
+    /// id, and no root: instance `inst`'s root is the spec's.
     pub reached: Vec<Vec<(u32, Reached)>>,
     /// Per-node child log: `children[v]` holds `(inst, child)` for
     /// every child acknowledgment `v` received, in arrival order.
@@ -463,8 +496,7 @@ impl Protocol for MultiBfs {
                     inst,
                     Reached {
                         dist: 0,
-                        parent: None,
-                        root: me,
+                        arc: Reached::ROOT,
                     },
                 ));
                 st.fan_out(ctx, inst, me, 0, None);
@@ -484,15 +516,14 @@ impl Protocol for MultiBfs {
                         continue;
                     }
                     st.mark_reached(inst);
+                    let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
                     st.accepted.push((
                         inst,
                         Reached {
                             dist,
-                            parent: Some(from),
-                            root,
+                            arc: ctx.arc(from_idx).0,
                         },
                     ));
-                    let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
                     st.send_or_enqueue(ctx, neighbors.len(), from_idx, MultiBfsMsg::Child { inst });
                     st.fan_out(ctx, inst, root, dist, Some(from));
                 }
@@ -760,10 +791,15 @@ mod tests {
         });
         let out = run_bundle(&g, spec);
         for v in g.nodes() {
-            if let Some(r) = out.reach(v, 0) {
-                if let Some(p) = r.parent {
-                    assert!(out.children_of(p, 0).contains(&v));
-                }
+            let r = out.reach(v, 0).expect("the whole grid is reached");
+            assert_eq!(r.parent_arc().is_none(), v == 5, "only the root has none");
+            if let Some(a) = r.parent_arc() {
+                // The arc is `v`'s own, and names the tree edge.
+                assert!(g.arc_range(v).contains(&a.index()));
+                let p = r.parent(&g).unwrap();
+                assert_eq!(g.edge_between(v, p), Some(g.arc_edge(a)));
+                assert_eq!(out.reach(p, 0).unwrap().dist + 1, r.dist);
+                assert!(out.children_of(p, 0).contains(&v));
             }
         }
     }
@@ -799,7 +835,7 @@ mod tests {
                 let logged = out.children[v as usize].iter().filter(|&&(i, _)| i == inst);
                 assert_eq!(c.len(), logged.count());
                 for &w in &c {
-                    assert_eq!(out.reach(w, inst).unwrap().parent, Some(v));
+                    assert_eq!(out.reach(w, inst).unwrap().parent(&g), Some(v));
                 }
             }
         }

@@ -3,10 +3,11 @@
 //! quiescence signal a node reports through
 //! [`Protocol::wake`](crate::Protocol::wake).
 
+use crate::capture::Captures;
 use crate::error::SimError;
 use crate::message::Message;
 use crate::sim::WakeCell;
-use lcs_graph::{Graph, NodeId};
+use lcs_graph::{ArcId, Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
 
 /// A node's scheduling request for the next round, reported by
@@ -135,6 +136,10 @@ pub struct RoundCtx<'a, M> {
     pub(crate) graph: &'a Graph,
     pub(crate) inbox: &'a [(NodeId, M)],
     pub(crate) rng: &'a mut ChaCha8Rng,
+    /// The running shard's capture buffers, lent to the hosts that run
+    /// inner protocols ([`Join`](crate::Join),
+    /// [`Reliable`](crate::Reliable)) for the length of one hook.
+    pub(crate) captures: &'a mut Captures,
     pub(crate) tx: TxState<'a, M>,
 }
 
@@ -199,6 +204,20 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         } else {
             heads.binary_search(&w).ok()
         }
+    }
+
+    /// This node's arc to its `i`-th neighbor.
+    #[inline]
+    pub(crate) fn arc(&self, i: usize) -> ArcId {
+        debug_assert!(i < self.degree());
+        ArcId((self.graph.arc_range(self.node).start + i) as u32)
+    }
+
+    /// Whether this node has already sent to its `i`-th neighbor this
+    /// round.
+    #[inline]
+    pub(crate) fn sent_to(&self, i: usize) -> bool {
+        self.tx.occ[i]
     }
 
     /// Resolves a tree position (parent and children node ids) into

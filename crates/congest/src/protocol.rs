@@ -25,13 +25,16 @@
 //!
 //! Both combinators that run a protocol inside another's rounds,
 //! [`Join`] and [`Reliable`](crate::Reliable), share one capture path:
-//! per inner protocol and node, a crate-private capture mailbox holds
-//! the inner inbox and one payload slot per neighbor, runs the inner
-//! hook only when the [quiescence contract](Protocol#the-quiescence-contract)
-//! asks for it (round 0, mail, or [`Wake::Stay`]), keeps its sends off
-//! the wire, forwards a model violation to the host, and hands the
-//! payloads back. `Join` queues them per neighbor (hook at the engine
-//! round); `Reliable` frames them per link (hook at its virtual round).
+//! a crate-private capture mailbox holds the inner inbox and one
+//! payload slot per neighbor, runs the inner hook only when the
+//! [quiescence contract](Protocol#the-quiescence-contract) asks for it
+//! (round 0, mail, or [`Wake::Stay`]), keeps its sends off the wire,
+//! forwards a model violation to the host, and hands the payloads
+//! back. The mailboxes are per-shard scratch: the engine lends them to
+//! the node it runs for one hook and takes them back, so no node state
+//! holds one. `Join` appends the payloads to its node's backlog (hook
+//! at the engine round); `Reliable` frames them per link (hook at its
+//! virtual round).
 //!
 //! # Writing a protocol
 //!
@@ -44,7 +47,7 @@
 //!
 //! ```
 //! use lcs_congest::{Message, Protocol, RoundCtx, RunStats, Session, SimConfig};
-//! use lcs_graph::Graph;
+//! use lcs_graph::{Graph, NodeId};
 //!
 //! /// Every node learns the maximum node id by gossip flooding.
 //! struct MaxGossip;
@@ -93,12 +96,11 @@
 //! assert_eq!(maxima, vec![4; 5]);
 //! ```
 
-use crate::capture::{Capture, Hook};
-use crate::message::Message;
+use crate::capture::Hook;
+use crate::message::{digest_fields, Message};
 use crate::node::{RoundCtx, Wake};
 use crate::stats::RunStats;
-use lcs_graph::Graph;
-use std::collections::VecDeque;
+use lcs_graph::{Graph, NodeId};
 
 /// A whole-network CONGEST protocol: per-node state construction, round
 /// execution, and typed result extraction, as one composable value.
@@ -132,7 +134,7 @@ use std::collections::VecDeque;
 /// would skip it.
 pub trait Protocol: Sized {
     /// The message type exchanged on the wire.
-    type Msg: Message + Send + Sync;
+    type Msg: Message + Send + Sync + 'static;
     /// One node's local state.
     type State: Send;
     /// The protocol's result, extracted by [`Protocol::finish`].
@@ -203,25 +205,46 @@ impl<A: Message, B: Message> Message for JoinMsg<A, B> {
             JoinMsg::B(m) => m.size_words(),
         }
     }
+
+    fn digest(&self) -> u64 {
+        match self {
+            JoinMsg::A(m) => digest_fields(0, &[m.digest()]),
+            JoinMsg::B(m) => digest_fields(1, &[m.digest()]),
+        }
+    }
 }
 
-/// Per-node state of a [`Join`]: both sides' states, one capture
-/// mailbox per side, and the per-side, per-neighbor FIFO queues that
-/// multiplex the shared bandwidth (see [`Join`]'s docs for the
-/// mechanism).
+/// A [`Join`] node's captured messages not yet on the wire, in capture
+/// order, each with its neighbor index; a sent entry is `None` until
+/// the round's drain compacts it away.
+type Backlog<W> = Vec<(u32, Option<W>)>;
+
+/// Per-node state of a [`Join`]: both sides' states and the backlog of
+/// captured messages that multiplexes the shared bandwidth (see
+/// [`Join`]'s docs for the mechanism).
 pub struct JoinState<P1: Protocol, P2: Protocol> {
     a: P1::State,
     b: P2::State,
-    cap_a: Capture<P1::Msg>,
-    cap_b: Capture<P2::Msg>,
-    /// Pending outbound messages per neighbor, first protocol.
-    qa: Vec<VecDeque<P1::Msg>>,
-    /// Pending outbound messages per neighbor, second protocol.
-    qb: Vec<VecDeque<P2::Msg>>,
-    /// Total queued messages across both sides (kept in sync by the
-    /// capture and drain paths so `halted` is O(1), not a per-round
-    /// scan of every per-neighbor queue).
-    pending: usize,
+    backlog: Backlog<JoinMsg<P1::Msg, P2::Msg>>,
+}
+
+/// Runs one side of a [`Join`] at `ctx`'s node: its hook runs in a
+/// capture the shard lends for the hook, on `inbox`, and what it sends
+/// is appended to `backlog`, wrapped by `side`.
+fn run_side<P: Protocol, W: Message>(
+    proto: &P,
+    state: &mut P::State,
+    inbox: impl Iterator<Item = (NodeId, P::Msg)>,
+    side: fn(P::Msg) -> W,
+    backlog: &mut Backlog<W>,
+    ctx: &mut RoundCtx<'_, W>,
+) -> Hook {
+    let mut cap = ctx.captures.lend::<P::Msg>();
+    cap.inbox.extend(inbox);
+    let hook = cap.run(proto, state, ctx.round(), ctx);
+    cap.drain(|i, m| backlog.push((i as u32, Some(side(m)))));
+    ctx.captures.give_back(cap);
+    hook
 }
 
 /// Runs two protocols **concurrently in shared rounds**, multiplexing
@@ -229,15 +252,22 @@ pub struct JoinState<P1: Protocol, P2: Protocol> {
 ///
 /// Each round, every node (1) splits its inbox by side tag, (2) runs
 /// both sub-protocols' `round` hooks against *capture* contexts whose
-/// sends land in per-neighbor queues instead of the wire, then
-/// (3) drains at most one queued message per neighbor onto the wire,
-/// tagged with its side ([`JoinMsg`]). Contention for a neighbor slot
-/// is arbitrated **round-robin**: even rounds prefer the first
-/// protocol's queue, odd rounds the second's, so neither side can
-/// starve the other. Congestion between the two protocols therefore
-/// turns into queueing delay — exactly the random-delay-scheduler view
-/// of the paper — and the joint run typically finishes in
-/// `≈ max(r1, r2)` rounds rather than `r1 + r2`.
+/// sends are appended to the node's backlog instead of the wire, then
+/// (3) sends at most one backlogged message per neighbor, tagged with
+/// its side ([`JoinMsg`]). Contention for a neighbor slot is
+/// arbitrated **round-robin**: even rounds send the first protocol's
+/// oldest message for the neighbor, odd rounds the second's, and the
+/// other side's oldest only when the preferred side has none, so
+/// neither side can starve the other. The backlog keeps capture order,
+/// so one pass per side finds each neighbor's oldest message, and a
+/// round costs O(backlog). Congestion between the two protocols
+/// therefore turns into queueing delay — exactly the
+/// random-delay-scheduler view of the paper — and the joint run
+/// typically finishes in `≈ max(r1, r2)` rounds rather than `r1 + r2`.
+///
+/// The capture buffers the hooks run through are the running shard's,
+/// lent for one hook; a node's only allocation of its own is its
+/// backlog.
 ///
 /// The two sides share each node's RNG stream (the first protocol
 /// draws before the second within a round) and the phase's
@@ -279,75 +309,64 @@ impl<P1: Protocol, P2: Protocol> Protocol for Join<P1, P2> {
             .map(|(a, b)| JoinState {
                 a,
                 b,
-                cap_a: Capture::default(),
-                cap_b: Capture::default(),
-                qa: Vec::new(),
-                qb: Vec::new(),
-                pending: 0,
+                backlog: Vec::new(),
             })
             .collect()
     }
 
     fn round(&self, st: &mut Self::State, ctx: &mut RoundCtx<'_, Self::Msg>) {
-        let degree = ctx.degree();
         let round = ctx.round();
-        if st.qa.len() != degree {
-            st.qa.resize_with(degree, VecDeque::new);
-            st.qb.resize_with(degree, VecDeque::new);
-        }
-        // 1. Split the tagged inbox into per-side untagged views.
-        st.cap_a.inbox.clear();
-        st.cap_b.inbox.clear();
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                JoinMsg::A(m) => st.cap_a.inbox.push((from, m.clone())),
-                JoinMsg::B(m) => st.cap_b.inbox.push((from, m.clone())),
-            }
-        }
-        // 2. Run each side through its capture, A before B (the RNG
-        //    order), and queue what it sent. The capture's gate skips a
+        // 1–2. Run each side on its untagged share of the inbox, A
+        //    before B (the RNG order). The capture's gate skips a
         //    quiescent side, so the join extends the engine's
         //    event-driven scheduling through itself: a sleeping side
         //    costs nothing even while the other keeps the node active.
-        if st.cap_a.run(&self.a, &mut st.a, round, ctx) == Hook::Violation {
+        let inbox = ctx.inbox();
+        let a = inbox.iter().filter_map(|(from, m)| match m {
+            JoinMsg::A(m) => Some((*from, m.clone())),
+            JoinMsg::B(_) => None,
+        });
+        if run_side(&self.a, &mut st.a, a, JoinMsg::A, &mut st.backlog, ctx) == Hook::Violation {
             return; // the run is aborting
         }
-        st.pending += st.cap_a.drain(|i, m| st.qa[i].push_back(m));
-        if st.cap_b.run(&self.b, &mut st.b, round, ctx) == Hook::Violation {
+        let b = inbox.iter().filter_map(|(from, m)| match m {
+            JoinMsg::B(m) => Some((*from, m.clone())),
+            JoinMsg::A(_) => None,
+        });
+        if run_side(&self.b, &mut st.b, b, JoinMsg::B, &mut st.backlog, ctx) == Hook::Violation {
             return;
         }
-        st.pending += st.cap_b.drain(|i, m| st.qb[i].push_back(m));
-        // 3. Drain at most one message per neighbor, round-robin: even
-        //    rounds prefer side A, odd rounds side B.
+        // 3. At most one message per neighbor: the preferred side's
+        //    oldest (A on even rounds, B on odd ones), else the other
+        //    side's oldest. The first pass sends the preferred side,
+        //    the second fills the neighbors it left free.
         let prefer_b = round % 2 == 1;
-        for i in 0..degree {
-            let msg = if prefer_b {
-                st.qb[i]
-                    .pop_front()
-                    .map(JoinMsg::B)
-                    .or_else(|| st.qa[i].pop_front().map(JoinMsg::A))
-            } else {
-                st.qa[i]
-                    .pop_front()
-                    .map(JoinMsg::A)
-                    .or_else(|| st.qb[i].pop_front().map(JoinMsg::B))
-            };
-            if let Some(m) = msg {
-                st.pending -= 1;
-                ctx.send_nth(i, m);
+        for pass in [Some(prefer_b), None] {
+            for (i, slot) in &mut st.backlog {
+                let i = *i as usize;
+                let due = slot
+                    .as_ref()
+                    .is_some_and(|m| pass.is_none_or(|b| matches!(m, JoinMsg::B(_)) == b));
+                if due && !ctx.sent_to(i) {
+                    ctx.send_nth(i, slot.take().expect("checked above"));
+                }
             }
         }
+        st.backlog.retain(|(_, m)| m.is_some());
     }
 
     fn halted(&self, st: &Self::State) -> bool {
-        st.pending == 0 && self.a.halted(&st.a) && self.b.halted(&st.b)
+        st.backlog.is_empty() && self.a.halted(&st.a) && self.b.halted(&st.b)
     }
 
     fn wake(&self, st: &Self::State) -> Wake {
         // The joined node stays awake while either side does (a side
         // with time-driven work must keep running even without mail) or
-        // while queued messages remain to drain.
-        if st.pending > 0 || self.a.wake(&st.a) == Wake::Stay || self.b.wake(&st.b) == Wake::Stay {
+        // while backlogged messages remain to send.
+        if !st.backlog.is_empty()
+            || self.a.wake(&st.a) == Wake::Stay
+            || self.b.wake(&st.b) == Wake::Stay
+        {
             Wake::Stay
         } else {
             Wake::Sleep

@@ -18,8 +18,9 @@
 //!
 //! The inner hook runs through [`Join`](crate::Join)'s capture path
 //! (see the [`protocol`](crate::protocol) module docs) at the virtual
-//! round number, behind the same quiescence gate; its sends wait per
-//! neighbor until this node frames them onto its links.
+//! round number, behind the same quiescence gate, in capture buffers
+//! the engine's shard lends for the round; its sends are framed onto
+//! this node's links before the buffers go back.
 //!
 //! Because every node executes the same inner rounds with the same
 //! inboxes in the same order as a fault-free synchronous run, the inner
@@ -89,7 +90,7 @@
 //! the detection can never fire, so fault-free and drop/delay-only runs
 //! are untouched.
 
-use crate::capture::{Capture, Hook};
+use crate::capture::Hook;
 use crate::error::SimError;
 use crate::hash::splitmix64;
 use crate::message::Message;
@@ -379,8 +380,7 @@ impl<M> Link<M> {
     }
 }
 
-/// Per-node state of a [`Reliable`] run: the inner protocol's state, its
-/// capture mailbox (the one [`Join`](crate::Join) uses per side), and
+/// Per-node state of a [`Reliable`] run: the inner protocol's state and
 /// the synchronizer/ARQ machinery.
 pub struct ReliableState<P: Protocol> {
     inner: P::State,
@@ -396,7 +396,6 @@ pub struct ReliableState<P: Protocol> {
     /// will be executed (see the module docs).
     stopped: bool,
     links: Vec<Link<P::Msg>>,
-    capture: Capture<P::Msg>,
     /// Last engine round this node's hook ran (rejoin detection: a
     /// [`Wake::Stay`] node whose hook skipped a round was crashed —
     /// nothing else removes a staying node from the active set).
@@ -518,7 +517,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                 quiet: 0,
                 stopped: false,
                 links: Vec::new(),
-                capture: Capture::default(),
                 last_round: 0,
                 stay: false,
             })
@@ -656,8 +654,8 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             // round, in neighbor order — the same order the engine's
             // gather produces, so inbox-order-sensitive protocols
             // behave identically.
-            let inbox = &mut st.capture.inbox;
-            inbox.clear();
+            let mut cap = ctx.captures.lend::<P::Msg>();
+            let inbox = &mut cap.inbox;
             let mut quiet_floor = u32::MAX;
             for (i, link) in st.links.iter_mut().enumerate() {
                 if link.dead || t == 0 {
@@ -671,8 +669,11 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             }
             // The inner hook lives in virtual time: it runs at round
             // `t`, behind the capture's quiescence gate.
-            let active = match st.capture.run(&self.inner, &mut st.inner, t, ctx) {
-                Hook::Violation => return, // the run is aborting
+            let active = match cap.run(&self.inner, &mut st.inner, t, ctx) {
+                Hook::Violation => {
+                    ctx.captures.give_back(cap);
+                    return; // the run is aborting
+                }
                 Hook::Skipped => false,
                 Hook::Ran { sent } => sent || self.inner.wake(&st.inner) == Wake::Stay,
             };
@@ -708,12 +709,13 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             // Frame this round's (possibly absent) payload for every
             // live link.
             for (i, link) in st.links.iter_mut().enumerate() {
-                let payload = st.capture.take(i);
+                let payload = cap.take(i);
                 if !link.dead {
                     link.frames.push_back((payload, st.quiet));
                     link.produced += 1;
                 }
             }
+            ctx.captures.give_back(cap);
             st.vr += 1;
         }
 

@@ -72,9 +72,11 @@
 //! phase* (the coordinator aggregates the shard reports, advances the
 //! round, and decides termination). The host also keeps every untyped
 //! per-run structure — mail flags, wake queues, per-shard cores (active
-//! lists, dirty lists, per-arc counters) — across phases, and recycles
-//! the message-typed mailbox buffers through a size-class slab arena,
-//! so a steady-state pipeline phase allocates almost nothing.
+//! lists, dirty lists, per-arc counters, and the capture buffers lent
+//! to [`Join`](crate::Join) and [`Reliable`](crate::Reliable) hosts) —
+//! across phases, and recycles the message-typed mailbox buffers
+//! through a size-class slab arena, so a steady-state pipeline phase
+//! allocates almost nothing.
 //!
 //! ## Safety protocol of the shared mailboxes
 //!
@@ -122,6 +124,7 @@
 //! shard-sweep determinism check in the `sim_throughput` bench.
 
 use crate::arena::SlabArena;
+use crate::capture::Captures;
 use crate::error::SimError;
 use crate::hash::splitmix64;
 use crate::message::{Message, DEFAULT_BANDWIDTH_WORDS};
@@ -773,7 +776,7 @@ fn prefetch_read<T>(p: &T) {
 /// The untyped (message-independent) per-shard engine state, persisted
 /// across a session's phases by the [`EngineHost`]: the shard's
 /// node/arc spans, its active-set bookkeeping, its dirty-slot lists,
-/// and its per-arc statistics.
+/// its per-arc statistics, and the capture buffers it lends to hosts.
 struct ShardCore {
     node_lo: usize,
     node_hi: usize,
@@ -800,6 +803,9 @@ struct ShardCore {
     /// Membership bitmap for `next_active`, indexed by
     /// `node - node_lo`.
     in_set: Vec<bool>,
+    /// Capture buffers lent to every node the shard runs (type-erased,
+    /// so they outlive the phase's message type).
+    captures: Captures,
 }
 
 /// Builds the per-shard cores for `graph` split into `shards`
@@ -834,6 +840,7 @@ fn build_cores(graph: &Graph, shards: usize) -> Vec<ShardCore> {
                 cur_active: Vec::with_capacity(span),
                 next_active: Vec::with_capacity(span),
                 in_set: vec![false; span],
+                captures: Captures::default(),
             }
         })
         .collect()
@@ -1214,6 +1221,7 @@ fn run_shard<P: Protocol + Sync>(
                 graph,
                 inbox,
                 rng: &mut rngs[v - node_lo],
+                captures: &mut core.captures,
                 tx: TxState {
                     slots: own,
                     occ,

@@ -8,7 +8,7 @@
 //! 2-approximate diameter, numbering the large parts, and the final
 //! global verification AND).
 
-use crate::message::Message;
+use crate::message::{digest_fields, Message};
 use crate::node::{RoundCtx, Wake};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
@@ -70,6 +70,13 @@ pub enum TreeMsg {
 impl Message for TreeMsg {
     fn size_words(&self) -> u32 {
         2 // one u64 payload = 2 words; tag absorbed in the constant
+    }
+
+    fn digest(&self) -> u64 {
+        match *self {
+            TreeMsg::Up(x) => digest_fields(0, &[x]),
+            TreeMsg::Down(x) => digest_fields(1, &[x]),
+        }
     }
 }
 

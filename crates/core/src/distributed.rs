@@ -27,14 +27,18 @@
 //!      start delays, multiplexed through per-edge queues
 //!      ([`lcs_congest::multi_bfs`]). Tokens carry the root id, as in
 //!      the paper. Queue overflow (congestion enforcement) drops tokens.
+//!      Each node logs, per instance that reached it, the arc its
+//!      token arrived on.
 //!   4. *Verification*: every node checks it was reached by the
-//!      instance rooted at its own leader (nodes of small parts are
-//!      satisfied by construction); a global AND convergecast accepts or
-//!      rejects the guess.
+//!      instance rooted at its own leader, the one numbered with its
+//!      part's rank (nodes of small parts are satisfied by
+//!      construction); a global AND convergecast accepts or rejects the
+//!      guess.
 //!
 //! On acceptance, each `H_i` is the forest of parent edges of instance
 //! `i` — the truncated BFS tree of `G[S_i] ∪ H_i`, which is exactly the
-//! knowledge the real protocol leaves at the nodes.
+//! knowledge the real protocol leaves at the nodes. Each tree edge is
+//! the edge of a logged arc, read without an adjacency search.
 
 use crate::degrade::detect_and_excise;
 use crate::odd::shared_delay;
@@ -314,7 +318,7 @@ fn run_pipeline(
                     .iter()
                     .map(|&(inst, r)| Participation {
                         inst,
-                        parent: r.parent,
+                        parent: r.parent(graph),
                         children: b1.children_of(v, inst),
                         value: u64::from(borders_unreached(v, inst)),
                     })
@@ -345,11 +349,16 @@ fn run_pipeline(
         // Rank broadcast within truncated part trees: ≤ k_ceil + 1.
         accounted_rounds += params.k_ceil as u64 + 1;
 
-        // rank -> part index map (engine-side view of leader knowledge).
+        // rank <-> part index maps (engine-side view of leader
+        // knowledge; after the broadcast, every member knows its
+        // part's rank).
+        let part_rank: Vec<Option<u32>> = (0..partition.num_parts())
+            .map(|i| ranks[partition.leader(i) as usize].map(|r| r as u32))
+            .collect();
         let mut rank_part: Vec<u32> = vec![u32::MAX; num_large];
-        for i in 0..partition.num_parts() {
-            if let Some(r) = ranks[partition.leader(i) as usize] {
-                rank_part[r as usize] = i as u32;
+        for (i, r) in part_rank.iter().enumerate() {
+            if let Some(r) = r {
+                rank_part[*r as usize] = i as u32;
             }
         }
 
@@ -403,26 +412,24 @@ fn run_pipeline(
         };
 
         // B4: verification. satisfied(u) = not in a part, or part
-        // small, or reached by the instance rooted at u's leader.
-        let satisfied = |v: NodeId| -> bool {
-            let Some(pi) = partition.part_of(v) else {
-                return true;
-            };
-            if !is_large[pi as usize] {
-                return true;
-            }
-            let leader = partition.leader(pi as usize);
-            b3.reached[v as usize].iter().any(|(_, r)| r.root == leader)
-        };
-        let all_ok = (0..n as u32).all(satisfied) && !b3.overflowed;
+        // small, or reached by its part's instance (the one numbered
+        // with the part's rank, rooted at u's leader).
+        let satisfied: Vec<u64> = (0..n as NodeId)
+            .map(|v| {
+                u64::from(match partition.part_of(v) {
+                    Some(pi) if is_large[pi as usize] => {
+                        part_rank[pi as usize].is_some_and(|r| b3.reach(v, r).is_some())
+                    }
+                    _ => true,
+                })
+            })
+            .collect();
+        let all_ok = satisfied.iter().all(|&s| s == 1) && !b3.overflowed;
         // Global AND convergecast + broadcast of the decision.
-        {
-            let values: Vec<u64> = (0..n as u32).map(|v| u64::from(satisfied(v))).collect();
-            session.run_labeled(
-                format!("B4.verify@{guess}"),
-                TreeAggregate::new(global_pos.clone(), &values, AggOp::Min, true),
-            )?;
-        }
+        session.run_labeled(
+            format!("B4.verify@{guess}"),
+            TreeAggregate::new(global_pos.clone(), &satisfied, AggOp::Min, true),
+        )?;
         guesses.push(GuessReport {
             guess,
             accepted: all_ok,
@@ -439,14 +446,9 @@ fn run_pipeline(
 
         // Extract the tree shortcuts: parent edges of each instance.
         let mut per_part: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.num_parts()];
-        for (v, log) in b3.reached.iter().enumerate() {
-            for &(inst, r) in log {
-                if let Some(p) = r.parent {
-                    let e = graph
-                        .edge_between(v as NodeId, p)
-                        .expect("tree edge exists");
-                    per_part[rank_part[inst as usize] as usize].push(e);
-                }
+        for &(inst, r) in b3.reached.iter().flatten() {
+            if let Some(a) = r.parent_arc() {
+                per_part[rank_part[inst as usize] as usize].push(graph.arc_edge(a));
             }
         }
         return Ok(DistributedOutcome {

@@ -6,7 +6,7 @@
 //! Following the paper's distributed convention, each part is identified
 //! by its *leader*, the maximum-id node in the part.
 
-use lcs_graph::{bfs, is_set_connected, BfsOptions, Graph, NodeId, UNREACHABLE};
+use lcs_graph::{bfs, BfsOptions, Graph, NodeId, UNREACHABLE};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
@@ -75,6 +75,13 @@ pub struct Partition {
 impl Partition {
     /// Validates and builds a partition. Parts need not cover all nodes,
     /// but must be non-empty, disjoint, and induce connected subgraphs.
+    /// Each part is checked as it is read, so the first bad part in
+    /// order is the one reported.
+    ///
+    /// Runs in O(n + m): each part's connectivity is one search that
+    /// walks only the part's own members' adjacency, and the `seen`
+    /// marks it shares with every other part never need clearing,
+    /// since the parts are disjoint.
     ///
     /// # Errors
     ///
@@ -82,6 +89,8 @@ impl Partition {
     pub fn new(graph: &Graph, mut parts: Vec<Vec<NodeId>>) -> Result<Self, PartitionError> {
         let n = graph.n();
         let mut part_of: Vec<Option<u32>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut stack: Vec<NodeId> = Vec::new();
         for (i, part) in parts.iter_mut().enumerate() {
             if part.is_empty() {
                 return Err(PartitionError::EmptyPart { part: i });
@@ -96,7 +105,21 @@ impl Partition {
                 }
                 part_of[v as usize] = Some(i as u32);
             }
-            if !is_set_connected(graph, part) {
+            // Search `G[part]` from its first member: later parts are
+            // not marked yet, and earlier ones carry other indices.
+            let mut reached = 1;
+            seen[part[0] as usize] = true;
+            stack.push(part[0]);
+            while let Some(u) = stack.pop() {
+                for &w in graph.neighbors(u) {
+                    if part_of[w as usize] == Some(i as u32) && !seen[w as usize] {
+                        seen[w as usize] = true;
+                        reached += 1;
+                        stack.push(w);
+                    }
+                }
+            }
+            if reached < part.len() {
                 return Err(PartitionError::NotConnected { part: i });
             }
         }
@@ -248,6 +271,7 @@ impl Partition {
 mod tests {
     use super::*;
     use lcs_graph::generators::{grid, path};
+    use lcs_graph::is_set_connected;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -270,6 +294,32 @@ mod tests {
             Partition::new(&g, vec![vec![]]),
             Err(PartitionError::EmptyPart { part: 0 })
         ));
+    }
+
+    /// Parts are checked in order: a disconnected part 0 is reported
+    /// before part 1's overlap with it.
+    #[test]
+    fn first_bad_part_is_reported() {
+        let g = path(6);
+        assert_eq!(
+            Partition::new(&g, vec![vec![0, 2], vec![2, 3]]),
+            Err(PartitionError::NotConnected { part: 0 })
+        );
+    }
+
+    /// A part is connected in the subgraph it induces, not through the
+    /// members of another part, whichever of the two comes first.
+    #[test]
+    fn a_part_is_not_connected_through_another() {
+        let g = path(5);
+        assert_eq!(
+            Partition::new(&g, vec![vec![1, 3], vec![2]]),
+            Err(PartitionError::NotConnected { part: 0 })
+        );
+        assert_eq!(
+            Partition::new(&g, vec![vec![2], vec![1, 3]]),
+            Err(PartitionError::NotConnected { part: 1 })
+        );
     }
 
     #[test]
