@@ -48,8 +48,7 @@ pub trait Message: Clone + std::fmt::Debug {
     /// FNV-1a — valid for any `Message` since `Debug` is a supertrait,
     /// and stable because `Debug` output is deterministic for the plain
     /// data types used as CONGEST payloads. Override with a cheaper
-    /// field-wise hash where throughput matters, as every message type
-    /// of this crate does.
+    /// field-wise hash where throughput matters.
     fn digest(&self) -> u64 {
         use std::fmt::Write;
         let mut h = crate::hash::Fnv::new();
@@ -58,8 +57,12 @@ pub trait Message: Clone + std::fmt::Debug {
     }
 }
 
-/// The field-wise digest of this crate's message types: a splitmix64
-/// chain that starts from the variant's index and folds in each field.
+/// The field-wise digest of the messages that [`Reliable`] frames on
+/// the fault path (BFS tokens and tree aggregation values): a
+/// splitmix64 chain that starts from the variant's index and folds in
+/// each field.
+///
+/// [`Reliable`]: crate::reliable::Reliable
 #[inline]
 pub(crate) fn digest_fields(variant: u64, fields: &[u64]) -> u64 {
     fields
@@ -138,7 +141,7 @@ impl<A: Message, B: Message> Message for (A, B) {
 mod tests {
     use super::*;
 
-    use crate::{BfsMsg, JoinMsg, MultiAggMsg, MultiBfsMsg, TreeMsg};
+    use crate::{BfsMsg, TreeMsg};
     use std::collections::HashSet;
 
     /// Asserts that no two of `msgs` share a digest.
@@ -154,37 +157,13 @@ mod tests {
         let values = [0u32, 1, 2, 7, u32::MAX - 1, u32::MAX];
         let wide = [0u64, 1, 7, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
         let mut bfs = vec![BfsMsg::Child];
-        let mut tree = Vec::new();
-        let mut multi_bfs = Vec::new();
-        let mut multi_agg = Vec::new();
-        let mut joined = Vec::new();
-        for &v in &wide {
-            tree.extend([TreeMsg::Up(v), TreeMsg::Down(v)]);
-            joined.extend([JoinMsg::A(TreeMsg::Up(v)), JoinMsg::B(TreeMsg::Up(v))]);
-            joined.extend([JoinMsg::A(TreeMsg::Down(v)), JoinMsg::B(TreeMsg::Down(v))]);
-        }
-        for &x in &values {
-            bfs.push(BfsMsg::Token { dist: x });
-            multi_bfs.push(MultiBfsMsg::Child { inst: x });
-            for &value in &wide {
-                multi_agg.push(MultiAggMsg::Up { inst: x, value });
-                multi_agg.push(MultiAggMsg::Down { inst: x, value });
-            }
-            for &y in &values {
-                for &z in &values {
-                    multi_bfs.push(MultiBfsMsg::Token {
-                        inst: x,
-                        root: y,
-                        dist: z,
-                    });
-                }
-            }
-        }
+        bfs.extend(values.map(|dist| BfsMsg::Token { dist }));
+        let tree: Vec<TreeMsg> = wide
+            .iter()
+            .flat_map(|&v| [TreeMsg::Up(v), TreeMsg::Down(v)])
+            .collect();
         assert_distinct(&bfs);
         assert_distinct(&tree);
-        assert_distinct(&multi_bfs);
-        assert_distinct(&multi_agg);
-        assert_distinct(&joined);
     }
 
     #[test]

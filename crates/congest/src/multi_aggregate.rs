@@ -9,7 +9,7 @@
 //! running all the convergecasts together. Congestion over shared edges
 //! turns into queueing delay, exactly as in [`crate::multi_bfs`].
 
-use crate::message::{digest_fields, Message};
+use crate::message::Message;
 use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
@@ -52,14 +52,6 @@ pub enum MultiAggMsg {
 impl Message for MultiAggMsg {
     fn size_words(&self) -> u32 {
         3 // instance id (1 word) + u64 value (2 words)
-    }
-
-    fn digest(&self) -> u64 {
-        let (variant, inst, value) = match *self {
-            MultiAggMsg::Up { inst, value } => (0, inst, value),
-            MultiAggMsg::Down { inst, value } => (1, inst, value),
-        };
-        digest_fields(variant, &[u64::from(inst), value])
     }
 }
 

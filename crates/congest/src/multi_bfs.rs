@@ -33,7 +33,7 @@
 //! [`Graph::arc_edge`] and the parent with [`Graph::arc_head`], with no
 //! adjacency search.
 
-use crate::message::{digest_fields, Message};
+use crate::message::Message;
 use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
@@ -150,15 +150,6 @@ impl Message for MultiBfsMsg {
         match self {
             MultiBfsMsg::Token { .. } => 3,
             MultiBfsMsg::Child { .. } => 1,
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        match *self {
-            MultiBfsMsg::Token { inst, root, dist } => {
-                digest_fields(0, &[inst, root, dist].map(u64::from))
-            }
-            MultiBfsMsg::Child { inst } => digest_fields(1, &[u64::from(inst)]),
         }
     }
 }

@@ -97,7 +97,7 @@
 //! ```
 
 use crate::capture::Hook;
-use crate::message::{digest_fields, Message};
+use crate::message::Message;
 use crate::node::{RoundCtx, Wake};
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -205,13 +205,6 @@ impl<A: Message, B: Message> Message for JoinMsg<A, B> {
             JoinMsg::B(m) => m.size_words(),
         }
     }
-
-    fn digest(&self) -> u64 {
-        match self {
-            JoinMsg::A(m) => digest_fields(0, &[m.digest()]),
-            JoinMsg::B(m) => digest_fields(1, &[m.digest()]),
-        }
-    }
 }
 
 /// A [`Join`] node's captured messages not yet on the wire, in capture
@@ -258,12 +251,21 @@ fn run_side<P: Protocol, W: Message>(
 /// arbitrated **round-robin**: even rounds send the first protocol's
 /// oldest message for the neighbor, odd rounds the second's, and the
 /// other side's oldest only when the preferred side has none, so
-/// neither side can starve the other. The backlog keeps capture order,
-/// so one pass per side finds each neighbor's oldest message, and a
-/// round costs O(backlog). Congestion between the two protocols
-/// therefore turns into queueing delay — exactly the
+/// neither side can starve the other. Congestion between the two
+/// protocols therefore turns into queueing delay — exactly the
 /// random-delay-scheduler view of the paper — and the joint run
 /// typically finishes in `≈ max(r1, r2)` rounds rather than `r1 + r2`.
+///
+/// The backlog keeps capture order, so one pass per side finds each
+/// neighbor's oldest message, and a round costs O(backlog): every
+/// round passes over each message still waiting, so a phase's drain
+/// work grows with its total queueing delay. That stays small while
+/// contention is brief (a convergecast sends once per tree edge), but
+/// it is not bounded by the degree: two sides that both keep sending
+/// to one neighbor every round grow its backlog by one message per
+/// round, so `R` such rounds cost Θ(R²) host work, where per-neighbor
+/// queues would cost Θ(R · degree). The `join_saturate` workload of
+/// the `sim_throughput` bench measures that case.
 ///
 /// The capture buffers the hooks run through are the running shard's,
 /// lent for one hook; a node's only allocation of its own is its
