@@ -1,9 +1,8 @@
 //! Simulator throughput benchmark: rounds/sec and messages/sec of the
 //! CONGEST engine on standard workloads (idle rounds, saturated
-//! message path, a contended join, flood, sparse long-path BFS,
-//! multi-BFS, partwise aggregation, a composed session pipeline),
-//! emitted as `BENCH_sim.json` so the engine's perf trajectory is
-//! tracked per-PR.
+//! message path, flood, sparse long-path BFS, multi-BFS, partwise
+//! aggregation, a composed session pipeline), emitted as
+//! `BENCH_sim.json` so the engine's perf trajectory is tracked per-PR.
 //!
 //! Usage: `sim_throughput [--quick] [--shards K[,K2,...]] [--reps N]
 //! [--out PATH] [--check PATH]`
@@ -387,30 +386,6 @@ fn bench_chaos(g: &Graph, side: usize, shards: usize) -> Measurement {
     m
 }
 
-/// Contended join: two [`Saturate`]s share every arc through one
-/// [`Join`](lcs_congest::Join). While both send, each node's backlog
-/// grows by one message per neighbor per round; then it drains. `Join`
-/// scans a node's whole backlog every round, so this workload's host
-/// work grows with the square of `rounds`, and its elapsed time shows
-/// what sustained contention costs the join.
-fn bench_join_saturate(g: &Graph, rounds: u64, shards: usize) -> Measurement {
-    let t = Instant::now();
-    let mut session = Session::new(g, cfg_with(shards, 10_000_000));
-    let heard = session
-        .join(Saturate::new(rounds), Saturate::new(rounds))
-        .expect("join_saturate");
-    // Every arc carries the payloads 0..rounds of each side.
-    let sum = g.m() as u64 * rounds * (rounds - 1);
-    assert_eq!(heard, (sum, sum));
-    Measurement::from_stats(
-        "join_saturate",
-        g,
-        shards,
-        session.stats(),
-        t.elapsed().as_secs_f64(),
-    )
-}
-
 fn bench_saturate(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let t = Instant::now();
     let mut session = Session::new(g, cfg_with(shards, 10_000_000));
@@ -497,9 +472,6 @@ fn main() {
         for m in [
             median_of(reps, || bench_idle(&g, if quick { 200 } else { 1000 }, k)),
             median_of(reps, || bench_saturate(&g, if quick { 50 } else { 200 }, k)),
-            median_of(reps, || {
-                bench_join_saturate(&g, if quick { 50 } else { 100 }, k)
-            }),
             median_of(reps, || bench_flood("flood", &g, k)),
             median_of(reps, || {
                 bench_sparse_bfs(if quick { 2_000 } else { 10_000 }, k)

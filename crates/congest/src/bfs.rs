@@ -88,7 +88,7 @@ impl DistBfsOutcome {
 }
 
 /// Single-source BFS tree construction as a composable [`Protocol`]:
-/// run it through a [`Session`](crate::session::Session), alone or joined with other protocols.
+/// run it through a [`Session`](crate::session::Session).
 ///
 /// ```
 /// use lcs_congest::{Bfs, Session, SimConfig};

@@ -1,9 +1,8 @@
-//! [`Capture`]: how [`Join`](crate::Join) and
-//! [`Reliable`](crate::Reliable) run an inner protocol's round hook
-//! inside their own round. The hook's sends land in one flat
-//! `MaybeUninit` slot per neighbor with an occupancy byte (the engine's
-//! mailbox layout, so the one-message-per-neighbor discipline is
-//! checked at capture time) and have no wire effects: the host sends
+//! [`Capture`]: how [`Reliable`](crate::Reliable) runs an inner
+//! protocol's round hook inside its own round. The hook's sends land in
+//! one flat `MaybeUninit` slot per neighbor with an occupancy byte (the
+//! engine's mailbox layout, so the one-message-per-neighbor discipline
+//! is checked at capture time) and have no wire effects: the host sends
 //! them later through its own context, so mail flags and active sets
 //! see exactly the wire traffic at any shard count.
 //!
@@ -12,11 +11,10 @@
 //! state. Each engine shard owns one [`Captures`] pool and lends it to
 //! every node it runs through a crate-private [`RoundCtx`] field; a
 //! host borrows a [`Capture`] for its inner message type, runs the
-//! hook, moves the payloads out with [`Capture::drain`] or
-//! [`Capture::take`], and gives the buffers back in the same round. A
-//! capture context lends the same pool on, so nested hosts borrow from
-//! it too, and a node costs no capture allocation however many joined
-//! phases it runs.
+//! hook, moves the payloads out with [`Capture::take`], and gives the
+//! buffers back in the same round. A capture context lends the same
+//! pool on, so nested hosts borrow from it too, and a node costs no
+//! capture allocation however many hosted phases it runs.
 
 use crate::message::Message;
 use crate::node::{RoundCtx, TxState, Wake};
@@ -72,8 +70,8 @@ impl Captures {
 /// One inner protocol's capture mailbox: its inbox view, payload
 /// slots, occupancy bytes and send-path scratch, sized to the largest
 /// degree it has served. Slot `i` holds a live payload iff `occ[i]` is
-/// set; payloads leave through [`Capture::take`] (or
-/// [`Capture::drain`]), and [`Drop`] drops any still held.
+/// set; payloads leave through [`Capture::take`], and [`Drop`] drops
+/// any still held.
 pub(crate) struct Capture<M> {
     /// The inbox the next [`Capture::run`] hands to the hook; the host
     /// fills it.
@@ -158,7 +156,9 @@ impl<M> Capture<M> {
         let Some(v) = violation else {
             return Hook::Ran { sent: messages > 0 };
         };
-        self.drain(|_, _| ());
+        for k in 0..self.dirty.len() {
+            self.take(self.dirty[k] as usize);
+        }
         ctx.tx.violation.get_or_insert(v);
         Hook::Violation
     }
@@ -172,18 +172,6 @@ impl<M> Capture<M> {
         // (only a captured send sets a byte, as it writes the slot);
         // clearing the byte above makes this the one move out.
         Some(unsafe { self.slots[i].assume_init_read() })
-    }
-
-    /// Hands each payload the last run captured to `sink`, with its
-    /// neighbor index, in send order.
-    pub(crate) fn drain(&mut self, mut sink: impl FnMut(usize, M)) {
-        for k in 0..self.dirty.len() {
-            let i = self.dirty[k] as usize;
-            if let Some(m) = self.take(i) {
-                sink(i, m);
-            }
-        }
-        self.dirty.clear();
     }
 }
 
@@ -199,7 +187,7 @@ impl<M> Drop for Capture<M> {
 mod tests {
     use crate::sim::FaultPlan;
     use crate::SimError;
-    use crate::{Join, Message, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig};
+    use crate::{Message, Protocol, Reliable, RoundCtx, RunStats, Session, SimConfig};
     use lcs_graph::{Graph, NodeId};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,21 +348,12 @@ mod tests {
         }
     }
 
-    /// Every payload a `Join` side or a `Reliable` inner protocol sends
-    /// is dropped exactly once: after a completed phase, and after a
-    /// phase that a double send aborts while the round's other sends
-    /// sit in the capture the shard lent (and, under `Join`, earlier
-    /// ones sit in the backlog).
+    /// Every payload a `Reliable` inner protocol sends is dropped
+    /// exactly once: after a completed phase, and after a phase that a
+    /// double send aborts while the round's other sends sit in the
+    /// capture the shard lent.
     #[test]
     fn captured_payloads_are_dropped_exactly_once() {
-        let joined = run_tracked("join, completed", SimConfig::default(), |l| {
-            Join::new(Burst::new(l, None), Burst::new(l, None))
-        });
-        assert!(joined.is_ok());
-        let joined = run_tracked("join, aborted", SimConfig::default(), |l| {
-            Join::new(Burst::new(l, None), Burst::new(l, Some((4, 1))))
-        });
-        assert_overflow("join, aborted", joined);
         let reliable = run_tracked("reliable, completed", lossy(), |l| {
             Reliable::new(Burst::new(l, None))
         });

@@ -29,9 +29,10 @@
 //!
 //! Every protocol is a first-class [`Protocol`] value, run through a
 //! [`Session`] — one engine instance (worker pool, reverse-arc tables,
-//! cumulative statistics) hosting any number of phases, sequentially
-//! ([`Session::run`]) or concurrently in shared rounds
-//! ([`Session::join`]).
+//! cumulative statistics) hosting any number of phases, one after
+//! another ([`Session::run`]). Concurrency lives inside a protocol: the
+//! part-wise protocols share rounds across their instances, and a
+//! [`TreeAggregate`] folds several values over one tree at once.
 //!
 //! ## Example
 //!
@@ -81,7 +82,7 @@ pub use multi_bfs::{
 };
 pub use node::{RoundCtx, Wake};
 pub use pool::{Control, Pool};
-pub use protocol::{Join, JoinMsg, Protocol};
+pub use protocol::Protocol;
 pub use reliable::{Reliable, ReliableMsg};
 pub use session::Session;
 pub use sim::{Crash, FaultPlan, SimConfig};

@@ -150,7 +150,7 @@ impl MultiAggOutcome {
 
 /// Partwise aggregation over many overlapping trees as a composable
 /// [`Protocol`] — the primitive the paper's applications are built on.
-/// Run it through a [`Session`](crate::session::Session), alone or joined with other protocols.
+/// Run it through a [`Session`](crate::session::Session).
 #[derive(Debug, Clone)]
 pub struct MultiAggregate {
     participations: Vec<Vec<Participation>>,

@@ -434,7 +434,7 @@ impl MultiBfsOutcome {
 
 /// A bundle of scheduled BFS instances as a composable [`Protocol`]
 /// (the executable form of the paper's random-delay scheduler): run it
-/// through a [`Session`](crate::session::Session), alone or joined with other protocols.
+/// through a [`Session`](crate::session::Session).
 #[derive(Debug, Clone)]
 pub struct MultiBfs {
     spec: Arc<MultiBfsSpec>,

@@ -37,10 +37,10 @@ pub enum Wake {
 /// plus its activation for the next round's active set — either a
 /// direct push into the sending shard's own next-active list or a
 /// cross-shard wake enqueued for the destination shard to drain.
-/// Capture contexts (how [`Join`](crate::Join) and
-/// [`Reliable`](crate::Reliable) run their inner protocols) omit this:
-/// their sends land in per-neighbor slots and only touch the wire — and
-/// thus the schedule — when the host really sends them later.
+/// Capture contexts (how [`Reliable`](crate::Reliable) runs its inner
+/// protocol) omit this: their sends land in per-neighbor slots and only
+/// touch the wire — and thus the schedule — when the host really sends
+/// them later.
 pub(crate) struct WireFx<'a> {
     /// Per-node "has mail next round" flags (shared across shards; a
     /// relaxed store is enough, the round barrier orders it).
@@ -137,8 +137,8 @@ pub struct RoundCtx<'a, M> {
     pub(crate) inbox: &'a [(NodeId, M)],
     pub(crate) rng: &'a mut ChaCha8Rng,
     /// The running shard's capture buffers, lent to the hosts that run
-    /// inner protocols ([`Join`](crate::Join),
-    /// [`Reliable`](crate::Reliable)) for the length of one hook.
+    /// inner protocols ([`Reliable`](crate::Reliable)) for the length
+    /// of one hook.
     pub(crate) captures: &'a mut Captures,
     pub(crate) tx: TxState<'a, M>,
 }
@@ -211,13 +211,6 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     pub(crate) fn arc(&self, i: usize) -> ArcId {
         debug_assert!(i < self.degree());
         ArcId((self.graph.arc_range(self.node).start + i) as u32)
-    }
-
-    /// Whether this node has already sent to its `i`-th neighbor this
-    /// round.
-    #[inline]
-    pub(crate) fn sent_to(&self, i: usize) -> bool {
-        self.tx.occ[i]
     }
 
     /// Resolves a tree position (parent and children node ids) into

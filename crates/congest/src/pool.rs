@@ -241,7 +241,9 @@ impl Pool {
     /// Per round, every worker executes `step(worker_index, &mut state,
     /// round)` concurrently; the per-worker results — `Ok(report)` or
     /// `Err(panic_payload)` — are then passed, in worker order, to
-    /// `control(round, results)`, which decides whether to continue. A
+    /// `control(round, results)`, which decides whether to continue.
+    /// `results` drains one buffer that the phase keeps for all its
+    /// rounds, so a round allocates nothing for its reports. A
     /// worker whose `step` panicked keeps participating in later rounds
     /// (its state may be logically inconsistent; callers that cannot
     /// tolerate that should return [`Control::Abort`], as the simulator
@@ -268,19 +270,20 @@ impl Pool {
         S: Send,
         R: Send,
         Step: Fn(usize, &mut S, u64) -> R + Sync,
-        Ctl: FnMut(u64, Vec<std::thread::Result<R>>) -> Control<T>,
+        Ctl: FnMut(u64, std::vec::Drain<'_, std::thread::Result<R>>) -> Control<T>,
     {
         assert_eq!(
             states.len(),
             self.workers,
             "one state per pool worker required"
         );
+        let mut results: Vec<std::thread::Result<R>> = Vec::with_capacity(self.workers);
         let Some(shared) = &self.shared else {
             // Sequential fast path: no threads, no barriers, same
             // protocol (inline and barrier rounds coincide).
             for round in 0..max_rounds {
-                let report = step(0, &mut states[0], round);
-                match control(round, vec![Ok(report)]) {
+                results.push(Ok(step(0, &mut states[0], round)));
+                match control(round, results.drain(..)) {
                     Control::Continue | Control::ContinueInline => {}
                     Control::Stop(t) => return (states, Some(t)),
                     Control::Abort(payload) => resume_unwind(payload),
@@ -333,16 +336,13 @@ impl Pool {
                 shared.start.wait(); // send phase begins
                 shared.done.wait(); // all jobs done, all effects visible
             }
-            let results: Vec<std::thread::Result<R>> = slots
-                .iter()
-                .map(|slot| {
-                    slot.lock()
-                        .expect("report slot")
-                        .take()
-                        .expect("every worker posts a result per round")
-                })
-                .collect();
-            match catch_unwind(AssertUnwindSafe(|| control(round, results))) {
+            results.extend(slots.iter().map(|slot| {
+                slot.lock()
+                    .expect("report slot")
+                    .take()
+                    .expect("every worker posts a result per round")
+            }));
+            match catch_unwind(AssertUnwindSafe(|| control(round, results.drain(..)))) {
                 Ok(Control::Continue) => inline = false,
                 Ok(Control::ContinueInline) => inline = true,
                 Ok(Control::Stop(t)) => {
@@ -408,17 +408,19 @@ impl Drop for Pool {
 mod tests {
     use super::*;
 
+    /// Per-worker results, as `control` receives them.
+    type Results<'a, R> = std::vec::Drain<'a, std::thread::Result<R>>;
+
     /// Unwraps per-worker results for controls that expect no panics.
-    fn oks<R>(results: Vec<std::thread::Result<R>>) -> Vec<R> {
+    fn oks<R>(results: Results<'_, R>) -> Vec<R> {
         results
-            .into_iter()
             .map(|r| r.expect("no worker panic expected"))
             .collect()
     }
 
     /// The default panic disposition: abort on the first (lowest worker
     /// index) panic, otherwise hand back the reports.
-    fn reports_or_abort<R, T>(results: Vec<std::thread::Result<R>>) -> Result<Vec<R>, Control<T>> {
+    fn reports_or_abort<R, T>(results: Results<'_, R>) -> Result<Vec<R>, Control<T>> {
         let mut reports = Vec::with_capacity(results.len());
         for result in results {
             match result {
@@ -503,7 +505,7 @@ mod tests {
             vec![0u32; 4],
             0,
             |_i, _s, _round| panic!("step must not run"),
-            |_round, _results: Vec<std::thread::Result<()>>| Control::<()>::Continue,
+            |_round, _results: Results<'_, ()>| Control::<()>::Continue,
         );
         assert_eq!(states, vec![0; 4]);
         assert_eq!(out, None);
@@ -663,7 +665,7 @@ mod tests {
             |_i, s, _r| {
                 *s *= 2;
             },
-            |_round, _results: Vec<std::thread::Result<()>>| Control::<()>::Continue,
+            |_round, _results: Results<'_, ()>| Control::<()>::Continue,
         );
         assert_eq!(s4, vec![16, 16, 16]);
     }
@@ -741,7 +743,7 @@ mod tests {
             |_i, s, _r| {
                 *s += 1;
             },
-            |_round, _results: Vec<std::thread::Result<()>>| Control::<()>::ContinueInline,
+            |_round, _results: Results<'_, ()>| Control::<()>::ContinueInline,
         );
         assert_eq!(s, vec![3, 3]);
     }

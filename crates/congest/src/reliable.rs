@@ -16,11 +16,11 @@
 //! bandwidth discipline and show up in [`RunStats`] — the measured
 //! overhead of reliability.
 //!
-//! The inner hook runs through [`Join`](crate::Join)'s capture path
-//! (see the [`protocol`](crate::protocol) module docs) at the virtual
-//! round number, behind the same quiescence gate, in capture buffers
-//! the engine's shard lends for the round; its sends are framed onto
-//! this node's links before the buffers go back.
+//! The inner hook runs through the crate's capture path (see the
+//! [`protocol`](crate::protocol) module docs) at the virtual round
+//! number, behind the quiescence gate, in capture buffers the engine's
+//! shard lends for the round; its sends are framed onto this node's
+//! links before the buffers go back.
 //!
 //! Because every node executes the same inner rounds with the same
 //! inboxes in the same order as a fault-free synchronous run, the inner
@@ -194,9 +194,10 @@ pub enum ReliableMsg<M> {
 impl<M: Message> Message for ReliableMsg<M> {
     fn size_words(&self) -> u32 {
         // The seq/ack/quiet/tag header is absorbed into the word count
-        // (like `JoinMsg`'s side tag): a frame costs what its payload
-        // costs, with a one-word floor for empty frames, acks, and
-        // hellos — so the tags change no message/word statistic.
+        // (like the variant tags of the built-in protocol messages): a
+        // frame costs what its payload costs, with a one-word floor for
+        // empty frames, acks, and hellos — so the tags change no
+        // message/word statistic.
         match self {
             ReliableMsg::Data {
                 payload: Some(m), ..
@@ -407,8 +408,7 @@ pub struct ReliableState<P: Protocol> {
 /// Runs protocol `P` to its exact fault-free output over a lossy,
 /// reordering network (see the [module docs](self) for the mechanism and
 /// its guarantees). Implements [`Protocol`], so it composes like any
-/// other: run it through a [`Session`](crate::Session), even under
-/// [`Join`](crate::Join).
+/// other: run it through a [`Session`](crate::Session).
 pub struct Reliable<P: Protocol> {
     inner: P,
     label: String,

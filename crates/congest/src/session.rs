@@ -4,20 +4,16 @@
 //!
 //! Multi-phase CONGEST computations (the shortcut construction's
 //! BFS → aggregation → numbering → multi-BFS → verification pipeline;
-//! Boruvka's per-phase MWOE aggregations) previously paid full engine
-//! setup per phase and could not overlap phases at all. A `Session`
-//! fixes both:
-//!
-//! * **Sequential composition** — [`Session::run`] executes phases
-//!   back-to-back on the *same* worker pool (spawned exactly once, at
-//!   session creation) and the same precomputed reverse-arc table,
-//!   absorbing every phase's [`RunStats`] into one cumulative total
-//!   with a per-phase breakdown ([`Session::phases`]) and an optional
-//!   cumulative round budget ([`Session::with_round_budget`]).
-//! * **Concurrent composition** — [`Session::join`] runs two protocols
-//!   in shared rounds via [`Join`], multiplexing per-edge bandwidth
-//!   round-robin, so independent computations finish in roughly the
-//!   rounds of the slower one instead of the sum.
+//! Boruvka's per-phase MWOE aggregations) run as **sequential
+//! composition**: [`Session::run`] executes phases back-to-back on the
+//! *same* worker pool (spawned exactly once, at session creation) and
+//! the same precomputed reverse-arc table, absorbing every phase's
+//! [`RunStats`] into one cumulative total with a per-phase breakdown
+//! ([`Session::phases`]) and an optional cumulative round budget
+//! ([`Session::with_round_budget`]). Work that shares rounds shares a
+//! protocol: the part-wise protocols multiplex their instances over
+//! each edge, and two aggregations over one tree fold a pair in one
+//! convergecast, as in the example below.
 //!
 //! Determinism is inherited from the engine: outcomes, statistics, and
 //! per-node RNG streams of every phase are bit-identical for any shard
@@ -28,8 +24,7 @@
 //! engines — sessions change the cost model, never the outcome.
 //!
 //! ```
-//! use lcs_congest::{tree, Bfs, Session, SimConfig};
-//! use lcs_congest::{positions_from_tree, AggOp};
+//! use lcs_congest::{positions_from_tree, Bfs, Session, SimConfig, TreeAggregate};
 //!
 //! let g = lcs_graph::generators::grid(4, 4);
 //! let mut session = Session::new(&g, SimConfig::default());
@@ -38,21 +33,20 @@
 //! let bfs = session.run(Bfs::new(0)).unwrap();
 //! let pos = positions_from_tree(0, &bfs.parent, &bfs.children);
 //!
-//! // Phase 2 ∥ 3: count nodes and find the max value, in SHARED
-//! // rounds (one joined phase, not two sequential ones).
-//! let ones = vec![1u64; g.n()];
-//! let ids: Vec<u64> = (0..g.n() as u64).collect();
-//! let (count, max) = session
-//!     .join(
-//!         tree::TreeAggregate::new(pos.clone(), &ones, AggOp::Sum, true),
-//!         tree::TreeAggregate::new(pos, &ids, AggOp::Max, true),
+//! // Phase 2: count the nodes and find the tree's depth in ONE
+//! // convergecast, folding the pair (1, depth) by (+, max).
+//! let census: Vec<(u32, u32)> = bfs.dist.iter().map(|d| (1, d.unwrap())).collect();
+//! let (res, _) = session
+//!     .run_labeled(
+//!         "census",
+//!         TreeAggregate::folding(pos, census, |(n1, h1), (n2, h2)| (n1 + n2, h1.max(h2)), true),
 //!     )
 //!     .unwrap();
-//! assert_eq!(count.0[0], Some(16));
-//! assert_eq!(max.0[0], Some(15));
+//! assert_eq!(res[0], Some((16, 6)));
 //!
 //! // Cumulative and per-phase accounting.
 //! assert_eq!(session.phases().len(), 2);
+//! assert_eq!(session.phases()[1].label, "census");
 //! assert_eq!(
 //!     session.stats().rounds,
 //!     session.phases().iter().map(|p| p.rounds).sum::<u64>(),
@@ -60,7 +54,7 @@
 //! ```
 
 use crate::error::SimError;
-use crate::protocol::{Join, Protocol};
+use crate::protocol::Protocol;
 use crate::sim::{run_phase, EngineHost, SimConfig};
 use crate::stats::RunStats;
 use lcs_graph::Graph;
@@ -231,27 +225,6 @@ impl<'g> Session<'g> {
         self.dispatch(label.into(), protocol, configure)
     }
 
-    /// Runs two protocols **concurrently in shared rounds** (see
-    /// [`Join`]) and returns both outputs. The phase accounts rounds
-    /// once — this is the whole point: `k` independent aggregations
-    /// joined pairwise complete in roughly the rounds of the slowest,
-    /// not the sum.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn join<P1, P2>(
-        &mut self,
-        first: P1,
-        second: P2,
-    ) -> Result<(P1::Output, P2::Output), SimError>
-    where
-        P1: Protocol + Sync,
-        P2: Protocol + Sync,
-    {
-        self.run(Join::new(first, second))
-    }
-
     fn dispatch<P: Protocol + Sync>(
         &mut self,
         label: String,
@@ -296,37 +269,7 @@ mod tests {
     use super::*;
     use crate::bfs::Bfs;
     use crate::node::RoundCtx;
-    use crate::tree::{positions_from_tree, AggOp, TreeAggregate, TreePosition};
-    use lcs_graph::NodeId;
-
-    fn path_positions(n: usize, root: NodeId) -> Vec<TreePosition> {
-        // A path tree rooted at `root` (must be an endpoint: 0 or n-1).
-        (0..n as NodeId)
-            .map(|v| {
-                let (parent, children) = if root == 0 {
-                    (
-                        (v > 0).then(|| v - 1),
-                        if (v as usize) < n - 1 {
-                            vec![v + 1]
-                        } else {
-                            vec![]
-                        },
-                    )
-                } else {
-                    (
-                        ((v as usize) < n - 1).then(|| v + 1),
-                        if v > 0 { vec![v - 1] } else { vec![] },
-                    )
-                };
-                TreePosition {
-                    parent,
-                    children,
-                    in_tree: true,
-                    is_root: v == root,
-                }
-            })
-            .collect()
-    }
+    use crate::tree::{positions_from_tree, AggOp, TreeAggregate};
 
     #[test]
     fn sequential_phases_accumulate_stats_and_labels() {
@@ -352,86 +295,6 @@ mod tests {
             session.stats().messages,
             bfs.stats.messages + agg_stats.messages
         );
-    }
-
-    /// The acceptance property of `join`: two tree aggregations in one
-    /// joined phase complete in STRICTLY fewer total rounds than the
-    /// same two run back-to-back, because they share rounds.
-    #[test]
-    fn join_of_two_aggregations_beats_back_to_back_rounds() {
-        let n = 24;
-        let g = lcs_graph::generators::path(n);
-        let values: Vec<u64> = (0..n as u64).collect();
-        let mk_down = || TreeAggregate::new(path_positions(n, 0), &values, AggOp::Sum, true);
-        let mk_up = || {
-            TreeAggregate::new(
-                path_positions(n, (n - 1) as NodeId),
-                &values,
-                AggOp::Max,
-                true,
-            )
-        };
-
-        // Back-to-back: two sequential phases.
-        let mut seq = Session::new(&g, SimConfig::default());
-        let (r1, _) = seq.run(mk_down()).unwrap();
-        let (r2, _) = seq.run(mk_up()).unwrap();
-        let sequential_rounds = seq.stats().rounds;
-
-        // Joined: one shared phase.
-        let mut joined = Session::new(&g, SimConfig::default());
-        let ((j1, _), (j2, _)) = joined.join(mk_down(), mk_up()).unwrap();
-        let joined_rounds = joined.stats().rounds;
-
-        assert_eq!(j1, r1, "joined results must match standalone");
-        assert_eq!(j2, r2);
-        assert!(
-            joined_rounds < sequential_rounds,
-            "join must share rounds: joined {joined_rounds} vs sequential {sequential_rounds}"
-        );
-        assert_eq!(joined.phases().len(), 1);
-        assert_eq!(joined.phases()[0].label, "tree_aggregate+tree_aggregate");
-    }
-
-    /// Joins nest: three aggregations in one phase, all correct.
-    #[test]
-    fn nested_join_shares_rounds_three_ways() {
-        let n = 16;
-        let g = lcs_graph::generators::path(n);
-        let values: Vec<u64> = (0..n as u64).collect();
-        let mk = |op| TreeAggregate::new(path_positions(n, 0), &values, op, true);
-        let mut session = Session::new(&g, SimConfig::default());
-        let (sum, (min, max)) = session
-            .join(
-                mk(AggOp::Sum),
-                crate::protocol::Join::new(mk(AggOp::Min), mk(AggOp::Max)),
-            )
-            .unwrap();
-        assert_eq!(sum.0[5], Some((0..16).sum::<u64>()));
-        assert_eq!(min.0[5], Some(0));
-        assert_eq!(max.0[5], Some(15));
-    }
-
-    /// Join halves must not corrupt each other's messages: results on
-    /// every node match the standalone runs even under heavy sharing.
-    #[test]
-    fn joined_runs_are_bit_identical_to_standalone_runs() {
-        let g = lcs_graph::generators::grid(5, 5);
-        let bfs = Session::new(&g, SimConfig::default())
-            .run(Bfs::new(0))
-            .unwrap();
-        let pos = positions_from_tree(0, &bfs.parent, &bfs.children);
-        let a_vals: Vec<u64> = (0..g.n() as u64).map(|v| v * 3 + 1).collect();
-        let b_vals: Vec<u64> = (0..g.n() as u64).map(|v| 1000 - v).collect();
-        let mk_a = || TreeAggregate::new(pos.clone(), &a_vals, AggOp::Sum, true);
-        let mk_b = || TreeAggregate::new(pos.clone(), &b_vals, AggOp::Min, true);
-        let (a_alone, _) = Session::new(&g, SimConfig::default()).run(mk_a()).unwrap();
-        let (b_alone, _) = Session::new(&g, SimConfig::default()).run(mk_b()).unwrap();
-        let ((a, _), (b, _)) = Session::new(&g, SimConfig::default())
-            .join(mk_a(), mk_b())
-            .unwrap();
-        assert_eq!(a, a_alone);
-        assert_eq!(b, b_alone);
     }
 
     #[test]
@@ -545,36 +408,6 @@ mod tests {
             assert_eq!(session.stats().messages, 30);
             assert_eq!(session.rounds_used(), 4);
         }
-    }
-
-    /// A model violation inside one side of a join aborts the run with
-    /// the violation, exactly like a standalone run.
-    #[test]
-    fn join_propagates_model_violations() {
-        let g = lcs_graph::generators::path(3);
-        let bad = TreeAggregate::new(
-            vec![
-                TreePosition {
-                    parent: None,
-                    children: vec![2], // non-neighbor: violation
-                    in_tree: true,
-                    is_root: true,
-                },
-                TreePosition::default(),
-                TreePosition::default(),
-            ],
-            &[1, 1, 1],
-            AggOp::Sum,
-            true,
-        );
-        let good = TreeAggregate::new(path_positions(3, 0), &[1, 1, 1], AggOp::Sum, false);
-        let err = Session::new(&g, SimConfig::default())
-            .join(bad, good)
-            .unwrap_err();
-        assert!(
-            matches!(err, SimError::InvalidDestination { from: 0, to: 2, .. }),
-            "{err:?}"
-        );
     }
 
     /// Sessions change the cost model, never the outcome: a pipeline

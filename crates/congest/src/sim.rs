@@ -73,7 +73,7 @@
 //! round, and decides termination). The host also keeps every untyped
 //! per-run structure — mail flags, wake queues, per-shard cores (active
 //! lists, dirty lists, per-arc counters, and the capture buffers lent
-//! to [`Join`](crate::Join) and [`Reliable`](crate::Reliable) hosts) —
+//! to [`Reliable`](crate::Reliable) hosts) —
 //! across phases, and recycles the message-typed mailbox buffers
 //! through a size-class slab arena, so a steady-state pipeline phase
 //! allocates almost nothing.
@@ -1414,7 +1414,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     let mut prev_in_flight = 0u64;
     let stats_ref = &mut stats;
     let control = move |round: u64,
-                        results: Vec<std::thread::Result<StepReport>>|
+                        results: std::vec::Drain<'_, std::thread::Result<StepReport>>|
           -> Control<Result<(), SimError>> {
         stats_ref.rounds = round + 1;
         if prev_in_flight > 0 {

@@ -4,9 +4,11 @@
 //!
 //! All three complete in `O(depth)` rounds with one-word-ish messages —
 //! these are the `O(D)`-round bookkeeping steps the paper's distributed
-//! construction performs on the global BFS tree (learning `n`, the
+//! construction performs on the global BFS tree (learning `n` and the
 //! 2-approximate diameter, numbering the large parts, and the final
-//! global verification AND).
+//! global verification AND). A convergecast folds any small value, not
+//! just a `u64`: the construction learns `n` and `ecc(root)` from one
+//! convergecast of the pair `(1, depth)` ([`TreeAggregate::folding`]).
 
 use crate::message::{digest_fields, Message};
 use crate::node::{RoundCtx, Wake};
@@ -43,6 +45,15 @@ impl AggOp {
             AggOp::Max => 0,
         }
     }
+
+    /// The operator as the fold of a [`TreeAggregate`].
+    fn fold(self) -> fn(u64, u64) -> u64 {
+        match self {
+            AggOp::Sum => u64::saturating_add,
+            AggOp::Min => Ord::min,
+            AggOp::Max => Ord::max,
+        }
+    }
 }
 
 /// The position of a node within the rooted tree, as local knowledge.
@@ -58,36 +69,39 @@ pub struct TreePosition {
     pub is_root: bool,
 }
 
-/// Message for convergecast / broadcast / numbering: a tagged value.
+/// Message for convergecast / broadcast / numbering: a tagged value, a
+/// `u64` unless a [`TreeAggregate::folding`] carries another type.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TreeMsg {
+pub enum TreeMsg<V = u64> {
     /// Aggregate flowing up.
-    Up(u64),
+    Up(V),
     /// Value flowing down.
-    Down(u64),
+    Down(V),
 }
 
-impl Message for TreeMsg {
+impl<V: Message> Message for TreeMsg<V> {
     fn size_words(&self) -> u32 {
-        2 // one u64 payload = 2 words; tag absorbed in the constant
+        // The value's words (2 for a `u64`); the tag is absorbed in the
+        // constant.
+        match self {
+            TreeMsg::Up(v) | TreeMsg::Down(v) => v.size_words(),
+        }
     }
 
     fn digest(&self) -> u64 {
-        match *self {
-            TreeMsg::Up(x) => digest_fields(0, &[x]),
-            TreeMsg::Down(x) => digest_fields(1, &[x]),
+        match self {
+            TreeMsg::Up(v) => digest_fields(0, &[v.digest()]),
+            TreeMsg::Down(v) => digest_fields(1, &[v.digest()]),
         }
     }
 }
 
-/// Convergecast: aggregate one `u64` per tree node up to the root, then
+/// Convergecast: fold one value per tree node up to the root, then
 /// optionally broadcast the result back down.
 #[derive(Debug, Clone)]
-pub struct ConvergecastNode {
+pub struct ConvergecastNode<V = u64> {
     pos: TreePosition,
-    op: AggOp,
-    broadcast: bool,
-    acc: u64,
+    acc: V,
     pending: usize,
     sent_up: bool,
     sent_down: bool,
@@ -98,17 +112,15 @@ pub struct ConvergecastNode {
     resolved: bool,
     /// The aggregate (root: after convergecast; all nodes: after
     /// broadcast when enabled).
-    pub result: Option<u64>,
+    pub result: Option<V>,
 }
 
-impl ConvergecastNode {
+impl<V> ConvergecastNode<V> {
     /// Creates the node state; `value` is this node's contribution.
-    pub fn new(pos: TreePosition, op: AggOp, value: u64, broadcast: bool) -> Self {
+    pub fn new(pos: TreePosition, value: V) -> Self {
         let pending = pos.children.len();
         ConvergecastNode {
             pos,
-            op,
-            broadcast,
             acc: value,
             pending,
             sent_up: false,
@@ -122,20 +134,22 @@ impl ConvergecastNode {
 }
 
 /// Tree convergecast (optionally with result broadcast) as a
-/// composable [`Protocol`]: aggregates one `u64` per node up the tree
-/// described by its [`TreePosition`]s. Its output is
-/// `(per-node results, phase stats)`, matching the classic
-/// free-function shape.
+/// composable [`Protocol`]: folds one value per node up the tree
+/// described by its [`TreePosition`]s, one message per tree edge each
+/// way. Its output is `(per-node results, phase stats)`, matching the
+/// classic free-function shape.
 ///
-/// Joining several `TreeAggregate`s in one [`Session`](crate::session::Session) phase
-/// ([`Session::join`](crate::Session::join)) runs the convergecasts in
-/// **shared rounds** — the composable form of the paper's concurrent
-/// part-wise aggregation.
+/// Values are `u64` folded by an [`AggOp`] ([`TreeAggregate::new`]),
+/// or any small [`Message`] folded by a function
+/// ([`TreeAggregate::folding`]). Aggregations over the same tree run as
+/// one convergecast of a tuple: folding `(1, depth)` by `(+, max)`
+/// gives every node `n` and the root's eccentricity in the rounds and
+/// messages of one aggregation.
 #[derive(Debug, Clone)]
-pub struct TreeAggregate {
+pub struct TreeAggregate<V = u64> {
     positions: Vec<TreePosition>,
-    values: Vec<u64>,
-    op: AggOp,
+    values: Vec<V>,
+    fold: fn(V, V) -> V,
     broadcast: bool,
 }
 
@@ -144,35 +158,51 @@ impl TreeAggregate {
     /// by `positions`, with operator `op`; `broadcast` sends the root's
     /// result back down.
     pub fn new(positions: Vec<TreePosition>, values: &[u64], op: AggOp, broadcast: bool) -> Self {
+        TreeAggregate::folding(positions, values.to_vec(), op.fold(), broadcast)
+    }
+}
+
+impl<V> TreeAggregate<V> {
+    /// Aggregation of `values` (one per node) over the tree described
+    /// by `positions`, folding a child's aggregate into its parent's
+    /// with `fold` (children in arrival order, so `fold` should be
+    /// associative and commutative); `broadcast` sends the root's
+    /// result back down.
+    pub fn folding(
+        positions: Vec<TreePosition>,
+        values: Vec<V>,
+        fold: fn(V, V) -> V,
+        broadcast: bool,
+    ) -> Self {
         TreeAggregate {
             positions,
-            values: values.to_vec(),
-            op,
+            values,
+            fold,
             broadcast,
         }
     }
 }
 
-impl Protocol for TreeAggregate {
-    type Msg = TreeMsg;
-    type State = ConvergecastNode;
-    type Output = (Vec<Option<u64>>, RunStats);
+impl<V: Message + Copy + Send + Sync + 'static> Protocol for TreeAggregate<V> {
+    type Msg = TreeMsg<V>;
+    type State = ConvergecastNode<V>;
+    type Output = (Vec<Option<V>>, RunStats);
 
     fn label(&self) -> &str {
         "tree_aggregate"
     }
 
-    fn init(&mut self, graph: &Graph) -> Vec<ConvergecastNode> {
+    fn init(&mut self, graph: &Graph) -> Vec<ConvergecastNode<V>> {
         assert_eq!(self.positions.len(), graph.n());
         assert_eq!(self.values.len(), graph.n());
         std::mem::take(&mut self.positions)
             .into_iter()
             .zip(self.values.iter())
-            .map(|(pos, &v)| ConvergecastNode::new(pos, self.op, v, self.broadcast))
+            .map(|(pos, &v)| ConvergecastNode::new(pos, v))
             .collect()
     }
 
-    fn round(&self, st: &mut ConvergecastNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
+    fn round(&self, st: &mut ConvergecastNode<V>, ctx: &mut RoundCtx<'_, TreeMsg<V>>) {
         if !st.pos.in_tree {
             return;
         }
@@ -181,14 +211,14 @@ impl Protocol for TreeAggregate {
             (st.parent_idx, st.children_idx) = ctx.tree_indices(st.pos.parent, &st.pos.children);
         }
         for &(from, ref msg) in ctx.inbox() {
-            match msg {
+            match *msg {
                 TreeMsg::Up(v) => {
                     debug_assert!(st.pos.children.contains(&from));
-                    st.acc = st.op.apply(st.acc, *v);
+                    st.acc = (self.fold)(st.acc, v);
                     st.pending -= 1;
                 }
                 TreeMsg::Down(v) => {
-                    st.result = Some(*v);
+                    st.result = Some(v);
                 }
             }
         }
@@ -200,7 +230,7 @@ impl Protocol for TreeAggregate {
                 ctx.send_nth(pi, TreeMsg::Up(st.acc));
             }
         }
-        if st.broadcast && !st.sent_down {
+        if self.broadcast && !st.sent_down {
             if let Some(r) = st.result {
                 st.sent_down = true;
                 for i in 0..st.children_idx.len() {
@@ -210,14 +240,14 @@ impl Protocol for TreeAggregate {
         }
     }
 
-    fn halted(&self, st: &ConvergecastNode) -> bool {
+    fn halted(&self, st: &ConvergecastNode<V>) -> bool {
         if !st.pos.in_tree {
             return true;
         }
-        st.sent_up && (!st.broadcast || st.sent_down)
+        st.sent_up && (!self.broadcast || st.sent_down)
     }
 
-    fn wake(&self, _state: &ConvergecastNode) -> Wake {
+    fn wake(&self, _state: &ConvergecastNode<V>) -> Wake {
         // Convergecast is purely mail-driven after round 0: a node acts
         // exactly when a child's Up (or the parent's Down) arrives, and
         // sends in the same invocation. Even a node still *waiting* for
@@ -234,7 +264,7 @@ impl Protocol for TreeAggregate {
     fn finish(
         self,
         _graph: &Graph,
-        nodes: Vec<ConvergecastNode>,
+        nodes: Vec<ConvergecastNode<V>>,
         stats: &RunStats,
     ) -> Self::Output {
         (nodes.into_iter().map(|s| s.result).collect(), stats.clone())
@@ -482,6 +512,36 @@ mod tests {
         let (results, stats) = aggregate(&g, pos, &values, AggOp::Sum, false).unwrap();
         assert_eq!(results[0], Some(30));
         assert!(stats.rounds < 40);
+    }
+
+    /// One convergecast of the pair `(1, depth)`, folded by `(+, max)`,
+    /// tells every node `n` and the tree's depth, at the cost of one
+    /// broadcast `u64` aggregation: a `(u32, u32)` is two words too.
+    #[test]
+    fn folded_pair_counts_nodes_and_depth_at_one_aggregations_cost() {
+        let g = lcs_graph::generators::gnp_connected(
+            40,
+            0.08,
+            &mut <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(10),
+        );
+        let bfs = Session::new(&g, SimConfig::default())
+            .run(Bfs::new(0))
+            .unwrap();
+        let pos = positions_from_tree(0, &bfs.parent, &bfs.children);
+        let census: Vec<(u32, u32)> = bfs.dist.iter().map(|d| (1, d.unwrap())).collect();
+        let (pairs, pair_stats) = Session::new(&g, SimConfig::default())
+            .run(TreeAggregate::folding(
+                pos.clone(),
+                census,
+                |(n1, h1), (n2, h2)| (n1 + n2, h1.max(h2)),
+                true,
+            ))
+            .unwrap();
+        let expected = Some((g.n() as u32, bfs.depth()));
+        assert!(bfs.depth() > 1);
+        assert!(pairs.iter().all(|&p| p == expected), "{pairs:?}");
+        let (_, sum_stats) = aggregate(&g, pos, &vec![1; g.n()], AggOp::Sum, true).unwrap();
+        assert_eq!(pair_stats, sum_stats);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! protocol the construction uses — bfs, tree aggregation / prefix
 //! numbering, multi-BFS, multi-aggregate — must produce **byte-equal
 //! outcomes and `RunStats`** for `shards ∈ {1, 2, 3, 8}` on a fixed
-//! seed set, and so must *composed* [`Session`] pipelines (sequential
-//! phase chains sharing one pool, and concurrent [`Session::join`]
-//! phases). Unlike the tier-2 proptests this runs on every `cargo
+//! seed set, and so must *composed* [`Session`] pipelines (phase chains
+//! sharing one pool, a folded tuple aggregation among them). Unlike the
+//! tier-2 proptests this runs on every `cargo
 //! test`, so a pool or session regression fails fast without
 //! `--features slow-tests`.
 
@@ -272,8 +272,9 @@ fn rng_streams_and_delivered_rounds_are_byte_equal_across_shard_counts() {
     }
 }
 
-/// Runs a representative composed pipeline — bfs, then two tree
-/// aggregations **joined in shared rounds**, then prefix numbering,
+/// Runs a representative composed pipeline — bfs, then a `(sum, max)`
+/// pair of `u64`s folded in one tree aggregation (four words, the
+/// bandwidth cap), then prefix numbering,
 /// then a multi-BFS bundle, then a multi-aggregate — through ONE
 /// session (one pool spawn, one cumulative budget), and returns every
 /// per-phase stat plus the cumulative stats and a digest of outcomes.
@@ -287,12 +288,16 @@ fn composed_pipeline(
     let b = session.run(Bfs::new(0)).unwrap();
     let pos = positions_from_tree(0, &b.parent, &b.children);
     let values: Vec<u64> = (0..g.n() as u64).map(|v| v ^ seed).collect();
-    let ((sum, _), (max, _)) = session
-        .join(
-            TreeAggregate::new(pos.clone(), &values, AggOp::Sum, true),
-            TreeAggregate::new(pos.clone(), &values, AggOp::Max, true),
-        )
+    let pairs: Vec<(u64, u64)> = values.iter().map(|&v| (v, v)).collect();
+    let (folded, _) = session
+        .run(TreeAggregate::folding(
+            pos.clone(),
+            pairs,
+            |(s1, m1), (s2, m2)| (s1.saturating_add(s2), m1.max(m2)),
+            true,
+        ))
         .unwrap();
+    let (sum, max) = folded[0].unwrap_or((0, 0));
     let marked: Vec<bool> = (0..g.n()).map(|v| v % 3 == 0).collect();
     let (ranks, total, _) = session.run(PrefixNumber::new(pos, &marked)).unwrap();
     let mb = session
@@ -309,8 +314,8 @@ fn composed_pipeline(
         .unwrap();
     // Digest: every protocol-visible outcome folded to comparable vecs.
     let digest = vec![
-        sum[0].unwrap_or(0),
-        max[0].unwrap_or(0),
+        sum,
+        max,
         total,
         ranks.iter().flatten().sum::<u64>(),
         mb.reached
@@ -562,16 +567,18 @@ fn chaos_runs_are_byte_equal_across_shard_counts() {
     }
 }
 
-/// The tentpole acceptance test: a full composed session — sequential
-/// phases AND a joined phase, all on one pool — is byte-equal across
-/// shard counts, per phase and cumulatively.
+/// The tentpole acceptance test: a full composed session — every
+/// protocol the construction uses, a folded tuple aggregation among
+/// them, all on one pool — is byte-equal across shard counts, per phase
+/// and cumulatively.
 #[test]
 fn composed_sessions_are_byte_equal_across_shard_counts() {
     for seed in SEEDS {
         for g in fixtures(seed) {
             let (base_phases, base_total, base_digest, base_shape) = composed_pipeline(&g, seed, 1);
             assert_eq!(base_phases.len(), 5);
-            assert_eq!(base_phases[1].label, "tree_aggregate+tree_aggregate");
+            assert_eq!(base_phases[1].label, "tree_aggregate");
+            assert_eq!(base_phases[1].words, 4 * base_phases[1].messages);
             for shards in SHARDS {
                 let (phases, total, digest, shape) = composed_pipeline(&g, seed, shards);
                 assert_eq!(phases, base_phases, "phases, seed={seed}, shards={shards}");

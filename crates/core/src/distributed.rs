@@ -6,7 +6,8 @@
 //! summed across phases):
 //!
 //! * **Phase A** (once): BFS from an arbitrary root builds the global
-//!   tree; convergecasts over it give every node `n` and
+//!   tree; one convergecast over it, of the pair `(1, depth)` folded by
+//!   `(+, max)` and broadcast back, gives every node `n` and
 //!   `ecc(root)` — i.e. a 2-approximation `D' = 2·ecc` of the diameter.
 //! * **Phase B** (per diameter guess `D''`, walking
 //!   [`guess_ladder`](crate::params::guess_ladder()) upward):
@@ -186,15 +187,14 @@ pub struct DistributedOutcome {
 
 /// Runs the full distributed construction.
 ///
-/// The whole multi-phase pipeline — global BFS, the `n`/`ecc`
-/// convergecasts (executed **concurrently in shared rounds** via
-/// [`Session::join`]), and every per-guess sub-protocol — executes
-/// through **one** [`Session`]: a single engine instance whose worker
-/// pool is spawned once, whose statistics accumulate into one
-/// cumulative [`RunStats`] with a per-phase breakdown
-/// ([`DistributedOutcome::phase_stats`]), and whose rounds draw on one
-/// cumulative budget. Outcomes are bit-identical to running each phase
-/// in a fresh engine, and to any shard count.
+/// The whole multi-phase pipeline — global BFS, the `n`/`ecc` census
+/// (one convergecast of a pair, [`TreeAggregate::folding`]), and every
+/// per-guess sub-protocol — executes through **one** [`Session`]: a
+/// single engine instance whose worker pool is spawned once, whose
+/// statistics accumulate into one cumulative [`RunStats`] with a
+/// per-phase breakdown ([`DistributedOutcome::phase_stats`]), and whose
+/// rounds draw on one cumulative budget. Outcomes are bit-identical to
+/// running each phase in a fresh engine, and to any shard count.
 ///
 /// With a [`FaultPlan`](DistributedConfig::faults) attached the
 /// pipeline is preceded by a detection phase on the faulty network
@@ -251,19 +251,19 @@ fn run_pipeline(
     let bfs_out = session.run_labeled("A.bfs", Bfs::new(root))?;
     let global_pos = positions_from_tree(root, &bfs_out.parent, &bfs_out.children);
     let ecc = bfs_out.depth();
-    // Convergecast n (Sum of 1) and ecc (Max of depth), both broadcast —
-    // two independent aggregations over the same tree, so they share
-    // rounds in one joined phase.
-    {
-        let ones = vec![1u64; n];
-        let depths: Vec<u64> = bfs_out.dist.iter().map(|d| d.unwrap_or(0) as u64).collect();
-        let ((res, _), (res2, _)) = session.join(
-            TreeAggregate::new(global_pos.clone(), &ones, AggOp::Sum, true),
-            TreeAggregate::new(global_pos.clone(), &depths, AggOp::Max, true),
-        )?;
-        debug_assert_eq!(res[root as usize], Some(n as u64));
-        debug_assert_eq!(res2[root as usize], Some(ecc as u64));
-    }
+    // One convergecast tells every node n and ecc: each contributes the
+    // pair (1, depth), two words, folded by (+, max) and broadcast.
+    let census: Vec<(u32, u32)> = bfs_out.dist.iter().map(|d| (1, d.unwrap_or(0))).collect();
+    let (res, _) = session.run_labeled(
+        "A.census",
+        TreeAggregate::folding(
+            global_pos.clone(),
+            census,
+            |(n1, h1), (n2, h2)| (n1 + n2, h1.max(h2)),
+            true,
+        ),
+    )?;
+    debug_assert_eq!(res[root as usize], Some((n as u32, ecc)));
     // Shared-randomness dissemination cost: O(D + log n) (Ghaffari'15).
     accounted_rounds += ecc as u64 + ceil_log2(n) as u64;
     let shared_word = lcs_congest::hash::splitmix64(cfg.seed ^ 0x5EED);

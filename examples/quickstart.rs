@@ -72,24 +72,24 @@ fn main() {
     }
 
     // 5b. The same composability is available directly: protocols are
-    //     first-class values run through a `Session`, sequentially or
-    //     concurrently (`join` = shared rounds, the paper's concurrent
-    //     part-wise aggregation).
+    //     first-class values run through a `Session`, phase after
+    //     phase. Two aggregations over one tree are one convergecast of
+    //     a pair: (1, depth), folded by (+, max), gives n and ecc.
     let mut session = Session::new(g, SimConfig::default());
     let bfs = session.run(Bfs::new(0)).expect("bfs");
     let pos = positions_from_tree(0, &bfs.parent, &bfs.children);
-    let ones = vec![1u64; g.n()];
-    let depths: Vec<u64> = bfs.dist.iter().map(|d| u64::from(d.unwrap_or(0))).collect();
-    let ((n_res, _), (ecc_res, _)) = session
-        .join(
-            TreeAggregate::new(pos.clone(), &ones, AggOp::Sum, true),
-            TreeAggregate::new(pos, &depths, AggOp::Max, true),
-        )
-        .expect("joined aggregations");
+    let census: Vec<(u32, u32)> = bfs.dist.iter().map(|d| (1, d.unwrap_or(0))).collect();
+    let (res, _) = session
+        .run(TreeAggregate::folding(
+            pos,
+            census,
+            |(n1, h1), (n2, h2)| (n1 + n2, h1.max(h2)),
+            true,
+        ))
+        .expect("census");
+    let (n_res, ecc_res) = res[0].expect("the root learns the census");
     println!(
-        "session: n={} ecc={} learned in {} shared rounds ({} phases, {} total rounds)",
-        n_res[0].unwrap(),
-        ecc_res[0].unwrap(),
+        "session: n={n_res} ecc={ecc_res} from one {}-round convergecast ({} phases, {} total rounds)",
         session.phases()[1].rounds,
         session.phases().len(),
         session.stats().rounds,

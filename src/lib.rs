@@ -47,11 +47,11 @@
 //! Every distributed primitive is a first-class
 //! [`Protocol`](congest::Protocol) value. A [`Session`](congest::Session)
 //! owns one engine instance — graph tables, the persistent worker pool,
-//! cumulative statistics — and composes protocols **sequentially**
-//! (phases share the engine and one round budget, with a per-phase
-//! stats breakdown) or **concurrently** (`join` multiplexes two
-//! protocols into the *same* rounds, the way the paper runs many
-//! part-wise aggregations at once):
+//! cumulative statistics — and runs protocols as **sequential** phases
+//! that share the engine and one round budget, with a per-phase stats
+//! breakdown. Work that shares rounds shares a protocol: the part-wise
+//! protocols multiplex their instances, and aggregations over one tree
+//! fold a tuple in one convergecast:
 //!
 //! ```
 //! use low_congestion_shortcuts::prelude::*;
@@ -63,17 +63,13 @@
 //! let bfs = session.run(Bfs::new(0)).unwrap();
 //! let pos = positions_from_tree(0, &bfs.parent, &bfs.children);
 //!
-//! // Phases 2 ∥ 3: two aggregations over that tree in SHARED rounds.
-//! let ones = vec![1u64; g.n()];
-//! let ids: Vec<u64> = (0..g.n() as u64).collect();
-//! let ((count, _), (max, _)) = session
-//!     .join(
-//!         TreeAggregate::new(pos.clone(), &ones, AggOp::Sum, true),
-//!         TreeAggregate::new(pos, &ids, AggOp::Max, true),
-//!     )
+//! // Phase 2: the node count and the tree's depth in one convergecast,
+//! // folding the pair (1, depth) by (+, max).
+//! let census: Vec<(u32, u32)> = bfs.dist.iter().map(|d| (1, d.unwrap())).collect();
+//! let (res, _) = session
+//!     .run(TreeAggregate::folding(pos, census, |(n1, h1), (n2, h2)| (n1 + n2, h1.max(h2)), true))
 //!     .unwrap();
-//! assert_eq!(count[0], Some(16));
-//! assert_eq!(max[0], Some(15));
+//! assert_eq!(res[0], Some((16, 6)));
 //!
 //! // One engine, two phases, cumulative + per-phase accounting.
 //! assert_eq!(session.phases().len(), 2);
@@ -84,6 +80,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+
+/// The README's Rust example, compiled and run as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 pub use lcs_apps as apps;
 pub use lcs_congest as congest;
@@ -99,8 +100,8 @@ pub mod prelude {
         ShortcutStrategy,
     };
     pub use lcs_congest::{
-        positions_from_tree, AggOp, Bfs, Join, MultiAggregate, MultiBfs, PrefixNumber, Protocol,
-        Session, SimConfig, TreeAggregate, Wake,
+        positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, PrefixNumber, Protocol, Session,
+        SimConfig, TreeAggregate, Wake,
     };
     pub use lcs_core::{
         build_index, build_index_distributed, centralized_shortcuts, distributed_shortcuts, k_d,
