@@ -546,8 +546,8 @@ mod tests {
         let (wg, p, s) = fixture();
         // Byzantine-tier plan: lossy + corrupting links, one permanent
         // crash in the middle of a path part (splitting it into two
-        // fragments), one transient crash that the rejoin handshake
-        // absorbs.
+        // fragments), one transient crash whose links resync once it
+        // recovers.
         let plan = FaultPlan {
             drop_rate: 0.08,
             corrupt_rate: 0.04,

@@ -6,7 +6,7 @@
 //!
 //! * `*_fault_free` — the clean baseline the overhead columns divide by.
 //! * `*_random` — crashes placed by a seeded hash on non-leader nodes,
-//!   plus one transient crash that rejoins mid-detection.
+//!   plus one transient crash that recovers mid-detection.
 //! * `*_leaders` — the adversarial placement: permanent crashes on the
 //!   leaders of the largest parts, i.e. exactly the nodes every guess
 //!   of the ladder roots its part-wise convergecasts at. Killing a
@@ -30,6 +30,11 @@
 //! nonzero if any sharded run's fingerprint, phase breakdown, or
 //! excision set diverges from the 1-shard run's — graceful degradation
 //! is inside the same determinism contract as the fault-free engine.
+//! At full scale it also exits 1 when a faulty scenario's rounds exceed
+//! its bound over the fault-free run ([`OVERHEAD_BOUNDS`]): 2.2× for
+//! `sc_random` and `sc_leaders`, 3× for `sc_corrupt_storm`. `--quick`
+//! runs are not bounded: on the small instance detection's cost weighs
+//! more against a shorter fault-free run.
 //!
 //! Usage: `adversary_bench [--quick] [--shards 1,K,...] [--out PATH]
 //! [--check PATH]`
@@ -181,9 +186,9 @@ fn random_crashes(n: usize, partition: &Partition, k: usize) -> Vec<Crash> {
     crashes
 }
 
-/// One transient crash (dies at round 2, rejoins at round 40) on a
-/// node untouched by `crashes` — exercises the rejoin handshake inside
-/// the detection phase: the node must NOT be excised.
+/// One transient crash (dies at round 2, recovers at round 40) on a
+/// node untouched by `crashes` — an outage inside the detection phase
+/// that the reliable links must ride out: the node must NOT be excised.
 fn add_transient(crashes: &mut Vec<Crash>, n: usize) {
     let down: HashSet<NodeId> = crashes.iter().map(|c| c.node).collect();
     let mut ctr = 0x7_1A5u64;
@@ -332,6 +337,16 @@ fn assert_same_shortcuts(name: &str, a: &DistributedOutcome, b: &DistributedOutc
         );
     }
 }
+
+/// Full-scale ceilings on `overhead_rounds`, the faulty runs' rounds
+/// over the fault-free run's: the degraded round profile must stay
+/// within a small factor of the fault-free one, whatever `--check`'s
+/// committed file holds.
+const OVERHEAD_BOUNDS: [(&str, f64); 3] = [
+    ("sc_random", 2.2),
+    ("sc_leaders", 2.2),
+    ("sc_corrupt_storm", 3.0),
+];
 
 /// The fields `--check` compares: everything a scenario decides or
 /// costs in rounds and messages. Wall time is left out, and the
@@ -527,6 +542,23 @@ fn main() {
     }
     table.print();
 
+    let over_bound: Vec<String> = all
+        .iter()
+        .filter(|_| !quick)
+        .filter_map(|m| {
+            let &(_, bound) = OVERHEAD_BOUNDS.iter().find(|(name, _)| *name == m.name)?;
+            (m.overhead_rounds > bound).then(|| {
+                format!(
+                    "{} @ {} shards: {:.4}x the fault-free rounds, bound {bound}x",
+                    m.name, m.shards, m.overhead_rounds
+                )
+            })
+        })
+        .collect();
+    for line in &over_bound {
+        eprintln!("OVERHEAD BOUND EXCEEDED: {line}");
+    }
+
     let determinism = if diverged.is_empty() {
         "ok".to_string()
     } else {
@@ -556,6 +588,8 @@ fn main() {
     println!("{json}");
     if !diverged.is_empty() {
         eprintln!("DETERMINISM FAILURE: {determinism}");
+    }
+    if !diverged.is_empty() || !over_bound.is_empty() {
         std::process::exit(1);
     }
 }

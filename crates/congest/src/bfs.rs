@@ -32,6 +32,19 @@ impl Message for BfsMsg {
         }
     }
 
+    fn corrupted(self, stream: u64) -> Self {
+        // A token's distance flips (`| 1`: at least one bit); an
+        // acknowledgement, which has no field, becomes a token.
+        match self {
+            BfsMsg::Token { dist } => BfsMsg::Token {
+                dist: dist ^ ((stream as u32) | 1),
+            },
+            BfsMsg::Child => BfsMsg::Token {
+                dist: stream as u32,
+            },
+        }
+    }
+
     fn digest(&self) -> u64 {
         match *self {
             BfsMsg::Token { dist } => digest_fields(0, &[u64::from(dist)]),

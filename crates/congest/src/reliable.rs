@@ -9,12 +9,15 @@
 //! a per-link sequence number, and a node executes inner round `t` only
 //! once it holds every live neighbor's frame for round `t − 1`. Frames
 //! are delivered reliably by per-link cumulative acks (piggybacked on
-//! data frames), an out-of-order stash, and timeout-driven
-//! retransmission with deterministic exponential backoff
-//! ([`RTO_BASE`] outer rounds, doubling to [`RTO_MAX`]). Retransmissions
-//! travel through the ordinary send path, so they respect the CONGEST
-//! bandwidth discipline and show up in [`RunStats`] — the measured
-//! overhead of reliability.
+//! data frames), an out-of-order stash, and a constant retransmission
+//! clock: the oldest unacked frame of a link is resent every [`RTO`]
+//! outer rounds, one round trip, with no backoff. A peer acks in the
+//! round a frame arrives, so on a clean link the ack always beats the
+//! clock, and a lost or forged frame costs one round trip. A delayed
+//! frame or ack may be resent needlessly, which the duplicate check
+//! absorbs. Retransmissions travel through the ordinary send path, so
+//! they respect the CONGEST bandwidth discipline and show up in
+//! [`RunStats`] — the measured overhead of reliability.
 //!
 //! The inner hook runs through the crate's capture path (see the
 //! [`protocol`](crate::protocol) module docs) at the virtual round
@@ -62,10 +65,14 @@
 //! The engine's Byzantine tier
 //! ([`FaultPlan::corrupt_rate`](crate::FaultPlan::corrupt_rate)) flips
 //! bits of in-flight messages.
-//! Every wire frame therefore carries a deterministic 64-bit tag — a
-//! splitmix64 chain over the frame's header fields, the payload digest
-//! ([`Message::digest`]), and the link's `(from, to)` endpoints — which
-//! the receiver recomputes on arrival. A mismatch means the frame was
+//! Every wire frame therefore carries a deterministic 64-bit tag — one
+//! splitmix64 of the frame kind and the link's `(from, to)` endpoints,
+//! XORed with each header field and the payload digest
+//! ([`Message::digest`]), each times its own odd constant — which the
+//! receiver recomputes on arrival. Multiplying by an odd constant is a
+//! bijection on 64-bit words, so a change to any one field changes the
+//! tag with certainty, and one field is all an in-flight corruption
+//! ([`Message::corrupted`]) changes. A mismatch means the frame was
 //! forged in flight: it is ignored entirely (treated exactly like a
 //! drop) and the ARQ machinery re-sends the original intact, so the
 //! wrapped output stays byte-identical to the fault-free run under any
@@ -73,22 +80,17 @@
 //! assumption, made concrete: the adversary can destroy or mutate
 //! traffic but cannot forge a frame that *verifies*.
 //!
-//! # Transient crashes: the rejoin handshake
+//! # Transient crashes
 //!
 //! A transiently crashed node
 //! ([`Crash::recover_at`](crate::Crash::recover_at)) keeps its state
-//! but loses every in-flight
-//! inbound frame, and its neighbors' retransmission timers may have
-//! backed off to [`RTO_MAX`] by the time it returns — a stall of up to
-//! 64 rounds per link. A recovering node *knows* it was down (its hook
-//! skipped engine rounds, or never ran at phase start), so it announces
-//! itself with a tagged `Hello` on every live link; each neighbor
-//! responds by re-arming the link — retransmission due immediately,
-//! backoff reset, ack owed — and the link resyncs in ~1 round instead.
-//! The handshake is enabled by default; [`Reliable::with_rejoin`]
-//! disables it to measure the stall it removes. Without a crash plan
-//! the detection can never fire, so fault-free and drop/delay-only runs
-//! are untouched.
+//! but loses every frame in flight to it, and nothing special brings it
+//! back. Its neighbors keep resending their oldest unacked frame every
+//! [`RTO`] rounds through the outage, and the engine re-activates the
+//! node when it recovers, so its own clocks fire at once. Each link
+//! therefore resyncs within one timeout of the recovery, and with no
+//! other faults the run ends at most [`RTO`] rounds after a fault-free
+//! run started at the recovery round would.
 
 use crate::capture::Hook;
 use crate::error::SimError;
@@ -100,15 +102,22 @@ use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
-/// Initial retransmission timeout, in outer engine rounds.
-pub const RTO_BASE: u64 = 4;
-/// Retransmission timeout cap (deterministic exponential backoff).
-pub const RTO_MAX: u64 = 64;
+/// Retransmission timeout, in outer engine rounds: the oldest unacked
+/// frame of a link is resent every `RTO` rounds. Two rounds are one
+/// round trip (a frame sent at round `r` is acked at `r + 1`, and the
+/// ack is read at `r + 2`), and no timeout is shorter without resending
+/// frames whose ack is on its way.
+pub const RTO: u64 = 2;
 
-/// Domain separators keeping the three frame kinds' tag spaces disjoint.
+/// Domain separators keeping the two frame kinds' tag spaces disjoint.
 const TAG_DATA: u64 = 0x7461_675F_6461_7461;
 const TAG_ACK: u64 = 0x0074_6167_5F61_636B;
-const TAG_HELLO: u64 = 0x7467_5F68_656C_6C6F;
+/// One odd multiplier per tag-covered field (a bijection on `u64`, so
+/// the field's every change reaches the tag).
+const MUL_SEQ: u64 = 0x9E37_79B9_7F4A_7C15;
+const MUL_ACK: u64 = 0xBF58_476D_1CE4_E5B9;
+const MUL_QUIET: u64 = 0x94D0_49BB_1331_11EB;
+const MUL_PAYLOAD: u64 = 0xD6E8_FEB8_6659_FD93;
 /// Folded into a data tag in place of an absent payload's digest.
 const NO_PAYLOAD: u64 = 0x6E6F_6E65;
 
@@ -118,35 +127,30 @@ fn link_id(from: NodeId, to: NodeId) -> u64 {
     (u64::from(from) << 32) | u64::from(to)
 }
 
-/// Integrity tag of a data frame: a splitmix64 chain over the link id,
-/// every header field, and the payload digest. Deterministic, so sender
-/// and receiver agree exactly; any in-flight mutation of a covered field
+/// The digest a data tag covers for `payload`.
+fn payload_digest<M: Message>(payload: &Option<M>) -> u64 {
+    payload.as_ref().map_or(NO_PAYLOAD, Message::digest)
+}
+
+/// Integrity tag of a data frame: one splitmix64 of the frame kind and
+/// the link id, XORed with every header field and the payload digest,
+/// each times its own odd constant. Deterministic, so sender and
+/// receiver agree exactly; an in-flight change to any one covered field
 /// (including the ack — an uncovered ack could falsely advance ARQ
 /// state) makes the recomputation mismatch.
-fn frame_tag<M: Message>(
-    from: NodeId,
-    to: NodeId,
-    seq: u64,
-    ack: u64,
-    quiet: u32,
-    payload: &Option<M>,
-) -> u64 {
-    let pd = payload.as_ref().map_or(NO_PAYLOAD, Message::digest);
-    let mut h = splitmix64(TAG_DATA ^ link_id(from, to));
-    h = splitmix64(h ^ seq);
-    h = splitmix64(h ^ ack);
-    h = splitmix64(h ^ u64::from(quiet));
-    splitmix64(h ^ pd)
+#[inline]
+fn frame_tag(from: NodeId, to: NodeId, seq: u64, ack: u64, quiet: u32, digest: u64) -> u64 {
+    splitmix64(TAG_DATA ^ link_id(from, to))
+        ^ seq.wrapping_mul(MUL_SEQ)
+        ^ ack.wrapping_mul(MUL_ACK)
+        ^ u64::from(quiet).wrapping_mul(MUL_QUIET)
+        ^ digest.wrapping_mul(MUL_PAYLOAD)
 }
 
-/// Integrity tag of a standalone ack.
+/// Integrity tag of a standalone ack, built like [`frame_tag`].
+#[inline]
 fn ack_tag(from: NodeId, to: NodeId, ack: u64) -> u64 {
-    splitmix64(splitmix64(TAG_ACK ^ link_id(from, to)) ^ ack)
-}
-
-/// Integrity tag of a rejoin announcement.
-fn hello_tag(from: NodeId, to: NodeId) -> u64 {
-    splitmix64(TAG_HELLO ^ link_id(from, to))
+    splitmix64(TAG_ACK ^ link_id(from, to)) ^ ack.wrapping_mul(MUL_ACK)
 }
 
 /// Wire message of a [`Reliable`] run: a sequenced data frame with a
@@ -182,13 +186,23 @@ pub enum ReliableMsg<M> {
         /// Integrity tag over the link id and `ack`.
         tag: u64,
     },
-    /// Rejoin announcement of a transiently crashed node (see the
-    /// [module docs](self)): "my inbound in-flight frames are gone —
-    /// retransmit now instead of waiting out your backoff".
-    Hello {
-        /// Integrity tag over the link id.
-        tag: u64,
-    },
+}
+
+impl<M: Message> ReliableMsg<M> {
+    /// Whether the frame's tag matches its fields on the link
+    /// `from → to`; a mismatch means it was corrupted in flight.
+    fn verifies(&self, from: NodeId, to: NodeId) -> bool {
+        match self {
+            ReliableMsg::Data {
+                seq,
+                ack,
+                quiet,
+                payload,
+                tag,
+            } => frame_tag(from, to, *seq, *ack, *quiet, payload_digest(payload)) == *tag,
+            ReliableMsg::Ack { ack, tag } => ack_tag(from, to, *ack) == *tag,
+        }
+    }
 }
 
 impl<M: Message> Message for ReliableMsg<M> {
@@ -196,15 +210,13 @@ impl<M: Message> Message for ReliableMsg<M> {
         // The seq/ack/quiet/tag header is absorbed into the word count
         // (like the variant tags of the built-in protocol messages): a
         // frame costs what its payload costs, with a one-word floor for
-        // empty frames, acks, and hellos — so the tags change no
-        // message/word statistic.
+        // empty frames and acks — so the tags change no message/word
+        // statistic.
         match self {
             ReliableMsg::Data {
                 payload: Some(m), ..
             } => m.size_words().max(1),
-            ReliableMsg::Data { payload: None, .. }
-            | ReliableMsg::Ack { .. }
-            | ReliableMsg::Hello { .. } => 1,
+            ReliableMsg::Data { payload: None, .. } | ReliableMsg::Ack { .. } => 1,
         }
     }
 
@@ -264,7 +276,6 @@ impl<M: Message> Message for ReliableMsg<M> {
                     }
                 }
             }
-            ReliableMsg::Hello { tag } => ReliableMsg::Hello { tag: tag ^ flip },
         }
     }
 
@@ -276,12 +287,12 @@ impl<M: Message> Message for ReliableMsg<M> {
                 quiet,
                 payload,
                 tag,
-            } => {
-                let pd = payload.as_ref().map_or(NO_PAYLOAD, Message::digest);
-                splitmix64(splitmix64(*seq ^ *tag) ^ splitmix64(*ack ^ u64::from(*quiet)) ^ pd)
-            }
+            } => splitmix64(
+                splitmix64(*seq ^ *tag)
+                    ^ splitmix64(*ack ^ u64::from(*quiet))
+                    ^ payload_digest(payload),
+            ),
             ReliableMsg::Ack { ack, tag } => splitmix64(*ack ^ tag.rotate_left(32)),
-            ReliableMsg::Hello { tag } => splitmix64(*tag ^ TAG_HELLO),
         }
     }
 }
@@ -304,8 +315,6 @@ struct Link<M> {
     /// Earliest outer round at which the front unacked frame may be
     /// retransmitted.
     timer: u64,
-    /// Current retransmission timeout (deterministic backoff).
-    rto: u64,
     /// Frames below this seq have been received from the peer
     /// (contiguously).
     recv: u64,
@@ -328,7 +337,6 @@ impl<M> Link<M> {
             produced: 0,
             next_tx: 0,
             timer: 0,
-            rto: RTO_BASE,
             recv: 0,
             pending_in: VecDeque::new(),
             ooo: Vec::new(),
@@ -337,7 +345,7 @@ impl<M> Link<M> {
     }
 
     /// Applies a cumulative ack from the peer: drops acked frames and
-    /// resets the retransmission backoff (progress restarts the clock).
+    /// restarts the retransmission clock.
     fn advance_ack(&mut self, ack: u64, now: u64) {
         if ack > self.acked {
             for _ in 0..(ack - self.acked) {
@@ -345,8 +353,7 @@ impl<M> Link<M> {
             }
             self.acked = ack;
             self.next_tx = self.next_tx.max(ack);
-            self.rto = RTO_BASE;
-            self.timer = now + self.rto;
+            self.timer = now + RTO;
         }
     }
 
@@ -397,12 +404,6 @@ pub struct ReliableState<P: Protocol> {
     /// will be executed (see the module docs).
     stopped: bool,
     links: Vec<Link<P::Msg>>,
-    /// Last engine round this node's hook ran (rejoin detection: a
-    /// [`Wake::Stay`] node whose hook skipped a round was crashed —
-    /// nothing else removes a staying node from the active set).
-    last_round: u64,
-    /// Whether the last executed round ended in [`Wake::Stay`].
-    stay: bool,
 }
 
 /// Runs protocol `P` to its exact fault-free output over a lossy,
@@ -417,11 +418,6 @@ pub struct Reliable<P: Protocol> {
     /// Optional diameter upper bound capping the quiet wave (see
     /// [`Reliable::with_quiet_bound`]).
     quiet_bound: Option<u32>,
-    /// Whether recovering nodes announce themselves (see the
-    /// [module docs](self) on the rejoin handshake). On by default;
-    /// [`Reliable::with_rejoin`] turns it off to expose the RTO stall
-    /// the handshake removes.
-    rejoin: bool,
 }
 
 impl<P: Protocol> Reliable<P> {
@@ -434,19 +430,7 @@ impl<P: Protocol> Reliable<P> {
             label,
             crashed: Vec::new(),
             quiet_bound: None,
-            rejoin: true,
         }
-    }
-
-    /// Enables or disables the rejoin handshake for transient crashes
-    /// (default: enabled). With it off, a recovering node's links stall
-    /// until each neighbor's backed-off retransmission timer (up to
-    /// [`RTO_MAX`] rounds) fires — the output is still exact, just
-    /// late. Exists so the stall the handshake removes is measurable.
-    #[must_use]
-    pub fn with_rejoin(mut self, enabled: bool) -> Self {
-        self.rejoin = enabled;
-        self
     }
 
     /// Caps the termination quiet wave at `diameter_bound + 1` levels
@@ -517,8 +501,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                 quiet: 0,
                 stopped: false,
                 links: Vec::new(),
-                last_round: 0,
-                stay: false,
             })
             .collect()
     }
@@ -530,10 +512,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
         let degree = ctx.degree();
         let me = ctx.node();
         let now = ctx.round();
-        // Rejoin detection, arm (a): the engine runs every node at round
-        // 0 (phase start), so a first execution later means this node
-        // was crashed through the start of the phase.
-        let missed_start = !st.initialized && now > 0;
         if !st.initialized {
             st.initialized = true;
             st.links = ctx
@@ -555,17 +533,17 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             let Some(i) = ctx.neighbor_index(from) else {
                 continue; // unreachable: the engine enforces adjacency
             };
+            if !msg.verifies(from, me) {
+                continue; // forged in flight: treat as dropped
+            }
             match msg {
                 ReliableMsg::Data {
                     seq,
                     ack,
                     quiet,
                     payload,
-                    tag,
+                    ..
                 } => {
-                    if frame_tag(from, me, seq, ack, quiet, &payload) != tag {
-                        continue; // forged in flight: treat as dropped
-                    }
                     if st.stopped && payload.is_some() && seq >= st.links[i].recv {
                         // New inner data after this node's quiet-wave
                         // stop (duplicates, seq < recv, were consumed
@@ -591,58 +569,8 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                         }
                     }
                 }
-                ReliableMsg::Ack { ack, tag } => {
-                    if ack_tag(from, me, ack) != tag {
-                        continue; // forged in flight
-                    }
-                    st.links[i].advance_ack(ack, now);
-                }
-                ReliableMsg::Hello { tag } => {
-                    if hello_tag(from, me) != tag {
-                        continue; // forged in flight: peer falls back to RTO
-                    }
-                    // The peer transiently crashed and rejoined: its
-                    // inbound in-flight frames are gone. Re-arm the link
-                    // — retransmission due now instead of a backed-off
-                    // timer, and an ack owed so the peer re-syncs even
-                    // when nothing is pending our way.
-                    let link = &mut st.links[i];
-                    if !link.dead {
-                        link.timer = now;
-                        link.rto = RTO_BASE;
-                        link.ack_owed = true;
-                    }
-                }
+                ReliableMsg::Ack { ack, .. } => st.links[i].advance_ack(ack, now),
             }
-        }
-
-        // Rejoin, arm (b): a `Wake::Stay` node runs every round —
-        // nothing but a crash window removes it from the active set —
-        // so a gap in `last_round` means this node was down and its
-        // in-flight inbound is gone. Announce on every live link (the
-        // round's one wire message per link), re-arm own retransmission
-        // clocks, and resume normal framing next round. Neither arm can
-        // fire without a crash plan, so drop/delay-only runs (and their
-        // committed fingerprints) are untouched.
-        if self.rejoin && (missed_start || (st.stay && now > st.last_round + 1)) {
-            for link in &mut st.links {
-                if !link.dead {
-                    link.timer = now + 1;
-                    link.rto = RTO_BASE;
-                }
-            }
-            for i in 0..degree {
-                if !st.links[i].dead {
-                    let peer = ctx.neighbors()[i];
-                    let hello = ReliableMsg::Hello {
-                        tag: hello_tag(me, peer),
-                    };
-                    ctx.send_nth(i, hello);
-                }
-            }
-            st.last_round = now;
-            st.stay = matches!(self.wake(st), Wake::Stay);
-            return;
         }
 
         // 2. Execute at most one inner (virtual) round, once every live
@@ -728,31 +656,25 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
             if link.dead {
                 continue;
             }
-            if link.next_tx < link.produced {
-                let idx = (link.next_tx - link.acked) as usize;
-                let (payload, quiet) = link.frames[idx].clone();
-                let frame = ReliableMsg::Data {
-                    seq: link.next_tx,
-                    ack: link.recv,
-                    quiet,
-                    tag: frame_tag(me, peer, link.next_tx, link.recv, quiet, &payload),
-                    payload,
-                };
-                link.next_tx += 1;
-                link.timer = now + link.rto;
-                link.ack_owed = false;
-                ctx.send_nth(i, frame);
+            let seq = if link.next_tx < link.produced {
+                Some(link.next_tx)
             } else if link.acked < link.next_tx && now >= link.timer {
-                let (payload, quiet) = link.frames[0].clone();
+                Some(link.acked)
+            } else {
+                None
+            };
+            if let Some(seq) = seq {
+                let (payload, quiet) = link.frames[(seq - link.acked) as usize].clone();
+                let digest = payload_digest(&payload);
                 let frame = ReliableMsg::Data {
-                    seq: link.acked,
+                    seq,
                     ack: link.recv,
                     quiet,
-                    tag: frame_tag(me, peer, link.acked, link.recv, quiet, &payload),
                     payload,
+                    tag: frame_tag(me, peer, seq, link.recv, quiet, digest),
                 };
-                link.timer = now + link.rto;
-                link.rto = (link.rto * 2).min(RTO_MAX);
+                link.next_tx = link.next_tx.max(seq + 1);
+                link.timer = now + RTO;
                 link.ack_owed = false;
                 ctx.send_nth(i, frame);
             } else if link.ack_owed {
@@ -764,12 +686,6 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
                 ctx.send_nth(i, ack);
             }
         }
-
-        // Bookkeeping for rejoin arm (b): remember that this round ran
-        // and whether it ended in `Stay` (a staying node's next hook is
-        // guaranteed for round `now + 1` — unless a crash intervenes).
-        st.last_round = now;
-        st.stay = matches!(self.wake(st), Wake::Stay);
     }
 
     fn halted(&self, st: &Self::State) -> bool {
@@ -1078,73 +994,171 @@ mod tests {
         }
     }
 
-    /// Transient crash windows (state intact, in-flight mail lost) are
-    /// absorbed: with the rejoin handshake the output is byte-identical
-    /// to fault-free, and the resync is measurably faster than waiting
-    /// out the backed-off retransmission timers — the pinned stall
-    /// comparison the handshake exists for.
+    /// Transient outages (state intact, in-flight mail lost) are
+    /// absorbed with no rejoin protocol: the output is byte-identical to
+    /// fault-free at every shard count, and since the neighbors resend
+    /// their oldest unacked frame every `RTO` rounds, the run ends by the
+    /// recovery round plus the fault-free Reliable run plus one timeout.
     #[test]
-    fn rejoin_handshake_cuts_transient_crash_stall() {
+    fn transient_outage_costs_its_length_plus_one_timeout() {
         let g = lcs_graph::generators::grid(6, 5);
         let clean = Session::new(&g, SimConfig::default())
             .run(Bfs::new(0))
             .unwrap();
-        // Two outages: one node down from phase start (rejoin arm (a)),
-        // one knocked out mid-run (arm (b)). Recovery well past the
-        // point where neighbor RTOs have backed off.
-        let faulty_cfg = || SimConfig {
+        let unfaulted = Session::new(&g, SimConfig::default())
+            .run(Reliable::new(Bfs::new(0)))
+            .unwrap();
+        // Two outages: one node down from phase start, one knocked out
+        // mid-run; both come back at round 40.
+        let recover = 40;
+        let faulty_cfg = |shards| SimConfig {
+            shards,
             max_rounds: 100_000,
             faults: Some(FaultPlan {
                 crashes: vec![
                     Crash {
                         node: 7,
                         at_round: 0,
-                        recover_at: Some(40),
+                        recover_at: Some(recover),
                     },
                     Crash {
                         node: 22,
                         at_round: 3,
-                        recover_at: Some(40),
+                        recover_at: Some(recover),
                     },
                 ],
                 ..FaultPlan::default()
             }),
             ..SimConfig::default()
         };
-        let with = Session::new(&g, faulty_cfg())
+        let base = Session::new(&g, faulty_cfg(1))
             .run(Reliable::new(Bfs::new(0)))
             .unwrap();
-        let without = Session::new(&g, faulty_cfg())
-            .run(Reliable::new(Bfs::new(0)).with_rejoin(false))
-            .unwrap();
-        // Both are exact — the handshake buys latency, not correctness.
-        assert_eq!(with.dist, clean.dist);
-        assert_eq!(with.parent, clean.parent);
-        assert_eq!(without.dist, clean.dist);
-        // Pinned stall cut: without the handshake the recovered links
-        // wait out their backed-off timers (up to RTO_MAX past the
-        // recovery round); with it they resync in ~1 round.
-        assert!(
-            with.stats.rounds + 8 <= without.stats.rounds,
-            "rejoin must measurably cut the stall ({} vs {})",
-            with.stats.rounds,
-            without.stats.rounds
-        );
-        // And rejoin stays shard-invariant like everything else.
-        for shards in [2usize, 8] {
-            let cfg = SimConfig {
-                shards,
-                ..faulty_cfg()
-            };
-            let out = Session::new(&g, cfg)
+        for shards in [1usize, 2, 8] {
+            let out = Session::new(&g, faulty_cfg(shards))
                 .run(Reliable::new(Bfs::new(0)))
                 .unwrap();
-            assert_eq!(out.dist, with.dist, "shards={shards}");
-            assert_eq!(
-                out.stats.fingerprint(),
-                with.stats.fingerprint(),
-                "shards={shards}"
+            assert_eq!(out.dist, clean.dist, "shards={shards}");
+            assert_eq!(out.parent, clean.parent, "shards={shards}");
+            assert_eq!(out.children, clean.children, "shards={shards}");
+            assert_eq!(out.stats, base.stats, "shards={shards}");
+        }
+        assert!(
+            base.stats.rounds <= recover + unfaulted.stats.rounds + RTO,
+            "the outage cost more than its length plus one timeout \
+             ({} rounds, {} without faults)",
+            base.stats.rounds,
+            unfaulted.stats.rounds
+        );
+    }
+
+    /// The one-mix tags keep what a tag must: every branch of
+    /// `ReliableMsg::corrupted` fails the check, on data frames with
+    /// and without a payload and on acks, and a change to any one
+    /// covered field changes the tag.
+    #[test]
+    fn every_corruption_fails_the_one_mix_tag() {
+        use crate::bfs::BfsMsg;
+        use crate::tree::TreeMsg;
+
+        /// Corrupts `frame` on a spread of streams, asserting that each
+        /// corruption changes exactly one field and fails the check,
+        /// and returns the fields the corruptions changed.
+        fn fields_hit<M: Message + PartialEq>(frame: &ReliableMsg<M>) -> Vec<&'static str> {
+            let (from, to) = (3, 11);
+            let mut hit = Vec::new();
+            for k in 0..64u64 {
+                let bad = frame.clone().corrupted(splitmix64(k));
+                let changed: Vec<&str> = match (frame, &bad) {
+                    (
+                        ReliableMsg::Data {
+                            seq,
+                            ack,
+                            quiet,
+                            payload,
+                            tag,
+                        },
+                        ReliableMsg::Data {
+                            seq: s,
+                            ack: a,
+                            quiet: q,
+                            payload: p,
+                            tag: t,
+                        },
+                    ) => [
+                        ("seq", s != seq),
+                        ("ack", a != ack),
+                        ("quiet", q != quiet),
+                        ("payload", p != payload),
+                        ("tag", t != tag),
+                    ]
+                    .iter()
+                    .filter_map(|&(field, moved)| moved.then_some(field))
+                    .collect(),
+                    (ReliableMsg::Ack { ack, tag }, ReliableMsg::Ack { ack: a, tag: t }) => {
+                        [("ack", a != ack), ("tag", t != tag)]
+                            .iter()
+                            .filter_map(|&(field, moved)| moved.then_some(field))
+                            .collect()
+                    }
+                    _ => panic!("corruption changed the frame kind"),
+                };
+                assert_eq!(changed.len(), 1, "{frame:?} -> {bad:?}");
+                assert!(!bad.verifies(from, to), "{frame:?} -> {bad:?} verifies");
+                if !hit.contains(&changed[0]) {
+                    hit.push(changed[0]);
+                }
+            }
+            hit.sort_unstable();
+            hit
+        }
+        fn data<M: Message>(seq: u64, ack: u64, quiet: u32, payload: Option<M>) -> ReliableMsg<M> {
+            let tag = frame_tag(3, 11, seq, ack, quiet, payload_digest(&payload));
+            ReliableMsg::Data {
+                seq,
+                ack,
+                quiet,
+                payload,
+                tag,
+            }
+        }
+        let with_payload = ["ack", "payload", "seq", "tag"];
+        let without = ["ack", "seq", "tag"];
+        for (seq, ack, quiet) in [(0, 0, 0), (5, 4, 1), (u64::MAX, 1 << 40, u32::MAX)] {
+            assert_eq!(fields_hit(&data::<BfsMsg>(seq, ack, quiet, None)), without);
+            for m in [
+                BfsMsg::Token { dist: 0 },
+                BfsMsg::Token { dist: 9 },
+                BfsMsg::Child,
+            ] {
+                assert_eq!(fields_hit(&data(seq, ack, quiet, Some(m))), with_payload);
+            }
+            for m in [TreeMsg::Up(0u64), TreeMsg::Up(u64::MAX), TreeMsg::Down(77)] {
+                assert_eq!(fields_hit(&data(seq, ack, quiet, Some(m))), with_payload);
+            }
+            let ack_frame = ReliableMsg::<BfsMsg>::Ack {
+                ack,
+                tag: ack_tag(3, 11, ack),
+            };
+            assert_eq!(fields_hit(&ack_frame), ["ack", "tag"]);
+        }
+
+        // Any one covered field, changed by any amount, moves the tag.
+        let base = (7u64, 6u64, 2u32, BfsMsg::Child.digest());
+        let tag =
+            |(seq, ack, quiet, pd): (u64, u64, u32, u64)| frame_tag(3, 11, seq, ack, quiet, pd);
+        for k in 0..64u64 {
+            let d = splitmix64(k) | 1 << (k % 64);
+            let (seq, ack, quiet, pd) = base;
+            assert_ne!(tag((seq ^ d, ack, quiet, pd)), tag(base), "seq ^ {d:#x}");
+            assert_ne!(tag((seq, ack ^ d, quiet, pd)), tag(base), "ack ^ {d:#x}");
+            assert_ne!(
+                tag((seq, ack, quiet ^ (d as u32 | 1), pd)),
+                tag(base),
+                "quiet ^ {d:#x}"
             );
+            assert_ne!(tag((seq, ack, quiet, pd ^ d)), tag(base), "digest ^ {d:#x}");
+            assert_ne!(ack_tag(3, 11, ack ^ d), ack_tag(3, 11, ack), "ack ^ {d:#x}");
         }
     }
 

@@ -88,6 +88,13 @@ impl<V: Message> Message for TreeMsg<V> {
         }
     }
 
+    fn corrupted(self, stream: u64) -> Self {
+        match self {
+            TreeMsg::Up(v) => TreeMsg::Up(v.corrupted(stream)),
+            TreeMsg::Down(v) => TreeMsg::Down(v.corrupted(stream)),
+        }
+    }
+
     fn digest(&self) -> u64 {
         match self {
             TreeMsg::Up(v) => digest_fields(0, &[v.digest()]),
