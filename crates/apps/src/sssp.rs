@@ -95,7 +95,7 @@ pub fn bellman_ford_rounds(wg: &WeightedGraph, source: NodeId) -> (Vec<u64>, u64
 /// Depths add up saturating: one too heavy for `u64` reads as
 /// [`W_UNREACHABLE`], which no relaxation ever writes. A member whose
 /// path to the root is broken — a parent edge missing from the graph,
-/// or a parent cycle, which only a malformed index can hold — reads
+/// or a parent cycle, which only a hand-built `setup` can hold — reads
 /// as [`W_UNREACHABLE`] too.
 ///
 /// This is [`PartPaths::depths`] on a view derived for the one call; a
@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn depth_table_marks_broken_tree_paths_unreachable() {
-        // Path 0-1-2-3-4, one part; a malformed tree in which 1 and 2
+        // Path 0-1-2-3-4, one part; a hand-built tree in which 1 and 2
         // are each other's parent and 3 hangs off the non-edge {0, 3}.
         let g = lcs_graph::path(5);
         let wg = WeightedGraph::new(g.clone(), vec![1; g.m()]).unwrap();
@@ -524,7 +524,6 @@ mod tests {
                     (4, Some(3)),
                 ],
                 depth: 2,
-                spans_part: true,
             }],
             tree_congestion: 1,
             tree_depth: 2,

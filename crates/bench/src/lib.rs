@@ -353,7 +353,7 @@ pub mod sim_workloads {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::All,
+            membership: lcs_congest::Membership::func(|_, _, _| true),
             queue_cap: 0,
         })
     }

@@ -149,7 +149,6 @@ impl<M> Capture<M> {
                     words: &mut words,
                     per_arc: &mut self.per_arc[..degree],
                     violation: &mut violation,
-                    bandwidth: ctx.tx.bandwidth,
                 },
             },
         );

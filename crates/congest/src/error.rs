@@ -30,7 +30,7 @@ pub enum SimError {
     MessageTooLarge {
         /// Declared message size in words.
         words: u32,
-        /// Configured cap in words.
+        /// The cap in words, [`BANDWIDTH_WORDS`](crate::BANDWIDTH_WORDS).
         cap: u32,
         /// Round of the violation.
         round: u64,

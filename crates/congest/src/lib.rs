@@ -8,7 +8,7 @@
 //! communicate in synchronous rounds; per round each node may send one
 //! `O(log n)`-bit message to each neighbor. The engine in [`sim`]
 //! enforces exactly that (message sizes are accounted in `⌈log₂ n⌉`-bit
-//! words, at most [`message::DEFAULT_BANDWIDTH_WORDS`] per message) and
+//! words, at most [`message::BANDWIDTH_WORDS`] per message) and
 //! reports rounds, message totals, and per-edge traffic. Scheduling is
 //! **event-driven** ([`Wake`]): a node runs only when it has mail, asked
 //! to stay awake, or the phase just started, so a round costs
@@ -72,7 +72,7 @@ pub mod tree;
 pub use accounting::{ceil_log2, ScheduleCost};
 pub use bfs::{Bfs, BfsMsg, BfsNode, DistBfsOutcome};
 pub use error::SimError;
-pub use message::{Message, DEFAULT_BANDWIDTH_WORDS};
+pub use message::{Message, BANDWIDTH_WORDS};
 pub use multi_aggregate::{
     MultiAggMsg, MultiAggNode, MultiAggOutcome, MultiAggregate, Participation,
 };

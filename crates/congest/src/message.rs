@@ -4,22 +4,19 @@
 //! neighbor per round. We account message sizes in **words**, where one
 //! word stands for one `⌈log₂ n⌉`-bit quantity (a node id, an edge id, a
 //! hop counter, a weight of polynomial magnitude). The simulator enforces
-//! a per-message cap of [`SimConfig::bandwidth_words`] words
-//! (default [`DEFAULT_BANDWIDTH_WORDS`]), i.e. messages stay `O(log n)`
-//! bits with an explicit constant.
-//!
-//! [`SimConfig::bandwidth_words`]: crate::sim::SimConfig::bandwidth_words
+//! a per-message cap of [`BANDWIDTH_WORDS`] words, i.e. messages stay
+//! `O(log n)` bits with an explicit constant.
 
 use crate::hash::splitmix64;
 
-/// Default per-message budget, in `⌈log₂ n⌉`-bit words.
-pub const DEFAULT_BANDWIDTH_WORDS: u32 = 4;
+/// Per-message budget, in `⌈log₂ n⌉`-bit words.
+pub const BANDWIDTH_WORDS: u32 = 4;
 
 /// A CONGEST message: cloneable payload with a declared size in words.
 ///
 /// Implementations must report an honest upper bound on their wire size
 /// counted in `⌈log₂ n⌉`-bit words. The simulator rejects messages whose
-/// declared size exceeds the configured bandwidth.
+/// declared size exceeds [`BANDWIDTH_WORDS`].
 pub trait Message: Clone + std::fmt::Debug {
     /// Size of this message in `⌈log₂ n⌉`-bit words.
     fn size_words(&self) -> u32;
@@ -141,7 +138,7 @@ impl<A: Message, B: Message> Message for (A, B) {
 mod tests {
     use super::*;
 
-    use crate::{BfsMsg, TreeMsg};
+    use crate::{BfsMsg, MultiAggMsg, MultiBfsMsg, TreeMsg};
     use std::collections::HashSet;
 
     /// Asserts that no two of `msgs` share a digest.
@@ -164,6 +161,41 @@ mod tests {
             .collect();
         assert_distinct(&bfs);
         assert_distinct(&tree);
+    }
+
+    /// Every corruption of a multi-instance message changes it, on each
+    /// variant and 1,000 streams, and keeps its instance id.
+    #[test]
+    fn multi_instance_corruptions_change_the_message_and_keep_its_instance() {
+        let inst = 3;
+        let bfs = [
+            MultiBfsMsg::Token {
+                inst,
+                root: 7,
+                dist: 2,
+            },
+            MultiBfsMsg::Child { inst },
+        ];
+        let agg = [
+            MultiAggMsg::Up { inst, value: 11 },
+            MultiAggMsg::Down { inst, value: 11 },
+        ];
+        for stream in (0..1000).map(splitmix64) {
+            for msg in bfs {
+                let bad = msg.corrupted(stream);
+                assert_ne!(bad, msg, "stream {stream:#x}");
+                let (MultiBfsMsg::Token { inst: kept, .. } | MultiBfsMsg::Child { inst: kept }) =
+                    bad;
+                assert_eq!(kept, inst, "{msg:?}, stream {stream:#x}");
+            }
+            for msg in &agg {
+                let bad = msg.clone().corrupted(stream);
+                assert_ne!(&bad, msg, "stream {stream:#x}");
+                let (MultiAggMsg::Up { inst: kept, .. } | MultiAggMsg::Down { inst: kept, .. }) =
+                    bad;
+                assert_eq!(kept, inst, "{msg:?}, stream {stream:#x}");
+            }
+        }
     }
 
     #[test]

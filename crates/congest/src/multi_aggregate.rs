@@ -53,6 +53,21 @@ impl Message for MultiAggMsg {
     fn size_words(&self) -> u32 {
         3 // instance id (1 word) + u64 value (2 words)
     }
+
+    fn corrupted(self, stream: u64) -> Self {
+        // The value flips; the instance id stays, so a receiver never
+        // indexes an instance its bundle lacks.
+        match self {
+            MultiAggMsg::Up { inst, value } => MultiAggMsg::Up {
+                inst,
+                value: value.corrupted(stream),
+            },
+            MultiAggMsg::Down { inst, value } => MultiAggMsg::Down {
+                inst,
+                value: value.corrupted(stream),
+            },
+        }
+    }
 }
 
 #[derive(Debug)]

@@ -14,9 +14,8 @@
 //! evaluated at the *sending* endpoint (`may a token of instance i
 //! traverse u → v?`) — exactly the local knowledge nodes have after the
 //! sampling step (each node knows which of its incident edges it
-//! sampled into which `H_i`). The whole-graph case ([`Membership::All`])
-//! is recognised statically so the fan-out hot loop skips the dynamic
-//! predicate call entirely.
+//! sampled into which `H_i`). A bundle over the whole graph passes the
+//! predicate that always answers yes, `Membership::func(|_, _, _| true)`.
 //!
 //! **Distance semantics.** Tokens are forwarded as fast as queues allow
 //! (the Leighton–Maggs–Richa packet view of the schedule) and a node
@@ -58,44 +57,28 @@ pub struct MultiBfsInstance {
 /// the construction's sampled edges are each endpoint's own coin.
 pub type MembershipFn = Arc<dyn Fn(NodeId, NodeId, u32) -> bool + Send + Sync>;
 
-/// Edge-membership oracle of a multi-BFS bundle.
-///
-/// The common whole-graph case gets its own variant so the token
-/// fan-out hot path pays a predictable enum branch instead of a dynamic
-/// call per (token, neighbor) pair; arbitrary predicates use
-/// [`Membership::Fn`] (or the [`Membership::func`] helper).
+/// Edge-membership oracle of a multi-BFS bundle: one arc predicate,
+/// evaluated at the sender (see [`MembershipFn`]).
 #[derive(Clone)]
-pub enum Membership {
-    /// Every edge belongs to every instance.
-    All,
-    /// Arbitrary arc predicate, evaluated at the sender (see
-    /// [`MembershipFn`]).
-    Fn(MembershipFn),
-}
+pub struct Membership(MembershipFn);
 
 impl Membership {
     /// Wraps a predicate closure (see [`MembershipFn`]: the sender
     /// evaluates it, and it need not be symmetric).
     pub fn func(f: impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync + 'static) -> Self {
-        Membership::Fn(Arc::new(f))
+        Membership(Arc::new(f))
     }
 
     /// May a token of instance `inst` traverse the edge `u → v`?
     #[inline]
     pub fn allows(&self, u: NodeId, v: NodeId, inst: u32) -> bool {
-        match self {
-            Membership::All => true,
-            Membership::Fn(f) => f(u, v, inst),
-        }
+        (self.0)(u, v, inst)
     }
 }
 
 impl std::fmt::Debug for Membership {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Membership::All => f.write_str("Membership::All"),
-            Membership::Fn(_) => f.write_str("Membership::Fn(..)"),
-        }
+        f.write_str("Membership(..)")
     }
 }
 
@@ -150,6 +133,25 @@ impl Message for MultiBfsMsg {
         match self {
             MultiBfsMsg::Token { .. } => 3,
             MultiBfsMsg::Child { .. } => 1,
+        }
+    }
+
+    fn corrupted(self, stream: u64) -> Self {
+        // As `BfsMsg`: a token's distance flips (`| 1`: at least one
+        // bit) and an acknowledgement becomes a token. The instance id
+        // stays, so a receiver never indexes an instance its bundle
+        // lacks.
+        match self {
+            MultiBfsMsg::Token { inst, root, dist } => MultiBfsMsg::Token {
+                inst,
+                root,
+                dist: dist ^ ((stream as u32) | 1),
+            },
+            MultiBfsMsg::Child { inst } => MultiBfsMsg::Token {
+                inst,
+                root: (stream >> 32) as u32,
+                dist: stream as u32,
+            },
         }
     }
 }
@@ -595,7 +597,7 @@ mod tests {
     use lcs_graph::bfs_distances;
 
     fn full_membership() -> Membership {
-        Membership::All
+        Membership::func(|_, _, _| true)
     }
 
     /// How many nodes instance `inst` reached.

@@ -5,7 +5,7 @@
 
 use crate::capture::Captures;
 use crate::error::SimError;
-use crate::message::Message;
+use crate::message::{Message, BANDWIDTH_WORDS};
 use crate::sim::WakeCell;
 use lcs_graph::{ArcId, Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
@@ -125,8 +125,6 @@ pub(crate) struct TxState<'a, M> {
     pub(crate) per_arc: &'a mut [u32],
     /// First model violation observed this round, if any.
     pub(crate) violation: &'a mut Option<SimError>,
-    /// Per-message size cap in words.
-    pub(crate) bandwidth: u32,
 }
 
 /// Per-round view and send interface for one node.
@@ -285,10 +283,10 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         }
         let to = self.tx.heads[i];
         let words = msg.size_words();
-        if words > self.tx.bandwidth {
+        if words > BANDWIDTH_WORDS {
             *self.tx.violation = Some(SimError::MessageTooLarge {
                 words,
-                cap: self.tx.bandwidth,
+                cap: BANDWIDTH_WORDS,
                 round: self.round,
             });
             return;

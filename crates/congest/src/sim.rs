@@ -127,7 +127,7 @@ use crate::arena::SlabArena;
 use crate::capture::Captures;
 use crate::error::SimError;
 use crate::hash::splitmix64;
-use crate::message::{Message, DEFAULT_BANDWIDTH_WORDS};
+use crate::message::Message;
 use crate::node::{RoundCtx, TxState, Wake, WireFx};
 use crate::pool::{Control, Pool};
 use crate::protocol::Protocol;
@@ -331,8 +331,6 @@ impl FaultPlan {
 /// Configuration of a simulator run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Per-message size cap in `⌈log₂ n⌉`-bit words.
-    pub bandwidth_words: u32,
     /// Abort with [`SimError::RoundLimitExceeded`] after this many
     /// rounds without quiescence.
     pub max_rounds: u64,
@@ -356,7 +354,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            bandwidth_words: DEFAULT_BANDWIDTH_WORDS,
             max_rounds: 1_000_000,
             seed: 0xC0FFEE,
             shards: 0,
@@ -1019,7 +1016,6 @@ fn run_shard<P: Protocol + Sync>(
     mail_nxt: &[AtomicBool],
     rev: &[u32],
     round: u64,
-    bandwidth: u32,
     me: usize,
     wakes: &WakeMatrix,
     bounds: &[u32],
@@ -1241,7 +1237,6 @@ fn run_shard<P: Protocol + Sync>(
                     words,
                     per_arc: &mut core.per_arc[range.start - core.arc_lo..range.end - core.arc_lo],
                     violation: &mut violation,
-                    bandwidth,
                 },
             };
             protocol.round(&mut nodes[v - node_lo], &mut ctx);
@@ -1270,10 +1265,11 @@ fn run_shard<P: Protocol + Sync>(
 /// Rounds are fully synchronous: messages sent at round `r` are
 /// delivered at round `r + 1`. The engine enforces the CONGEST
 /// discipline — a node may send at most one message per neighbor per
-/// round, each at most `cfg.bandwidth_words` words, and only to adjacent
-/// nodes — and schedules event-driven (see the module docs and
-/// [`crate::Wake`]). The outcome (node states, per-node RNG streams, and
-/// [`RunStats`]) is bit-identical at every shard count.
+/// round, each at most [`BANDWIDTH_WORDS`](crate::BANDWIDTH_WORDS)
+/// words, and only to adjacent nodes — and schedules event-driven (see
+/// the module docs and [`crate::Wake`]). The outcome (node states,
+/// per-node RNG streams, and [`RunStats`]) is bit-identical at every
+/// shard count.
 ///
 /// Returns the final node states together with the statistics of the
 /// rounds that ran.
@@ -1381,7 +1377,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     let wakes_ref: &WakeMatrix = wakes;
     let bounds_ref: &[u32] = bounds;
     let rev_ref: &[u32] = rev;
-    let bandwidth = cfg.bandwidth_words;
     let step = move |w: usize, st: &mut ShardWorker<'_, P>, round: u64| -> StepReport {
         let parity = (round % 2) as usize;
         let (next_active, violation) = run_shard(
@@ -1398,7 +1393,6 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             &mails_ref[1 - parity],
             rev_ref,
             round,
-            bandwidth,
             w,
             wakes_ref,
             bounds_ref,

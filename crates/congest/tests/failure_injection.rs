@@ -319,7 +319,7 @@ fn tiny_queue_cap_degrades_gracefully_not_fatally() {
         .collect();
     let spec = Arc::new(MultiBfsSpec {
         instances,
-        membership: lcs_congest::Membership::All,
+        membership: lcs_congest::Membership::func(|_, _, _| true),
         queue_cap: 1,
     });
     let out = Session::new(&g, SimConfig::default())

@@ -68,7 +68,7 @@ proptest! {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::All,
+            membership: lcs_congest::Membership::func(|_, _, _| true),
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec, &SimConfig::default());
@@ -299,7 +299,7 @@ proptest! {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::All,
+            membership: lcs_congest::Membership::func(|_, _, _| true),
             queue_cap: 0,
         });
         let base = run_bundle(&g, spec(()), &cfg_for(1));

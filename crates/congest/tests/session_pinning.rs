@@ -98,7 +98,7 @@ fn multi_bfs_pinned_across_shard_counts() {
                 depth_limit: u32::MAX,
             })
             .collect(),
-        membership: Membership::All,
+        membership: Membership::func(|_, _, _| true),
         queue_cap: 0,
     });
     let a = Session::new(&g, cfg(1))

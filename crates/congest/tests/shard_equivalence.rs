@@ -127,7 +127,7 @@ fn multi_bfs_spec(g: &Graph, seed: u64) -> Arc<MultiBfsSpec> {
                 depth_limit: u32::MAX,
             })
             .collect(),
-        membership: lcs_congest::Membership::All,
+        membership: lcs_congest::Membership::func(|_, _, _| true),
         queue_cap: 3,
     })
 }
@@ -621,7 +621,6 @@ fn aborted_phase_accounting_is_byte_equal_across_shard_counts() {
                 shards,
                 max_rounds: 50_000,
                 faults: Some(plan.clone()),
-                ..SimConfig::default()
             },
         );
         let err = s

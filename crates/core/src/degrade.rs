@@ -144,7 +144,6 @@ pub fn detect_and_excise(
         shards,
         max_rounds: 500_000, // retransmission slack
         faults: Some(plan.clone()),
-        ..SimConfig::default()
     };
     det_cfg.validate(n)?;
     let crashed: Vec<NodeId> = plan

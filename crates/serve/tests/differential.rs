@@ -18,7 +18,7 @@
 //!   strategy.
 //! * The frozen trees, the depth table and the served aggregate are
 //!   pinned against the per-part builds they replaced, on the same
-//!   instances and on loaded indexes whose trees are broken. The strip
+//!   instances. The strip
 //!   is pinned against a plain reference there too, and must keep each
 //!   part's dilation, load no edge more, build the same trees and leave
 //!   no tree leaf outside its part.
@@ -27,7 +27,6 @@ use lcs_apps::{
     approximate_min_cut, boruvka, mst_via_shortcuts, shortcut_sssp, MinCutError, MstConfig,
     MstError, ShortcutStrategy,
 };
-use lcs_congest::hash::Fnv;
 use lcs_congest::{AggOp, SimConfig};
 use lcs_core::{
     build_index, build_index_distributed, centralized_shortcuts, DistributedConfig,
@@ -720,16 +719,11 @@ fn per_part_tree_reference(g: &Graph, p: &Partition, s: &ShortcutSet) -> Aggrega
             members.push((node, parent));
             depth = depth.max(r.dist[lv as usize]);
         }
-        let spans_part = p.part(i).iter().all(|&v| {
-            sub.local_of(v)
-                .is_some_and(|lv| r.dist[lv as usize] != UNREACHABLE)
-        });
         trees.push(PartTree {
             part: i,
             root: p.leader(i),
             members,
             depth,
-            spans_part,
         });
     }
     AggregationSetup {
@@ -889,155 +883,4 @@ fn assert_leaves_are_members(p: &Partition, setup: &AggregationSetup, at: &str) 
             );
         }
     }
-}
-
-fn put(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-/// `idx` with its trees section re-encoded from `trees` in the
-/// documented format, its checksum redone, and loaded back: an index
-/// whose producer wrote these trees. The trees section is the file's
-/// last, so no other section moves.
-fn with_trees(idx: &ShortcutIndex, trees: &[PartTree]) -> ShortcutIndex {
-    let bytes = idx.to_bytes();
-    let content = &bytes[..bytes.len() - 8];
-    let word = |at: usize| u32::from_le_bytes(content[at..at + 4].try_into().unwrap());
-    let entry = 16 + (word(12) as usize - 1) * 24;
-    assert_eq!(word(entry), 6, "the trees section comes last");
-    let offset = u64::from_le_bytes(content[entry + 8..entry + 16].try_into().unwrap()) as usize;
-    let setup = idx.aggregation_setup();
-    let mut body = Vec::new();
-    put(&mut body, trees.len() as u32);
-    put(&mut body, setup.tree_congestion);
-    put(&mut body, setup.tree_depth);
-    let mut end = 0;
-    put(&mut body, end);
-    for t in trees {
-        end += t.members.len() as u32;
-        put(&mut body, end);
-    }
-    for t in trees {
-        for x in [t.part as u32, t.root, t.depth, u32::from(t.spans_part)] {
-            put(&mut body, x);
-        }
-    }
-    for t in trees {
-        for &(v, q) in &t.members {
-            put(&mut body, v);
-            put(&mut body, q.unwrap_or(u32::MAX));
-        }
-    }
-    let mut out = content[..offset].to_vec();
-    out[entry + 16..entry + 24].copy_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    let checksum = Fnv::new().bytes(&out).finish();
-    out.extend_from_slice(&checksum.to_le_bytes());
-    ShortcutIndex::from_bytes(&out).expect("from_bytes accepts the broken trees")
-}
-
-/// Part members of `tree` whose path to the root passes through `x`
-/// (`x` included).
-fn below(tree: &PartTree, p: &Partition, x: NodeId) -> Vec<NodeId> {
-    let parent: HashMap<NodeId, Option<NodeId>> = tree.members.iter().copied().collect();
-    p.part(tree.part)
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let mut u = Some(v);
-            while let Some(w) = u {
-                if w == x {
-                    return true;
-                }
-                u = parent.get(&w).copied().flatten();
-            }
-            false
-        })
-        .collect()
-}
-
-/// Loaded indexes whose trees leave out a part member, name a parent
-/// edge the graph lacks, or hold a parent cycle: every member below
-/// the break reads as unreachable, every other depth is the intact
-/// index's, and the served aggregate still equals the fold over the
-/// whole tree.
-#[test]
-fn broken_loaded_trees_read_as_unreachable_and_serve_the_tree_fold() {
-    let idx = doc_example_index();
-    let (g, p) = (idx.graph(), idx.partition());
-    let intact = CustomizedIndex::baseline(Arc::clone(&idx));
-    let trees = &idx.aggregation_setup().trees;
-    let mut checked = 0;
-    for (t, tree) in trees.iter().enumerate() {
-        // The in-part member with the most part members below it, and
-        // its parent.
-        let Some(x) = tree
-            .members
-            .iter()
-            .map(|&(v, _)| v)
-            .filter(|&v| v != tree.root && p.part_of(v) == Some(t as u32))
-            .max_by_key(|&v| (below(tree, p, v).len(), v))
-        else {
-            continue;
-        };
-        let mut left_out = tree.clone();
-        left_out.members.retain(|&(v, _)| v != x);
-        // A listed node that is neither adjacent to x nor below it.
-        let stranger = tree
-            .members
-            .iter()
-            .map(|&(v, _)| v)
-            .find(|&y| y != x && !g.has_edge(x, y) && !below(tree, p, x).contains(&y))
-            .expect("a non-neighbour outside x's subtree");
-        let mut non_edge = tree.clone();
-        for m in &mut non_edge.members {
-            if m.0 == x {
-                m.1 = Some(stranger);
-            }
-        }
-        let mut broken = vec![
-            ("left out", left_out, below(tree, p, x)),
-            ("non-edge parent", non_edge, below(tree, p, x)),
-        ];
-        // A non-root node with a child c and part members below it,
-        // made c's child.
-        let cycle_at = tree
-            .members
-            .iter()
-            .filter_map(|&(c, q)| q.filter(|&q| q != tree.root).map(|q| (q, c)))
-            .max_by_key(|&(q, c)| (below(tree, p, q).len(), q, c));
-        if let Some((q, c)) = cycle_at {
-            let mut cycle = tree.clone();
-            for m in &mut cycle.members {
-                if m.0 == q {
-                    m.1 = Some(c);
-                }
-            }
-            broken.push(("parent cycle", cycle, below(tree, p, q)));
-        }
-        for (what, bad, affected) in broken {
-            let at = format!("tree {t}, {what}");
-            let mut all = trees.clone();
-            all[t] = bad;
-            let loaded = Arc::new(with_trees(&idx, &all));
-            let cx = Arc::new(CustomizedIndex::baseline(Arc::clone(&loaded)));
-            assert!(!affected.is_empty(), "{at}");
-            for v in g.nodes() {
-                let want = if affected.contains(&v) {
-                    W_UNREACHABLE
-                } else {
-                    intact.depths()[v as usize]
-                };
-                assert_eq!(cx.depths()[v as usize], want, "node {v}, {at}");
-            }
-            assert_eq!(
-                cx.depths(),
-                depth_reference(cx.weighted_graph(), p, loaded.aggregation_setup()),
-                "{at}"
-            );
-            assert_served_aggregates_fold_the_trees(&cx, &at);
-            checked += 1;
-        }
-    }
-    assert_eq!(checked, 3 * trees.len(), "every tree breaks three ways");
 }

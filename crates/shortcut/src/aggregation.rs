@@ -42,9 +42,6 @@ pub struct PartTree {
     pub members: Vec<(NodeId, Option<NodeId>)>,
     /// Tree depth: the largest hop distance of a member from the root.
     pub depth: u32,
-    /// Whether the tree reaches every member of the part (it always
-    /// does for valid partitions, since `G[S_i]` is connected).
-    pub spans_part: bool,
 }
 
 /// The per-part trees plus the schedule-relevant measurements.
@@ -373,7 +370,6 @@ impl TreeScratch {
             members.push((self.nodes[lv], parent));
             depth = depth.max(self.dist[lv]);
         }
-        let spans_part = self.dist[..part.len()].iter().all(|&d| d != UNREACHABLE);
         for &v in &self.nodes {
             self.local[v as usize] = NONE;
         }
@@ -382,7 +378,6 @@ impl TreeScratch {
             root,
             members,
             depth,
-            spans_part,
         }
     }
 }
@@ -408,13 +403,16 @@ fn merge_ascending(a: &[EdgeId], b: &[EdgeId], out: &mut Vec<EdgeId>) {
 /// and with the edge from it. It depends on the trees alone, not on
 /// weights, so an index derives it once and every customization and
 /// served aggregate reuses it. A tree [`AggregationSetup::build`]
-/// gives is exactly these root paths; a loaded tree may hold more.
+/// gives is exactly these root paths, and every index, frozen or
+/// loaded, holds only such trees.
 ///
 /// A member whose path to its tree's root is broken — it is not
 /// listed, an ancestor is missing or has no parent, a parent edge is
-/// not in the graph, or the parents form a cycle, which only a
-/// malformed index can hold — gets no step, and reads as
-/// [`W_UNREACHABLE`] in [`PartPaths::depths`].
+/// not in the graph, or the parents form a cycle — gets no step, and
+/// reads as [`W_UNREACHABLE`] in [`PartPaths::depths`]. Only a
+/// hand-built [`AggregationSetup`] (its fields are public) can hold
+/// such a path; no index file can, since a loaded index builds its
+/// trees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartPaths {
     /// Nodes of the graph (the depth table's length).
@@ -442,10 +440,9 @@ struct PathStep {
 impl PartPaths {
     /// Derives the view from `setup`'s trees, in time linear in their
     /// sizes. Tree `i` is read as part `i`'s, as
-    /// [`AggregationSetup::build`] and [`ShortcutIndex::from_bytes`]
-    /// guarantee.
-    ///
-    /// [`ShortcutIndex::from_bytes`]: crate::ShortcutIndex::from_bytes
+    /// [`AggregationSetup::build`] guarantees. A hand-built `setup` may
+    /// hold broken root paths, which read as unreachable (see the
+    /// type's docs).
     ///
     /// # Panics
     ///
@@ -595,7 +592,10 @@ mod tests {
     fn trees_span_parts_and_depth_matches_shortcut_quality() {
         let (g, p) = fixture();
         let trivial = AggregationSetup::build(&g, &p, &trivial_shortcuts(&p));
-        assert!(trivial.trees.iter().all(|t| t.spans_part));
+        for t in &trivial.trees {
+            let listed = |v: &NodeId| t.members.iter().any(|&(u, _)| u == *v);
+            assert!(p.part(t.part).iter().all(listed), "tree {}", t.part);
+        }
         // Depth of a path part from its leader (an endpoint) = len-1.
         assert_eq!(trivial.tree_depth, 11);
         assert_eq!(trivial.tree_congestion, 1);
@@ -675,7 +675,6 @@ mod tests {
             root: members[0].0,
             members,
             depth: 0,
-            spans_part: true,
         };
         let setup = AggregationSetup {
             trees: vec![
@@ -796,7 +795,6 @@ mod tests {
                     (0, Some(6)),
                 ],
                 depth: 2,
-                spans_part: false,
             }],
             tree_congestion: 1,
             tree_depth: 2,
@@ -827,7 +825,6 @@ mod tests {
                 root: n - 1,
                 members,
                 depth: 1,
-                spans_part: true,
             }],
             tree_congestion: 1,
             tree_depth: 1,

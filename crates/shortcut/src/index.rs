@@ -1,24 +1,39 @@
 //! The frozen construction artifact behind the service layer: a
-//! [`ShortcutIndex`] snapshots everything a shortcut construction
-//! produces — the graph, baseline edge weights, the partition, the
-//! per-part shortcut edge sets, the aggregation trees, and the
-//! backend's certificate — so applications can answer many queries
-//! from one preprocessing run (the CCH-style construction /
-//! customization / query split).
+//! [`ShortcutIndex`] snapshots what a shortcut construction decided —
+//! the graph, baseline edge weights, the partition, the per-part
+//! shortcut edge sets, and the backend's certificate — so applications
+//! can answer many queries from one preprocessing run (the CCH-style
+//! construction / customization / query split).
+//!
+//! ## Stored and derived
+//!
+//! A shortcut *is* its sets `H_i`. The aggregation trees are the BFS
+//! trees of each `G[S_i] ∪ H_i` from the part leader, which anyone
+//! holding the sets recomputes, so an index stores the sets and derives
+//! the trees. [`ShortcutIndex::freeze`] builds the [`AggregationSetup`]
+//! and the [`PartPaths`] over it, and [`ShortcutIndex::from_bytes`]
+//! parses the stored sections and ends in the same `freeze`. A loaded
+//! index equals the frozen one, and every tree it holds is a tree of
+//! its part's augmented subgraph, whatever the file's bytes.
 //!
 //! It keeps only what connects each part. Each `H_i` is stored
 //! [stripped](ShortcutSet::stripped) — a shortcut node outside `S_i`
 //! that hangs off the rest by one edge lies on no path between two
 //! members, so it is cut, repeatedly — and each tree keeps only the
 //! subtrees that hold a member. Member-to-member distances, and so the
-//! dilation, stay as built; the congestion cannot rise. On a
+//! dilation, stay as built; the congestion cannot rise. Stripping is
+//! idempotent, so loading re-strips a stored set to itself. On a
 //! Kogan–Parter index, whose every `H_i` is close to a spanning tree,
-//! this cuts the stored sets and trees about twentyfold.
+//! this cuts the stored sets about twentyfold.
 //!
 //! ## On-disk format
 //!
-//! A flat little-endian layout that loads by straight buffer reads —
-//! fixed-width integer arrays, no pointers:
+//! A flat little-endian layout of fixed-width integer arrays, no
+//! pointers. Version 2 stores five sections — meta, graph, weights,
+//! partition, shortcut sets — and no trees (version 1 stored them as a
+//! sixth). Loading reads the sections and then runs one BFS per part
+//! inside its augmented subgraph, linear in the graph and the stored
+//! sets:
 //!
 //! ```text
 //! magic    8 B   b"LCSIDX01"
@@ -32,9 +47,9 @@
 //! Section payloads are `u32`/`u64` arrays (node and edge ids are
 //! `u32`, weights `u64`); strings are length-prefixed UTF-8. Parsing a
 //! malformed buffer returns a typed [`IndexError`] — never panics —
-//! and a round trip is byte-exact: `to_bytes ∘ from_bytes = id`.
+//! and a round trip of what `to_bytes` wrote is byte-exact.
 
-use crate::aggregation::{AggregationSetup, PartPaths, PartTree};
+use crate::aggregation::{AggregationSetup, PartPaths};
 use crate::partition::Partition;
 use crate::shortcut::{Quality, ShortcutSet};
 use lcs_congest::hash::Fnv;
@@ -43,7 +58,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Current serialization format version.
-pub const INDEX_FORMAT_VERSION: u32 = 1;
+pub const INDEX_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"LCSIDX01";
 
@@ -54,7 +69,6 @@ mod section {
     pub const WEIGHTS: u32 = 3;
     pub const PARTITION: u32 = 4;
     pub const SHORTCUTS: u32 = 5;
-    pub const TREES: u32 = 6;
 }
 
 /// Typed (de)serialization failure. Malformed inputs are reported, not
@@ -138,8 +152,9 @@ pub struct ShortcutIndex {
     weights: Vec<u64>,
     partition: Partition,
     shortcuts: ShortcutSet,
+    /// Derived from the fields above on freeze and load; never
+    /// serialized.
     setup: AggregationSetup,
-    /// Derived from `setup` on freeze and load; never serialized.
     paths: PartPaths,
 }
 
@@ -148,10 +163,11 @@ impl ShortcutIndex {
     /// [stripped](ShortcutSet::stripped) to what connects each part,
     /// which keeps every part's dilation and raises no congestion. The
     /// aggregation trees (the "shortcut tree" hierarchy queries walk)
-    /// are built here, once, by the same deterministic BFS the one-shot
+    /// are built here by the same deterministic BFS the one-shot
     /// pipeline uses on the unstripped set — stripping is idempotent,
     /// so both give the same trees, and index-served aggregations are
-    /// byte-identical to fresh ones.
+    /// byte-identical to fresh ones. [`Self::from_bytes`] ends here too,
+    /// so a loaded index derives its trees by this same code.
     ///
     /// # Panics
     ///
@@ -208,10 +224,11 @@ impl ShortcutIndex {
         &self.shortcuts
     }
 
-    /// The frozen aggregation trees, ready for
-    /// [`AggregationSetup::aggregate_in_session`] — identical to
-    /// rebuilding from graph + partition + shortcuts. Every
-    /// customization of the index borrows these; none copies them.
+    /// The aggregation trees, ready for
+    /// [`AggregationSetup::aggregate_in_session`] — built from graph +
+    /// partition + shortcuts when the index is frozen or loaded, and
+    /// never serialized. Every customization of the index borrows
+    /// these; none copies them.
     pub fn aggregation_setup(&self) -> &AggregationSetup {
         &self.setup
     }
@@ -239,7 +256,6 @@ impl ShortcutIndex {
             (section::WEIGHTS, self.weights_bytes()),
             (section::PARTITION, self.partition_bytes()),
             (section::SHORTCUTS, self.shortcuts_bytes()),
-            (section::TREES, self.trees_bytes()),
         ];
         let table_len = 8 + 4 + 4 + sections.len() * 24;
         let mut out = Vec::with_capacity(
@@ -264,7 +280,8 @@ impl ShortcutIndex {
         out
     }
 
-    /// Parses the flat format.
+    /// Parses the five stored sections and [freezes](Self::freeze) them,
+    /// which derives the aggregation trees and their root paths.
     ///
     /// # Errors
     ///
@@ -334,24 +351,7 @@ impl ShortcutIndex {
         let weights = parse_weights(find(section::WEIGHTS)?, graph.m())?;
         let partition = parse_partition(find(section::PARTITION)?, &graph)?;
         let shortcuts = parse_shortcuts(find(section::SHORTCUTS)?, &graph, &partition)?;
-        let setup = parse_trees(find(section::TREES)?, &graph)?;
-        if setup.trees.len() != partition.num_parts() {
-            return Err(IndexError::Malformed(format!(
-                "{} trees for {} parts",
-                setup.trees.len(),
-                partition.num_parts()
-            )));
-        }
-        let paths = PartPaths::new(&graph, &partition, &setup);
-        Ok(ShortcutIndex {
-            meta,
-            graph,
-            weights,
-            partition,
-            shortcuts,
-            setup,
-            paths,
-        })
+        Ok(Self::freeze(graph, weights, partition, shortcuts, meta))
     }
 
     /// Writes [`Self::to_bytes`] to `path`.
@@ -456,33 +456,6 @@ impl ShortcutIndex {
         for i in 0..parts {
             for &e in self.shortcuts.edges(i) {
                 out.extend_from_slice(&e.0.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn trees_bytes(&self) -> Vec<u8> {
-        let trees = &self.setup.trees;
-        let mut out = Vec::new();
-        out.extend_from_slice(&(trees.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.setup.tree_congestion.to_le_bytes());
-        out.extend_from_slice(&self.setup.tree_depth.to_le_bytes());
-        let mut off = 0u32;
-        out.extend_from_slice(&off.to_le_bytes());
-        for t in trees {
-            off += t.members.len() as u32;
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        for t in trees {
-            out.extend_from_slice(&(t.part as u32).to_le_bytes());
-            out.extend_from_slice(&t.root.to_le_bytes());
-            out.extend_from_slice(&t.depth.to_le_bytes());
-            out.extend_from_slice(&u32::from(t.spans_part).to_le_bytes());
-        }
-        for t in trees {
-            for &(v, p) in &t.members {
-                out.extend_from_slice(&v.to_le_bytes());
-                out.extend_from_slice(&p.unwrap_or(u32::MAX).to_le_bytes());
             }
         }
         out
@@ -693,86 +666,6 @@ fn parse_shortcuts(
     ))
 }
 
-fn parse_trees(body: &[u8], graph: &Graph) -> Result<AggregationSetup, IndexError> {
-    let mut c = Cursor::new(body);
-    let count = c.u32()? as usize;
-    if count > graph.n().max(1) {
-        return Err(IndexError::Malformed(format!(
-            "{count} trees exceeds node count"
-        )));
-    }
-    let tree_congestion = c.u32()?;
-    let tree_depth = c.u32()?;
-    let mut offsets = Vec::with_capacity(count + 1);
-    for _ in 0..=count {
-        offsets.push(c.u32()? as usize);
-    }
-    let n = graph.n() as u32;
-    let mut headers = Vec::with_capacity(count);
-    for i in 0..count {
-        let part = c.u32()? as usize;
-        let root: NodeId = c.u32()?;
-        // Tree i serves part i, rooted at a node of the graph: the
-        // customized depth table and SSSP relaxation index by both.
-        if part != i || root >= n {
-            return Err(IndexError::Malformed(format!(
-                "tree {i} claims part {part} with root {root} (n={n})"
-            )));
-        }
-        let depth = c.u32()?;
-        let spans = match c.u32()? {
-            0 => false,
-            1 => true,
-            tag => return Err(IndexError::Malformed(format!("bad spans tag {tag}"))),
-        };
-        headers.push((part, root, depth, spans));
-    }
-    let mut trees = Vec::with_capacity(count);
-    // `listed_in[v]` is the last tree that listed `v`: a member repeated
-    // within one tree would be counted twice by every fold over it.
-    let mut listed_in = vec![u32::MAX; graph.n()];
-    for (i, (part, root, depth, spans_part)) in headers.into_iter().enumerate() {
-        if offsets[i + 1] < offsets[i] {
-            return Err(IndexError::Malformed(
-                "tree offsets not monotone".to_string(),
-            ));
-        }
-        if (offsets[i + 1] - offsets[i]) * 8 > body.len() {
-            return Err(IndexError::Truncated);
-        }
-        let mut members = Vec::with_capacity(offsets[i + 1] - offsets[i]);
-        for _ in offsets[i]..offsets[i + 1] {
-            let v = c.u32()?;
-            let p = c.u32()?;
-            if v >= n || (p != u32::MAX && p >= n) {
-                return Err(IndexError::Malformed(format!(
-                    "tree node {v}/{p} out of range (n={n})"
-                )));
-            }
-            if listed_in[v as usize] == i as u32 {
-                return Err(IndexError::Malformed(format!(
-                    "tree {i} lists node {v} twice"
-                )));
-            }
-            listed_in[v as usize] = i as u32;
-            members.push((v, if p == u32::MAX { None } else { Some(p) }));
-        }
-        trees.push(PartTree {
-            part,
-            root,
-            members,
-            depth,
-            spans_part,
-        });
-    }
-    c.done()?;
-    Ok(AggregationSetup {
-        trees,
-        tree_congestion,
-        tree_depth,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,24 +715,6 @@ mod tests {
         let idx = fixture();
         let fresh = AggregationSetup::build(idx.graph(), idx.partition(), idx.shortcuts());
         assert_eq!(idx.aggregation_setup(), &fresh);
-    }
-
-    #[test]
-    fn misplaced_or_unrooted_trees_are_malformed() {
-        let mut swapped = fixture();
-        swapped.setup.trees.swap(0, 1);
-        let mut unrooted = fixture();
-        unrooted.setup.trees[2].root = unrooted.graph.n() as NodeId;
-        // A member listed twice would be counted twice by every fold.
-        let mut repeated = fixture();
-        let member = repeated.setup.trees[0].members[1];
-        repeated.setup.trees[0].members.push(member);
-        for idx in [swapped, unrooted, repeated] {
-            assert!(matches!(
-                ShortcutIndex::from_bytes(&idx.to_bytes()),
-                Err(IndexError::Malformed(_))
-            ));
-        }
     }
 
     #[test]

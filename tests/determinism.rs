@@ -110,7 +110,7 @@ fn pinned_index_checksum_and_serve_batch() {
     let (index, _) = build_index_distributed(&g, wg.weights(), &parts, &pinned_config()).unwrap();
     let bytes = index.to_bytes();
     let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(checksum, 7199580136454551337);
+    assert_eq!(checksum, 12552945563565870638);
 
     let queries = [
         Query::sssp(0),
