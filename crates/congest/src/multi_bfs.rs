@@ -25,12 +25,18 @@
 //! in the contention-free case — and the spanning/depth guarantees the
 //! construction needs are preserved by its `O(k_D log n)` depth budget.
 //!
-//! **Outcome.** Each node's reach and child logs leave the run as the
-//! node wrote them ([`MultiBfsOutcome`]): nothing is tabled per
-//! instance or sorted after the last round. A reach entry names the
-//! arc its token arrived on, so a caller reads the tree edge with
-//! [`Graph::arc_edge`] and the parent with [`Graph::arc_head`], with no
-//! adjacency search.
+//! **Outcome.** Each node's reach log leaves the run as the node wrote
+//! it ([`MultiBfsOutcome`]): nothing is tabled per instance or sorted
+//! after the last round. A reach entry names the arc its token arrived
+//! on, so a caller reads the tree edge with [`Graph::arc_edge`] and the
+//! parent with [`Graph::arc_head`], with no adjacency search. A node
+//! acknowledges each token it adopts with a `Child` message, which the
+//! engine delivers and counts but which changes no state: the reach
+//! logs already name every parent, so [`MultiBfsOutcome::children_of`]
+//! reads a node's children from its neighbors' logs. On a network
+//! without faults that is exactly the set of acks the node received,
+//! unless a queue cap dropped an ack, and then
+//! [`MultiBfsOutcome::overflowed`] is set.
 
 use crate::message::Message;
 use crate::node::RoundCtx;
@@ -236,10 +242,6 @@ pub struct MultiBfsNode {
 /// never touch, boxed so it does not dilute the node's hot cache line.
 #[derive(Debug, Default)]
 struct MultiBfsCold {
-    /// Child log: one `(instance, child)` entry per child ack, in
-    /// arrival order; `finish` moves it out as it is
-    /// ([`MultiBfsOutcome::children`]).
-    children: Vec<(u32, NodeId)>,
     /// Per-neighbor outgoing FIFO queues (indexed in neighbor order).
     /// Allocated on first use: with the direct send path, a node whose
     /// traffic never collides skips the allocation entirely.
@@ -308,36 +310,32 @@ impl MultiBfsNode {
         }
     }
 
-    /// Sends `msg` to neighbor `idx` this round if its FIFO is empty
-    /// and nothing was sent to it yet (the message *is* the front the
-    /// drain would pick, so the wire effect is identical); otherwise
-    /// queues it. Only the first 64 neighbors are eligible for the
-    /// direct path — higher indices always queue and drain normally.
-    ///
-    /// `deg` is the node's degree, used to size the lazily-allocated
-    /// queue table on first collision. `queued == 0` proves every
+    /// Whether a message to neighbor `idx` may go straight to the wire
+    /// this round, and if so marks `idx` as sent: nothing was sent to
+    /// it yet this round and its FIFO is empty, so the message *is* the
+    /// front the drain would pick and the wire effect is identical.
+    /// Only the first 64 neighbors are eligible — higher indices
+    /// always queue and drain normally. `queued == 0` proves every
     /// queue is empty, so the common direct path never dereferences
     /// the cold box at all.
+    ///
+    /// A caller builds its message in each branch, in the
+    /// [`RoundCtx::send_nth`] call or the [`Self::enqueue`] call, so a
+    /// direct send stores the fields straight into the mailbox slot.
     #[inline]
-    fn send_or_enqueue(
-        &mut self,
-        ctx: &mut RoundCtx<'_, MultiBfsMsg>,
-        deg: usize,
-        idx: usize,
-        msg: MultiBfsMsg,
-    ) {
-        if idx < 64
+    fn claim_direct(&mut self, idx: usize) -> bool {
+        let direct = idx < 64
             && self.sent_lo >> idx & 1 == 0
-            && (self.queued == 0 || self.cold.queues[idx].is_empty())
-        {
+            && (self.queued == 0 || self.cold.queues[idx].is_empty());
+        if direct {
             self.sent_lo |= 1 << idx;
-            ctx.send_nth(idx, msg);
-            return;
         }
-        self.enqueue(deg, idx, msg);
+        direct
     }
 
-    /// The queueing slow path of [`Self::send_or_enqueue`].
+    /// Queues `msg` for neighbor `idx`, the slow path beside
+    /// [`Self::claim_direct`]; `deg` is the node's degree, which sizes
+    /// the queue table on the first collision.
     fn enqueue(&mut self, deg: usize, idx: usize, msg: MultiBfsMsg) {
         let cap = self.spec.queue_cap;
         let cold = &mut *self.cold;
@@ -357,31 +355,35 @@ impl MultiBfsNode {
         cold.max_queue = cold.max_queue.max(q.len());
     }
 
+    /// Offers instance `inst`'s token, one hop past `dist`, to every
+    /// neighbor but the one at index `skip` (the sender of the adopted
+    /// token) whose arc the membership admits.
     fn fan_out(
         &mut self,
         ctx: &mut RoundCtx<'_, MultiBfsMsg>,
         inst: u32,
         root: NodeId,
         dist: u32,
-        skip: Option<NodeId>,
+        skip: Option<usize>,
     ) {
-        let me = ctx.node();
-        let neighbors = ctx.neighbors();
-        let limit = self.spec.instances[inst as usize].depth_limit;
-        if dist >= limit {
+        if dist >= self.spec.instances[inst as usize].depth_limit {
             return;
         }
-        let token = MultiBfsMsg::Token {
-            inst,
-            root,
-            dist: dist + 1,
-        };
+        let me = ctx.node();
+        let neighbors = ctx.neighbors();
+        let dist = dist + 1;
         for (idx, &w) in neighbors.iter().enumerate() {
-            if Some(w) == skip {
+            if Some(idx) == skip || !self.spec.membership.allows(me, w, inst) {
                 continue;
             }
-            if self.spec.membership.allows(me, w, inst) {
-                self.send_or_enqueue(ctx, neighbors.len(), idx, token);
+            if self.claim_direct(idx) {
+                ctx.send_nth(idx, MultiBfsMsg::Token { inst, root, dist });
+            } else {
+                self.enqueue(
+                    neighbors.len(),
+                    idx,
+                    MultiBfsMsg::Token { inst, root, dist },
+                );
             }
         }
     }
@@ -389,10 +391,11 @@ impl MultiBfsNode {
 
 /// Result of the [`MultiBfs`] protocol.
 ///
-/// Each node's logs are moved out of its state as the protocol recorded
-/// them: the outcome builds no instance-indexed table and sorts
+/// Each node's reach log is moved out of its state as the protocol
+/// recorded it: the outcome builds no instance-indexed table and sorts
 /// nothing. [`reach`](Self::reach) and [`children_of`](Self::children_of)
-/// answer per-instance questions.
+/// answer per-instance questions; the children are read from the reach
+/// logs, since the `Child` acks the nodes exchanged record nothing.
 #[derive(Debug)]
 pub struct MultiBfsOutcome {
     /// Per-node reach log: `reached[v]` holds `(inst, how)` for every
@@ -401,9 +404,6 @@ pub struct MultiBfsOutcome {
     /// arc to its parent ([`Reached::parent_arc`]), not the parent's
     /// id, and no root: instance `inst`'s root is the spec's.
     pub reached: Vec<Vec<(u32, Reached)>>,
-    /// Per-node child log: `children[v]` holds `(inst, child)` for
-    /// every child acknowledgment `v` received, in arrival order.
-    pub children: Vec<Vec<(u32, NodeId)>>,
     /// Longest per-neighbor queue observed anywhere.
     pub max_queue: usize,
     /// Whether any node dropped tokens (congestion-cap enforcement
@@ -422,15 +422,19 @@ impl MultiBfsOutcome {
             .map(|&(_, r)| r)
     }
 
-    /// `v`'s children in instance `inst`, sorted.
-    pub fn children_of(&self, v: NodeId, inst: u32) -> Vec<NodeId> {
-        let mut children: Vec<NodeId> = self.children[v as usize]
+    /// `v`'s children in instance `inst`: its neighbors in `graph`, the
+    /// graph the bundle ran on, whose reach entry for `inst` names `v`
+    /// as parent, in neighbor order (ascending). Each of them sent `v`
+    /// a `Child` ack, so on a network without faults this is exactly
+    /// the set of acks `v` received, unless a queue cap dropped an ack;
+    /// [`Self::overflowed`] is then set.
+    pub fn children_of(&self, graph: &Graph, v: NodeId, inst: u32) -> Vec<NodeId> {
+        graph
+            .neighbors(v)
             .iter()
-            .filter(|&&(i, _)| i == inst)
-            .map(|&(_, c)| c)
-            .collect();
-        children.sort_unstable();
-        children
+            .copied()
+            .filter(|&w| self.reach(w, inst).and_then(|r| r.parent(graph)) == Some(v))
+            .collect()
     }
 }
 
@@ -471,7 +475,6 @@ impl Protocol for MultiBfs {
 
     fn round(&self, st: &mut MultiBfsNode, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
         let me = ctx.node();
-        let neighbors = ctx.neighbors();
         // Root activations scheduled for this round (indexed loop: no
         // per-round allocation; skipped entirely once every local root
         // has fired).
@@ -496,34 +499,34 @@ impl Protocol for MultiBfs {
             }
         }
         // Process arrivals (no inbox copy — the slice outlives the ctx
-        // borrow, so sends can interleave with iteration).
+        // borrow, so sends can interleave with iteration). A `Child` ack
+        // changes nothing: the children are read from the reach logs.
         let inbox = ctx.inbox();
         for &(from, ref msg) in inbox {
-            match *msg {
-                MultiBfsMsg::Token { inst, root, dist } => {
-                    // Already-reached is by far the common rejection
-                    // under contention: test the in-struct bit word
-                    // before touching the shared spec or the reach
-                    // records.
-                    if st.is_reached(inst) || dist > st.spec.instances[inst as usize].depth_limit {
-                        continue;
-                    }
-                    st.mark_reached(inst);
-                    let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
-                    st.accepted.push((
-                        inst,
-                        Reached {
-                            dist,
-                            arc: ctx.arc(from_idx).0,
-                        },
-                    ));
-                    st.send_or_enqueue(ctx, neighbors.len(), from_idx, MultiBfsMsg::Child { inst });
-                    st.fan_out(ctx, inst, root, dist, Some(from));
-                }
-                MultiBfsMsg::Child { inst } => {
-                    st.cold.children.push((inst, from));
-                }
+            let MultiBfsMsg::Token { inst, root, dist } = *msg else {
+                continue;
+            };
+            // Already-reached is by far the common rejection under
+            // contention: test the in-struct bit word before touching
+            // the shared spec or the reach records.
+            if st.is_reached(inst) || dist > st.spec.instances[inst as usize].depth_limit {
+                continue;
             }
+            st.mark_reached(inst);
+            let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
+            st.accepted.push((
+                inst,
+                Reached {
+                    dist,
+                    arc: ctx.arc(from_idx).0,
+                },
+            ));
+            if st.claim_direct(from_idx) {
+                ctx.send_nth(from_idx, MultiBfsMsg::Child { inst });
+            } else {
+                st.enqueue(ctx.degree(), from_idx, MultiBfsMsg::Child { inst });
+            }
+            st.fan_out(ctx, inst, root, dist, Some(from_idx));
         }
         // Drain the queued leftovers: one message per neighbor per
         // round, skipping neighbors the direct path already served.
@@ -575,13 +578,9 @@ impl Protocol for MultiBfs {
     fn finish(self, _graph: &Graph, nodes: Vec<MultiBfsNode>, stats: &RunStats) -> MultiBfsOutcome {
         let max_queue = nodes.iter().map(|s| s.max_queue()).max().unwrap_or(0);
         let overflowed = nodes.iter().any(|s| s.overflowed());
-        let (reached, children) = nodes
-            .into_iter()
-            .map(|s| (s.accepted, s.cold.children))
-            .unzip();
+        let reached = nodes.into_iter().map(|s| s.accepted).collect();
         MultiBfsOutcome {
             reached,
-            children,
             max_queue,
             overflowed,
             stats: stats.clone(),
@@ -616,28 +615,56 @@ mod tests {
             .unwrap()
     }
 
+    /// One instance over the whole graph builds [`Bfs`]'s tree: both
+    /// adopt the first token in inbox order, the smallest sender among
+    /// the first arrivals. The parents and children match `Bfs`'s,
+    /// which it records from its acks, and so do the messages and
+    /// rounds.
     #[test]
     fn single_instance_matches_plain_bfs() {
-        let g = lcs_graph::generators::grid(5, 5);
-        let spec = Arc::new(MultiBfsSpec {
-            instances: vec![MultiBfsInstance {
-                root: 0,
-                start_round: 0,
-                depth_limit: 100,
-            }],
-            membership: full_membership(),
-            queue_cap: 0,
-        });
-        let out = run_bundle(&g, spec);
-        let exact = bfs_distances(&g, 0);
-        for v in g.nodes() {
-            assert_eq!(
-                out.reach(v, 0).map(|r| r.dist),
-                Some(exact[v as usize]),
-                "node {v}"
-            );
+        use crate::bfs::Bfs;
+        use rand::SeedableRng;
+        let mut cases = vec![(lcs_graph::generators::grid(5, 5), vec![0, 12, 24])];
+        for seed in 0..5 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = lcs_graph::generators::gnp_connected(48, 0.12, &mut rng);
+            cases.push((g, vec![0, 17, 47]));
         }
-        assert!(!out.overflowed);
+        for (g, roots) in &cases {
+            for &root in roots {
+                let spec = Arc::new(MultiBfsSpec {
+                    instances: vec![MultiBfsInstance {
+                        root,
+                        start_round: 0,
+                        depth_limit: 100,
+                    }],
+                    membership: full_membership(),
+                    queue_cap: 0,
+                });
+                let out = run_bundle(g, spec);
+                let plain = Session::new(g, SimConfig::default())
+                    .run(Bfs::new(root))
+                    .unwrap();
+                let exact = bfs_distances(g, root);
+                for v in g.nodes() {
+                    let r = out.reach(v, 0).expect("the graph is connected");
+                    assert_eq!(r.dist, exact[v as usize], "root {root}, node {v}");
+                    assert_eq!(
+                        r.parent(g),
+                        plain.parent[v as usize],
+                        "root {root}, node {v}"
+                    );
+                    assert_eq!(
+                        out.children_of(g, v, 0),
+                        plain.children[v as usize],
+                        "root {root}, node {v}"
+                    );
+                }
+                assert_eq!(out.stats.messages, plain.stats.messages, "root {root}");
+                assert_eq!(out.stats.rounds, plain.stats.rounds, "root {root}");
+                assert!(!out.overflowed);
+            }
+        }
     }
 
     #[test]
@@ -768,6 +795,19 @@ mod tests {
         // Some instance failed to span.
         let spanned = (0..8u32).filter(|&i| spanned(&out, i) == 12).count();
         assert!(spanned < 8);
+        // Dropped tokens and acks leave the children exactly the
+        // neighbors whose reach entry names `v`.
+        for v in g.nodes() {
+            for inst in 0..8 {
+                let named: Vec<NodeId> = g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| out.reach(w, inst).is_some_and(|r| r.parent(&g) == Some(v)))
+                    .collect();
+                assert_eq!(out.children_of(&g, v, inst), named, "node {v}, inst {inst}");
+            }
+        }
     }
 
     #[test]
@@ -792,13 +832,15 @@ mod tests {
                 let p = r.parent(&g).unwrap();
                 assert_eq!(g.edge_between(v, p), Some(g.arc_edge(a)));
                 assert_eq!(out.reach(p, 0).unwrap().dist + 1, r.dist);
-                assert!(out.children_of(p, 0).contains(&v));
+                assert!(out.children_of(&g, p, 0).contains(&v));
             }
         }
     }
 
     /// The logs hold each instance once per node, in acceptance order,
-    /// and `children_of` is the sorted list of each instance's acks.
+    /// and `children_of` lists, ascending, the nodes whose entry names
+    /// `v` as parent: together the lists hold every non-root entry
+    /// once.
     #[test]
     fn logs_hold_each_instance_once_and_children_sort() {
         let g = lcs_graph::generators::grid(6, 6);
@@ -816,6 +858,7 @@ mod tests {
         });
         let out = run_bundle(&g, spec);
         let mut unsorted = false;
+        let mut listed = 0;
         for v in g.nodes() {
             let mut seen: Vec<u32> = out.reached[v as usize].iter().map(|&(i, _)| i).collect();
             unsorted |= !seen.is_sorted();
@@ -823,15 +866,19 @@ mod tests {
             seen.dedup();
             assert_eq!(seen.len(), out.reached[v as usize].len(), "node {v}");
             for inst in 0..6 {
-                let c = out.children_of(v, inst);
+                let c = out.children_of(&g, v, inst);
                 assert!(c.is_sorted());
-                let logged = out.children[v as usize].iter().filter(|&&(i, _)| i == inst);
-                assert_eq!(c.len(), logged.count());
+                listed += c.len();
                 for &w in &c {
                     assert_eq!(out.reach(w, inst).unwrap().parent(&g), Some(v));
                 }
             }
         }
+        let non_roots = out.reached.iter().flatten();
+        assert_eq!(
+            listed,
+            non_roots.filter(|(_, r)| r.parent_arc().is_some()).count()
+        );
         assert!(unsorted, "some node accepts a later instance first");
     }
 }

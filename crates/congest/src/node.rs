@@ -269,6 +269,9 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// `i`-th neighbor (the neighbor at `self.neighbors()[i]`). Hot
     /// senders that already iterate neighbors by index should use this —
     /// delivery is a single mailbox-slot write with no adjacency lookup.
+    /// It is always inlined, so a message built in the call is stored
+    /// field by field into the slot, not built on the caller's stack
+    /// and loaded back whole.
     ///
     /// # Panics
     ///
@@ -276,7 +279,7 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// model violations, which are reported as [`SimError`]s).
     ///
     /// [`SimError`]: crate::SimError
-    #[inline]
+    #[inline(always)]
     pub fn send_nth(&mut self, i: usize, msg: M) {
         if self.tx.violation.is_some() {
             return; // the run is already doomed; preserve the first error

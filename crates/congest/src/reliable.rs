@@ -328,7 +328,7 @@ struct Link<M> {
     ack_owed: bool,
 }
 
-impl<M> Link<M> {
+impl<M: Clone> Link<M> {
     fn new(dead: bool) -> Self {
         Link {
             dead,
@@ -359,13 +359,14 @@ impl<M> Link<M> {
 
     /// Accepts a data frame: advances the contiguous prefix (draining
     /// the out-of-order stash), stashes frames past it, ignores
-    /// duplicates. Every arrival owes the peer an ack.
-    fn accept(&mut self, seq: u64, payload: Option<M>, quiet: u32) {
+    /// duplicates. Every arrival owes the peer an ack. The payload is
+    /// read from the inbox and cloned only when the frame is kept.
+    fn accept(&mut self, seq: u64, payload: &Option<M>, quiet: u32) {
         self.ack_owed = true;
         match seq.cmp(&self.recv) {
             std::cmp::Ordering::Less => {} // duplicate; re-ack only
             std::cmp::Ordering::Equal => {
-                self.pending_in.push_back((payload, quiet));
+                self.pending_in.push_back((payload.clone(), quiet));
                 self.recv += 1;
                 while let Some(pos) = self.ooo.iter().position(|&(s, ..)| s == self.recv) {
                     let (_, p, q) = self.ooo.swap_remove(pos);
@@ -375,7 +376,7 @@ impl<M> Link<M> {
             }
             std::cmp::Ordering::Greater => {
                 if !self.ooo.iter().any(|&(s, ..)| s == seq) {
-                    self.ooo.push((seq, payload, quiet));
+                    self.ooo.push((seq, payload.clone(), quiet));
                 }
             }
         }
@@ -527,21 +528,22 @@ impl<P: Protocol + Sync> Protocol for Reliable<P> {
         //    stopped — manufacture the empty frames a still-advancing
         //    peer shows it needs (its seq `s` implies it will next need
         //    our frame `s`; the gap is at most one, since it needed our
-        //    frame `s − 1` to get there).
-        for k in 0..ctx.inbox().len() {
-            let (from, msg) = ctx.inbox()[k].clone();
+        //    frame `s − 1` to get there). The inbox is read in place (the
+        //    slice outlives the ctx borrow).
+        let inbox = ctx.inbox();
+        for &(from, ref msg) in inbox {
             let Some(i) = ctx.neighbor_index(from) else {
                 continue; // unreachable: the engine enforces adjacency
             };
             if !msg.verifies(from, me) {
                 continue; // forged in flight: treat as dropped
             }
-            match msg {
+            match *msg {
                 ReliableMsg::Data {
                     seq,
                     ack,
                     quiet,
-                    payload,
+                    ref payload,
                     ..
                 } => {
                     if st.stopped && payload.is_some() && seq >= st.links[i].recv {

@@ -4,15 +4,21 @@
 //! shard reports) for the whole phase, so a long phase over a sparse
 //! tree allocates what its node states need and a constant more. This
 //! binary counts every heap allocation the process makes (its own
-//! `#[global_allocator]`, hence its own test binary with a single test)
-//! and bounds a one-shard tree aggregation on paths, whose rounds grow
-//! with `n`, by `n` plus a constant.
+//! `#[global_allocator]`, hence its own test binary, whose tests take
+//! turns on one lock) and bounds two one-shard phases by their node
+//! count: a tree aggregation on paths, whose rounds grow with `n`, by
+//! `n` plus a constant, and a one-instance parallel BFS, whose nodes
+//! each hold a cold box and a reach log, by `2n` plus a constant.
 
-use lcs_congest::{positions_from_tree, AggOp, Bfs, Protocol, Session, SimConfig, TreeAggregate};
-use lcs_graph::generators::path;
+use lcs_congest::{
+    positions_from_tree, AggOp, Bfs, Membership, MultiBfs, MultiBfsInstance, MultiBfsSpec,
+    Protocol, Session, SimConfig, TreeAggregate,
+};
+use lcs_graph::generators::{grid, path};
 use lcs_graph::Graph;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The system allocator, counting allocations (a `realloc` counts as
 /// one, since it may move the block).
@@ -46,6 +52,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The counter is process-wide, so each test holds this lock for its
+/// whole body and no other test allocates inside its count.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Takes the lock. It guards no data, so a test that failed while
+/// holding it leaves nothing to recover and the next one proceeds.
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Allocations made by running `protocol` as one phase of a fresh
 /// one-shard session (the session's set-up is not counted), and the
 /// phase's rounds.
@@ -66,6 +82,7 @@ fn phase_allocations<P: Protocol + Sync>(g: &Graph, protocol: P) -> (u64, u64) {
 
 #[test]
 fn a_tree_aggregation_allocates_per_node_not_per_round() {
+    let _turn = turn();
     for n in [300, 600, 1200] {
         let g = path(n);
         let bfs = Session::new(&g, SimConfig::default())
@@ -80,4 +97,27 @@ fn a_tree_aggregation_allocates_per_node_not_per_round() {
             "path({n}): {made} allocations over {rounds} rounds"
         );
     }
+}
+
+/// A parallel BFS node allocates its cold box and its reach log, and
+/// nothing per acknowledgement it receives.
+#[test]
+fn a_one_instance_bundle_allocates_twice_per_node() {
+    let _turn = turn();
+    let g = grid(30, 30);
+    let n = g.n() as u64;
+    let spec = Arc::new(MultiBfsSpec {
+        instances: vec![MultiBfsInstance {
+            root: 0,
+            start_round: 0,
+            depth_limit: u32::MAX,
+        }],
+        membership: Membership::func(|_, _, _| true),
+        queue_cap: 0,
+    });
+    let (made, rounds) = phase_allocations(&g, MultiBfs::new(spec));
+    assert!(
+        made <= 2 * n + 32,
+        "grid(30, 30): {made} allocations over {rounds} rounds"
+    );
 }

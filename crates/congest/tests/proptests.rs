@@ -306,7 +306,6 @@ proptest! {
         for shards in [2usize, 7] {
             let out = run_bundle(&g, spec(()), &cfg_for(shards));
             prop_assert_eq!(&out.reached, &base.reached, "reached, shards={}", shards);
-            prop_assert_eq!(&out.children, &base.children, "children, shards={}", shards);
             prop_assert_eq!(out.max_queue, base.max_queue);
             prop_assert_eq!(&out.stats, &base.stats, "stats, shards={}", shards);
         }

@@ -39,7 +39,9 @@
 //! On acceptance, each `H_i` is the forest of parent edges of instance
 //! `i` — the truncated BFS tree of `G[S_i] ∪ H_i`, which is exactly the
 //! knowledge the real protocol leaves at the nodes. Each tree edge is
-//! the edge of a logged arc, read without an adjacency search.
+//! the edge of a logged arc, read without an adjacency search, and a
+//! counting sort by edge id hands each part its list in ascending
+//! order.
 
 use crate::degrade::detect_and_excise;
 use crate::odd::shared_delay;
@@ -47,8 +49,8 @@ use crate::params::{guess_ladder, KpParams, ParamError};
 use crate::sampling::SampleOracle;
 use lcs_congest::{
     ceil_log2, positions_from_tree, AggOp, Bfs, FaultPlan, MultiAggregate, MultiBfs,
-    MultiBfsInstance, MultiBfsSpec, Participation, PrefixNumber, RunStats, Session, SimConfig,
-    SimError, TreeAggregate,
+    MultiBfsInstance, MultiBfsSpec, Participation, PrefixNumber, Reached, RunStats, Session,
+    SimConfig, SimError, TreeAggregate,
 };
 use lcs_graph::{is_connected, EdgeId, Graph, NodeId};
 use lcs_shortcut::{Partition, ShortcutSet};
@@ -319,7 +321,7 @@ fn run_pipeline(
                     .map(|&(inst, r)| Participation {
                         inst,
                         parent: r.parent(graph),
-                        children: b1.children_of(v, inst),
+                        children: b1.children_of(graph, v, inst),
                         value: u64::from(borders_unreached(v, inst)),
                     })
                     .collect()
@@ -445,12 +447,7 @@ fn run_pipeline(
         }
 
         // Extract the tree shortcuts: parent edges of each instance.
-        let mut per_part: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.num_parts()];
-        for &(inst, r) in b3.reached.iter().flatten() {
-            if let Some(a) = r.parent_arc() {
-                per_part[rank_part[inst as usize] as usize].push(graph.arc_edge(a));
-            }
-        }
+        let per_part = tree_edge_lists(graph, &b3.reached, &rank_part, partition.num_parts());
         return Ok(DistributedOutcome {
             shortcuts: ShortcutSet::from_edge_lists(per_part),
             is_large,
@@ -465,6 +462,57 @@ fn run_pipeline(
         });
     }
     Err(DistributedError::NoGuessAccepted { tried: ladder })
+}
+
+/// The tree edges of a parallel BFS, one list per part in ascending
+/// edge-id order: the parent edge of every entry of the reach logs
+/// `reached`, filed under part `rank_part[inst]`.
+///
+/// The entries are bucketed by part with exact counts, and each bucket
+/// is put in order through one reused `m`-bit set, reading back only
+/// the words between the lowest and highest it touched: no comparison
+/// sort, and `O(m)` scratch besides the lists. An edge is a tree edge
+/// of an instance at most once (its two endpoints cannot each have
+/// adopted the other's token), so the read-back loses nothing.
+fn tree_edge_lists(
+    graph: &Graph,
+    reached: &[Vec<(u32, Reached)>],
+    rank_part: &[u32],
+    num_parts: usize,
+) -> Vec<Vec<EdgeId>> {
+    let part = |inst: u32| rank_part[inst as usize] as usize;
+    let mut lens = vec![0usize; num_parts];
+    for &(inst, r) in reached.iter().flatten() {
+        if r.parent_arc().is_some() {
+            lens[part(inst)] += 1;
+        }
+    }
+    let mut per_part: Vec<Vec<EdgeId>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for &(inst, r) in reached.iter().flatten() {
+        if let Some(a) = r.parent_arc() {
+            per_part[part(inst)].push(graph.arc_edge(a));
+        }
+    }
+    let mut bits = vec![0u64; graph.m().div_ceil(64)];
+    for edges in &mut per_part {
+        let (mut lo, mut hi) = (bits.len(), 0);
+        for e in edges.drain(..) {
+            let w = e.index() / 64;
+            bits[w] |= 1 << (e.index() % 64);
+            lo = lo.min(w);
+            hi = hi.max(w + 1);
+        }
+        // An empty bucket leaves `lo..hi` empty or reversed.
+        let touched = bits.get_mut(lo..hi).unwrap_or_default();
+        for (w, word) in (lo..).zip(touched) {
+            let mut word = std::mem::take(word);
+            while word != 0 {
+                edges.push(EdgeId(w as u32 * 64 + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+    }
+    per_part
 }
 
 /// Fault-tolerant wrapper: detect crash-stops on the faulty network,
@@ -858,6 +906,42 @@ mod tests {
             .collect();
         assert_eq!(out.phase_stats, phases);
         assert_eq!(out.degraded, Some(exc.outcome()));
+    }
+
+    /// The bucketed read-back gives each part what collecting its
+    /// instance's parent edges and sorting them gives, on overlapping
+    /// instances that share a part-to-instance map with gaps.
+    #[test]
+    fn tree_edge_lists_are_the_sorted_parent_edges() {
+        use lcs_congest::Membership;
+        let g = lcs_graph::generators::grid(9, 11);
+        let instances = (0..5)
+            .map(|i| MultiBfsInstance {
+                root: i * 19,
+                start_round: u64::from(i % 2),
+                depth_limit: 7,
+            })
+            .collect();
+        let spec = Arc::new(MultiBfsSpec {
+            instances,
+            membership: Membership::func(|u, v, i| (u + v + i) % 5 != 0),
+            queue_cap: 0,
+        });
+        let out = Session::new(&g, SimConfig::default())
+            .run(MultiBfs::new(spec))
+            .unwrap();
+        let rank_part = [6, 0, 3, 5, 1];
+        let mut expected: Vec<Vec<EdgeId>> = vec![Vec::new(); 8];
+        for &(inst, r) in out.reached.iter().flatten() {
+            if let Some(a) = r.parent_arc() {
+                expected[rank_part[inst as usize] as usize].push(g.arc_edge(a));
+            }
+        }
+        for edges in &mut expected {
+            edges.sort_unstable();
+        }
+        assert!(expected.iter().filter(|e| !e.is_empty()).count() == 5);
+        assert_eq!(tree_edge_lists(&g, &out.reached, &rank_part, 8), expected);
     }
 
     #[test]

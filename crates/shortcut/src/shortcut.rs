@@ -37,7 +37,8 @@ impl ShortcutSet {
         }
     }
 
-    /// Builds from per-part edge lists (deduplicated internally).
+    /// Builds from per-part edge lists, each sorted and deduplicated
+    /// here; a list that is already ascending costs one linear check.
     pub fn from_edge_lists(mut per_part: Vec<Vec<EdgeId>>) -> Self {
         for edges in &mut per_part {
             edges.sort_unstable();
