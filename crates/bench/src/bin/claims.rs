@@ -778,8 +778,7 @@ fn ablations(quick: bool, r: &mut Report) {
         .map(|i| partition.leader(i))
         .collect();
     let parts: Vec<u32> = (0..partition.num_parts() as u32).collect();
-    let membership =
-        SampleOracle::new(5, params.p, params.reps).membership(Arc::new(partition.clone()), &parts);
+    let membership = SampleOracle::new(5, params.p, params.reps).membership(&partition, &parts, n);
     let phase_len = lcs_congest::ceil_log2(n) as u64;
     for (name, delays) in [
         ("random start delays", true),

@@ -344,7 +344,10 @@ pub mod sim_workloads {
     /// The standard multi-BFS bundle: `instances` full-membership BFS
     /// roots spread evenly over `0..n`, staggered starts, unlimited
     /// depth.
-    pub fn multi_bfs_spec(n: usize, instances: usize) -> Arc<MultiBfsSpec> {
+    pub fn multi_bfs_spec(
+        n: usize,
+        instances: usize,
+    ) -> Arc<MultiBfsSpec<impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync>> {
         Arc::new(MultiBfsSpec {
             instances: (0..instances)
                 .map(|i| MultiBfsInstance {
@@ -353,7 +356,7 @@ pub mod sim_workloads {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::func(|_, _, _| true),
+            membership: |_, _, _| true,
             queue_cap: 0,
         })
     }

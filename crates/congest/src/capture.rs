@@ -137,6 +137,7 @@ impl<M> Capture<M> {
                 graph: ctx.graph,
                 inbox: &self.inbox,
                 rng: &mut *ctx.rng,
+                seed: ctx.seed,
                 captures: &mut *ctx.captures,
                 tx: TxState {
                     slots: &mut self.slots[..degree],

@@ -77,8 +77,7 @@ pub use multi_aggregate::{
     MultiAggMsg, MultiAggNode, MultiAggOutcome, MultiAggregate, Participation,
 };
 pub use multi_bfs::{
-    Membership, MembershipFn, MultiBfs, MultiBfsInstance, MultiBfsMsg, MultiBfsNode,
-    MultiBfsOutcome, MultiBfsSpec, Reached,
+    MultiBfs, MultiBfsInstance, MultiBfsMsg, MultiBfsNode, MultiBfsOutcome, MultiBfsSpec, Reached,
 };
 pub use node::{RoundCtx, Wake};
 pub use pool::{Control, Pool};

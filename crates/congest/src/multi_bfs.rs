@@ -10,12 +10,17 @@
 //! start offsets (chosen by the caller from shared randomness) spread the
 //! load so that, w.h.p., queues stay short.
 //!
-//! Instance subgraph membership is supplied as a [`Membership`] oracle
-//! evaluated at the *sending* endpoint (`may a token of instance i
+//! Instance subgraph membership is a closure evaluated at the *sending*
+//! endpoint ([`MultiBfsSpec::membership`]: `may a token of instance i
 //! traverse u → v?`) — exactly the local knowledge nodes have after the
 //! sampling step (each node knows which of its incident edges it
-//! sampled into which `H_i`). A bundle over the whole graph passes the
-//! predicate that always answers yes, `Membership::func(|_, _, _| true)`.
+//! sampled into which `H_i`). The bundle is generic over the closure's
+//! type, so each caller's predicate is compiled into the token loop
+//! rather than called through a pointer. A bundle over the whole graph
+//! passes the predicate that always answers yes, `|_, _, _| true`; the
+//! construction's Step 2 passes
+//! `SampleOracle::membership`, which tabulates its coin keys per node
+//! when the phase starts.
 //!
 //! **Distance semantics.** Tokens are forwarded as fast as queues allow
 //! (the Leighton–Maggs–Richa packet view of the schedule) and a node
@@ -57,44 +62,18 @@ pub struct MultiBfsInstance {
     pub depth_limit: u32,
 }
 
-/// Membership predicate: may a token of instance `i` cross the arc
-/// `u → v`? It is evaluated only at the sending end `u`, when `u`
-/// forwards a token, so it may answer `(u, v)` and `(v, u)` differently:
-/// the construction's sampled edges are each endpoint's own coin.
-pub type MembershipFn = Arc<dyn Fn(NodeId, NodeId, u32) -> bool + Send + Sync>;
-
-/// Edge-membership oracle of a multi-BFS bundle: one arc predicate,
-/// evaluated at the sender (see [`MembershipFn`]).
+/// Shared specification of a multi-BFS bundle, generic over its
+/// membership predicate `F`.
 #[derive(Clone)]
-pub struct Membership(MembershipFn);
-
-impl Membership {
-    /// Wraps a predicate closure (see [`MembershipFn`]: the sender
-    /// evaluates it, and it need not be symmetric).
-    pub fn func(f: impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync + 'static) -> Self {
-        Membership(Arc::new(f))
-    }
-
-    /// May a token of instance `inst` traverse the edge `u → v`?
-    #[inline]
-    pub fn allows(&self, u: NodeId, v: NodeId, inst: u32) -> bool {
-        (self.0)(u, v, inst)
-    }
-}
-
-impl std::fmt::Debug for Membership {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Membership(..)")
-    }
-}
-
-/// Shared specification of a multi-BFS bundle.
-#[derive(Clone)]
-pub struct MultiBfsSpec {
+pub struct MultiBfsSpec<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> {
     /// The instances; index = instance id.
     pub instances: Vec<MultiBfsInstance>,
-    /// Edge membership oracle.
-    pub membership: Membership,
+    /// Membership predicate: may a token of instance `i` cross the arc
+    /// `u → v`? It is evaluated only at the sending end `u`, when `u`
+    /// forwards a token, so it may answer `(u, v)` and `(v, u)`
+    /// differently: the construction's sampled edges are each
+    /// endpoint's own coin.
+    pub membership: F,
     /// Per-neighbor queue capacity; tokens beyond it are dropped and the
     /// node records an overflow (0 = unbounded). Mirrors the paper's
     /// congestion enforcement: an overloaded guess produces incomplete
@@ -102,7 +81,7 @@ pub struct MultiBfsSpec {
     pub queue_cap: usize,
 }
 
-impl std::fmt::Debug for MultiBfsSpec {
+impl<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> std::fmt::Debug for MultiBfsSpec<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiBfsSpec")
             .field("instances", &self.instances.len())
@@ -208,8 +187,8 @@ impl Reached {
 /// the slow paths that need them.
 #[derive(Debug)]
 #[repr(C)]
-pub struct MultiBfsNode {
-    spec: Arc<MultiBfsSpec>,
+pub struct MultiBfsNode<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> {
+    spec: Arc<MultiBfsSpec<F>>,
     /// Reached bits for instances `0..64` (bit `i` mirrors "instance
     /// `i` reached this node"). Token rejection — the common case
     /// under contention — tests this word, which lives in the node
@@ -261,10 +240,10 @@ struct MultiBfsCold {
     overflowed: bool,
 }
 
-impl MultiBfsNode {
+impl<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> MultiBfsNode<F> {
     /// Creates the state for one node; `roots_here` lists the instance
     /// ids whose root is this node.
-    pub fn new(spec: Arc<MultiBfsSpec>, roots_here: Vec<u32>) -> Self {
+    pub fn new(spec: Arc<MultiBfsSpec<F>>, roots_here: Vec<u32>) -> Self {
         let k = spec.instances.len();
         let pending_roots = roots_here.len() as u32;
         MultiBfsNode {
@@ -373,7 +352,7 @@ impl MultiBfsNode {
         let neighbors = ctx.neighbors();
         let dist = dist + 1;
         for (idx, &w) in neighbors.iter().enumerate() {
-            if Some(idx) == skip || !self.spec.membership.allows(me, w, inst) {
+            if Some(idx) == skip || !(self.spec.membership)(me, w, inst) {
                 continue;
             }
             if self.claim_direct(idx) {
@@ -442,27 +421,27 @@ impl MultiBfsOutcome {
 /// (the executable form of the paper's random-delay scheduler): run it
 /// through a [`Session`](crate::session::Session).
 #[derive(Debug, Clone)]
-pub struct MultiBfs {
-    spec: Arc<MultiBfsSpec>,
+pub struct MultiBfs<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> {
+    spec: Arc<MultiBfsSpec<F>>,
 }
 
-impl MultiBfs {
+impl<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> MultiBfs<F> {
     /// A multi-BFS bundle over `spec`'s instances.
-    pub fn new(spec: Arc<MultiBfsSpec>) -> Self {
+    pub fn new(spec: Arc<MultiBfsSpec<F>>) -> Self {
         MultiBfs { spec }
     }
 }
 
-impl Protocol for MultiBfs {
+impl<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync> Protocol for MultiBfs<F> {
     type Msg = MultiBfsMsg;
-    type State = MultiBfsNode;
+    type State = MultiBfsNode<F>;
     type Output = MultiBfsOutcome;
 
     fn label(&self) -> &str {
         "multi_bfs"
     }
 
-    fn init(&mut self, graph: &Graph) -> Vec<MultiBfsNode> {
+    fn init(&mut self, graph: &Graph) -> Vec<MultiBfsNode<F>> {
         let mut roots_of: Vec<Vec<u32>> = vec![Vec::new(); graph.n()];
         for (i, inst) in self.spec.instances.iter().enumerate() {
             roots_of[inst.root as usize].push(i as u32);
@@ -473,7 +452,7 @@ impl Protocol for MultiBfs {
             .collect()
     }
 
-    fn round(&self, st: &mut MultiBfsNode, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
+    fn round(&self, st: &mut MultiBfsNode<F>, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
         let me = ctx.node();
         // Root activations scheduled for this round (indexed loop: no
         // per-round allocation; skipped entirely once every local root
@@ -567,7 +546,7 @@ impl Protocol for MultiBfs {
     // queued tokens still draining at one per neighbor per round — are
     // captured by `halted`; everything else (token arrival, child
     // acks) is mail-driven and sleeps.
-    fn halted(&self, st: &MultiBfsNode) -> bool {
+    fn halted(&self, st: &MultiBfsNode<F>) -> bool {
         // A root with a pending delayed start must keep the run alive
         // even when no messages are in flight yet. Both counters are
         // maintained incrementally, so this is O(1) — it runs for every
@@ -575,7 +554,12 @@ impl Protocol for MultiBfs {
         st.pending_roots == 0 && st.queued == 0
     }
 
-    fn finish(self, _graph: &Graph, nodes: Vec<MultiBfsNode>, stats: &RunStats) -> MultiBfsOutcome {
+    fn finish(
+        self,
+        _graph: &Graph,
+        nodes: Vec<MultiBfsNode<F>>,
+        stats: &RunStats,
+    ) -> MultiBfsOutcome {
         let max_queue = nodes.iter().map(|s| s.max_queue()).max().unwrap_or(0);
         let overflowed = nodes.iter().any(|s| s.overflowed());
         let reached = nodes.into_iter().map(|s| s.accepted).collect();
@@ -595,10 +579,6 @@ mod tests {
     use crate::sim::SimConfig;
     use lcs_graph::bfs_distances;
 
-    fn full_membership() -> Membership {
-        Membership::func(|_, _, _| true)
-    }
-
     /// How many nodes instance `inst` reached.
     fn spanned(out: &MultiBfsOutcome, inst: u32) -> usize {
         out.reached
@@ -609,7 +589,10 @@ mod tests {
     }
 
     /// All protocol tests go through the first-class `Session` API.
-    fn run_bundle(g: &Graph, spec: Arc<MultiBfsSpec>) -> MultiBfsOutcome {
+    fn run_bundle<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync>(
+        g: &Graph,
+        spec: Arc<MultiBfsSpec<F>>,
+    ) -> MultiBfsOutcome {
         Session::new(g, SimConfig::default())
             .run(MultiBfs::new(spec))
             .unwrap()
@@ -638,7 +621,7 @@ mod tests {
                         start_round: 0,
                         depth_limit: 100,
                     }],
-                    membership: full_membership(),
+                    membership: |_, _, _| true,
                     queue_cap: 0,
                 });
                 let out = run_bundle(g, spec);
@@ -676,7 +659,7 @@ mod tests {
                 start_round: 0,
                 depth_limit: 4,
             }],
-            membership: full_membership(),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);
@@ -690,13 +673,13 @@ mod tests {
         // Two paths sharing no edges, as instances over node-partitioned
         // membership.
         let g = lcs_graph::generators::path(10);
-        let membership = Membership::func(|u, v, i| {
+        let membership = |u: NodeId, v: NodeId, i: u32| {
             if i == 0 {
                 u < 5 && v < 5
             } else {
                 u >= 5 && v >= 5
             }
-        });
+        };
         let spec = Arc::new(MultiBfsSpec {
             instances: vec![
                 MultiBfsInstance {
@@ -735,7 +718,7 @@ mod tests {
             .collect();
         let spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: full_membership(),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);
@@ -761,7 +744,7 @@ mod tests {
                 .collect();
             Arc::new(MultiBfsSpec {
                 instances,
-                membership: full_membership(),
+                membership: |_, _, _| true,
                 queue_cap: 0,
             })
         };
@@ -787,7 +770,7 @@ mod tests {
             .collect();
         let spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: full_membership(),
+            membership: |_, _, _| true,
             queue_cap: 2,
         });
         let out = run_bundle(&g, spec);
@@ -819,7 +802,7 @@ mod tests {
                 start_round: 2,
                 depth_limit: 50,
             }],
-            membership: full_membership(),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);
@@ -853,7 +836,7 @@ mod tests {
             .collect();
         let spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: full_membership(),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec);

@@ -8,6 +8,7 @@ use crate::error::SimError;
 use crate::message::{Message, BANDWIDTH_WORDS};
 use crate::sim::WakeCell;
 use lcs_graph::{ArcId, Graph, NodeId};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A node's scheduling request for the next round, reported by
@@ -133,7 +134,11 @@ pub struct RoundCtx<'a, M> {
     pub(crate) round: u64,
     pub(crate) graph: &'a Graph,
     pub(crate) inbox: &'a [(NodeId, M)],
-    pub(crate) rng: &'a mut ChaCha8Rng,
+    /// The node's RNG for this phase, empty until its first draw.
+    pub(crate) rng: &'a mut Option<Box<ChaCha8Rng>>,
+    /// The phase's [`SimConfig::seed`](crate::SimConfig::seed), which
+    /// seeds `rng` on the first draw.
+    pub(crate) seed: u64,
     /// The running shard's capture buffers, lent to the hosts that run
     /// inner protocols ([`Reliable`](crate::Reliable)) for the length
     /// of one hook.
@@ -328,11 +333,17 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         };
     }
 
-    /// This node's private RNG (deterministically seeded from the run
-    /// seed and the node id).
+    /// This node's private RNG for the phase. The first call seeds it
+    /// from the phase's [`SimConfig::seed`](crate::SimConfig::seed) and
+    /// the node id `v`, as
+    /// `ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15·(v + 1))`
+    /// with a wrapping product; later calls of the phase continue that
+    /// stream. A node that never draws costs no generator.
     #[inline]
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
+        let seed = self.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(self.node) + 1);
         self.rng
+            .get_or_insert_with(|| Box::new(ChaCha8Rng::seed_from_u64(seed)))
     }
 }
 

@@ -751,6 +751,87 @@ mod tests {
         }
     }
 
+    /// A flood from node 0 that draws from the node RNGs: every third
+    /// node draws at round 0, and every odd node draws when the flood
+    /// first reaches it. Its output is each node's draws, in order.
+    struct DrawingFlood;
+
+    #[derive(Debug, Default)]
+    struct Draws {
+        reached: bool,
+        draws: Vec<u64>,
+    }
+
+    impl Protocol for DrawingFlood {
+        type Msg = ();
+        type State = Draws;
+        type Output = Vec<Vec<u64>>;
+
+        fn init(&mut self, graph: &Graph) -> Vec<Draws> {
+            (0..graph.n()).map(|_| Draws::default()).collect()
+        }
+        fn round(&self, st: &mut Draws, ctx: &mut RoundCtx<'_, ()>) {
+            let v = ctx.node();
+            if ctx.round() == 0 && v.is_multiple_of(3) {
+                st.draws.push(rand::Rng::gen(ctx.rng()));
+            }
+            if st.reached || (v != 0 && ctx.inbox().is_empty()) {
+                return;
+            }
+            st.reached = true;
+            if v % 2 == 1 {
+                st.draws.push(rand::Rng::gen(ctx.rng()));
+            }
+            for i in 0..ctx.degree() {
+                ctx.send_nth(i, ());
+            }
+        }
+        fn halted(&self, _: &Draws) -> bool {
+            true
+        }
+        fn finish(self, _: &Graph, states: Vec<Draws>, _: &RunStats) -> Vec<Vec<u64>> {
+            states.into_iter().map(|s| s.draws).collect()
+        }
+    }
+
+    /// A node's RNG is seeded on its first draw of a phase: its draws
+    /// are the first of `ChaCha8Rng::seed_from_u64(seed ^
+    /// 0x9E37_79B9_7F4A_7C15·(v + 1))` for the phase seed, a
+    /// `run_configured` override included, whichever round the node
+    /// first draws in. A `Reliable` host lends its node's RNG to the
+    /// hosted protocol, so under drops, delays and corruption, at any
+    /// shard count, the hosted draws are the raw run's.
+    #[test]
+    fn node_rngs_are_seeded_on_first_draw_and_lent_to_hosted_protocols() {
+        let g = gnp(40, 0.15, 0x5EED);
+        let expected = |seed: u64| -> Vec<Vec<u64>> {
+            (0..g.n() as u64)
+                .map(|v| {
+                    let stream = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(v + 1);
+                    let mut rng = ChaCha8Rng::seed_from_u64(stream);
+                    let draws = u64::from(v.is_multiple_of(3)) + u64::from(v % 2 == 1);
+                    (0..draws).map(|_| rand::Rng::gen(&mut rng)).collect()
+                })
+                .collect()
+        };
+        let raw = Session::new(&g, SimConfig::default())
+            .run(DrawingFlood)
+            .unwrap();
+        assert_eq!(raw, expected(SimConfig::default().seed));
+        let overridden = Session::new(&g, SimConfig::default())
+            .run_configured("flood", DrawingFlood, |c| c.seed = 0xD1CE)
+            .unwrap();
+        assert_eq!(overridden, expected(0xD1CE));
+        for fault_seed in [1u64, 0xBAD_F00D] {
+            for shards in [1, 4] {
+                let mut session = Session::new(&g, lossy_cfg(shards, fault_seed));
+                let hosted = session.run(Reliable::new(DrawingFlood)).unwrap();
+                assert!(session.stats().dropped > 0 && session.stats().corrupted > 0);
+                assert_eq!(hosted, raw, "fault seed {fault_seed:#x}, shards {shards}");
+            }
+        }
+    }
+
     /// `Reliable<Bfs>` over a 10% drop / 10% delay-≤2 network produces
     /// the exact fault-free BFS tree, and the reliability overhead
     /// (frames, retransmissions, acks) is visible in the statistics.

@@ -17,11 +17,13 @@
 //!
 //! Determinism is inherited from the engine: outcomes, statistics, and
 //! per-node RNG streams of every phase are bit-identical for any shard
-//! count. Each phase reseeds its node RNGs from the phase's
-//! [`SimConfig::seed`] (overridable per phase via
-//! [`Session::run_configured`]), so a pipeline run through one session
-//! is also bit-identical to the same phases run through separate
-//! engines — sessions change the cost model, never the outcome.
+//! count. A node's RNG lives for one phase: it is seeded on the node's
+//! first draw ([`RoundCtx::rng`](crate::RoundCtx::rng)) from the
+//! phase's [`SimConfig::seed`] (overridable per phase via
+//! [`Session::run_configured`]) and the node id. So a pipeline run
+//! through one session is also bit-identical to the same phases run
+//! through separate engines — sessions change the cost model, never the
+//! outcome.
 //!
 //! ```
 //! use lcs_congest::{positions_from_tree, Bfs, Session, SimConfig, TreeAggregate};
@@ -210,7 +212,7 @@ impl<'g> Session<'g> {
 
     /// [`Session::run`] with a per-phase configuration override
     /// (applied to a copy of the session config): seed, round limit,
-    /// bandwidth. A `shards` override is ignored — the pool is fixed
+    /// fault plan. A `shards` override is ignored — the pool is fixed
     /// for the session's lifetime.
     ///
     /// # Errors

@@ -109,8 +109,10 @@
 //! id order — the sequential engine's order — regardless of the order
 //! wakes arrived; a node's sends land in its own arc range, shard write
 //! regions are disjoint, per-shard statistics are merged in shard
-//! order, and every per-run quantity is an order-independent integer
-//! sum. The outcome (node states, per-node RNG streams, and
+//! order, every per-run quantity is an order-independent integer sum,
+//! and a node's RNG is seeded on its first draw from the phase seed and
+//! its id alone ([`RoundCtx::rng`]). The outcome (node states, per-node
+//! RNG streams, and
 //! [`RunStats`], including [`RunStats::per_edge_messages`] and
 //! [`RunStats::delivered_rounds`]) is therefore **bit-identical to the
 //! sequential engine for any shard count**, and — for protocols obeying
@@ -133,7 +135,6 @@ use crate::pool::{Control, Pool};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{ArcId, Graph, NodeId};
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -334,7 +335,9 @@ pub struct SimConfig {
     /// Abort with [`SimError::RoundLimitExceeded`] after this many
     /// rounds without quiescence.
     pub max_rounds: u64,
-    /// Master seed; node RNGs derive from it.
+    /// Master seed of a phase. A node's RNG is seeded from it and the
+    /// node id on the node's first draw of the phase
+    /// ([`RoundCtx::rng`]); a node that never draws seeds nothing.
     pub seed: u64,
     /// Number of contiguous node shards executed by the persistent
     /// worker pool ([`crate::pool`]), one thread per shard. `0` (the
@@ -874,7 +877,7 @@ impl<M> Shard<M> {
 struct ShardWorker<'a, P: Protocol> {
     sh: Shard<P::Msg>,
     nodes: &'a mut [P::State],
-    rngs: &'a mut [ChaCha8Rng],
+    rngs: &'a mut [Option<Box<ChaCha8Rng>>],
 }
 
 /// What a shard reports to the coordinator after each send phase.
@@ -1007,7 +1010,8 @@ fn run_shard<P: Protocol + Sync>(
     protocol: &P,
     sh: &mut Shard<P::Msg>,
     nodes: &mut [P::State],
-    rngs: &mut [ChaCha8Rng],
+    rngs: &mut [Option<Box<ChaCha8Rng>>],
+    seed: u64,
     cur: &[Slot<P::Msg>],
     nxt: &[Slot<P::Msg>],
     occ_cur: &[OccCell],
@@ -1217,6 +1221,7 @@ fn run_shard<P: Protocol + Sync>(
                 graph,
                 inbox,
                 rng: &mut rngs[v - node_lo],
+                seed,
                 captures: &mut core.captures,
                 tx: TxState {
                     slots: own,
@@ -1303,14 +1308,9 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     host.reset_for_phase(graph);
     let mut stats = RunStats::new(graph);
 
-    // Deterministic per-node RNGs.
-    let mut node_rngs: Vec<ChaCha8Rng> = (0..n)
-        .map(|v| {
-            ChaCha8Rng::seed_from_u64(
-                cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(v as u64 + 1),
-            )
-        })
-        .collect();
+    // Per-node RNG slots, each seeded on the node's first draw
+    // (`RoundCtx::rng`).
+    let mut node_rngs: Vec<Option<Box<ChaCha8Rng>>> = vec![None; n];
 
     let num_arcs = graph.num_arcs();
     // Parity mailbox buffers (recycled through the host's size-class
@@ -1345,7 +1345,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
     let mut workers: Vec<ShardWorker<'_, P>> = Vec::with_capacity(shard_count);
     {
         let mut nodes_rest: &mut [P::State] = &mut nodes;
-        let mut rngs_rest: &mut [ChaCha8Rng] = &mut node_rngs;
+        let mut rngs_rest: &mut [Option<Box<ChaCha8Rng>>] = &mut node_rngs;
         for core in std::mem::take(cores) {
             let span = core.node_hi - core.node_lo;
             let (node_chunk, rest) = nodes_rest.split_at_mut(span);
@@ -1385,6 +1385,7 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
             &mut st.sh,
             st.nodes,
             st.rngs,
+            cfg.seed,
             &bufs_ref[parity],
             &bufs_ref[1 - parity],
             &occs_ref[parity],

@@ -11,8 +11,8 @@
 //! each hold a cold box and a reach log, by `2n` plus a constant.
 
 use lcs_congest::{
-    positions_from_tree, AggOp, Bfs, Membership, MultiBfs, MultiBfsInstance, MultiBfsSpec,
-    Protocol, Session, SimConfig, TreeAggregate,
+    positions_from_tree, AggOp, Bfs, MultiBfs, MultiBfsInstance, MultiBfsSpec, Protocol, Session,
+    SimConfig, TreeAggregate,
 };
 use lcs_graph::generators::{grid, path};
 use lcs_graph::Graph;
@@ -112,7 +112,7 @@ fn a_one_instance_bundle_allocates_twice_per_node() {
             start_round: 0,
             depth_limit: u32::MAX,
         }],
-        membership: Membership::func(|_, _, _| true),
+        membership: |_, _, _| true,
         queue_cap: 0,
     });
     let (made, rounds) = phase_allocations(&g, MultiBfs::new(spec));

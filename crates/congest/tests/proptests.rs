@@ -23,7 +23,11 @@ fn run_bfs(g: &Graph, root: NodeId) -> DistBfsOutcome {
         .unwrap()
 }
 
-fn run_bundle(g: &Graph, spec: std::sync::Arc<MultiBfsSpec>, cfg: &SimConfig) -> MultiBfsOutcome {
+fn run_bundle<F: Fn(NodeId, NodeId, u32) -> bool + Send + Sync>(
+    g: &Graph,
+    spec: std::sync::Arc<MultiBfsSpec<F>>,
+    cfg: &SimConfig,
+) -> MultiBfsOutcome {
     Session::new(g, cfg.clone())
         .run(MultiBfs::new(spec))
         .unwrap()
@@ -68,7 +72,7 @@ proptest! {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::func(|_, _, _| true),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let out = run_bundle(&g, spec, &SimConfig::default());
@@ -299,7 +303,7 @@ proptest! {
                     depth_limit: u32::MAX,
                 })
                 .collect(),
-            membership: lcs_congest::Membership::func(|_, _, _| true),
+            membership: |_, _, _| true,
             queue_cap: 0,
         });
         let base = run_bundle(&g, spec(()), &cfg_for(1));

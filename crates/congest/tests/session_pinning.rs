@@ -10,8 +10,8 @@
 //! behavioural drift in any protocol still fails tier-1 here.
 
 use lcs_congest::{
-    positions_from_tree, AggOp, Bfs, Membership, MultiAggregate, MultiBfs, MultiBfsInstance,
-    MultiBfsSpec, Participation, PrefixNumber, Session, SimConfig, TreeAggregate,
+    positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsSpec,
+    Participation, PrefixNumber, Session, SimConfig, TreeAggregate,
 };
 use lcs_graph::{bfs_distances, generators, Graph, NodeId};
 use std::sync::Arc;
@@ -98,7 +98,7 @@ fn multi_bfs_pinned_across_shard_counts() {
                 depth_limit: u32::MAX,
             })
             .collect(),
-        membership: Membership::func(|_, _, _| true),
+        membership: |_, _, _| true,
         queue_cap: 0,
     });
     let a = Session::new(&g, cfg(1))

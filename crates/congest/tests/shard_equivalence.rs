@@ -117,7 +117,10 @@ fn tree_protocols_are_byte_equal_across_shard_counts() {
     }
 }
 
-fn multi_bfs_spec(g: &Graph, seed: u64) -> Arc<MultiBfsSpec> {
+fn multi_bfs_spec(
+    g: &Graph,
+    seed: u64,
+) -> Arc<MultiBfsSpec<impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync>> {
     let n = g.n();
     Arc::new(MultiBfsSpec {
         instances: (0..4u32)
@@ -127,7 +130,7 @@ fn multi_bfs_spec(g: &Graph, seed: u64) -> Arc<MultiBfsSpec> {
                 depth_limit: u32::MAX,
             })
             .collect(),
-        membership: lcs_congest::Membership::func(|_, _, _| true),
+        membership: |_, _, _| true,
         queue_cap: 3,
     })
 }

@@ -233,7 +233,6 @@ fn run_pipeline(
     if n < 2 {
         return Err(ParamError::GraphTooSmall(n).into());
     }
-    let partition = Arc::new(partition.clone());
     let sim_cfg = SimConfig {
         seed: cfg.seed,
         shards: cfg.shards,
@@ -286,10 +285,6 @@ fn run_pipeline(
         accounted_rounds += 1;
 
         // B1: truncated per-part BFS (parts disjoint: zero congestion).
-        let part_arc = Arc::clone(&partition);
-        let membership_parts = lcs_congest::Membership::func(move |u, v, inst| {
-            part_arc.part_of(u) == Some(inst) && part_arc.part_of(v) == Some(inst)
-        });
         let b1_spec = Arc::new(MultiBfsSpec {
             instances: (0..partition.num_parts())
                 .map(|i| MultiBfsInstance {
@@ -298,7 +293,9 @@ fn run_pipeline(
                     depth_limit: params.k_ceil,
                 })
                 .collect(),
-            membership: membership_parts,
+            membership: |u, v, inst| {
+                partition.part_of(u) == Some(inst) && partition.part_of(v) == Some(inst)
+            },
             queue_cap: 0,
         });
         let b1 = session.run_labeled(format!("B1.parts@{guess}"), MultiBfs::new(b1_spec))?;
@@ -381,7 +378,7 @@ fn run_pipeline(
         };
         let b3_spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: oracle.membership(Arc::clone(&partition), &rank_part),
+            membership: oracle.membership(partition, &rank_part, n),
             queue_cap,
         });
         let b3_seed = cfg.seed ^ guess as u64;
@@ -913,7 +910,6 @@ mod tests {
     /// instances that share a part-to-instance map with gaps.
     #[test]
     fn tree_edge_lists_are_the_sorted_parent_edges() {
-        use lcs_congest::Membership;
         let g = lcs_graph::generators::grid(9, 11);
         let instances = (0..5)
             .map(|i| MultiBfsInstance {
@@ -924,7 +920,7 @@ mod tests {
             .collect();
         let spec = Arc::new(MultiBfsSpec {
             instances,
-            membership: Membership::func(|u, v, i| (u + v + i) % 5 != 0),
+            membership: |u, v, i| (u + v + i) % 5 != 0,
             queue_cap: 0,
         });
         let out = Session::new(&g, SimConfig::default())

@@ -12,10 +12,8 @@
 //!   the *same* coins, enabling edge-level differential testing.
 
 use lcs_congest::hash::splitmix64;
-use lcs_congest::Membership;
 use lcs_graph::NodeId;
 use lcs_shortcut::Partition;
-use std::sync::Arc;
 
 /// `p` in integer form. A coin reads the 53 high bits `m` of its hash
 /// as the fraction `m / 2^53`, and for an integer `m`, `m / 2^53 < p`
@@ -46,8 +44,9 @@ impl SampleOracle {
         }
     }
 
-    /// The key of arc `(sampler, head)`'s coins in instance `inst`;
-    /// repetition `rep` hashes `key + rep·2^40`.
+    /// The key of arc `(sampler, head)`'s coins in instance `inst`: the
+    /// wrapping sum of the seed and one term each for the sampler, the
+    /// head and the instance. Repetition `rep` hashes `key + rep·2^40`.
     #[inline]
     fn key(&self, sampler: NodeId, head: NodeId, inst: u32) -> u64 {
         self.seed
@@ -59,6 +58,13 @@ impl SampleOracle {
     #[inline]
     fn coin(&self, key: u64, rep: u32) -> bool {
         splitmix64(key.wrapping_add(u64::from(rep) << 40)) >> 11 < self.threshold
+    }
+
+    /// Whether any of the `reps` coins under `key` comes up, folded
+    /// without a branch.
+    #[inline]
+    fn any_coin(&self, key: u64) -> bool {
+        (0..self.reps).fold(false, |hit, rep| hit | self.coin(key, rep))
     }
 
     /// The coin: did `sampler` sample its directed edge `(sampler,
@@ -74,25 +80,48 @@ impl SampleOracle {
     /// once and the repetitions are tested without a branch.
     #[inline]
     pub fn sampled(&self, sampler: NodeId, head: NodeId, inst: u32) -> bool {
-        let key = self.key(sampler, head, inst);
-        (0..self.reps).fold(false, |hit, rep| hit | self.coin(key, rep))
+        self.any_coin(self.key(sampler, head, inst))
     }
 
-    /// `G[S_j] ∪ H_j` as the membership of a parallel BFS: instance
-    /// `i` grows inside part `j = parts[i]`, and a token crosses `u → v`
-    /// when either endpoint lies in `S_j` (Step 1) or `u` sampled the
-    /// arc with the coins keyed by `S_j`'s leader (Step 2).
-    pub fn membership(self, partition: Arc<Partition>, parts: &[u32]) -> Membership {
-        let keyed: Vec<(u32, NodeId)> = parts
-            .iter()
-            .map(|&j| (j, partition.leader(j as usize)))
+    /// `G[S_j] ∪ H_j` as the membership predicate of a parallel BFS on
+    /// an `n`-node graph: instance `i` grows inside part `j = parts[i]`,
+    /// and a token crosses `u → v` when either endpoint lies in `S_j`
+    /// (Step 1) or `u` sampled the arc with the coins keyed by `S_j`'s
+    /// leader (Step 2).
+    ///
+    /// The key's terms are tabulated here, once per phase: `seed +
+    /// splitmix64(v + 1)` and `splitmix64((v + 1) << 20)` per node,
+    /// and the leader's term per instance. An arc test then loads two
+    /// terms and adds them to the leader's before the `reps` coins.
+    /// Wrapping addition commutes, so every coin is the one
+    /// [`Self::sampled`] tosses, the centralized build's reference.
+    pub fn membership<'p>(
+        self,
+        partition: &'p Partition,
+        parts: &[u32],
+        n: usize,
+    ) -> impl Fn(NodeId, NodeId, u32) -> bool + Send + Sync + Clone + 'p {
+        let sampler_terms: Vec<u64> = (1..=n as u64)
+            .map(|v| self.seed.wrapping_add(splitmix64(v)))
             .collect();
-        Membership::func(move |u, v, inst| {
-            let (j, leader) = keyed[inst as usize];
+        let head_terms: Vec<u64> = (1..=n as u64).map(|v| splitmix64(v << 20)).collect();
+        let keyed: Vec<(u32, u64)> = parts
+            .iter()
+            .map(|&j| {
+                let leader = u64::from(partition.leader(j as usize));
+                (j, splitmix64((leader << 1) ^ 0xA5A5))
+            })
+            .collect();
+        move |u, v, inst| {
+            let (j, leader_term) = keyed[inst as usize];
             partition.part_of(u) == Some(j)
                 || partition.part_of(v) == Some(j)
-                || self.sampled(u, v, leader)
-        })
+                || self.any_coin(
+                    sampler_terms[u as usize]
+                        .wrapping_add(head_terms[v as usize])
+                        .wrapping_add(leader_term),
+                )
+        }
     }
 }
 
@@ -198,6 +227,48 @@ mod tests {
                 if p == 1.0 {
                     assert_eq!(hits, 4_000);
                 }
+            }
+        }
+    }
+
+    /// B3's predicate, with its tabulated key terms, is Step 1's part
+    /// test or Step 2's coins as [`SampleOracle::sampled`] tosses them,
+    /// on every arc and instance of a seeded instance: the instances
+    /// name the parts in a shuffled order, and some parts have none.
+    #[test]
+    fn membership_is_the_part_test_or_the_reference_coins() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xB3);
+        let g = lcs_graph::generators::gnp_connected(300, 0.03, &mut rng);
+        let partition = Partition::bfs_balls(&g, 24, &mut rng);
+        let mut parts: Vec<u32> = (0..partition.num_parts() as u32).collect();
+        parts.shuffle(&mut rng);
+        parts.truncate(parts.len() - 4);
+        for p in [0.05, 0.428, 0.573, 1.0] {
+            for reps in [3, 4] {
+                let o = SampleOracle::new(0x5EED ^ u64::from(reps), p, reps);
+                let admits = o.membership(&partition, &parts, g.n());
+                let (mut coins, mut hits) = (0, 0);
+                for (inst, &j) in parts.iter().enumerate() {
+                    let leader = partition.leader(j as usize);
+                    for u in g.nodes() {
+                        for &v in g.neighbors(u) {
+                            let in_part =
+                                partition.part_of(u) == Some(j) || partition.part_of(v) == Some(j);
+                            let expected = in_part || o.sampled(u, v, leader);
+                            assert_eq!(
+                                admits(u, v, inst as u32),
+                                expected,
+                                "p {p}, reps {reps}, arc {u} -> {v}, instance {inst}"
+                            );
+                            coins += usize::from(!in_part);
+                            hits += usize::from(!in_part && expected);
+                        }
+                    }
+                }
+                assert!(0 < hits, "p {p}, reps {reps}: no coin came up");
+                assert_eq!(hits == coins, p == 1.0, "p {p}, reps {reps}");
             }
         }
     }

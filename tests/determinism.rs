@@ -8,6 +8,7 @@
 
 use low_congestion_shortcuts::congest::hash::Fnv;
 use low_congestion_shortcuts::congest::{Crash, FaultPlan, Reliable};
+use low_congestion_shortcuts::core::DistributedOutcome;
 use low_congestion_shortcuts::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,15 +16,33 @@ use std::sync::Arc;
 
 /// The fixed D = 4 highway instance every pin runs on.
 fn pinned_instance() -> (Graph, Partition) {
+    highway(4)
+}
+
+/// The 4 × 24 highway at `diameter`, partitioned into its paths.
+fn highway(diameter: u32) -> (Graph, Partition) {
     let hw = HighwayGraph::new(HighwayParams {
         num_paths: 4,
         path_len: 24,
-        diameter: 4,
+        diameter,
     })
     .unwrap();
     let g = hw.graph().clone();
     let parts = Partition::new(&g, hw.path_parts()).unwrap();
     (g, parts)
+}
+
+/// A hash of the pipeline's own output, before any strip: every part's
+/// edge list and its largeness verdict.
+fn shortcuts_hash(out: &DistributedOutcome) -> u64 {
+    let mut h = Fnv::new();
+    for i in 0..out.shortcuts.num_parts() {
+        h.u64(i as u64).u64(u64::from(out.is_large[i]));
+        for &e in out.shortcuts.edges(i) {
+            h.u64(u64::from(e.0));
+        }
+    }
+    h.finish()
 }
 
 /// Distributed construction with the diameter guessed, so the guess
@@ -59,17 +78,32 @@ fn pinned_distributed_phase_fingerprints() {
         ]
     );
     assert_eq!(out.stats.fingerprint(), 7015653910255152991);
-    // The pipeline's own output, before any strip: every part's edge
-    // list (the index checksum below pins only the stripped sets) and
-    // the largeness verdicts.
-    let mut h = Fnv::new();
-    for i in 0..out.shortcuts.num_parts() {
-        h.u64(i as u64).u64(u64::from(out.is_large[i]));
-        for &e in out.shortcuts.edges(i) {
-            h.u64(u64::from(e.0));
-        }
-    }
-    assert_eq!(h.finish(), 5350190253183584763);
+    // The pipeline's own output (the index checksum below pins only the
+    // stripped sets).
+    assert_eq!(shortcuts_hash(&out), 5350190253183584763);
+}
+
+/// The same highway at D = 3, where the coins sample: the accepted
+/// guess 3 has p = 0.428, so an arc outside its part joins `H_i` with
+/// probability about 0.81. (At D = 4, p = 0.949 admits an arc with
+/// probability 1 − 7·10⁻⁶, so a change to every coin key moves none of
+/// the D = 4 pins.) Pins the parallel BFS's fingerprint and the edge
+/// lists.
+#[test]
+fn pinned_coins_at_d3() {
+    let (g, parts) = highway(3);
+    assert_eq!(g.n(), 120);
+    let out = distributed_shortcuts(&g, &parts, &pinned_config()).unwrap();
+    assert_eq!(out.accepted_guess, 3);
+    assert!((out.params.p - 0.428).abs() < 5e-4, "p {}", out.params.p);
+    let b3 = out
+        .phase_stats
+        .iter()
+        .find(|s| s.label == "B3.parallel_bfs@3")
+        .expect("the accepted guess ran its parallel BFS");
+    assert_eq!(b3.fingerprint(), 16510584778006112684);
+    assert_eq!(out.shortcuts.total_edges(), 474);
+    assert_eq!(shortcuts_hash(&out), 13563722114902093337);
 }
 
 #[test]
